@@ -36,9 +36,9 @@ from .experiments import (
     factorization_study,
     representation_equivalence_study,
 )
-from .filtering import estimate_message, posterior_update, sequential_update
+from .filtering import posterior_expectations
 from .innovations import innovations_path
-from .noise import Interval, make_noise_model
+from .noise import Interval, inverse_marginal_clamped, make_noise_model
 from .prior import prior_from_atoms, prior_from_density
 from .rng import stream
 from .simulate import TimeGrid, simulate_ensemble, simulate_information_path
@@ -289,21 +289,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _filter_rows(model, prior, grid, values, with_weights):
-    posterior = posterior_update(prior, model, 0.0, 0.0)
     times = grid.times
-    for j in range(times.size):
-        if j > 0:
-            posterior = sequential_update(
-                posterior, model, values[j] - values[j - 1], times[j] - times[j - 1]
-            )
-        if times[j] > 0.0:
-            i0 = estimate_message(posterior, model, values[j], times[j]).i0
-        else:
-            i0 = math.nan
-        row = [times[j], values[j], posterior.mean, posterior.variance, i0]
-        if with_weights:
-            row.extend(posterior.weights.tolist())
-        yield row
+    weights = posterior_expectations(prior, model, values, times, np.eye(len(prior)))
+    x = prior.positions
+    mean = weights @ x
+    var = np.einsum("ij,ij->i", weights, (x - mean[:, None]) ** 2)
+    i0 = np.full(times.size, math.nan)
+    later = times > 0.0
+    i0[later] = inverse_marginal_clamped(model, values[later] / times[later])[0]
+    columns = [times, values, mean, var, i0] + ([weights] if with_weights else [])
+    return (row.tolist() for row in np.column_stack(columns))
 
 
 def _cmd_filter(args) -> int:

@@ -4,7 +4,10 @@ The posterior over message atoms after observing xi at time t reweights the
 prior by exp(x xi - psi0(x) t); the exponent grows linearly in t, so all
 weight arithmetic happens in log space with max-subtraction and a single
 renormalization per update.  The restart property makes the sequential form
-(reweight by increments) exactly consistent with the one-shot form.
+(reweight by increments) exactly consistent with the one-shot form, so
+batched callers (the innovations decomposition, ``levy-info filter``) use
+the closed form: :func:`posterior_expectations` filters every observation
+(xi_j, t_j) on its own, with no recursion along the path.
 """
 
 from __future__ import annotations
@@ -16,24 +19,20 @@ import numpy as np
 
 from .errors import DegenerateWeights, IncompatibleSupport, InvalidParameter, NonFiniteValue
 from .noise import NoiseModel, admissible_set, psi_unchecked
-from .prior import Prior, check_compatibility
+from .prior import Prior, _frozen, check_compatibility
+from .rng import map_ordered
 
 __all__ = [
     "Posterior",
     "posterior_update",
     "sequential_update",
+    "posterior_expectations",
     "conditional_cdf",
     "best_estimate",
     "gamma_linear_filter",
     "MessageEstimate",
     "estimate_message",
 ]
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +138,90 @@ def sequential_update(posterior: Posterior, model: NoiseModel, dxi: float, dt: f
     with np.errstate(over="ignore"):
         raw = posterior.log_weights + x * dxi - psi_unchecked(model, x) * dt
     return _normalized(x, raw, posterior.xi + dxi, posterior.t + dt)
+
+
+# Observation rows per block of posterior_expectations: a block's
+# (rows x atoms) weight matrix stays cache-sized, and each block is one unit
+# of work for map_ordered.  Blocks share nothing, so results do not depend on
+# the worker count.
+BLOCK_ROWS = 512
+
+
+def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndarray:
+    """Posterior expectations of the columns of ``g`` at every observation (xi, t).
+
+    The one-shot form: the posterior at (xi, t) has log-weights
+    log pi(x) + x xi - psi0(x) t, so each observation is filtered on its own.
+    Rows are taken in blocks of ``BLOCK_ROWS``; per block, one matrix product
+    [xi, t, 1] @ [x; -psi0(x); log pi] gives the log-weights, the row maximum
+    is subtracted, and a second product of their exponentials with [1 | g]
+    gives the normalizer and the unnormalized expectations.  Blocks run on up
+    to ``worker_count()`` threads.
+
+    Parameters
+    ----------
+    xi : array_like
+        Observations, of any shape S.
+    t : array_like
+        Observation times, broadcastable to S.
+    g : array_like
+        Shape (atoms, k): g[i, c] is the c-th function at prior atom i.  The
+        identity gives the posterior weights.
+
+    Returns
+    -------
+    ndarray
+        Shape S + (k,).
+
+    Raises
+    ------
+    InvalidParameter
+        If a time is negative or not finite, or ``g`` does not have one row
+        per prior atom.
+    IncompatibleSupport
+        If a prior atom is outside the admissible set.
+    DegenerateWeights
+        If at some observation the log-weights are not finite: every
+        reweighted atom underflows to zero probability, or one overflows.
+    """
+    check_compatibility(prior, model)
+    x = prior.positions
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[0] != x.size:
+        raise InvalidParameter(f"g must have shape (atoms, k) = ({x.size}, k), got {g.shape}")
+    t = np.asarray(t, dtype=float)
+    if not (np.isfinite(t).all() and (t >= 0.0).all()):
+        raise InvalidParameter("observation times must be finite and >= 0")
+    xi = np.asarray(xi, dtype=float)
+    t = np.broadcast_to(t, xi.shape)
+    xi_rows = xi.reshape(-1)
+    coef = np.stack([x, -psi_unchecked(model, x), np.log(prior.weights)])
+    ones_g = np.column_stack([np.ones(x.size), g])
+    out = np.empty((xi_rows.size, g.shape[1]))
+
+    def block(start: int) -> None:
+        stop = min(start + BLOCK_ROWS, xi_rows.size)
+        obs = np.empty((stop - start, 3))
+        obs[:, 0] = xi_rows[start:stop]
+        obs[:, 1] = t.flat[start:stop]
+        obs[:, 2] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
+            log_w = obs @ coef
+        top = log_w.max(axis=1, keepdims=True)
+        finite = np.isfinite(top[:, 0])
+        if not finite.all():
+            bad = obs[np.argmin(finite)]
+            raise DegenerateWeights(
+                f"posterior log-weights at xi={bad[0]:g}, t={bad[1]:g} are not finite; "
+                "the observation is numerically impossible under every prior atom"
+            )
+        log_w -= top
+        w = np.exp(log_w, out=log_w)
+        sums = w @ ones_g
+        np.divide(sums[:, 1:], sums[:, :1], out=out[start:stop])
+
+    map_ordered(block, range(0, xi_rows.size, BLOCK_ROWS))
+    return out.reshape(xi.shape + (g.shape[1],))
 
 
 def conditional_cdf(posterior: Posterior, y: float) -> float:

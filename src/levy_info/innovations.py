@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeights, InvalidParameter, OutOfDomain, TooFewSamples
-from .noise import NoiseModel, admissible_set, dpsi_unchecked, psi_unchecked
+from .errors import InvalidParameter, OutOfDomain, TooFewSamples
+from .filtering import posterior_expectations
+from .noise import NoiseModel, admissible_set, dpsi_unchecked
 from .prior import Prior, check_compatibility
 from .simulate import InformationPath, TimeGrid, simulate_ensemble
 from .stats import StudyReport, StudyRow, zscore
@@ -48,31 +49,21 @@ class InnovationsPath:
 
 def _decompose(model: NoiseModel, prior: Prior, grid: TimeGrid, xi: np.ndarray):
     """Filter a matrix of paths (rows) and return (yhat, integral, M)."""
-    check_compatibility(prior, model)
-    x = prior.positions
-    psi = np.atleast_1d(psi_unchecked(model, x))
-    dpsi = np.atleast_1d(dpsi_unchecked(model, x))
+    check_compatibility(prior, model)  # before psi0' is evaluated at the atoms
     times = grid.times
-    dts = np.diff(times)
-    log_w = np.tile(np.log(prior.weights), (xi.shape[0], 1))
-    yhat = np.empty_like(xi)
-    yhat[:, 0] = prior.weights @ dpsi
-    for j in range(1, times.size):
-        log_w += np.outer(xi[:, j] - xi[:, j - 1], x) - psi * dts[j - 1]
-        top = log_w.max(axis=1, keepdims=True)
-        if not np.isfinite(top).all():
-            raise DegenerateWeights("posterior weights collapsed while filtering a path")
-        log_w -= top
-        w = np.exp(log_w)
-        w /= w.sum(axis=1, keepdims=True)
-        yhat[:, j] = w @ dpsi
+    dpsi = dpsi_unchecked(model, prior.positions)
+    yhat = posterior_expectations(prior, model, xi, times, dpsi[:, None])[..., 0]
     integral = np.zeros_like(xi)
-    integral[:, 1:] = np.cumsum(yhat[:, :-1] * dts, axis=1)
+    integral[:, 1:] = np.cumsum(yhat[:, :-1] * np.diff(times), axis=1)
     return yhat, integral, xi - integral
 
 
 def innovations_path(path: InformationPath, prior: Prior) -> InnovationsPath:
-    """Run the filter sequentially along one path and split off the martingale.
+    """Filter every grid point of one path in one shot and split off the martingale.
+
+    By the restart property the filter value at grid time t_j depends only
+    on (xi_j, t_j), so every point is filtered on its own by
+    :func:`~levy_info.filtering.posterior_expectations`.
 
     Yhat is accumulated with the left-endpoint rule: the value entering each
     interval multiplies its length, matching the predictable integrand of
@@ -94,9 +85,9 @@ def innovations_path(path: InformationPath, prior: Prior) -> InnovationsPath:
 def innovations_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: int, seed: int, tag: int = 0):
     """Simulate an ensemble and decompose every path.
 
-    Returns ``(messages, xi, yhat, M)`` with one row per path; the filter
-    update is vectorized across paths, so large martingale studies stay
-    cheap.  Reproducibility follows :func:`simulate_ensemble`.
+    Returns ``(messages, xi, yhat, M)`` with one row per path; every
+    (path, time) cell is filtered in one batched call, so large martingale
+    studies stay cheap.  Reproducibility follows :func:`simulate_ensemble`.
     """
     if len(grid) < 2:
         raise InvalidParameter("innovations need a grid with at least two points")

@@ -150,9 +150,10 @@ def check_compatibility(prior: Prior, model: NoiseModel, margin: float = 1e-9) -
     """Verify that every prior atom is admissible for the model.
 
     An atom x passes when it lies in the admissible set A and, for each
-    finite boundary c of A, keeps a relative distance
-    ``|x - c| >= margin * max(1, |c|)``.  ``margin=0`` reduces to plain
-    membership in A (respecting open/closed endpoints).
+    finite open boundary c of A, keeps a relative distance
+    ``|x - c| >= margin * max(1, |c|)``.  A closed endpoint belongs to A
+    and takes no margin (the InverseGaussian atom x = 0 is the fiducial law
+    itself).  ``margin=0`` reduces to plain membership in A.
 
     Raises
     ------
@@ -165,9 +166,9 @@ def check_compatibility(prior: Prior, model: NoiseModel, margin: float = 1e-9) -
     interval = admissible_set(model)
     xs = prior.positions
     ok = interval.contains_array(xs)
-    if np.isfinite(interval.lo):
+    if interval.lo_open and np.isfinite(interval.lo):
         ok &= (xs - interval.lo) >= margin * max(1.0, abs(interval.lo))
-    if np.isfinite(interval.hi):
+    if interval.hi_open and np.isfinite(interval.hi):
         ok &= (interval.hi - xs) >= margin * max(1.0, abs(interval.hi))
     if not ok.all():
         bad = xs[~ok].tolist()

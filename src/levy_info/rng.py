@@ -41,7 +41,8 @@ def worker_count() -> int:
 def map_ordered(fn, items):
     """Map ``fn`` over ``items`` preserving order, on up to worker_count()
     threads.  Results do not depend on the worker count; threading only
-    overlaps the underlying (GIL-releasing) numpy draws."""
+    overlaps the underlying (GIL-releasing) numpy work: sampler chunks and
+    filter blocks."""
     items = list(items)
     workers = min(worker_count(), max(1, len(items)))
     if workers <= 1:

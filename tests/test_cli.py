@@ -4,8 +4,11 @@ import io
 import contextlib
 import json
 
+import numpy as np
 import pytest
 
+import levy_info as li
+from levy_info import cli
 from levy_info.cli import main
 
 
@@ -44,6 +47,36 @@ def test_incompatible_prior_exits_two_naming_error_class():
     ])
     assert code == 2
     assert "IncompatibleSupport" in err
+
+
+def test_overflowing_path_in_filter_exits_two(monkeypatch):
+    model = li.make_noise_model("Brownian", ())
+    grid = li.TimeGrid([0.0, 1.0])
+    path = li.InformationPath(grid, np.array([0.0, 1e308]), -2.0, model)
+    monkeypatch.setattr(cli, "simulate_information_path", lambda *args: path)
+    code, out, err = run_cli(["filter", "--set", "prior.atoms=[[-2.0,1.0],[-3.0,1.0]]",
+                              "--set", "grid.times=[0.0,1.0]"])
+    assert code == 2
+    assert "DegenerateWeights" in err
+    assert out == ""
+
+
+def test_inverse_gaussian_atom_at_closed_endpoint():
+    # A = [0, 2): x = 0 is the fiducial law itself, 2 - 1e-12 hugs the open end
+    ig = li.make_noise_model("InverseGaussian", (1.0, 2.0))
+    grid = li.TimeGrid.regular(1.0, 10)
+    prior = li.prior_from_atoms([(0.0, 1.0), (0.5, 1.0)])
+    _, _, yhat, M = li.innovations_ensemble(ig, prior, grid, 50, seed=53)
+    assert np.isfinite(yhat).all() and np.isfinite(M).all()
+    ig_config = ["--set", "model.family=InverseGaussian", "--set", "model.params=[1.0,2.0]",
+                 "--set", "grid.steps=10", "--seed", "53"]
+    code, _, err = run_cli(["filter", *ig_config, "--set", "prior.atoms=[[0.0,1.0],[0.5,1.0]]"])
+    assert code == 0, err
+    near = li.prior_from_atoms([(0.5, 1.0), (2.0 - 1e-12, 1.0)])
+    with pytest.raises(li.IncompatibleSupport):
+        li.innovations_ensemble(ig, near, grid, 50, seed=53)
+    code, _, err = run_cli(["filter", *ig_config, "--set", "prior.atoms=[[0.5,1.0],[1.999999999999,1.0]]"])
+    assert code == 2 and "IncompatibleSupport" in err
 
 
 def test_config_errors_exit_one_naming_key():

@@ -7,6 +7,7 @@ import pytest
 
 import levy_info as li
 from conftest import FAMILY_PARAMS
+from levy_info.filtering import posterior_expectations
 
 
 def poisson_bayes_weights(prior, m, n, t):
@@ -73,6 +74,15 @@ def test_degenerate_weights_is_an_error():
     prior = li.prior_from_atoms([(-2.0, 1.0), (-3.0, 1.0)])
     with pytest.raises(li.DegenerateWeights):
         li.posterior_update(prior, model, 1e308, 1.0)
+
+
+def test_posterior_expectations_validates_times_and_g():
+    model = li.make_noise_model("Brownian", ())
+    prior = li.prior_from_atoms([(0.0, 1.0), (1.0, 1.0)])
+    with pytest.raises(li.InvalidParameter):
+        posterior_expectations(prior, model, [0.0, 1.0], [0.0, -1.0], np.eye(2))
+    with pytest.raises(li.InvalidParameter):
+        posterior_expectations(prior, model, [0.0, 1.0], [0.0, 1.0], np.eye(3))
 
 
 def test_posterior_update_validates_observation():

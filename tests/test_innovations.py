@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 
 import levy_info as li
+from conftest import interior_grid
+from levy_info.filtering import BLOCK_ROWS
+from levy_info.noise import dpsi_unchecked, psi_unchecked
+
+# Kernel vs recursion: |yhat - reference| <= KERNEL_TOL * max(1, |reference|).
+# Set from float64 rounding, not fitted to the kernel: both sides compute the
+# same posterior and differ only in the order of their roundings.
+KERNEL_TOL = 1e-12
 
 
 def degenerate(x):
@@ -75,6 +83,70 @@ def test_innovations_ensemble_matches_per_path_filter():
                                         float(grid.times[j] - grid.times[j - 1]))
             assert yhat[i, j] == pytest.approx(
                 li.best_estimate(post, d1), abs=1e-12)
+
+
+def sequential_yhat(model, prior, times, xi):
+    """Reference filter: step through time over whole (paths x atoms) matrices.
+
+    This is the per-step recursion the one-shot kernel replaced; it reweights
+    by each increment and renormalizes after every step.
+    """
+    x = prior.positions
+    psi = psi_unchecked(model, x)
+    dpsi = dpsi_unchecked(model, x)
+    dts = np.diff(times)
+    log_w = np.tile(np.log(prior.weights), (xi.shape[0], 1))
+    yhat = np.empty_like(xi)
+    yhat[:, 0] = prior.weights @ dpsi
+    for j in range(1, times.size):
+        log_w += np.outer(xi[:, j] - xi[:, j - 1], x) - psi * dts[j - 1]
+        log_w -= log_w.max(axis=1, keepdims=True)
+        w = np.exp(log_w)
+        w /= w.sum(axis=1, keepdims=True)
+        yhat[:, j] = w @ dpsi
+    return yhat
+
+
+def assert_matches_recursion(yhat, reference):
+    bound = KERNEL_TOL * np.maximum(1.0, np.abs(reference))
+    err = np.abs(yhat - reference)
+    assert np.all(err <= bound), f"off by up to {float(np.max(err / bound)):.3g} x tolerance"
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 256])
+def test_one_shot_filter_matches_sequential_recursion(model, n_atoms):
+    prior = li.prior_from_atoms(zip(interior_grid(model, n_atoms), np.linspace(1.0, 3.0, n_atoms)))
+    grid = li.TimeGrid.regular(1.0, 20)
+    _, xi, yhat, _ = li.innovations_ensemble(model, prior, grid, 37, seed=50)
+    assert xi.size % BLOCK_ROWS != 0  # a partial last block
+    assert_matches_recursion(yhat, sequential_yhat(model, prior, grid.times, xi))
+    long_grid = li.TimeGrid.regular(1.0, 10_000)
+    path = li.simulate_information_path(model, prior, long_grid, np.random.default_rng(51))
+    inn = li.innovations_path(path, prior)
+    reference = sequential_yhat(model, prior, long_grid.times, path.values[None, :])[0]
+    assert_matches_recursion(inn.yhat, reference)
+
+
+def test_innovations_ensemble_independent_of_worker_count(monkeypatch):
+    model = li.make_noise_model("Gamma", (1.0, 1.0))
+    prior = li.prior_from_density(lambda x: np.ones_like(x), li.Interval(-1.0, 0.5), 16)
+    grid = li.TimeGrid.regular(1.0, 20)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LEVY_INFO_THREADS", threads)
+        _, xi, yhat, M = li.innovations_ensemble(model, prior, grid, 100, seed=52)
+        runs.append((yhat.tobytes(), M.tobytes()))
+    assert xi.size > 2 * BLOCK_ROWS  # several blocks to share out
+    assert runs[0] == runs[1]
+
+
+def test_overflowing_observation_raises_degenerate_weights():
+    # as posterior_update at (1e308, 1): x * xi is -inf at every atom
+    model = li.make_noise_model("Brownian", ())
+    prior = li.prior_from_atoms([(-2.0, 1.0), (-3.0, 1.0)])
+    path = li.InformationPath(li.TimeGrid([0.0, 1.0]), np.array([0.0, 1e308]), -2.0, model)
+    with pytest.raises(li.DegenerateWeights):
+        li.innovations_path(path, prior)
 
 
 # ---------------------------------------------------------------------------
