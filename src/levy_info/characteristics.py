@@ -14,7 +14,9 @@ model.
 ``reconstruct_exponent`` numerically re-assembles psi(alpha) from a triplet
 (quadrature over the jump measure, truncated at 1e-8 with a second-order
 small-jump correction).  It exists to cross-check the closed forms and is a
-test aid, not a production code path.
+test aid, not a production code path.  scipy (quadrature, the Bessel K1) is
+imported inside the functions that need it, so importing the package does
+not load it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import InvalidParameter
 from .noise import (
@@ -84,6 +85,8 @@ class LevyMeasure:
                 0.0,
             )
         if self.tag == "nig":
+            from scipy import special
+
             a, b, m = self.params
             az = np.abs(z)
             azs = np.where(z != 0, az, 1.0)
@@ -151,6 +154,8 @@ def characteristic_triplet(model: NoiseModel) -> CharacteristicTriplet:
         if b == 0.0:
             comp = 0.0
         else:
+            from scipy import integrate, special
+
             comp, _ = integrate.quad(
                 lambda z: 2.0 * m * a / math.pi * math.sinh(b * z) * special.k1(a * z),
                 0.0,
@@ -206,6 +211,8 @@ def _jump_integral(measure: LevyMeasure, alpha: float, eps: float = 1e-8) -> flo
                     break
                 k += 1
         return total
+
+    from scipy import integrate
 
     def integrand(z):
         # evaluate e^{alpha z} * density(z) through the sum of exponents --

@@ -13,6 +13,12 @@ Every CSV starts with comment lines recording the tool version, subcommand,
 fully resolved configuration and seed; identical invocations are
 byte-identical.  Exit codes: 0 success, 1 usage error, 2 validation or
 numerical error, 3 study failure (some |z| above threshold).
+
+Output is written column by column: each column is formatted once, floats
+in shortest round-trip form (``repr``), integers by ``str`` and text cells
+quoted as ``csv.QUOTE_MINIMAL`` would, and the rows of a block are joined and
+written in one call.  ``simulate`` formats the shared time column once and
+writes one block per path, so formatting memory is O(steps).
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import csv
 import json
 import math
 import sys
@@ -237,26 +242,32 @@ def _study_value(study: dict, key: str, cast=float):
 # ---------------------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _text(cell: str) -> str:
+    """A text cell as ``csv.QUOTE_MINIMAL`` writes it: quoted when it holds a
+    comma, a quote or a line break, with every inner quote doubled."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
-def _emit(out_path, subcommand: str, config: dict, columns, rows) -> None:
+def _floats(values) -> list:
+    """Each value in shortest round-trip form (``repr`` of a Python float)."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _emit(out_path, subcommand: str, config: dict, header, blocks) -> None:
+    """Write the comment lines, the header row and then each block, a tuple of
+    equal-length columns of formatted cells, as one ``write`` of its rows."""
     def write(fh):
-        fh.write(f"# levy-info {__version__}\n")
-        fh.write(f"# subcommand: {subcommand}\n")
-        fh.write(f"# config: {json.dumps(config, sort_keys=True, separators=(',', ':'))}\n")
-        fh.write(f"# seed: {config['seed']}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        fh.write(
+            f"# levy-info {__version__}\n"
+            f"# subcommand: {subcommand}\n"
+            f"# config: {json.dumps(config, sort_keys=True, separators=(',', ':'))}\n"
+            f"# seed: {config['seed']}\n"
+            + ",".join(map(_text, header)) + "\n"
+        )
+        for columns in blocks:
+            fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
 
     if out_path is None:
         write(sys.stdout)
@@ -278,17 +289,17 @@ def _cmd_simulate(args) -> int:
     n_paths = _paths(config)
     seed = _seed(config)
     messages, xi = simulate_ensemble(model, prior, grid, n_paths, seed)
-    times = grid.times
-    rows = (
-        (pid, times[j], xi[pid, j], messages[pid])
-        for pid in range(n_paths)
-        for j in range(times.size)
+    t_cells = _floats(grid.times)
+    n = len(t_cells)
+    blocks = (
+        ([str(pid)] * n, t_cells, _floats(xi[pid]), [repr(message)] * n)
+        for pid, message in enumerate(messages.tolist())
     )
-    _emit(args.out, "simulate", config, ("path_id", "t", "xi", "x_hidden"), rows)
+    _emit(args.out, "simulate", config, ("path_id", "t", "xi", "x_hidden"), blocks)
     return 0
 
 
-def _filter_rows(model, prior, grid, values, with_weights):
+def _filter_columns(model, prior, grid, values, with_weights):
     times = grid.times
     weights = posterior_expectations(prior, model, values, times, np.eye(len(prior)))
     x = prior.positions
@@ -297,8 +308,8 @@ def _filter_rows(model, prior, grid, values, with_weights):
     i0 = np.full(times.size, math.nan)
     later = times > 0.0
     i0[later] = inverse_marginal_clamped(model, values[later] / times[later])[0]
-    columns = [times, values, mean, var, i0] + ([weights] if with_weights else [])
-    return (row.tolist() for row in np.column_stack(columns))
+    columns = [times, values, mean, var, i0] + (list(weights.T) if with_weights else [])
+    return tuple(map(_floats, columns))
 
 
 def _cmd_filter(args) -> int:
@@ -311,8 +322,8 @@ def _cmd_filter(args) -> int:
     columns = ["t", "xi", "post_mean", "post_var", "i0_estimate"]
     if args.weights:
         columns.extend(f"w_{i}" for i in range(len(prior)))
-    rows = _filter_rows(model, prior, grid, path.values, args.weights)
-    _emit(args.out, "filter", config, columns, rows)
+    block = _filter_columns(model, prior, grid, path.values, args.weights)
+    _emit(args.out, "filter", config, columns, [block])
     return 0
 
 
@@ -324,8 +335,8 @@ def _cmd_innovations(args) -> int:
     seed = _seed(config)
     path = simulate_information_path(model, prior, grid, stream(seed, 0))
     dec = innovations_path(path, prior)
-    rows = zip(grid.times, dec.xi, dec.yhat, dec.integral, dec.M)
-    _emit(args.out, "innovations", config, ("t", "xi", "yhat", "int_yhat", "M"), rows)
+    block = tuple(map(_floats, (grid.times, dec.xi, dec.yhat, dec.integral, dec.M)))
+    _emit(args.out, "innovations", config, ("t", "xi", "yhat", "int_yhat", "M"), [block])
     return 0
 
 
@@ -376,12 +387,12 @@ def _run_study(name: str, config: dict) -> StudyReport:
 def _cmd_experiment(args) -> int:
     config = _resolve_config(args)
     report = _run_study(args.name, config)
-    rows = (
-        (r.quantity, r.estimate, r.reference, r.stderr, r.z)
-        for r in report.rows
-    )
+    numbers = np.array(
+        [(r.estimate, r.reference, r.stderr, r.z) for r in report.rows], dtype=float
+    ).reshape(-1, 4)
+    block = ([_text(r.quantity) for r in report.rows], *map(_floats, numbers.T))
     _emit(args.out, f"experiment {args.name}", config,
-          ("quantity", "estimate", "reference", "stderr", "z"), rows)
+          ("quantity", "estimate", "reference", "stderr", "z"), [block])
     print(report.summary(), file=sys.stderr)
     return 0 if report.passed else 3
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateWeights, IncompatibleSupport, InvalidParameter, NonFiniteValue
 from .noise import NoiseModel, admissible_set, psi_unchecked
-from .prior import Prior, _frozen, check_compatibility
+from .prior import Prior, _frozen, check_compatibility, prior_expectation
 from .rng import map_ordered
 
 __all__ = [
@@ -233,17 +233,15 @@ def conditional_cdf(posterior: Posterior, y: float) -> float:
 def best_estimate(posterior: Posterior, g) -> float:
     """Posterior expectation of g(X); with g = psi0' this is the filter value.
 
+    The same weighted sum as :func:`prior_expectation`, over the posterior's
+    weights.
+
     Raises
     ------
     NonFiniteValue
         If g is non-finite at some atom.
     """
-    x = posterior.positions
-    vals = np.array([float(g(p)) for p in x.tolist()])
-    if not np.isfinite(vals).all():
-        bad = x[~np.isfinite(vals)]
-        raise NonFiniteValue(f"g is not finite at atoms {bad.tolist()}")
-    return float(posterior.weights @ vals)
+    return prior_expectation(posterior, g)
 
 
 def gamma_linear_filter(theta: float, r: float, m: float, xi: float, t: float) -> float:

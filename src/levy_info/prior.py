@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import (
     EmptyPrior,
@@ -124,6 +123,9 @@ def prior_from_density(f, interval: Interval, n: int) -> Prior:
     n = int(n)
     if n < 2:
         raise InvalidParameter(f"need at least 2 quadrature nodes, got {n}")
+    # scipy's nodes, not numpy's leggauss: the two differ in the last bits
+    from scipy.special import roots_legendre
+
     nodes, gl_weights = roots_legendre(n)
     half = 0.5 * (interval.hi - interval.lo)
     mid = 0.5 * (interval.hi + interval.lo)
@@ -180,7 +182,8 @@ def check_compatibility(prior: Prior, model: NoiseModel, margin: float = 1e-9) -
 
 
 def prior_expectation(prior: Prior, g) -> float:
-    """The weighted sum ``sum_i w_i g(x_i)``.
+    """The weighted sum ``sum_i w_i g(x_i)`` over the atoms of ``prior``, or
+    of anything else with ``positions`` and ``weights`` (a ``Posterior``).
 
     Raises
     ------

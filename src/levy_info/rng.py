@@ -14,6 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import InvalidParameter
+
 __all__ = ["stream", "worker_count", "map_ordered", "CHUNK"]
 
 # Paths are generated in fixed-size chunks; the chunk size is part of the
@@ -28,14 +30,24 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def worker_count() -> int:
-    """Worker cap from the LEVY_INFO_THREADS environment variable (>= 1)."""
+    """Worker cap from the LEVY_INFO_THREADS environment variable; 1 when it
+    is unset or empty.
+
+    Raises
+    ------
+    InvalidParameter
+        If the variable is set to anything but a positive integer.
+    """
     raw = os.environ.get("LEVY_INFO_THREADS", "").strip()
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        workers = int(raw)
+        if workers < 1:
+            raise ValueError
     except ValueError:
-        return 1
+        raise InvalidParameter(f"LEVY_INFO_THREADS must be a positive integer, got {raw!r}") from None
+    return workers
 
 
 def map_ordered(fn, items):

@@ -1,0 +1,80 @@
+"""Golden SHA-256 digests of the CLI data lines.
+
+Each digest covers every line that does not start with ``#`` (the CSV header
+row and the data rows), so it pins which variate goes where and how every
+number is printed.  The digests were recorded once and are never
+regenerated: a change that alters any of them changes the output and must
+say so.  Every case runs at ``LEVY_INFO_THREADS`` 1 and 2, and the sizes
+span more than one sampler chunk or filter block so that threading is
+exercised.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from levy_info.cli import main
+
+GAMMA = ["--set", "model.family=Gamma", "--set", "model.params=[1.0,1.0]",
+         "--set", "prior.atoms=[[0.0,1.0],[0.5,1.0]]"]
+
+CASES = {
+    "simulate-gamma": (
+        ["simulate", *GAMMA, "--paths", "4100", "--set", "grid.steps=3", "--seed", "3"],
+        "0b92bc050221289cec328e1c6a0712a472d1ba6d6ab42d66cee94fb8576ae807",
+    ),
+    "simulate-brownian": (
+        ["simulate", "--paths", "7", "--set", "grid.steps=9", "--seed", "4"],
+        "1b367eb3bb018f83276eda8b5f9ab07f02cfb43403a390f1ef24ebdc9b8c6561",
+    ),
+    "filter-weights": (
+        ["filter", "--weights", "--set", "grid.steps=700", "--seed", "2",
+         "--set", 'prior={"density":"uniform","lo":-1,"hi":1,"n":8}'],
+        "c8598f383dfd7bc5754aa053ed3e365a469f6e8b9db0face98bade318a876604",
+    ),
+    "innovations": (
+        ["innovations", *GAMMA, "--set", "grid.steps=600", "--seed", "5"],
+        "921996bc3221be7bf6f893dc20865c01af90a3c048afef4f5b03dd84b6347fb0",
+    ),
+    "experiment-convergence": (
+        ["experiment", "convergence", "--paths", "5000", "--seed", "42"],
+        "e96b85dc5f66d02cb105b6e0cd232b8f5462f928436752cda8665c9bb8e144e2",
+    ),
+    "experiment-bridge": (
+        ["experiment", "bridge", "--paths", "5000", "--seed", "6"],
+        "94165f0dc6ac08373d51ab96488a410e0a148a1563631f9e377283dbbec47cc2",
+    ),
+}
+
+
+def data_digest(text):
+    data = [line for line in text.splitlines(keepends=True) if not line.startswith("#")]
+    return hashlib.sha256("".join(data).encode()).hexdigest()
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_data_lines_match_golden_digest(name, threads, monkeypatch):
+    argv, digest = CASES[name]
+    monkeypatch.setenv("LEVY_INFO_THREADS", threads)
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    assert data_digest(out) == digest
+
+
+def test_out_file_matches_stdout(tmp_path):
+    argv, digest = CASES["simulate-gamma"]
+    target = tmp_path / "paths.csv"
+    code, out, _ = run_cli([*argv, "--out", str(target)])
+    assert code == 0 and out == ""
+    with open(target, "r", encoding="utf-8", newline="") as fh:
+        assert data_digest(fh.read()) == digest

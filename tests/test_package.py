@@ -1,0 +1,50 @@
+"""Package-level boundaries: what importing loads, and the environment."""
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import levy_info as li
+from levy_info.cli import main
+from levy_info.rng import worker_count
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(li.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, levy_info, levy_info.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("raw, workers", [(None, 1), ("", 1), ("  ", 1), ("1", 1), (" 2 ", 2)])
+def test_worker_count_reads_environment(raw, workers, monkeypatch):
+    if raw is None:
+        monkeypatch.delenv("LEVY_INFO_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("LEVY_INFO_THREADS", raw)
+    assert worker_count() == workers
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+def test_invalid_thread_count_raises(raw, monkeypatch):
+    monkeypatch.setenv("LEVY_INFO_THREADS", raw)
+    with pytest.raises(li.InvalidParameter, match="LEVY_INFO_THREADS"):
+        worker_count()
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+def test_invalid_thread_count_exits_two(raw, monkeypatch):
+    monkeypatch.setenv("LEVY_INFO_THREADS", raw)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--paths", "2", "--set", "grid.steps=2"])
+    assert code == 2
+    assert "InvalidParameter" in err.getvalue() and "LEVY_INFO_THREADS" in err.getvalue()
+    assert out.getvalue() == ""
