@@ -18,7 +18,6 @@ from .characteristics import (
     tilted_characteristics,
 )
 from .errors import (
-    ConvergenceFailure,
     DegenerateWeights,
     EmptyPrior,
     GridExceedsHorizon,
@@ -85,8 +84,6 @@ from .simulate import (
     TimeGrid,
     increment_draws,
     representation_draws,
-    sample_ig_increment,
-    sample_logarithmic,
     sample_message,
     simulate_alternative_representation,
     simulate_bridge_path,
@@ -112,7 +109,6 @@ __all__ = [
     "InvalidParameter",
     "OutOfDomain",
     "OutOfRange",
-    "ConvergenceFailure",
     "EmptyPrior",
     "NonPositiveWeight",
     "ZeroMass",
@@ -155,8 +151,6 @@ __all__ = [
     "simulate_information_path",
     "simulate_ensemble",
     "increment_draws",
-    "sample_ig_increment",
-    "sample_logarithmic",
     "simulate_alternative_representation",
     "representation_draws",
     "simulate_bridge_path",

@@ -28,6 +28,7 @@ import contextlib
 import copy
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -271,9 +272,24 @@ def _emit(out_path, subcommand: str, config: dict, header, blocks) -> None:
 
     if out_path is None:
         write(sys.stdout)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+        return
+    try:
+        fh = open(out_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"--out {out_path}: {exc.strerror}") from exc
+    with fh:
+        write(fh)
+
+
+def _check_out(out_path) -> None:
+    """Reject an ``--out`` target that cannot be created, before any work."""
+    if out_path is None:
+        return
+    folder = os.path.dirname(out_path) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"--out {out_path}: directory {folder} does not exist")
+    if os.path.isdir(out_path):
+        raise UsageError(f"--out {out_path}: is a directory")
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +374,8 @@ def _run_study(name: str, config: dict) -> StudyReport:
         alphas = _study_value(study, "alpha_im", lambda v: [float(u) for u in v])
         betas = _study_value(study, "beta_im", lambda v: [float(u) for u in v])
         t = _study_value(study, "t")
-        rows, seen = [], set()
-        for a in alphas:
-            for b in betas:
-                report = factorization_study(model, prior, 1j * a, 1j * b, t, n_paths, seed, threshold)
-                for row in report.rows:
-                    if row.quantity not in seen:
-                        seen.add(row.quantity)
-                        rows.append(row)
-        return StudyReport("factorization", tuple(rows), threshold)
+        return factorization_study(model, prior, [1j * a for a in alphas], [1j * b for b in betas],
+                                   t, n_paths, seed, threshold)
     if name == "esscher":
         lam = _study_value(study, "lambda")
         t = _study_value(study, "t")
@@ -449,6 +458,7 @@ def main(argv=None) -> int:
         "experiment": _cmd_experiment,
     }
     try:
+        _check_out(args.out)
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,10 +22,6 @@ class OutOfRange(LevyInfoError):
     """A target value is not attained by the marginal exponent."""
 
 
-class ConvergenceFailure(LevyInfoError):
-    """An iterative solver hit its iteration cap without converging."""
-
-
 class EmptyPrior(LevyInfoError):
     """A prior was constructed with no atoms."""
 

@@ -105,11 +105,25 @@ def _pure_imaginary(value, name: str) -> complex:
     return value
 
 
+def _imaginary_grid(values, name: str) -> list:
+    """A scalar or 1-D sequence of purely imaginary values, each with its own
+    row label (values whose labels would coincide are rejected)."""
+    if np.ndim(values) > 1:
+        raise InvalidParameter(f"{name} must be a scalar or a 1-D sequence, got shape {np.shape(values)}")
+    grid = [_pure_imaginary(v, name) for v in np.atleast_1d(values).tolist()]
+    if not grid:
+        raise InvalidParameter(f"{name} needs at least one value")
+    labels = [f"{v.imag:g}i" for v in grid]
+    if len(set(labels)) < len(labels):
+        raise InvalidParameter(f"{name} values must be distinct, got {', '.join(labels)}")
+    return grid
+
+
 def factorization_study(
     model: NoiseModel,
     prior: Prior,
-    alpha: complex,
-    beta: complex,
+    alpha,
+    beta,
     t: float,
     n_paths: int,
     seed: int,
@@ -120,12 +134,15 @@ def factorization_study(
     Weighting by exp(-X xi_t + psi0(X) t) removes the message from the
     observation: the self-normalized weighted estimate of
     E[exp(alpha xi_t + beta X)] must equal exp(psi0(alpha) t) times the
-    prior characteristic function of X.  Real and imaginary parts are
-    compared separately; a ``weight_mean`` row checks that the raw weights
-    average to one.  At alpha = beta = 0 both sides are exactly 1.
+    prior characteristic function of X.  ``alpha`` and ``beta`` are each a
+    purely imaginary scalar or a 1-D sequence of distinct ones; one ensemble
+    serves every (alpha, beta) pair.  A ``weight_mean`` row checks that the
+    raw weights average to one, then real and imaginary parts are compared
+    separately for each pair, alpha-major.  At alpha = beta = 0 both sides
+    are exactly 1.
     """
-    alpha = _pure_imaginary(alpha, "alpha")
-    beta = _pure_imaginary(beta, "beta")
+    alphas = _imaginary_grid(alpha, "alpha")
+    betas = _imaginary_grid(beta, "beta")
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):
         raise InvalidParameter(f"t must be positive, got {t}")
@@ -134,22 +151,23 @@ def factorization_study(
     xi_t = xi[:, 1]
     weights = np.exp(-messages * xi_t + psi_unchecked(model, messages) * t)
     w_mean = weights.mean()
-    samples = weights * np.exp(alpha * xi_t + beta * messages)
-    reference = np.exp(fiducial_exponent(model, alpha) * t) * (
-        prior.weights @ np.exp(beta * prior.positions)
-    )
-    key = f"alpha={alpha.imag:g}i,beta={beta.imag:g}i"
-    rows = []
     w_est, w_se = mean_stderr(weights)
-    rows.append(StudyRow("weight_mean", w_est, 1.0, w_se, zscore(w_est, 1.0, w_se)))
+    rows = [StudyRow("weight_mean", w_est, 1.0, w_se, zscore(w_est, 1.0, w_se))]
     n = weights.size
-    for part, take in (("re", np.real), ("im", np.imag)):
-        est = float(take(samples).mean() / w_mean)
-        # delta-method standard error of the ratio estimator
-        resid = take(samples) - est * weights
-        se = float(np.sqrt((resid * resid).sum() / (n - 1) / n) / w_mean)
-        ref = float(take(reference))
-        rows.append(StudyRow(f"cf_{part}[{key}]", est, ref, se, zscore(est, ref, se)))
+    for a in alphas:
+        for b in betas:
+            samples = weights * np.exp(a * xi_t + b * messages)
+            reference = np.exp(fiducial_exponent(model, a) * t) * (
+                prior.weights @ np.exp(b * prior.positions)
+            )
+            key = f"alpha={a.imag:g}i,beta={b.imag:g}i"
+            for part, take in (("re", np.real), ("im", np.imag)):
+                est = float(take(samples).mean() / w_mean)
+                # delta-method standard error of the ratio estimator
+                resid = take(samples) - est * weights
+                se = float(np.sqrt((resid * resid).sum() / (n - 1) / n) / w_mean)
+                ref = float(take(reference))
+                rows.append(StudyRow(f"cf_{part}[{key}]", est, ref, se, zscore(est, ref, se)))
     return StudyReport("factorization", tuple(rows), float(threshold))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeights, IncompatibleSupport, InvalidParameter, NonFiniteValue
-from .noise import NoiseModel, admissible_set, psi_unchecked
+from .noise import NoiseModel, admissible_set, inverse_marginal_clamped, psi_unchecked
 from .prior import Prior, _frozen, check_compatibility, prior_expectation
 from .rng import map_ordered
 
@@ -286,8 +286,6 @@ def estimate_message(posterior: Posterior, model: NoiseModel, xi: float, t: floa
     InvalidParameter
         If t <= 0 (the rate xi/t is undefined).
     """
-    from .noise import inverse_marginal_clamped
-
     xi = float(xi)
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):

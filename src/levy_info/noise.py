@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidParameter, OutOfDomain, OutOfRange
+from .errors import InvalidParameter, OutOfDomain, OutOfRange
 
 __all__ = [
     "FAMILIES",
@@ -481,8 +481,8 @@ def marginal_range(model: NoiseModel) -> Interval:
 def inverse_closed_form(model: NoiseModel, y):
     """Analytic inverse of psi0' (vectorized; no clamping, no checks).
 
-    Supplies exact warm starts for the Newton polish in ``inverse_marginal``
-    and the bulk estimates used by the convergence study.  Input values must
+    The one inverse behind ``inverse_marginal`` (scalar, range-checked) and
+    ``inverse_marginal_clamped`` (vectorized, clamped).  Input values must
     lie in the open range of psi0'.
     """
     fam, p = model.family, model.params
@@ -525,50 +525,16 @@ def inverse_closed_form(model: NoiseModel, y):
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
-_CLOSED_FORM_FAMILIES = (BROWNIAN, POISSON, GAMMA)
-
-
-def _expand_bracket(model: NoiseModel, y: float, interval: Interval):
-    """Grow a bracket [lo, hi] around the root of psi0'(a) = y.
-
-    Endpoints start at 0 and expand geometrically: doubling steps toward an
-    infinite boundary, repeated halving of the gap toward a finite one.
-    """
-    lo = hi = 0.0
-    step = 1.0
-    for _ in range(200):
-        if dpsi_unchecked(model, lo) <= y:
-            break
-        lo = lo - step if not np.isfinite(interval.lo) else interval.lo + 0.5 * (lo - interval.lo)
-        step *= 2.0
-    else:  # pragma: no cover
-        raise ConvergenceFailure(f"could not bracket inverse_marginal target y={y:g} from below")
-    step = 1.0
-    for _ in range(200):
-        if dpsi_unchecked(model, hi) >= y:
-            break
-        hi = hi + step if not np.isfinite(interval.hi) else interval.hi - 0.5 * (interval.hi - hi)
-        step *= 2.0
-    else:  # pragma: no cover
-        raise ConvergenceFailure(f"could not bracket inverse_marginal target y={y:g} from above")
-    return lo, hi
-
-
 def inverse_marginal(model: NoiseModel, y: float) -> float:
     """Invert the marginal exponent: return I0(y) with psi0'(I0(y)) = y.
 
-    Brownian, Poisson and Gamma are inverted in closed form.  The remaining
-    families use a safeguarded Newton iteration (bisection fallback inside a
-    geometrically expanded bracket) started from the analytic solution of
-    psi0'(a) = y, stopping when \\|psi0'(a) - y\\| <= 1e-12 * max(1, \\|y\\|).
+    Every family is inverted in closed form (``inverse_closed_form``).
 
     Raises
     ------
     OutOfRange
         If ``y`` is not attained by psi0' on the interior of the admissible
         set.
-    ConvergenceFailure
-        If the iteration cap (100) is hit; not expected in practice.
     """
     y = float(y)
     rng = marginal_range(model)
@@ -576,31 +542,7 @@ def inverse_marginal(model: NoiseModel, y: float) -> float:
         raise OutOfRange(
             f"y={y:g} is not attained by psi0' of {model!r}; range is ({rng.lo:g}, {rng.hi:g})"
         )
-    if model.family in _CLOSED_FORM_FAMILIES:
-        return float(inverse_closed_form(model, y))
-
-    interval = admissible_set(model)
-    lo, hi = _expand_bracket(model, y, interval)
-    x = float(inverse_closed_form(model, y))
-    if not (lo <= x <= hi and np.isfinite(x)):
-        x = 0.5 * (lo + hi)
-    tol = 1e-12 * max(1.0, abs(y))
-    for _ in range(100):
-        f = dpsi_unchecked(model, x) - y
-        if abs(f) <= tol:
-            return x
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        step = f / d2psi_unchecked(model, x)
-        x_new = x - step
-        if not (lo < x_new < hi) or not np.isfinite(x_new):
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-    raise ConvergenceFailure(
-        f"inverse_marginal did not reach tolerance {tol:g} for y={y:g} on {model!r}"
-    )
+    return float(inverse_closed_form(model, y))
 
 
 def inverse_marginal_clamped(model: NoiseModel, y):

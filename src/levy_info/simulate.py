@@ -52,8 +52,6 @@ __all__ = [
     "InformationPath",
     "sample_message",
     "simulate_information_path",
-    "sample_ig_increment",
-    "sample_logarithmic",
     "simulate_alternative_representation",
     "simulate_bridge_path",
     "REPRESENTATIONS",
@@ -145,37 +143,6 @@ def _ig_draws(mean, shape_, rng: np.random.Generator, size):
         u = rng.random(size)
         out = np.where(u <= mu / (mu + x), x, mu * mu / x)
     return out
-
-
-def sample_ig_increment(a: float, b: float, dt: float, rng: np.random.Generator) -> float:
-    """One draw of the increment of an IG(a, b) process over ``dt``.
-
-    The increment has mean a dt / b and variance a dt / b^3.
-    """
-    a, b, dt = float(a), float(b), float(dt)
-    if not (a > 0 and b > 0 and dt > 0):
-        raise InvalidParameter(f"sample_ig_increment needs a, b, dt > 0, got {a}, {b}, {dt}")
-    adt = a * dt
-    return float(_ig_draws(adt / b, adt * adt, rng, None))
-
-
-def sample_logarithmic(q: float, rng: np.random.Generator) -> int:
-    """One draw from the logarithmic law P(J=n) = -q^n / (n ln(1-q)), n >= 1.
-
-    Sequential chop-down inversion on the cumulative sum.
-    """
-    q = float(q)
-    if not 0.0 < q < 1.0:
-        raise InvalidParameter(f"logarithmic parameter q must lie in (0, 1), got {q}")
-    u = rng.random()
-    k = 1
-    pmf = -q / math.log1p(-q)
-    cum = pmf
-    while u >= cum:
-        k += 1
-        pmf *= q * (k - 1) / k
-        cum += pmf
-    return k
 
 
 def _logarithmic_draws(q: float, rng: np.random.Generator, size: int) -> np.ndarray:

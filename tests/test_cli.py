@@ -151,12 +151,39 @@ def test_experiment_csv_schema_and_summary_line():
 
 
 def test_out_flag_writes_file(tmp_path):
-    target = tmp_path / "runs" "out.csv"
+    (tmp_path / "runs").mkdir()
+    target = tmp_path / "runs" / "out.csv"
     code, out, _ = run_cli(["simulate", "--paths", "1", "--seed", "5",
                             "--set", "grid.steps=2", "--out", str(target)])
     assert code == 0 and out == ""
     text = target.read_text()
     assert text.splitlines()[4] == "path_id,t,xi,x_hidden"
+
+
+def test_out_into_missing_directory_fails_before_sampling(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before checking --out")
+
+    monkeypatch.setattr(cli, "simulate_ensemble", never)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(["simulate", "--paths", "1", "--out", str(target)])
+    assert code == 1 and out == ""
+    assert str(target) in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_onto_directory_is_usage_error(tmp_path):
+    code, out, err = run_cli(["simulate", "--paths", "1", "--out", str(tmp_path)])
+    assert code == 1 and out == "" and str(tmp_path) in err
+    with pytest.raises(li.UsageError, match=str(tmp_path)):
+        cli._emit(str(tmp_path), "simulate", {"seed": 0}, ("a",), [])
+
+
+def test_factorization_repeated_grid_value_exits_two():
+    code, out, err = run_cli(["experiment", "factorization", "--paths", "1000",
+                              "--set", "study.beta_im=[0.2,0.5,0.2]"])
+    assert code == 2 and out == ""
+    assert "InvalidParameter" in err and "beta" in err
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,36 @@ def test_factorization_weight_mean_row():
     assert report.passed
 
 
+def test_factorization_grid_matches_per_pair_calls():
+    gamma = li.make_noise_model("Gamma", (1.0, 1.0))
+    prior = li.prior_from_atoms([(0.0, 1.0), (0.5, 1.0)])
+    alphas, betas = [0.3j, 0.6j, 0.9j], [0.2j, 0.5j]
+    grid = li.factorization_study(gamma, prior, alphas, betas, 1.0, 5000, seed=69)
+    expected = []
+    for a in alphas:
+        for b in betas:
+            rows = li.factorization_study(gamma, prior, a, b, 1.0, 5000, seed=69).rows
+            expected.extend(rows if not expected else rows[1:])
+    assert [r.quantity for r in grid.rows] == [r.quantity for r in expected]
+    got = np.array([(r.estimate, r.reference, r.stderr, r.z) for r in grid.rows])
+    want = np.array([(r.estimate, r.reference, r.stderr, r.z) for r in expected])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    ([0.3j, 0.3j], 0.2j),
+    (0.3j, [0.2j, 0.5j, 0.2j]),
+    (0.3j, [0.2j, 0.2000001j]),  # distinct values, same row label
+    ([], 0.2j),
+    ([[0.3j]], 0.2j),
+])
+def test_factorization_rejects_bad_grids(alpha, beta):
+    model = li.make_noise_model("Brownian", ())
+    prior = li.prior_from_atoms([(0.0, 1.0)])
+    with pytest.raises(li.InvalidParameter):
+        li.factorization_study(model, prior, alpha, beta, 1.0, 1000, seed=68)
+
+
 def test_factorization_rejects_nonimaginary_arguments():
     model = li.make_noise_model("Brownian", ())
     prior = li.prior_from_atoms([(0.0, 1.0)])

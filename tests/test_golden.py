@@ -42,6 +42,10 @@ CASES = {
         ["experiment", "convergence", "--paths", "5000", "--seed", "42"],
         "e96b85dc5f66d02cb105b6e0cd232b8f5462f928436752cda8665c9bb8e144e2",
     ),
+    "experiment-factorization": (
+        ["experiment", "factorization", "--paths", "5000", "--seed", "7"],
+        "53b093735e751d2d994e2d0b9192218d35253a721da033af5e307c99b864d0a5",
+    ),
     "experiment-bridge": (
         ["experiment", "bridge", "--paths", "5000", "--seed", "6"],
         "94165f0dc6ac08373d51ab96488a410e0a148a1563631f9e377283dbbec47cc2",

@@ -1,12 +1,16 @@
 """Exponents, domains, inverses, Esscher transforms, Sheffer polynomials."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levy_info as li
 from conftest import FAMILY_PARAMS, all_models, interior_grid
+from levy_info.noise import inverse_closed_form
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +163,37 @@ def test_inverse_marginal_rejects_unattained_values():
     poisson = li.make_noise_model("Poisson", (1.0,))
     with pytest.raises(li.OutOfRange):
         li.inverse_marginal(poisson, 0.0)
+
+
+def _window(interval):
+    """The interval with infinite ends replaced as in ``interior_grid``."""
+    lo = interval.lo if np.isfinite(interval.lo) else min(-4.0, interval.hi - 8.0)
+    hi = interval.hi if np.isfinite(interval.hi) else max(4.0, interval.lo + 8.0)
+    return lo, hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILY_PARAMS)),
+    tilt=st.floats(0.05, 0.95),
+    where=st.floats(0.005, 0.995),
+    gap=st.floats(0.0, 1e3),
+    beyond=st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+def test_inverse_marginal_is_the_closed_form(family, tilt, where, gap, beyond):
+    base = li.make_noise_model(family, FAMILY_PARAMS[family])
+    lo, hi = _window(li.admissible_set(base))
+    model = li.esscher_transform(base, lo + tilt * (hi - lo))
+    lo, hi = _window(li.admissible_set(model))
+    a = lo + where * (hi - lo)
+    y = li.exponent_derivatives(model, a)[0]
+    inverse = li.inverse_marginal(model, y)
+    assert struct.pack("<d", inverse) == struct.pack("<d", inverse_closed_form(model, y))
+    assert abs(inverse - a) <= 1e-10 * max(1.0, abs(a))  # the C4 gate
+    bound = li.marginal_range(model).lo
+    outside = bound - gap if np.isfinite(bound) else beyond
+    with pytest.raises(li.OutOfRange):
+        li.inverse_marginal(model, outside)
 
 
 # ---------------------------------------------------------------------------

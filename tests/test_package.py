@@ -1,8 +1,10 @@
 """Package-level boundaries: what importing loads, and the environment."""
 
 import contextlib
+import importlib
 import io
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,15 @@ import pytest
 import levy_info as li
 from levy_info.cli import main
 from levy_info.rng import worker_count
+
+
+@pytest.mark.parametrize("module", ["levy_info"] + [
+    f"levy_info.{info.name}" for info in pkgutil.iter_modules(li.__path__)])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    exported = getattr(mod, "__all__", [])
+    assert len(exported) == len(set(exported)), "duplicate names in __all__"
+    assert [name for name in exported if not hasattr(mod, name)] == []
 
 
 def test_import_leaves_scipy_unloaded():

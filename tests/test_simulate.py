@@ -7,6 +7,7 @@ import pytest
 
 import levy_info as li
 from conftest import FAMILY_PARAMS
+from levy_info.simulate import _logarithmic_draws
 
 
 def degenerate(x):
@@ -150,8 +151,8 @@ def test_ensemble_deterministic_and_thread_independent(monkeypatch):
 
 def test_ig_sampler_moments():
     rng = np.random.default_rng(12)
-    draws = np.array([li.sample_ig_increment(2.0, 1.0, 1.0, rng)
-                      for _ in range(20_000)])
+    ig = li.make_noise_model("InverseGaussian", (2.0, 1.0))
+    draws = li.increment_draws(ig, 0.0, 1.0, rng, 20_000)
     assert (draws > 0.0).all()
     mean, se = li.mean_stderr(draws)
     assert abs(mean - 2.0) <= 3.0 * se  # E = a t / b
@@ -161,7 +162,7 @@ def test_ig_sampler_moments():
 
 def test_logarithmic_sampler():
     rng = np.random.default_rng(13)
-    draws = np.array([li.sample_logarithmic(0.5, rng) for _ in range(100_000)])
+    draws = _logarithmic_draws(0.5, rng, 100_000)
     assert draws.dtype.kind == "i"
     assert (draws >= 1).all()
     p1 = 0.5 / math.log(2.0)  # P(J=1) = -q / ln(1-q)
