@@ -144,10 +144,14 @@ def _resolve_config(args) -> dict:
 
 @contextlib.contextmanager
 def _config_key(key: str):
-    """Re-raise validation errors with the offending config key named."""
+    """Re-raise validation errors with the offending config key named.
+
+    A ``TypeError`` or ``ValueError`` here comes from converting a value of
+    the wrong type (``float("abc")``, iterating a number) and is a usage error.
+    """
     try:
         yield
-    except UsageError as exc:
+    except (UsageError, TypeError, ValueError) as exc:
         raise UsageError(f"config key '{key}': {exc}") from exc
     except LevyInfoError as exc:
         raise type(exc)(f"config key '{key}': {type(exc).__name__}: {exc}") from exc
@@ -361,7 +365,8 @@ def _run_study(name: str, config: dict) -> StudyReport:
     study = config.get("study", {})
     if not isinstance(study, dict):
         raise UsageError("config key 'study': expected an object")
-    threshold = float(study.get("threshold", 3.5))
+    with _config_key("study.threshold"):
+        threshold = float(study.get("threshold", 3.5))
     n_paths = _paths(config)
     seed = _seed(config)
     if name == "convergence":

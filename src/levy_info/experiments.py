@@ -154,17 +154,22 @@ def factorization_study(
     w_est, w_se = mean_stderr(weights)
     rows = [StudyRow("weight_mean", w_est, 1.0, w_se, zscore(w_est, 1.0, w_se))]
     n = weights.size
+    b_terms = [(b, b * messages, prior.weights @ np.exp(b * prior.positions)) for b in betas]
     for a in alphas:
-        for b in betas:
-            samples = weights * np.exp(a * xi_t + b * messages)
-            reference = np.exp(fiducial_exponent(model, a) * t) * (
-                prior.weights @ np.exp(b * prior.positions)
-            )
+        a_term = a * xi_t
+        a_ref = np.exp(fiducial_exponent(model, a) * t)
+        for b, b_term, b_ref in b_terms:
+            # weights * exp(a_term + b_term), in one complex temporary
+            samples = np.add(a_term, b_term)
+            np.exp(samples, out=samples)
+            samples *= weights
+            reference = a_ref * b_ref
             key = f"alpha={a.imag:g}i,beta={b.imag:g}i"
             for part, take in (("re", np.real), ("im", np.imag)):
-                est = float(take(samples).mean() / w_mean)
+                part_samples = take(samples)
+                est = float(part_samples.mean() / w_mean)
                 # delta-method standard error of the ratio estimator
-                resid = take(samples) - est * weights
+                resid = part_samples - est * weights
                 se = float(np.sqrt((resid * resid).sum() / (n - 1) / n) / w_mean)
                 ref = float(take(reference))
                 rows.append(StudyRow(f"cf_{part}[{key}]", est, ref, se, zscore(est, ref, se)))

@@ -184,7 +184,9 @@ def increment_draws(model: NoiseModel, x, dt, rng: np.random.Generator, size=Non
         out = np.asarray(rng.poisson(p[0] * np.exp(x) * dt, size), dtype=float)
     elif fam == GAMMA:
         m, kappa = p
-        out = rng.gamma(m * dt, kappa / (1.0 - kappa * x), size)
+        # numpy draws gamma(shape, scale) as scale * standard_gamma(shape), so
+        # this is the same variate through the faster scalar-shape fill loop
+        out = rng.standard_gamma(m * dt, size) * (kappa / (1.0 - kappa * x))
     elif fam == VG:
         m, mu, sigma = p
         d = 1.0 - (mu * x + 0.5 * sigma * sigma * x * x) / m

@@ -91,6 +91,24 @@ def test_config_errors_exit_one_naming_key():
     assert code == 1 and "config key 'prior'" in err and "cauchy" in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["experiment", "factorization", "--set", "study.alpha_im=0.3"], "study.alpha_im"),
+    (["experiment", "convergence", "--set", "study.times=4"], "study.times"),
+    (["experiment", "esscher", "--set", "study.t=abc"], "study.t"),
+    (["experiment", "esscher", "--set", "study.threshold=abc"], "study.threshold"),
+    (["simulate", "--set", "paths=abc"], "paths"),
+    (["simulate", "--set", "seed=abc"], "seed"),
+    (["simulate", "--set", "grid.steps=abc"], "grid"),
+    (["simulate", "--set", "prior.atoms=5"], "prior"),
+    (["simulate", "--set", "model.params=abc"], "model"),
+])
+def test_config_value_of_wrong_type_exits_one_naming_key(argv, key):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith(f"error: config key '{key}': ")
+
+
 def test_validation_errors_name_key_and_class():
     code, _, err = run_cli(["simulate", "--set", "prior.atoms=[[0.0,-1.0]]"])
     assert code == 2

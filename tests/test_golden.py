@@ -46,6 +46,15 @@ CASES = {
         ["experiment", "factorization", "--paths", "5000", "--seed", "7"],
         "53b093735e751d2d994e2d0b9192218d35253a721da033af5e307c99b864d0a5",
     ),
+    "experiment-esscher": (
+        ["experiment", "esscher", "--paths", "5000", "--seed", "8"],
+        "eb9f1faee4e0876f62a0ef5dda00ab9a7dc6a0cc813830f87ed3429556405648",
+    ),
+    # pins the cumulant kernels' product-form cubes through its k3[...] rows
+    "experiment-representation": (
+        ["experiment", "representation", "--paths", "20000", "--seed", "3"],
+        "0e84cb74627f0648374d747b337a54e08a44c54277678045fd25dc2aedac7fdf",
+    ),
     "experiment-bridge": (
         ["experiment", "bridge", "--paths", "5000", "--seed", "6"],
         "94165f0dc6ac08373d51ab96488a410e0a148a1563631f9e377283dbbec47cc2",

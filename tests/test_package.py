@@ -1,5 +1,7 @@
-"""Package-level boundaries: what importing loads, and the environment."""
+"""Package-level boundaries: what importing loads, the environment, and
+source rules the study modules keep."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -59,3 +61,18 @@ def test_invalid_thread_count_exits_two(raw, monkeypatch):
     assert code == 2
     assert "InvalidParameter" in err.getvalue() and "LEVY_INFO_THREADS" in err.getvalue()
     assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("module", ["stats", "experiments"])
+def test_study_modules_raise_to_no_power_but_two(module):
+    # numpy's power leaves its SIMD path on signed input (about 50x slower
+    # than x*x*x), so the study kernels write every other power as products
+    path = Path(li.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            exponent = node.right if isinstance(node, ast.BinOp) else node.value
+            if not (isinstance(exponent, ast.Constant) and exponent.value == 2):
+                bad.append(f"{module}.py:{node.lineno}")
+    assert bad == []

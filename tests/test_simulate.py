@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levy_info as li
-from conftest import FAMILY_PARAMS
+from conftest import FAMILY_PARAMS, interior_grid
 from levy_info.simulate import _logarithmic_draws
 
 
@@ -143,6 +145,37 @@ def test_ensemble_deterministic_and_thread_independent(monkeypatch):
     np.testing.assert_array_equal(x1, x3)
     _, xi4 = li.simulate_ensemble(model, prior, grid, 5000, seed=11, tag=1)
     assert not np.array_equal(xi1, xi4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILY_PARAMS)), n_paths=st.integers(1, 9000),
+       steps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_ensemble_independent_of_worker_count(family, n_paths, steps, seed):
+    # up to 9000 paths crosses the sampler's chunk edges at 4096 and 8192
+    model = li.make_noise_model(family, FAMILY_PARAMS[family])
+    prior = li.prior_from_atoms([(x, 1.0) for x in interior_grid(model, 4)[1:3]])
+    grid = li.TimeGrid.regular(1.0, steps)
+    runs = []
+    for threads in ("1", "2"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("LEVY_INFO_THREADS", threads)
+            runs.append(li.simulate_ensemble(model, prior, grid, n_paths, seed))
+    (x1, xi1), (x2, xi2) = runs
+    np.testing.assert_array_equal(x1, x2)
+    np.testing.assert_array_equal(xi1, xi2)
+
+
+def test_gamma_draws_match_numpy_gamma():
+    # the sampler goes through standard_gamma; the variates must be the ones
+    # numpy's gamma(shape, scale) gives on the same stream
+    model = li.make_noise_model("Gamma", (2.0, 0.5))
+    x = np.linspace(-1.0, 1.9, 7)
+    dt = np.array([0.1, 0.5, 1.0, 2.0, 0.25, 3.0, 0.01])
+    m, kappa = model.params
+    for xs, dts, size in ((x, 0.3, 7), (0.4, dt, 7), (x, dt, 7), (x[:, None], dt, (7, 7))):
+        got = li.increment_draws(model, xs, dts, np.random.default_rng(17), size)
+        want = np.random.default_rng(17).gamma(m * np.asarray(dts), kappa / (1.0 - kappa * np.asarray(xs)), size)
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

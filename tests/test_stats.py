@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levy_info as li
 
@@ -114,6 +116,56 @@ def test_jackknife_se_coverage_sanity():
         ses.append(e.se2)
     spread = np.std(ests, ddof=1)
     assert np.mean(ses) == pytest.approx(spread, rel=0.2)
+
+
+# The kernels as they were written with pow cubes, kept as the reference for
+# the product form: k1, k2 and their errors must not move at all, k3 and its
+# error only in the last bits.
+
+def pow_k_statistics(x):
+    n = x.size
+    shift = x.mean()
+    xc = x - shift
+    m = xc.mean()
+    s2 = float(((xc - m) ** 2).sum())
+    s3 = float(((xc - m) ** 3).sum())
+    return float(shift + m), s2 / (n - 1), n * s3 / ((n - 1) * (n - 2))
+
+
+def pow_jackknife_cumulants(x):
+    n = x.size
+    k1, k2, k3 = pow_k_statistics(x)
+    shift = x.mean()
+    xc = x - shift
+    s1, s2, s3 = xc.sum(), float((xc**2).sum()), float((xc**3).sum())
+    m = n - 1
+    mu = (s1 - xc) / m
+    c2 = s2 - xc**2 - (s1 - xc) * mu
+    c3 = (s3 - xc**3) - 3.0 * mu * (s2 - xc**2) + 2.0 * m * mu**3
+    ses = [li.jackknife_se(loo) for loo in (shift + mu, c2 / (m - 1), m * c3 / ((m - 1) * (m - 2)))]
+    return (k1, k2, k3), tuple(ses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(4, 5000), seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["normal", "gamma", "student", "lattice"]),
+       offset=st.floats(-1e6, 1e6), scale=st.floats(1e-3, 1e3))
+def test_cumulant_kernels_match_pow_reference(n, seed, shape, offset, scale):
+    rng = np.random.default_rng(seed)
+    z = {
+        "normal": lambda: rng.standard_normal(n),
+        "gamma": lambda: rng.gamma(0.5, size=n) - 0.5,
+        "student": lambda: rng.standard_t(3.0, size=n),
+        "lattice": lambda: rng.poisson(2.0, size=n) - 2.0,
+    }[shape]()
+    x = offset + scale * z
+    (r1, r2, r3), (rs1, rs2, rs3) = pow_jackknife_cumulants(x)
+    k1, k2, k3 = li.k_statistics(x)
+    est = li.jackknife_cumulants(x)
+    assert (k1, k2) == (r1, r2)
+    assert (est.k1, est.k2, est.se1, est.se2) == (r1, r2, rs1, rs2)
+    for got, ref in ((k3, r3), (est.k3, r3), (est.se3, rs3)):
+        assert abs(got - ref) <= 1e-12 * max(abs(ref), r2**1.5), (got, ref)
 
 
 # ---------------------------------------------------------------------------
