@@ -111,6 +111,7 @@ def _resolve_config(args) -> dict:
     # deep copies: --set writes into nested sections and must never leak
     # into the module-level defaults across invocations
     config = copy.deepcopy(_BASE_CONFIG)
+    default_atoms = config["prior"]["atoms"]
     study = getattr(args, "name", None)
     if study is not None:
         config["study"] = copy.deepcopy(_STUDY_DEFAULTS[study])
@@ -135,6 +136,12 @@ def _resolve_config(args) -> dict:
         config["paths"] = args.paths
     if getattr(args, "threshold", None) is not None:
         config.setdefault("study", {})["threshold"] = args.threshold
+    prior = config.get("prior")
+    if isinstance(prior, dict) and "density" in prior and "atoms" in prior:
+        # the merges keep the default atoms object unless an override replaced it
+        if prior["atoms"] is not default_atoms:
+            raise UsageError("config key 'prior': give 'atoms' or 'density', not both")
+        del prior["atoms"]
     allowed = {"model", "prior", "grid", "paths", "seed", "study"}
     unknown = set(config) - allowed
     if unknown:

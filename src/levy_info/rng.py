@@ -24,8 +24,17 @@ CHUNK = 4096
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """A Generator for the (seed, *key) stream; same inputs, same stream."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    """A Generator for the (seed, *key) stream; same inputs, same stream.
+
+    Raises
+    ------
+    InvalidParameter
+        If ``seed`` is negative.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise InvalidParameter(f"seed must be a non-negative integer, got {seed}")
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(seed=ss))
 
 

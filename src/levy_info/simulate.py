@@ -22,6 +22,7 @@ cross-validation, along with the finite-horizon time-changed bridge.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,6 +260,17 @@ def simulate_information_path(
     return _path(grid, values, x, model)
 
 
+def _count(n, name: str) -> int:
+    """A positive number of draws, given as an integer (numpy's included)."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {n!r}") from None
+    if n < 1:
+        raise InvalidParameter(f"{name} must be >= 1, got {n}")
+    return n
+
+
 def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: int, seed: int, tag: int = 0):
     """Simulate ``n_paths`` conditionally independent paths on ``grid``.
 
@@ -268,9 +280,7 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
     on the worker count; LEVY_INFO_THREADS bounds the thread pool.
     """
     check_compatibility(prior, model)
-    n_paths = int(n_paths)
-    if n_paths < 1:
-        raise InvalidParameter(f"n_paths must be >= 1, got {n_paths}")
+    n_paths = _count(n_paths, "n_paths")
     times = grid.times
     dts = np.diff(times)
     x = np.empty(n_paths)
@@ -374,7 +384,7 @@ def representation_draws(model: NoiseModel, rep: str, x: float, t: float, n: int
     t = float(t)
     if t <= 0:
         raise InvalidParameter(f"t must be > 0, got {t}")
-    n = int(n)
+    n = _count(n, "n")
     out = np.empty(n)
 
     def run_chunk(c):

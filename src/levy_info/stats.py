@@ -5,7 +5,7 @@ with leave-one-out jackknife standard errors; the third-cumulant estimator
 is heavy-tailed for several families, and the jackknife keeps its standard
 error honest without distributional assumptions.  Study results are plain
 (quantity, estimate, reference, stderr, z) rows; a study passes when every
-row with a finite z-score stays within the threshold.
+row with a reference has |z| within the threshold.
 
 Cubes are written as products (``d2 = d * d``, ``d2 * d``), never ``** 3``:
 numpy's ``power`` leaves its SIMD path on signed input and is about 50 times
@@ -49,7 +49,8 @@ class StudyRow:
     """One comparison: a Monte Carlo estimate against its reference.
 
     Informational rows (no reference available) carry NaN reference and
-    z; they never fail a study.
+    z; they never fail a study.  A row with a reference fails when its z is
+    NaN (a NaN estimate or stderr) as well as when |z| is too large.
     """
 
     quantity: str
@@ -60,7 +61,7 @@ class StudyRow:
 
     @property
     def informational(self) -> bool:
-        return math.isnan(self.z)
+        return math.isnan(self.reference)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,16 +74,18 @@ class StudyReport:
 
     @property
     def max_abs_z(self) -> float:
-        zs = [abs(r.z) for r in self.rows if not r.informational]
+        """Largest |z| over the rows with a reference (a NaN z counts as
+        inf); NaN when every row is informational."""
+        zs = [math.inf if math.isnan(r.z) else abs(r.z) for r in self.rows if not r.informational]
         return max(zs) if zs else math.nan
 
     @property
     def passed(self) -> bool:
-        return all(abs(r.z) <= self.threshold for r in self.rows if not r.informational)
+        return not self.flagged
 
     @property
     def flagged(self) -> tuple:
-        return tuple(r for r in self.rows if not r.informational and abs(r.z) > self.threshold)
+        return tuple(r for r in self.rows if not r.informational and not abs(r.z) <= self.threshold)
 
     def summary(self) -> str:
         """One machine-readable pass/fail line."""

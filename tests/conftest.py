@@ -21,15 +21,20 @@ def all_models():
     return [li.make_noise_model(fam, p) for fam, p in FAMILY_PARAMS.items()]
 
 
+def window(interval):
+    """The interval's ends, with an infinite end replaced by a finite one."""
+    lo = interval.lo if np.isfinite(interval.lo) else min(-4.0, interval.hi - 8.0)
+    hi = interval.hi if np.isfinite(interval.hi) else max(4.0, interval.lo + 8.0)
+    return lo, hi
+
+
 def interior_grid(model, n):
     """Evenly spaced points covering 99% of the interior of A.
 
     Infinite endpoints are replaced by a finite window before trimming
     0.5% of the width from each end.
     """
-    dom = li.admissible_set(model)
-    lo = dom.lo if np.isfinite(dom.lo) else min(-4.0, dom.hi - 8.0)
-    hi = dom.hi if np.isfinite(dom.hi) else max(4.0, dom.lo + 8.0)
+    lo, hi = window(li.admissible_set(model))
     width = hi - lo
     return np.linspace(lo + 0.005 * width, hi - 0.005 * width, n)
 

@@ -289,6 +289,45 @@ def test_density_recipes_build_valid_priors():
     assert float(first[2]) == pytest.approx(-0.5, abs=1e-9)  # 1 - r/theta
 
 
+UNIFORM = ["--set", "prior.density=uniform", "--set", "prior.lo=-3", "--set", "prior.hi=3"]
+
+
+def test_density_set_by_user_replaces_default_atoms(tmp_path):
+    argv = ["simulate", "--paths", "40", "--set", "grid.steps=1", "--seed", "2"]
+    code, out, _ = run_cli([*argv, *UNIFORM])
+    assert code == 0
+    config = json.loads(out.splitlines()[2][len("# config: "):])
+    assert config["prior"] == {"density": "uniform", "lo": -3, "hi": 3}
+    hidden = {float(line.split(",")[3]) for line in out.splitlines()[5:]}
+    assert len(hidden) > 2 and all(-3.0 < x < 3.0 for x in hidden)
+    # the same recipe as one object, and from a config file
+    _, whole, _ = run_cli([*argv, "--set", 'prior={"density":"uniform","lo":-3,"hi":3}'])
+    path = tmp_path / "prior.json"
+    path.write_text(json.dumps({"prior": {"density": "uniform", "lo": -3, "hi": 3}}))
+    _, from_file, _ = run_cli([*argv, "--config", str(path)])
+    assert out == whole == from_file
+
+
+@pytest.mark.parametrize("extra", [
+    ["--set", "prior.atoms=[[0.0,1.0]]"],
+    ["--set", "prior.atoms=[[-1.0,0.5],[1.0,0.5]]"],  # equal to the default, still set by the user
+])
+def test_atoms_and_density_both_set_is_usage_error(extra):
+    code, out, err = run_cli(["simulate", "--paths", "2", *UNIFORM, *extra])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith("error: config key 'prior': ")
+
+
+@pytest.mark.parametrize("command", [["simulate", "--paths", "2"], ["filter"], ["experiment", "esscher"]])
+def test_negative_seed_exits_two_naming_seed(command):
+    code, out, err = run_cli([*command, "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: InvalidParameter: ") and "seed" in err
+
+
 def test_experiment_study_options_via_set():
     code, out, err = run_cli([
         "experiment", "esscher", "--paths", "4000", "--seed", "21",

@@ -1,11 +1,17 @@
 """Statistical studies: convergence, factorization, Esscher, representations, bridge."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levy_info as li
+from conftest import FAMILY_PARAMS, window
+from levy_info.experiments import _exceed_thresholds
+from levy_info.noise import dpsi_unchecked, inverse_marginal_clamped
 
 
 def rows_by_name(report):
@@ -59,6 +65,68 @@ def test_convergence_study_deterministic_and_validated():
         li.convergence_study(model, prior, [1.0], 999, seed=63)
     with pytest.raises(li.InvalidParameter):
         li.convergence_study(model, prior, [4.0, 1.0], 2000, seed=63)
+    for epsilon in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(li.InvalidParameter, match="epsilon"):
+            li.convergence_study(model, prior, [1.0], 1500, seed=63, epsilon=epsilon)
+
+
+def inversion_exceeds(model, atom, epsilon, rates):
+    """|I0(rate) - atom| >= epsilon, inverting psi0' at every rate: the
+    reference for the per-atom thresholds the study compares rates with."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        i0, _ = inverse_marginal_clamped(model, rates)
+        return np.abs(i0 - atom) >= epsilon
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILY_PARAMS)),
+    tilt=st.floats(0.05, 0.95),
+    drift=st.sampled_from([0.0, 0.7, -1.9]),
+    where=st.floats(0.0, 0.995),
+    epsilon=st.floats(1e-3, 4.0),
+    to_lower_end=st.booleans(),
+    spots=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+    gap=st.floats(0.0, 1e3),
+)
+def test_exceed_thresholds_match_inversion(family, tilt, drift, where, epsilon, to_lower_end, spots, gap):
+    base = li.make_noise_model(family, FAMILY_PARAMS[family])
+    lo, hi = window(li.admissible_set(base))
+    model = li.esscher_transform(base, lo + tilt * (hi - lo))
+    model = dataclasses.replace(model, drift=model.drift + drift)
+    domain = li.admissible_set(model)
+    lo, hi = window(domain)
+    atom = lo + where * (hi - lo)
+    if not domain.contains(atom):  # where = 0 at an open end of A
+        atom = lo + 0.005 * (hi - lo)
+    if to_lower_end and np.isfinite(domain.lo) and atom > domain.lo:
+        epsilon = atom - domain.lo  # x - epsilon on the lower end of A
+    (upper,), (lower,) = _exceed_thresholds(model, np.array([atom]), epsilon)
+
+    # rates across the range of psi0', at and around each threshold, at and
+    # below the finite lower end of the range (where I0 clamps), and NaN
+    inside = lo + np.array(spots) * (hi - lo)
+    rates = [dpsi_unchecked(model, inside[domain.contains_array(inside)]), [math.nan]]
+    range_lo = li.marginal_range(model).lo
+    for level in (upper, lower, range_lo):
+        if np.isfinite(level):
+            rates.append(level + np.arange(-3, 4) * np.spacing(abs(level)))
+    if np.isfinite(range_lo):
+        rates.append([range_lo - gap, 0.0])
+    rates = np.concatenate(rates)
+
+    fired = (rates >= upper) | (rates <= lower)
+    reference = inversion_exceeds(model, atom, epsilon, rates)
+    # they may disagree only within a few ulps of a threshold, counting the
+    # rounding of x +- epsilon through psi0'' as well as that of psi0'
+    for rate in rates[fired != reference]:
+        ulps = []
+        for level, end in ((upper, atom + epsilon), (lower, atom - epsilon)):
+            if np.isfinite(level):
+                slope = li.exponent_derivatives(model, end)[1]
+                unit = np.spacing(abs(level)) + slope * np.spacing(max(abs(atom), epsilon, abs(end)))
+                ulps.append(abs(rate - level) / unit)
+        assert min(ulps, default=math.inf) <= 8.0, (model, atom, epsilon, rate, upper, lower)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 Each digest covers every line that does not start with ``#`` (the CSV header
 row and the data rows), so it pins which variate goes where and how every
-number is printed.  The digests were recorded once and are never
-regenerated: a change that alters any of them changes the output and must
-say so.  Every case runs at ``LEVY_INFO_THREADS`` 1 and 2, and the sizes
-span more than one sampler chunk or filter block so that threading is
-exercised.
+number is printed.  A digest is recorded once, before the code it pins
+changes.  A change that alters one changes the output and must say so; a
+re-recorded case carries a comment saying why.  Every case runs at
+``LEVY_INFO_THREADS`` 1 and 2, and the sizes span more than one sampler
+chunk or filter block so that threading is exercised.
 """
 
 import contextlib
@@ -42,9 +42,25 @@ CASES = {
         ["experiment", "convergence", "--paths", "5000", "--seed", "42"],
         "e96b85dc5f66d02cb105b6e0cd232b8f5462f928436752cda8665c9bb8e144e2",
     ),
+    # the exceedance thresholds at a rate of 0, clamped to I0 = -inf, and at
+    # the closed InverseGaussian end x - eps = 0, clamped to I0 = 0
+    "experiment-convergence-poisson": (
+        ["experiment", "convergence", "--set", "model.family=Poisson", "--set", "model.params=[1.0]",
+         "--set", "prior.atoms=[[0.0,0.5],[0.6931471805599453,0.5]]", "--set", "study.times=[0.25,1,4]",
+         "--paths", "5000", "--seed", "11"],
+        "6804667baad14dd06654641ce77696138261ef77da4c4768d1a8ecbd20478ab2",
+    ),
+    "experiment-convergence-inverse-gaussian": (
+        ["experiment", "convergence", "--set", "model.family=InverseGaussian", "--set", "model.params=[1.0,2.0]",
+         "--set", "prior.atoms=[[0.5,0.5],[1.0,0.5]]", "--set", "study.times=[0.25,1,4]",
+         "--paths", "5000", "--seed", "12"],
+        "5f3e12e84d5ff61bb0e5a27737f3eef332a30abbec13ab04aa2700fda99408e4",
+    ),
+    # re-recorded when the pair samples became exp(alpha xi) * exp(beta x)
+    # instead of exp(alpha xi + beta x): the cf_* rows moved in the last bits
     "experiment-factorization": (
         ["experiment", "factorization", "--paths", "5000", "--seed", "7"],
-        "53b093735e751d2d994e2d0b9192218d35253a721da033af5e307c99b864d0a5",
+        "aa6cab2e42c2c89a06c76a36728deafa9800611b9e5d1d689459c04c6cd22da9",
     ),
     "experiment-esscher": (
         ["experiment", "esscher", "--paths", "5000", "--seed", "8"],

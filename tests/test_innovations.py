@@ -210,6 +210,12 @@ def test_martingale_test_sheffer_brownian():
     assert report.passed
 
 
+def test_martingale_test_nan_samples_fail():
+    report = li.martingale_test(np.full(200, np.nan))
+    assert not report.passed
+    assert report.max_abs_z == math.inf
+
+
 def test_martingale_test_requires_samples():
     with pytest.raises(li.TooFewSamples):
         li.martingale_test(np.zeros(99))

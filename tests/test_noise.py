@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levy_info as li
-from conftest import FAMILY_PARAMS, all_models, interior_grid
+from conftest import FAMILY_PARAMS, all_models, interior_grid, window
 from levy_info.noise import inverse_closed_form
 
 
@@ -165,13 +165,6 @@ def test_inverse_marginal_rejects_unattained_values():
         li.inverse_marginal(poisson, 0.0)
 
 
-def _window(interval):
-    """The interval with infinite ends replaced as in ``interior_grid``."""
-    lo = interval.lo if np.isfinite(interval.lo) else min(-4.0, interval.hi - 8.0)
-    hi = interval.hi if np.isfinite(interval.hi) else max(4.0, interval.lo + 8.0)
-    return lo, hi
-
-
 @settings(max_examples=400, deadline=None)
 @given(
     family=st.sampled_from(sorted(FAMILY_PARAMS)),
@@ -182,9 +175,9 @@ def _window(interval):
 )
 def test_inverse_marginal_is_the_closed_form(family, tilt, where, gap, beyond):
     base = li.make_noise_model(family, FAMILY_PARAMS[family])
-    lo, hi = _window(li.admissible_set(base))
+    lo, hi = window(li.admissible_set(base))
     model = li.esscher_transform(base, lo + tilt * (hi - lo))
-    lo, hi = _window(li.admissible_set(model))
+    lo, hi = window(li.admissible_set(model))
     a = lo + where * (hi - lo)
     y = li.exponent_derivatives(model, a)[0]
     inverse = li.inverse_marginal(model, y)

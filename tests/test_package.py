@@ -76,3 +76,19 @@ def test_study_modules_raise_to_no_power_but_two(module):
             if not (isinstance(exponent, ast.Constant) and exponent.value == 2):
                 bad.append(f"{module}.py:{node.lineno}")
     assert bad == []
+
+
+def test_experiments_invert_no_path():
+    # the studies count exceedances by comparing rates with psi0' at per-atom
+    # thresholds; inverting psi0' on every path is the per-path work they avoid
+    banned = {"inverse_marginal_clamped", "inverse_closed_form"}
+    path = Path(li.__file__).with_name("experiments.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = []
+    for node in ast.walk(tree):
+        name = (node.name.rpartition(".")[2] if isinstance(node, ast.alias)
+                else node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in banned:
+            used.append(f"experiments.py:{node.lineno}: {name}")
+    assert used == []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import levy_info as li
 from conftest import FAMILY_PARAMS, interior_grid
+from levy_info.rng import stream
 from levy_info.simulate import _logarithmic_draws
 
 
@@ -163,6 +164,25 @@ def test_ensemble_independent_of_worker_count(family, n_paths, steps, seed):
     (x1, xi1), (x2, xi2) = runs
     np.testing.assert_array_equal(x1, x2)
     np.testing.assert_array_equal(xi1, xi2)
+
+
+def test_path_counts_must_be_integers():
+    model = li.make_noise_model("VarianceGamma", (2.0,))
+    prior = li.prior_from_atoms([(0.0, 1.0)])
+    grid = li.TimeGrid.regular(1.0, 1)
+    for bad in (1.5, 2.0, "3"):
+        with pytest.raises(li.InvalidParameter, match="n_paths"):
+            li.simulate_ensemble(model, prior, grid, bad, seed=1)
+        with pytest.raises(li.InvalidParameter, match="integer"):
+            li.representation_draws(model, "VG_subordinated", 0.0, 1.0, bad, seed=1)
+    x, xi = li.simulate_ensemble(model, prior, grid, np.int64(3), seed=1)
+    assert x.shape == (3,) and xi.shape == (3, 2)
+    assert li.representation_draws(model, "VG_subordinated", 0.0, 1.0, np.int64(3), seed=1).shape == (3,)
+
+
+def test_negative_seed_is_invalid_parameter():
+    with pytest.raises(li.InvalidParameter, match="seed"):
+        stream(-1, 0)
 
 
 def test_gamma_draws_match_numpy_gamma():

@@ -194,3 +194,14 @@ def test_report_pass_fail_and_summary():
     assert not rep2.passed
     assert rep2.flagged == (bad,)
     assert "passed=false" in rep2.summary()
+
+
+def test_row_with_reference_and_nan_estimate_fails():
+    nan_row = li.StudyRow("q", math.nan, 1.0, 0.1, li.zscore(math.nan, 1.0, 0.1))
+    ok = li.StudyRow("a", 1.0, 1.1, 0.05, -2.0)
+    rep = li.StudyReport("demo", (ok, nan_row), threshold=3.5)
+    assert not nan_row.informational
+    assert not rep.passed
+    assert rep.flagged == (nan_row,)
+    assert rep.max_abs_z == math.inf
+    assert "passed=false" in rep.summary() and "max_abs_z=inf" in rep.summary()
