@@ -29,6 +29,32 @@ CASES = {
         ["simulate", "--paths", "7", "--set", "grid.steps=9", "--seed", "4"],
         "1b367eb3bb018f83276eda8b5f9ab07f02cfb43403a390f1ef24ebdc9b8c6561",
     ),
+    # the two samplers no other digest covers, and drifted Brownian and Gamma
+    # runs that pin where each family adds its drift: inside the Brownian
+    # mean (delta + x) dt, after the draw for the others
+    "simulate-negative-binomial": (
+        ["simulate", "--set", "model.family=NegativeBinomial", "--set", "model.params=[1.0,0.5]",
+         "--set", "prior.atoms=[[-0.5,1.0],[0.3,1.0]]", "--paths", "4100", "--set", "grid.steps=3",
+         "--seed", "13"],
+        "0f37b6c5b8b34941bb78dbfbab3418fc74325977819e2108f5beebedf99f7c56",
+    ),
+    "simulate-normal-inverse-gaussian": (
+        ["simulate", "--set", "model.family=NormalInverseGaussian", "--set", "model.params=[2.0,0.5,1.0]",
+         "--set", "prior.atoms=[[-1.0,1.0],[0.7,1.0]]", "--paths", "4100", "--set", "grid.steps=3",
+         "--seed", "14"],
+        "8d15ea5f29ef3b7fd2b04535b19433fde66d60527c32fd791c1cf4394c9c2b3c",
+    ),
+    "simulate-brownian-drift": (
+        ["simulate", "--set", "model.drift=0.3", "--set", "prior.atoms=[[-0.7,1.0],[1.3,1.0]]",
+         "--paths", "4100", "--set", "grid.steps=3", "--seed", "15"],
+        "1030fcf27988bcfa19ca7f9f9eafcb8ad16543318cfd09ea00744992c11ef35a",
+    ),
+    "simulate-gamma-drift": (
+        ["simulate", "--set", "model.family=Gamma", "--set", "model.params=[1.0,1.0]", "--set", "model.drift=0.3",
+         "--set", "prior.atoms=[[-0.5,1.0],[0.4,1.0]]", "--paths", "4100", "--set", "grid.steps=3",
+         "--seed", "16"],
+        "18400ea5bfbe5e058c82b9af69acd2fb26b880dd8a9b2a751654ffc0db0e3d35",
+    ),
     "filter-weights": (
         ["filter", "--weights", "--set", "grid.steps=700", "--seed", "2",
          "--set", 'prior={"density":"uniform","lo":-1,"hi":1,"n":8}'],

@@ -1,5 +1,6 @@
 """Exponents, domains, inverses, Esscher transforms, Sheffer polynomials."""
 
+import cmath
 import math
 import struct
 
@@ -215,6 +216,52 @@ def test_vg_admissible_set_is_symmetric_sqrt_2m():
     vg = li.make_noise_model("VarianceGamma", (2.0,))
     dom = li.admissible_set(vg)
     assert (dom.lo, dom.hi) == (-2.0, 2.0)
+
+
+def cmath_exponent(model, a):
+    """The cmath forms of psi0 for complex alpha that the exponent had before
+    each family kept one formula for real and complex input."""
+    p = model.params
+    fam = model.family
+    if fam == "Brownian":
+        out = 0.5 * a * a
+    elif fam == "Poisson":
+        out = p[0] * (cmath.exp(a) - 1.0)
+    elif fam == "Gamma":
+        out = -p[0] * cmath.log(1.0 - p[1] * a)
+    elif fam == "VarianceGamma":
+        m, mu, sigma = p
+        out = -m * cmath.log(1.0 - mu * a / m - 0.5 * sigma * sigma * a * a / m)
+    elif fam == "NegativeBinomial":
+        m, q = p
+        out = m * (cmath.log(1.0 - q) - cmath.log(1.0 - q * cmath.exp(a)))
+    elif fam == "InverseGaussian":
+        ai, b = p
+        out = ai * (b - cmath.sqrt(b * b - 2.0 * a))
+    else:
+        av, b, m = p
+        out = m * (math.sqrt(av * av - b * b) - cmath.sqrt(av * av - (b + a) * (b + a)))
+    return out + model.drift * a
+
+
+def test_complex_exponent_matches_cmath_forms(model):
+    # numpy's complex log1p/expm1 may differ from the cmath forms in the last
+    # bits; allow 4 eps of max(1, |psi0|) at imaginary alpha, on the fiducial
+    # model and on a drifted, tilted one (the general VarianceGamma form)
+    eps = np.finfo(float).eps
+    drifted = li.make_noise_model(model.family, FAMILY_PARAMS[model.family], drift=0.4)
+    for m in (model, li.esscher_transform(drifted, float(interior_grid(model, 5)[1]))):
+        for s in np.linspace(-6.0, 6.0, 49):
+            a = complex(0.0, s)
+            want = cmath_exponent(m, a)
+            got = li.fiducial_exponent(m, a)
+            assert isinstance(got, complex)
+            assert abs(got - want) <= 4 * eps * max(1.0, abs(want)), (m, a)
+            for x in interior_grid(m, 5):
+                x = float(x)
+                ends = (cmath_exponent(m, a + x), cmath_exponent(m, complex(x)))
+                got = li.conditional_exponent(m, x, a)
+                assert abs(got - (ends[0] - ends[1])) <= 4 * eps * max(1.0, *map(abs, ends)), (m, x, a)
 
 
 # ---------------------------------------------------------------------------
