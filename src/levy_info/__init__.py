@@ -26,6 +26,7 @@ from .errors import (
     LevyInfoError,
     NonFiniteValue,
     NonPositiveWeight,
+    OffSupport,
     OutOfDomain,
     OutOfRange,
     TooFewSamples,
@@ -115,6 +116,7 @@ __all__ = [
     "IncompatibleSupport",
     "NonFiniteValue",
     "DegenerateWeights",
+    "OffSupport",
     "UnsupportedRepresentation",
     "GridExceedsHorizon",
     "TooFewSamples",

@@ -27,17 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .noise import (
-    BROWNIAN,
-    GAMMA,
-    IG,
-    NB,
-    NIG,
-    POISSON,
-    VG,
-    NoiseModel,
-    esscher_transform,
-)
+from .noise import _FAMILIES, NoiseModel, esscher_transform
 
 __all__ = [
     "LevyMeasure",
@@ -47,14 +37,12 @@ __all__ = [
     "reconstruct_exponent",
 ]
 
-_NB_TAIL_MASS = 1e-12  # drop the atom tail once 1 - 1e-12 of nu(R) is kept
-
 
 @dataclass(frozen=True)
 class LevyMeasure:
     """Parametric description of a Levy measure.
 
-    ``tag`` is one of "none", "atoms", "gamma", "vg", "ig", "nig".  Atomic
+    ``tag`` is one of "none", "atoms", "nb", "gamma", "vg", "ig", "nig".  Atomic
     measures (Poisson, negative binomial) carry ``atoms`` as a tuple of
     (position, mass) pairs; continuous ones expose their density through
     :meth:`density`.
@@ -107,63 +95,10 @@ class CharacteristicTriplet:
             raise InvalidParameter(f"gaussian coefficient must be >= 0, got {self.gaussian}")
 
 
-def _nb_atoms(m: float, q: float) -> tuple:
-    """Negative binomial atom masses m q^n / n at z = n, truncated."""
-    total = -m * math.log1p(-q)
-    atoms = []
-    cum = 0.0
-    n = 1
-    mass = m * q
-    while cum < (1.0 - _NB_TAIL_MASS) * total:
-        atoms.append((float(n), mass))
-        cum += mass
-        n += 1
-        mass = m * q**n / n
-    return tuple(atoms)
-
-
 def characteristic_triplet(model: NoiseModel) -> CharacteristicTriplet:
     """The Levy-Khintchine triplet of the model's fiducial exponent."""
-    fam, p = model.family, model.params
-    delta = model.drift
-    if fam == BROWNIAN:
-        return CharacteristicTriplet(delta, 1.0, LevyMeasure("none"))
-    if fam == POISSON:
-        # single jump atom at 1; no |z|<1 compensation applies
-        return CharacteristicTriplet(delta, 0.0, LevyMeasure("atoms", (), ((1.0, p[0]),)))
-    if fam == GAMMA:
-        m, kappa = p
-        comp = m * kappa * (1.0 - math.exp(-1.0 / kappa))
-        return CharacteristicTriplet(delta + comp, 0.0, LevyMeasure("gamma", (m, kappa)))
-    if fam == VG:
-        m, mu, sigma = p
-        root = math.sqrt(mu * mu + 2.0 * m * sigma * sigma)
-        k1 = (mu + root) / (2.0 * m)   # scale of the positive gamma component
-        k2 = (-mu + root) / (2.0 * m)  # scale of the negative gamma component
-        comp = m * (k1 * (1.0 - math.exp(-1.0 / k1)) - k2 * (1.0 - math.exp(-1.0 / k2)))
-        return CharacteristicTriplet(delta + comp, 0.0, LevyMeasure("vg", (m, k1, k2)))
-    if fam == NB:
-        m, q = p
-        return CharacteristicTriplet(delta, 0.0, LevyMeasure("nb", (m, q), _nb_atoms(m, q)))
-    if fam == IG:
-        a, b = p
-        comp = (a / b) * math.erf(b / math.sqrt(2.0))
-        return CharacteristicTriplet(delta + comp, 0.0, LevyMeasure("ig", (a, b)))
-    if fam == NIG:
-        a, b, m = p
-        if b == 0.0:
-            comp = 0.0
-        else:
-            from scipy import integrate, special
-
-            comp, _ = integrate.quad(
-                lambda z: 2.0 * m * a / math.pi * math.sinh(b * z) * special.k1(a * z),
-                0.0,
-                1.0,
-                limit=200,
-            )
-        return CharacteristicTriplet(delta + comp, 0.0, LevyMeasure("nig", (a, b, m)))
-    raise InvalidParameter(f"unhandled family {fam}")  # pragma: no cover
+    comp, gaussian, tag, params, atoms = _FAMILIES[model.family].triplet(*model.params)
+    return CharacteristicTriplet(model.drift + comp, gaussian, LevyMeasure(tag, params, atoms))
 
 
 def tilted_characteristics(model: NoiseModel, x: float) -> CharacteristicTriplet:

@@ -164,6 +164,14 @@ def _config_key(key: str):
         raise type(exc)(f"config key '{key}': {type(exc).__name__}: {exc}") from exc
 
 
+def _integer(value, name: str) -> int:
+    """An integral number: a JSON integer or a float such as 1e3; fractions,
+    booleans and strings are usage errors rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise UsageError(f"{name} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def _build_model(config: dict):
     section = config["model"]
     with _config_key("model"):
@@ -176,7 +184,7 @@ def _build_model(config: dict):
 
 def _density_prior(section: dict):
     name = section["density"]
-    n = int(section.get("n", 64))
+    n = _integer(section.get("n", 64), "n")
     if name == "uniform":
         lo, hi = float(section["lo"]), float(section["hi"])
         return prior_from_density(lambda x: np.ones_like(x), Interval(lo, hi), n)
@@ -225,18 +233,19 @@ def _build_grid(config: dict) -> TimeGrid:
                 times = [0.0] + times
             return TimeGrid(np.asarray(times))
         if "t_max" in section or "steps" in section:
-            return TimeGrid.regular(float(section.get("t_max", 1.0)), int(section.get("steps", 100)))
+            steps = _integer(section.get("steps", 100), "steps")
+            return TimeGrid.regular(float(section.get("t_max", 1.0)), steps)
         raise UsageError("expected an object with 't_max'/'steps' or 'times'")
 
 
 def _seed(config: dict) -> int:
     with _config_key("seed"):
-        return int(config["seed"])
+        return _integer(config["seed"], "seed")
 
 
 def _paths(config: dict) -> int:
     with _config_key("paths"):
-        n = int(config["paths"])
+        n = _integer(config["paths"], "paths")
         if n < 1:
             raise UsageError(f"paths must be >= 1, got {n}")
         return n

@@ -49,6 +49,12 @@ class NonFiniteValue(LevyInfoError):
     """A user-supplied function returned a non-finite value on an atom."""
 
 
+class OffSupport(LevyInfoError):
+    """An observation is a value the model's information process cannot
+    take: negative for a nonnegative family, or off the integer lattice of a
+    counting family (after removing the drift)."""
+
+
 class DegenerateWeights(LevyInfoError):
     """Every posterior log-weight underflowed to -inf; the observation is
     incompatible with the model/prior pairing."""

@@ -29,7 +29,7 @@ from .noise import (
 )
 from .prior import Prior, check_compatibility
 from .rng import stream
-from .simulate import TimeGrid, increment_draws, representation_draws, simulate_ensemble
+from .simulate import TimeGrid, _count, increment_draws, representation_draws, simulate_ensemble
 from .stats import (
     StudyReport,
     StudyRow,
@@ -238,7 +238,7 @@ def esscher_consistency_study(
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):
         raise InvalidParameter(f"t must be positive, got {t}")
-    n = int(n_paths)
+    n = _count(n_paths, "n_paths")
     tilted = esscher_transform(model, lam)
     direct = increment_draws(tilted, 0.0, t, stream(seed, 1), n)
     fiducial = increment_draws(model, 0.0, t, stream(seed, 1), n)
@@ -338,7 +338,7 @@ def bridge_study(
     x = float(x)
     if not admissible_set(model).contains(x):
         raise OutOfDomain(f"message x={x:g} is not admissible for {model!r}")
-    n = int(n_paths)
+    n = _count(n_paths, "n_paths")
     u_s = s * horizon / (horizon - s)
     u_t = t * horizon / (horizon - t)
     raw_s = increment_draws(model, x, u_s, stream(seed, 1), n)

@@ -26,13 +26,36 @@ variance gamma model is stored as the general drifted triple (m, mu, sigma)
 with the standard form corresponding to mu=0, sigma=1.  ``make_noise_model``
 only constructs the standard forms; the generalised ones arise internally
 from ``esscher_transform``.
+
+A family is defined by one record, ``_FAMILIES[name]``, and nowhere else.
+Each field is a function of its own arguments followed by the family
+parameters in canonical order, or a plain value:
+
+    names, rules   parameter names; (predicate, message) pairs to check them
+    fixed          standard-form values of trailing parameters the user does
+                   not give (VarianceGamma mu = 0, sigma = 1)
+    psi            psi0(a) for real or complex numpy a (principal branches)
+    dpsi, d2psi, d3psi   its first three derivatives, real a
+    domain         the admissible set A;  range_lo: the lower end of the
+                   range of psi0' (the upper end is +inf)
+    inverse        the closed-form inverse of psi0' on that range
+    tilt           the Esscher map (lam, drift) -> (params, drift)
+    sample         (x, dt, rng, size): exact increments given the message x
+    drift_is_tilt  the drift enters the sampler as x + drift (Brownian)
+    triplet        Levy-Khintchine data: (drift compensation, gaussian
+                   coefficient, Levy measure tag, its parameters, atoms)
+    support        the values xi_t - drift t takes: "real", "nonnegative" or
+                   "lattice" (the nonnegative integers)
+
+Only ``tilt`` sees the drift: the public functions look the record up and
+add ``drift * alpha`` (``drift``, ``drift * dt``) and the shape handling.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -125,6 +148,10 @@ class Interval:
         return np.isfinite(x) & above & below
 
 
+def _named(names: tuple, params: tuple) -> str:
+    return ", ".join(f"{n}={v:g}" for n, v in zip(names, params))
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """A noise family with validated parameters and an optional drift.
@@ -139,21 +166,268 @@ class NoiseModel:
     drift: float = 0.0
 
     def __repr__(self):  # compact, e.g. NoiseModel(Gamma, m=1, kappa=1)
-        names = _PARAM_NAMES[self.family]
-        inner = ", ".join(f"{n}={v:g}" for n, v in zip(names, self.params))
+        inner = _named(_FAMILIES[self.family].names, self.params)
         if self.drift != 0.0:
             inner += f", drift={self.drift:g}"
         return f"NoiseModel({self.family}{', ' if inner else ''}{inner})"
 
 
-_PARAM_NAMES = {
-    BROWNIAN: (),
-    POISSON: ("m",),
-    GAMMA: ("m", "kappa"),
-    VG: ("m", "mu", "sigma"),
-    NB: ("m", "q"),
-    IG: ("a", "b"),
-    NIG: ("a", "b", "m"),
+@dataclass(frozen=True)
+class _Family:
+    """One noise family; the fields are described in the module docstring."""
+
+    psi: Callable
+    dpsi: Callable
+    d2psi: Callable
+    d3psi: Callable
+    domain: Callable
+    range_lo: Callable
+    inverse: Callable
+    tilt: Callable
+    sample: Callable
+    triplet: Callable
+    names: tuple = ()
+    rules: tuple = ()
+    support: str = "real"
+    fixed: tuple = ()
+    drift_is_tilt: bool = False
+
+
+def _ig_draws(mean, shape_, rng: np.random.Generator, size):
+    """Inverse Gaussian draws, IG(mean mu, shape lam), vectorized.
+
+    Michael-Schucany-Haas: from the chi-square variate w = mu * N^2 form the
+    smaller root x of the defining quadratic (written in a cancellation-free
+    form), then select between x and mu^2/x with probability mu/(mu + x).
+    """
+    mu = np.asarray(mean, dtype=float)
+    lam = np.asarray(shape_, dtype=float)
+    nu = rng.standard_normal(size)
+    w = mu * nu * nu
+    t = w + np.sqrt(w * (4.0 * lam + w))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x = np.where(t > 0.0, 4.0 * lam * mu * w / np.where(t > 0.0, t, 1.0) / t, mu)
+        u = rng.random(size)
+        out = np.where(u <= mu / (mu + x), x, mu * mu / x)
+    return out
+
+
+def _vg_d(a, m, mu, sigma):
+    """1 - (mu a + sigma^2 a^2 / 2) / m, the VarianceGamma log argument."""
+    return 1.0 - (mu * a + 0.5 * sigma * sigma * a * a) / m
+
+
+def _vg(fn):
+    """A VarianceGamma derivative written in d and n = mu + sigma^2 a."""
+    return lambda a, m, mu, sigma: fn(_vg_d(a, m, mu, sigma), mu + sigma * sigma * a, m, sigma)
+
+
+def _vg_domain(m, mu, sigma):
+    root = math.sqrt(mu * mu + 2.0 * m * sigma * sigma)
+    return Interval((-mu - root) / sigma**2, (-mu + root) / sigma**2)
+
+
+def _vg_inverse(y, m, mu, sigma):
+    s2 = sigma * sigma
+    # quadratic (y s2 / 2m) a^2 + (s2 + y mu / m) a + (mu - y) = 0
+    qa = y * s2 / (2.0 * m)
+    qb = s2 + y * mu / m
+    qc = mu - y
+    with np.errstate(invalid="ignore", divide="ignore"):
+        disc = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
+        qq = -0.5 * (qb + np.where(qb >= 0.0, 1.0, -1.0) * disc)
+        r1 = np.where(qa != 0.0, qq / np.where(qa != 0.0, qa, 1.0), np.inf)
+        r2 = np.where(qq != 0.0, qc / np.where(qq != 0.0, qq, 1.0), -qc / qb)
+        # psi0' = (mu + s2 a) / d with d > 0 on A and d < 0 at the other
+        # root, so the admissible root is the one where mu + s2 a has the
+        # sign of y; unlike the sign of d itself, this survives rounding
+        # near the ends of A
+        pick1 = np.isfinite(r1) & ((mu + s2 * r1) * y > 0.0)
+    return np.where(y == 0.0, -mu / s2, np.where(pick1, r1, r2))
+
+
+def _vg_tilt(lam, drift, m, mu, sigma):
+    d = _vg_d(lam, m, mu, sigma)
+    return (m, (mu + sigma * sigma * lam) / d, sigma / math.sqrt(d)), drift
+
+
+def _vg_sample(x, dt, rng, size, m, mu, sigma):
+    # the gamma subordinator, then the tilted gaussian on it
+    d = _vg_d(x, m, mu, sigma)
+    g = rng.gamma(m * dt, 1.0 / m, size)
+    return (mu + sigma * sigma * x) / d * g + sigma / np.sqrt(d) * np.sqrt(g) * rng.standard_normal(size)
+
+
+def _vg_triplet(m, mu, sigma):
+    root = math.sqrt(mu * mu + 2.0 * m * sigma * sigma)
+    k1 = (mu + root) / (2.0 * m)   # scale of the positive gamma component
+    k2 = (-mu + root) / (2.0 * m)  # scale of the negative gamma component
+    comp = m * (k1 * (1.0 - math.exp(-1.0 / k1)) - k2 * (1.0 - math.exp(-1.0 / k2)))
+    return comp, 0.0, "vg", (m, k1, k2), ()
+
+
+def _nb(fn):
+    """A NegativeBinomial derivative written in u = q e^a."""
+    return lambda a, m, q: fn(m, q * np.exp(a))
+
+
+def _nb_sample(x, dt, rng, size, m, q):
+    # Poisson counts mixed over a scaled gamma increment
+    qx = q * np.exp(x)
+    return np.asarray(rng.poisson(rng.gamma(m * dt, 1.0, size) * (qx / (1.0 - qx))), dtype=float)
+
+
+_NB_TAIL_MASS = 1e-12  # drop the atom tail once 1 - 1e-12 of nu(R) is kept
+
+
+def _nb_atoms(m: float, q: float) -> tuple:
+    """Negative binomial atom masses m q^n / n at z = n, truncated."""
+    total = -m * math.log1p(-q)
+    atoms = []
+    cum = 0.0
+    n = 1
+    mass = m * q
+    while cum < (1.0 - _NB_TAIL_MASS) * total:
+        atoms.append((float(n), mass))
+        cum += mass
+        n += 1
+        mass = m * q**n / n
+    return tuple(atoms)
+
+
+def _nig(fn):
+    """A NormalInverseGaussian derivative written in s = b + a."""
+    return lambda a, av, b, m: fn(b + a, av, m)
+
+
+def _nig_sample(x, dt, rng, size, a, b, m):
+    # the tilted gaussian on an inverse gaussian subordinator
+    bx = b + x
+    mdt = m * dt
+    f = _ig_draws(mdt / np.sqrt(a * a - bx * bx), mdt * mdt, rng, size)
+    return bx * f + np.sqrt(f) * rng.standard_normal(size)
+
+
+def _nig_triplet(a, b, m):
+    comp = 0.0
+    if b != 0.0:
+        from scipy import integrate, special
+
+        comp = integrate.quad(lambda z: 2.0 * m * a / math.pi * math.sinh(b * z) * special.k1(a * z),
+                              0.0, 1.0, limit=200)[0]
+    return comp, 0.0, "nig", (a, b, m), ()
+
+
+_FAMILIES = {
+    BROWNIAN: _Family(
+        psi=lambda a: 0.5 * a * a,
+        dpsi=lambda a: a,
+        d2psi=np.ones_like,
+        d3psi=np.zeros_like,
+        domain=lambda: Interval(-math.inf, math.inf),
+        range_lo=lambda: -math.inf,
+        inverse=lambda y: y,
+        tilt=lambda lam, drift: ((), drift + lam),
+        sample=lambda x, dt, rng, size: x * dt + np.sqrt(dt) * rng.standard_normal(size),
+        triplet=lambda: (0.0, 1.0, "none", (), ()),
+        drift_is_tilt=True,
+    ),
+    POISSON: _Family(
+        names=("m",),
+        rules=((lambda m: m > 0, "rate m must be > 0"),),
+        psi=lambda a, m: m * np.expm1(a),
+        dpsi=lambda a, m: m * np.exp(a),
+        d2psi=lambda a, m: m * np.exp(a),
+        d3psi=lambda a, m: m * np.exp(a),
+        domain=lambda m: Interval(-math.inf, math.inf),
+        range_lo=lambda m: 0.0,
+        inverse=lambda y, m: np.log(y / m),
+        tilt=lambda lam, drift, m: ((m * math.exp(lam),), drift),
+        sample=lambda x, dt, rng, size, m: np.asarray(rng.poisson(m * np.exp(x) * dt, size), dtype=float),
+        # a single jump atom at 1; no |z|<1 compensation applies
+        triplet=lambda m: (0.0, 0.0, "atoms", (), ((1.0, m),)),
+        support="lattice",
+    ),
+    GAMMA: _Family(
+        names=("m", "kappa"),
+        rules=((lambda m, k: m > 0, "rate m must be > 0"), (lambda m, k: k > 0, "scale kappa must be > 0")),
+        psi=lambda a, m, k: -m * np.log1p(-k * a),
+        dpsi=lambda a, m, k: m * k / (1.0 - k * a),
+        d2psi=lambda a, m, k: m * k * k / (1.0 - k * a) ** 2,
+        d3psi=lambda a, m, k: 2.0 * m * k**3 / (1.0 - k * a) ** 3,
+        domain=lambda m, k: Interval(-math.inf, 1.0 / k),
+        range_lo=lambda m, k: 0.0,
+        inverse=lambda y, m, k: 1.0 / k - m / y,
+        tilt=lambda lam, drift, m, k: ((m, k / (1.0 - k * lam)), drift),
+        # numpy draws gamma(shape, scale) as scale * standard_gamma(shape), so
+        # this is the same variate through the faster scalar-shape fill loop
+        sample=lambda x, dt, rng, size, m, k: rng.standard_gamma(m * dt, size) * (k / (1.0 - k * x)),
+        triplet=lambda m, k: (m * k * (1.0 - math.exp(-1.0 / k)), 0.0, "gamma", (m, k), ()),
+        support="nonnegative",
+    ),
+    VG: _Family(
+        names=("m", "mu", "sigma"),
+        rules=((lambda m, mu, sigma: m > 0, "rate m must be > 0"),),
+        psi=lambda a, m, mu, sigma: -m * np.log1p(-(mu * a + 0.5 * sigma * sigma * a * a) / m),
+        dpsi=_vg(lambda d, n, m, sigma: n / d),
+        d2psi=_vg(lambda d, n, m, sigma: (sigma * sigma * d + n * n / m) / (d * d)),
+        d3psi=_vg(lambda d, n, m, sigma: n * (3.0 * sigma * sigma * d * m + 2.0 * n * n) / (m * m * d**3)),
+        domain=_vg_domain,
+        range_lo=lambda m, mu, sigma: -math.inf,
+        inverse=_vg_inverse,
+        tilt=_vg_tilt,
+        sample=_vg_sample,
+        triplet=_vg_triplet,
+        fixed=(0.0, 1.0),
+    ),
+    NB: _Family(
+        names=("m", "q"),
+        rules=((lambda m, q: m > 0, "rate m must be > 0"),
+               (lambda m, q: 0.0 < q < 1.0, "q must lie in (0, 1)")),
+        psi=lambda a, m, q: m * (np.log1p(-q) - np.log1p(-q * np.exp(a))),
+        dpsi=_nb(lambda m, u: m * u / (1.0 - u)),
+        d2psi=_nb(lambda m, u: m * u / (1.0 - u) ** 2),
+        d3psi=_nb(lambda m, u: m * u * (1.0 + u) / (1.0 - u) ** 3),
+        domain=lambda m, q: Interval(-math.inf, -math.log(q)),
+        range_lo=lambda m, q: 0.0,
+        inverse=lambda y, m, q: np.log(y) - np.log(q * (m + y)),
+        tilt=lambda lam, drift, m, q: ((m, q * math.exp(lam)), drift),
+        sample=_nb_sample,
+        triplet=lambda m, q: (0.0, 0.0, "nb", (m, q), _nb_atoms(m, q)),
+        support="lattice",
+    ),
+    IG: _Family(
+        names=("a", "b"),
+        rules=((lambda a, b: a > 0, "a must be > 0"), (lambda a, b: b > 0, "b must be > 0")),
+        psi=lambda w, a, b: a * (b - np.sqrt(b * b - 2.0 * w)),
+        dpsi=lambda w, a, b: a / np.sqrt(b * b - 2.0 * w),
+        d2psi=lambda w, a, b: a * (b * b - 2.0 * w) ** (-1.5),
+        d3psi=lambda w, a, b: 3.0 * a * (b * b - 2.0 * w) ** (-2.5),
+        domain=lambda a, b: Interval(0.0, 0.5 * b**2, lo_open=False),
+        range_lo=lambda a, b: a / b,
+        inverse=lambda y, a, b: 0.5 * (b * b - (a / y) ** 2),
+        tilt=lambda lam, drift, a, b: ((a, math.sqrt(b * b - 2.0 * lam)), drift),
+        # the Michael-Schucany-Haas inverse gaussian draw with the tilted mean
+        sample=lambda x, dt, rng, size, a, b: _ig_draws(a * dt / np.sqrt(b * b - 2.0 * x), a * dt * (a * dt),
+                                                        rng, size),
+        triplet=lambda a, b: ((a / b) * math.erf(b / math.sqrt(2.0)), 0.0, "ig", (a, b), ()),
+        support="nonnegative",
+    ),
+    NIG: _Family(
+        names=("a", "b", "m"),
+        rules=((lambda a, b, m: a > 0, "a must be > 0"), (lambda a, b, m: abs(b) < a, "requires |b| < a"),
+               (lambda a, b, m: m > 0, "m must be > 0")),
+        psi=lambda w, a, b, m: m * (math.sqrt(a * a - b * b) - np.sqrt(a * a - (b + w) * (b + w))),
+        dpsi=_nig(lambda s, a, m: m * s / np.sqrt(a * a - s * s)),
+        d2psi=_nig(lambda s, a, m: m * a * a * (a * a - s * s) ** (-1.5)),
+        d3psi=_nig(lambda s, a, m: 3.0 * m * a * a * s * (a * a - s * s) ** (-2.5)),
+        domain=lambda a, b, m: Interval(-a - b, a - b),
+        range_lo=lambda a, b, m: -math.inf,
+        inverse=lambda y, a, b, m: a * y / np.sqrt(m * m + y * y) - b,
+        tilt=lambda lam, drift, a, b, m: ((a, b + lam, m), drift),
+        sample=_nig_sample,
+        triplet=_nig_triplet,
+    ),
 }
 
 
@@ -170,10 +444,8 @@ def make_noise_model(family: str, params=(), drift: float = 0.0) -> NoiseModel:
     family : str
         One of the seven family names (aliases such as "VG" are accepted).
     params : sequence of float
-        Family parameters: Brownian takes none; Poisson ``[m]``; Gamma
-        ``[m, kappa]``; VarianceGamma ``[m]`` (standard form); NegativeBinomial
-        ``[m, q]``; InverseGaussian ``[a, b]``; NormalInverseGaussian
-        ``[a, b, m]``.
+        Family parameters in canonical order (module docstring); the
+        VarianceGamma standard form takes ``[m]``.
     drift : float
         Additional deterministic drift (adds ``drift * alpha`` to the exponent).
 
@@ -187,39 +459,16 @@ def make_noise_model(family: str, params=(), drift: float = 0.0) -> NoiseModel:
         If the parameter count or any constraint is violated.
     """
     fam = canonical_family(family)
+    rec = _FAMILIES[fam]
     p = tuple(float(v) for v in params)
     drift = float(drift)
     _require(all(np.isfinite(p)), f"{fam} parameters must be finite, got {p}")
     _require(math.isfinite(drift), f"drift must be finite, got {drift}")
-
-    if fam == BROWNIAN:
-        _require(len(p) == 0, f"Brownian takes no parameters, got {len(p)}")
-    elif fam == POISSON:
-        _require(len(p) == 1, f"Poisson takes [m], got {len(p)} parameters")
-        _require(p[0] > 0, f"Poisson rate m must be > 0, got {p[0]}")
-    elif fam == GAMMA:
-        _require(len(p) == 2, f"Gamma takes [m, kappa], got {len(p)} parameters")
-        _require(p[0] > 0, f"Gamma rate m must be > 0, got {p[0]}")
-        _require(p[1] > 0, f"Gamma scale kappa must be > 0, got {p[1]}")
-    elif fam == VG:
-        _require(len(p) == 1, f"VarianceGamma takes [m], got {len(p)} parameters")
-        _require(p[0] > 0, f"VarianceGamma rate m must be > 0, got {p[0]}")
-        p = (p[0], 0.0, 1.0)
-    elif fam == NB:
-        _require(len(p) == 2, f"NegativeBinomial takes [m, q], got {len(p)} parameters")
-        _require(p[0] > 0, f"NegativeBinomial rate m must be > 0, got {p[0]}")
-        _require(0.0 < p[1] < 1.0, f"NegativeBinomial q must lie in (0, 1), got {p[1]}")
-    elif fam == IG:
-        _require(len(p) == 2, f"InverseGaussian takes [a, b], got {len(p)} parameters")
-        _require(p[0] > 0, f"InverseGaussian a must be > 0, got {p[0]}")
-        _require(p[1] > 0, f"InverseGaussian b must be > 0, got {p[1]}")
-    elif fam == NIG:
-        _require(len(p) == 3, f"NormalInverseGaussian takes [a, b, m], got {len(p)} parameters")
-        _require(p[0] > 0, f"NormalInverseGaussian a must be > 0, got {p[0]}")
-        _require(abs(p[1]) < p[0], f"NormalInverseGaussian requires |b| < a, got b={p[1]}, a={p[0]}")
-        _require(p[2] > 0, f"NormalInverseGaussian m must be > 0, got {p[2]}")
-    else:  # pragma: no cover
-        raise InvalidParameter(f"unhandled family {fam}")
+    given = rec.names[: len(rec.names) - len(rec.fixed)]
+    _require(len(p) == len(given), f"{fam} takes [{', '.join(given)}], got {len(p)} parameters")
+    p += rec.fixed
+    for ok, rule in rec.rules:
+        _require(ok(*p), f"{fam} {rule}, got {_named(rec.names, p)}")
     return NoiseModel(fam, p, drift)
 
 
@@ -229,24 +478,7 @@ def admissible_set(model: NoiseModel) -> Interval:
     Drift does not change A.  The InverseGaussian interval is closed at 0 and
     open at b^2/2; all other families have open intervals.
     """
-    fam, p = model.family, model.params
-    inf = math.inf
-    if fam in (BROWNIAN, POISSON):
-        return Interval(-inf, inf)
-    if fam == GAMMA:
-        return Interval(-inf, 1.0 / p[1])
-    if fam == VG:
-        m, mu, sigma = p
-        root = math.sqrt(mu * mu + 2.0 * m * sigma * sigma)
-        return Interval((-mu - root) / sigma**2, (-mu + root) / sigma**2)
-    if fam == NB:
-        return Interval(-inf, -math.log(p[1]))
-    if fam == IG:
-        return Interval(0.0, 0.5 * p[1] ** 2, lo_open=False)
-    if fam == NIG:
-        a, b, _m = p
-        return Interval(-a - b, a - b)
-    raise InvalidParameter(f"unhandled family {fam}")  # pragma: no cover
+    return _FAMILIES[model.family].domain(*model.params)
 
 
 def _check_domain(model: NoiseModel, re_alpha: float, what: str = "alpha") -> None:
@@ -266,157 +498,33 @@ def _check_domain(model: NoiseModel, re_alpha: float, what: str = "alpha") -> No
 # ---------------------------------------------------------------------------
 
 
-def psi_unchecked(model: NoiseModel, alpha):
-    """psi0(alpha) for real scalar/array alpha, no domain check."""
-    fam, p = model.family, model.params
-    a = np.asarray(alpha, dtype=float)
-    if fam == BROWNIAN:
-        out = 0.5 * a * a
-    elif fam == POISSON:
-        out = p[0] * np.expm1(a)
-    elif fam == GAMMA:
-        out = -p[0] * np.log1p(-p[1] * a)
-    elif fam == VG:
-        m, mu, sigma = p
-        out = -m * np.log1p(-(mu * a + 0.5 * sigma * sigma * a * a) / m)
-    elif fam == NB:
-        m, q = p
-        out = m * (np.log1p(-q) - np.log1p(-q * np.exp(a)))
-    elif fam == IG:
-        ai, b = p
-        out = ai * (b - np.sqrt(b * b - 2.0 * a))
-    elif fam == NIG:
-        av, b, m = p
-        s = b + a
-        out = m * (math.sqrt(av * av - b * b) - np.sqrt(av * av - s * s))
-    else:  # pragma: no cover
-        raise InvalidParameter(f"unhandled family {fam}")
-    out = out + model.drift * a
+def _shaped(out):
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
-def _psi_complex(model: NoiseModel, alpha: complex) -> complex:
-    """psi0(alpha) for complex alpha, principal branches, no domain check."""
-    fam, p = model.family, model.params
-    a = complex(alpha)
-    if fam == BROWNIAN:
-        out = 0.5 * a * a
-    elif fam == POISSON:
-        out = p[0] * (cmath.exp(a) - 1.0)
-    elif fam == GAMMA:
-        out = -p[0] * cmath.log(1.0 - p[1] * a)
-    elif fam == VG:
-        m, mu, sigma = p
-        out = -m * cmath.log(1.0 - mu * a / m - 0.5 * sigma * sigma * a * a / m)
-    elif fam == NB:
-        m, q = p
-        out = m * (cmath.log(1.0 - q) - cmath.log(1.0 - q * cmath.exp(a)))
-    elif fam == IG:
-        ai, b = p
-        out = ai * (b - cmath.sqrt(b * b - 2.0 * a))
-    elif fam == NIG:
-        av, b, m = p
-        s = b + a
-        out = m * (math.sqrt(av * av - b * b) - cmath.sqrt(av * av - s * s))
-    else:  # pragma: no cover
-        raise InvalidParameter(f"unhandled family {fam}")
-    return out + model.drift * a
+def _exponent(model: NoiseModel, a):
+    """psi0(a) with the drift term, on a real or complex numpy array or scalar."""
+    return _FAMILIES[model.family].psi(a, *model.params) + model.drift * a
+
+
+def psi_unchecked(model: NoiseModel, alpha):
+    """psi0(alpha) for real scalar/array alpha, no domain check."""
+    return _shaped(_exponent(model, np.asarray(alpha, dtype=float)))
 
 
 def dpsi_unchecked(model: NoiseModel, alpha):
     """First derivative psi0'(alpha), real scalar/array, no domain check."""
-    fam, p = model.family, model.params
-    a = np.asarray(alpha, dtype=float)
-    if fam == BROWNIAN:
-        out = a.copy() if a.ndim else float(a)
-    elif fam == POISSON:
-        out = p[0] * np.exp(a)
-    elif fam == GAMMA:
-        m, k = p
-        out = m * k / (1.0 - k * a)
-    elif fam == VG:
-        m, mu, sigma = p
-        d = 1.0 - (mu * a + 0.5 * sigma * sigma * a * a) / m
-        out = (mu + sigma * sigma * a) / d
-    elif fam == NB:
-        m, q = p
-        u = q * np.exp(a)
-        out = m * u / (1.0 - u)
-    elif fam == IG:
-        ai, b = p
-        out = ai / np.sqrt(b * b - 2.0 * a)
-    elif fam == NIG:
-        av, b, m = p
-        s = b + a
-        out = m * s / np.sqrt(av * av - s * s)
-    else:  # pragma: no cover
-        raise InvalidParameter(f"unhandled family {fam}")
-    out = out + model.drift
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    return _shaped(_FAMILIES[model.family].dpsi(np.asarray(alpha, dtype=float), *model.params) + model.drift)
 
 
 def d2psi_unchecked(model: NoiseModel, alpha):
     """Second derivative psi0''(alpha), real scalar/array, no domain check."""
-    fam, p = model.family, model.params
-    a = np.asarray(alpha, dtype=float)
-    if fam == BROWNIAN:
-        out = np.ones_like(a) if a.ndim else 1.0
-    elif fam == POISSON:
-        out = p[0] * np.exp(a)
-    elif fam == GAMMA:
-        m, k = p
-        out = m * k * k / (1.0 - k * a) ** 2
-    elif fam == VG:
-        m, mu, sigma = p
-        d = 1.0 - (mu * a + 0.5 * sigma * sigma * a * a) / m
-        n = mu + sigma * sigma * a
-        out = (sigma * sigma * d + n * n / m) / (d * d)
-    elif fam == NB:
-        m, q = p
-        u = q * np.exp(a)
-        out = m * u / (1.0 - u) ** 2
-    elif fam == IG:
-        ai, b = p
-        out = ai * (b * b - 2.0 * a) ** (-1.5)
-    elif fam == NIG:
-        av, b, m = p
-        s = b + a
-        out = m * av * av * (av * av - s * s) ** (-1.5)
-    else:  # pragma: no cover
-        raise InvalidParameter(f"unhandled family {fam}")
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    return _shaped(_FAMILIES[model.family].d2psi(np.asarray(alpha, dtype=float), *model.params))
 
 
 def d3psi_unchecked(model: NoiseModel, alpha):
     """Third derivative psi0'''(alpha), real scalar/array, no domain check."""
-    fam, p = model.family, model.params
-    a = np.asarray(alpha, dtype=float)
-    if fam == BROWNIAN:
-        out = np.zeros_like(a) if a.ndim else 0.0
-    elif fam == POISSON:
-        out = p[0] * np.exp(a)
-    elif fam == GAMMA:
-        m, k = p
-        out = 2.0 * m * k**3 / (1.0 - k * a) ** 3
-    elif fam == VG:
-        m, mu, sigma = p
-        d = 1.0 - (mu * a + 0.5 * sigma * sigma * a * a) / m
-        n = mu + sigma * sigma * a
-        out = n * (3.0 * sigma * sigma * d * m + 2.0 * n * n) / (m * m * d**3)
-    elif fam == NB:
-        m, q = p
-        u = q * np.exp(a)
-        out = m * u * (1.0 + u) / (1.0 - u) ** 3
-    elif fam == IG:
-        ai, b = p
-        out = 3.0 * ai * (b * b - 2.0 * a) ** (-2.5)
-    elif fam == NIG:
-        av, b, m = p
-        s = b + a
-        out = 3.0 * m * av * av * s * (av * av - s * s) ** (-2.5)
-    else:  # pragma: no cover
-        raise InvalidParameter(f"unhandled family {fam}")
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    return _shaped(_FAMILIES[model.family].d3psi(np.asarray(alpha, dtype=float), *model.params))
 
 
 def fiducial_exponent(model: NoiseModel, alpha):
@@ -431,7 +539,8 @@ def fiducial_exponent(model: NoiseModel, alpha):
     Returns
     -------
     float or complex
-        ``psi0(alpha)``; real input yields real output.
+        ``psi0(alpha)``; real input yields real output.  Complex input is
+        evaluated by the same formula on ``complex128`` (principal branches).
 
     Raises
     ------
@@ -439,9 +548,9 @@ def fiducial_exponent(model: NoiseModel, alpha):
         If ``Re alpha`` is outside the admissible set.
     """
     if isinstance(alpha, complex) or np.iscomplexobj(alpha):
-        a = complex(alpha)
+        a = np.complex128(alpha)
         _check_domain(model, a.real, "Re alpha")
-        return _psi_complex(model, a)
+        return complex(_exponent(model, a))
     a = float(alpha)
     _check_domain(model, a)
     return float(psi_unchecked(model, a))
@@ -463,19 +572,8 @@ def exponent_derivatives(model: NoiseModel, alpha: float) -> tuple:
 
 def marginal_range(model: NoiseModel) -> Interval:
     """The open range of psi0' over the interior of the admissible set."""
-    fam = model.family
-    inf = math.inf
-    if fam in (BROWNIAN, VG, NIG):
-        lo, hi = -inf, inf
-    elif fam in (POISSON, GAMMA, NB):
-        lo, hi = 0.0, inf
-    elif fam == IG:
-        a, b = model.params
-        lo, hi = a / b, inf
-    else:  # pragma: no cover
-        raise InvalidParameter(f"unhandled family {fam}")
-    return Interval(lo + model.drift if np.isfinite(lo) else lo,
-                    hi + model.drift if np.isfinite(hi) else hi)
+    lo = _FAMILIES[model.family].range_lo(*model.params)
+    return Interval(lo + model.drift if np.isfinite(lo) else lo, math.inf)
 
 
 def inverse_closed_form(model: NoiseModel, y):
@@ -485,44 +583,8 @@ def inverse_closed_form(model: NoiseModel, y):
     ``inverse_marginal_clamped`` (vectorized, clamped).  Input values must
     lie in the open range of psi0'.
     """
-    fam, p = model.family, model.params
     yv = np.asarray(y, dtype=float) - model.drift
-    if fam == BROWNIAN:
-        out = yv
-    elif fam == POISSON:
-        out = np.log(yv / p[0])
-    elif fam == GAMMA:
-        m, k = p
-        out = 1.0 / k - m / yv
-    elif fam == VG:
-        m, mu, sigma = p
-        s2 = sigma * sigma
-        # quadratic (y s2 / 2m) a^2 + (s2 + y mu / m) a + (mu - y) = 0
-        qa = yv * s2 / (2.0 * m)
-        qb = s2 + yv * mu / m
-        qc = mu - yv
-        with np.errstate(invalid="ignore", divide="ignore"):
-            disc = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
-            qq = -0.5 * (qb + np.where(qb >= 0.0, 1.0, -1.0) * disc)
-            r1 = np.where(qa != 0.0, qq / np.where(qa != 0.0, qa, 1.0), np.inf)
-            r2 = np.where(qq != 0.0, qc / np.where(qq != 0.0, qq, 1.0), -qc / qb)
-            # the admissible root keeps the log argument positive
-            d1 = 1.0 - (mu * r1 + 0.5 * s2 * r1 * r1) / m
-            pick1 = np.isfinite(r1) & (d1 > 0.0)
-        out = np.where(yv == 0.0, -mu / s2, np.where(pick1, r1, r2))
-    elif fam == NB:
-        m, q = p
-        out = np.log(yv) - np.log(q * (m + yv))
-    elif fam == IG:
-        a, b = p
-        out = 0.5 * (b * b - (a / yv) ** 2)
-    elif fam == NIG:
-        a, b, m = p
-        s = a * yv / np.sqrt(m * m + yv * yv)
-        out = s - b
-    else:  # pragma: no cover
-        raise InvalidParameter(f"unhandled family {fam}")
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    return _shaped(_FAMILIES[model.family].inverse(yv, *model.params))
 
 
 def inverse_marginal(model: NoiseModel, y: float) -> float:
@@ -549,31 +611,22 @@ def inverse_marginal_clamped(model: NoiseModel, y):
     """Vectorized inverse of psi0' with clamping to the closure of its range.
 
     Values of ``y`` at or below a finite lower range boundary are clamped to
-    that boundary before inversion: the InverseGaussian family maps them to
-    alpha = 0 (the closed end of its admissible set), while Poisson, Gamma
-    and NegativeBinomial map them to -inf (the inverse diverges as y -> 0+).
+    that boundary before inversion, which psi0' attains at the lower end of
+    A: the InverseGaussian family maps them to alpha = 0 (the closed end of
+    its admissible set), while Poisson, Gamma and NegativeBinomial map them
+    to -inf (the inverse diverges as y -> 0+).
     Returns ``(alpha, clamped)`` where ``clamped`` marks adjusted entries.
     """
     arr = np.asarray(y, dtype=float)
-    scalar = arr.ndim == 0
-    yv = np.atleast_1d(arr).astype(float)
-    rng = marginal_range(model)
-    alpha = np.empty_like(yv)
-    clamped = np.zeros_like(yv, dtype=bool)
-    if np.isfinite(rng.lo):
-        low = yv <= rng.lo
-        clamped |= low
-        ok = ~low
-        if np.any(ok):
-            alpha[ok] = inverse_closed_form(model, yv[ok])
-        alpha[low] = 0.0 if model.family == IG else -np.inf
-    else:
-        alpha[:] = inverse_closed_form(model, yv)
+    yv = np.atleast_1d(arr)
     bad = ~np.isfinite(yv)
-    if np.any(bad):
-        alpha[bad] = np.nan
-        clamped |= bad
-    if scalar:
+    clamped = bad | (yv <= marginal_range(model).lo)
+    alpha = np.full(yv.shape, admissible_set(model).lo)
+    alpha[bad] = np.nan
+    ok = ~clamped
+    if np.any(ok):
+        alpha[ok] = inverse_closed_form(model, yv[ok])
+    if arr.ndim == 0:
         return float(alpha[0]), bool(clamped[0])
     return alpha, clamped
 
@@ -592,9 +645,9 @@ def conditional_exponent(model: NoiseModel, x: float, alpha):
     x = float(x)
     _check_domain(model, x, "x")
     if isinstance(alpha, complex) or np.iscomplexobj(alpha):
-        a = complex(alpha)
+        a = np.complex128(alpha)
         _check_domain(model, a.real + x, "Re alpha + x")
-        return _psi_complex(model, a + x) - _psi_complex(model, complex(x))
+        return complex(_exponent(model, a + x) - _exponent(model, np.complex128(x)))
     a = float(alpha)
     _check_domain(model, a + x, "alpha + x")
     return float(psi_unchecked(model, a + x) - psi_unchecked(model, x))
@@ -624,28 +677,8 @@ def esscher_transform(model: NoiseModel, lam: float) -> NoiseModel:
         raise OutOfDomain(
             f"lambda={lam:g} outside interior ({interval.lo:g}, {interval.hi:g}) of {model!r}"
         )
-    fam, p = model.family, model.params
-    if fam == BROWNIAN:
-        return NoiseModel(fam, (), model.drift + lam)
-    if fam == POISSON:
-        return NoiseModel(fam, (p[0] * math.exp(lam),), model.drift)
-    if fam == GAMMA:
-        m, k = p
-        return NoiseModel(fam, (m, k / (1.0 - k * lam)), model.drift)
-    if fam == VG:
-        m, mu, sigma = p
-        d = 1.0 - (mu * lam + 0.5 * sigma * sigma * lam * lam) / m
-        return NoiseModel(fam, (m, (mu + sigma * sigma * lam) / d, sigma / math.sqrt(d)), model.drift)
-    if fam == NB:
-        m, q = p
-        return NoiseModel(fam, (m, q * math.exp(lam)), model.drift)
-    if fam == IG:
-        a, b = p
-        return NoiseModel(fam, (a, math.sqrt(b * b - 2.0 * lam)), model.drift)
-    if fam == NIG:
-        a, b, m = p
-        return NoiseModel(fam, (a, b + lam, m), model.drift)
-    raise InvalidParameter(f"unhandled family {fam}")  # pragma: no cover
+    params, drift = _FAMILIES[model.family].tilt(lam, model.drift, *model.params)
+    return NoiseModel(model.family, params, drift)
 
 
 def sheffer_polynomials(model: NoiseModel, xi: float, t: float) -> tuple:

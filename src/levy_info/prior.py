@@ -159,9 +159,16 @@ def check_compatibility(prior: Prior, model: NoiseModel, margin: float = 1e-9) -
 
     Raises
     ------
+    InvalidParameter
+        If ``prior`` is not a Prior or ``model`` not a NoiseModel (the two
+        swapped, say).
     IncompatibleSupport
         Listing the offending atom positions.
     """
+    if not (isinstance(prior, Prior) and isinstance(model, NoiseModel)):
+        raise InvalidParameter(
+            f"expected a Prior and a NoiseModel, got {type(prior).__name__} and {type(model).__name__}"
+        )
     margin = float(margin)
     if margin < 0.0:
         raise InvalidParameter(f"margin must be >= 0, got {margin}")

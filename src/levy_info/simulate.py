@@ -3,16 +3,8 @@
 Every sampler here draws increments from the exact conditional law of the
 process given its message; there is no Euler discretization error anywhere.
 Conditioning on X = x turns each family into a tilted copy of itself, so a
-single per-family increment sampler covers both fiducial and conditional
-draws:
-
-    Brownian     normal increments (drift x)
-    Poisson      Poisson counts with rate m e^x
-    Gamma        gamma increments with scale kappa/(1 - kappa x)
-    VG           gaussian on a gamma subordinator (canonical construction)
-    NB           Poisson mixed over a scaled gamma increment
-    IG           Michael-Schucany-Haas transform-with-selection
-    NIG          gaussian with drift on an IG subordinator
+single per-family increment sampler, the ``sample`` field of the family's
+record in :mod:`levy_info.noise`, covers both fiducial and conditional draws.
 
 Alternative constructions of the VG and NB processes (scaled subordinator,
 gamma difference, compound Poisson with logarithmic jumps) are provided for
@@ -33,18 +25,7 @@ from .errors import (
     OutOfDomain,
     UnsupportedRepresentation,
 )
-from .noise import (
-    BROWNIAN,
-    GAMMA,
-    IG,
-    NB,
-    NIG,
-    POISSON,
-    VG,
-    NoiseModel,
-    admissible_set,
-    esscher_transform,
-)
+from .noise import _FAMILIES, NB, VG, NoiseModel, admissible_set
 from .prior import Prior, check_compatibility
 from .rng import CHUNK, map_ordered, stream
 
@@ -127,25 +108,6 @@ def _path(grid: TimeGrid, values: np.ndarray, message: float, model: NoiseModel)
 # ---------------------------------------------------------------------------
 
 
-def _ig_draws(mean, shape_, rng: np.random.Generator, size):
-    """Inverse Gaussian draws, IG(mean mu, shape lam), vectorized.
-
-    Michael-Schucany-Haas: from the chi-square variate w = mu * N^2 form the
-    smaller root x of the defining quadratic (written in a cancellation-free
-    form), then select between x and mu^2/x with probability mu/(mu + x).
-    """
-    mu = np.asarray(mean, dtype=float)
-    lam = np.asarray(shape_, dtype=float)
-    nu = rng.standard_normal(size)
-    w = mu * nu * nu
-    t = w + np.sqrt(w * (4.0 * lam + w))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        x = np.where(t > 0.0, 4.0 * lam * mu * w / np.where(t > 0.0, t, 1.0) / t, mu)
-        u = rng.random(size)
-        out = np.where(u <= mu / (mu + x), x, mu * mu / x)
-    return out
-
-
 def _logarithmic_draws(q: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vectorized logarithmic sampling by inversion on the shared cumsum."""
     if size == 0:
@@ -177,45 +139,12 @@ def increment_draws(model: NoiseModel, x, dt, rng: np.random.Generator, size=Non
     dt = np.asarray(dt, dtype=float)
     if size is None:
         size = np.broadcast(x, dt).shape or None
-    fam, p = model.family, model.params
-    delta = model.drift
-    if fam == BROWNIAN:
-        out = (delta + x) * dt + np.sqrt(dt) * rng.standard_normal(size)
-    elif fam == POISSON:
-        out = np.asarray(rng.poisson(p[0] * np.exp(x) * dt, size), dtype=float)
-    elif fam == GAMMA:
-        m, kappa = p
-        # numpy draws gamma(shape, scale) as scale * standard_gamma(shape), so
-        # this is the same variate through the faster scalar-shape fill loop
-        out = rng.standard_gamma(m * dt, size) * (kappa / (1.0 - kappa * x))
-    elif fam == VG:
-        m, mu, sigma = p
-        d = 1.0 - (mu * x + 0.5 * sigma * sigma * x * x) / m
-        mu_x = (mu + sigma * sigma * x) / d
-        sigma_x = sigma / np.sqrt(d)
-        g = rng.gamma(m * dt, 1.0 / m, size)
-        out = mu_x * g + sigma_x * np.sqrt(g) * rng.standard_normal(size)
-    elif fam == NB:
-        m, q = p
-        qx = q * np.exp(x)
-        lam = rng.gamma(m * dt, 1.0, size) * (qx / (1.0 - qx))
-        out = np.asarray(rng.poisson(lam), dtype=float)
-    elif fam == IG:
-        a, b = p
-        bx = np.sqrt(b * b - 2.0 * x)
-        adt = a * dt
-        out = _ig_draws(adt / bx, adt * adt, rng, size)
-    elif fam == NIG:
-        a, b, m = p
-        bx = b + x
-        cx = np.sqrt(a * a - bx * bx)
-        mdt = m * dt
-        f = _ig_draws(mdt / cx, mdt * mdt, rng, size)
-        out = bx * f + np.sqrt(f) * rng.standard_normal(size)
-    else:  # pragma: no cover
-        raise InvalidParameter(f"unhandled family {fam}")
-    if fam != BROWNIAN and delta != 0.0:
-        out = out + delta * dt
+    rec = _FAMILIES[model.family]
+    if rec.drift_is_tilt:
+        return rec.sample(model.drift + x, dt, rng, size, *model.params)
+    out = rec.sample(x, dt, rng, size, *model.params)
+    if model.drift != 0.0:
+        out = out + model.drift * dt
     return out
 
 

@@ -339,3 +339,21 @@ def test_experiment_study_options_via_set():
     rows = [line.split(",") for line in out.splitlines()[5:]]
     mean = next(r for r in rows if r[0] == "mean")
     assert abs(float(mean[1]) - 2.0) <= 4.0 * float(mean[3])
+
+
+@pytest.mark.parametrize("assignment, key", [
+    ("paths=2.5", "paths"), ("paths=true", "paths"), ("seed=1.5", "seed"),
+    ("grid.steps=2.5", "steps"), ('prior={"density":"uniform","lo":-1,"hi":1,"n":7.5}', "n"),
+])
+def test_fractional_counts_are_usage_errors(assignment, key):
+    code, out, err = run_cli(["simulate", "--set", "grid.steps=2", "--set", assignment])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: config key '") and f"{key} must be an integer" in err
+
+
+def test_integral_json_number_counts_paths():
+    code, out, err = run_cli(["simulate", "--set", "grid.steps=1", "--set", "paths=1e1"])
+    assert code == 0, err
+    assert len(out.splitlines()) == 5 + 10 * 2

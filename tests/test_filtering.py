@@ -7,7 +7,7 @@ import pytest
 
 import levy_info as li
 from conftest import FAMILY_PARAMS
-from levy_info.filtering import posterior_expectations
+from levy_info.filtering import BLOCK_ROWS, posterior_expectations
 
 
 def poisson_bayes_weights(prior, m, n, t):
@@ -51,10 +51,10 @@ def test_poisson_posterior_matches_bayes_oracle():
 
 def test_posterior_mass_and_support(model):
     prior = li.prior_from_atoms([(0.05, 1.0), (0.2, 2.0), (0.4, 0.5)])
-    post = li.posterior_update(prior, model, 0.8, 2.0)
+    post = li.posterior_update(prior, model, 1.0, 2.0)  # on every family's support
     assert abs(post.weights.sum() - 1.0) <= 1e-12
     np.testing.assert_array_equal(post.positions, prior.positions)
-    assert post.xi == 0.8 and post.t == 2.0
+    assert post.xi == 1.0 and post.t == 2.0
     np.testing.assert_allclose(
         post.log_weights, np.log(post.weights), atol=1e-12)
 
@@ -225,9 +225,9 @@ def test_estimate_message_inversions():
 
     poisson = li.make_noise_model("Poisson", (1.0,))
     prior_p = li.prior_from_atoms([(0.0, 1.0), (1.0, 1.0)])
-    t = 2.0
-    post_p = li.posterior_update(prior_p, poisson, math.e * t, t)
-    assert li.estimate_message(post_p, poisson, math.e * t, t).i0 == pytest.approx(
+    t = 5.0 / math.e  # a count of 5 at rate e
+    post_p = li.posterior_update(prior_p, poisson, 5.0, t)
+    assert li.estimate_message(post_p, poisson, 5.0, t).i0 == pytest.approx(
         1.0, abs=1e-12)
 
     gamma = li.make_noise_model("Gamma", (1.0, 1.0))
@@ -246,3 +246,67 @@ def test_estimate_message_clamps_out_of_range_observations():
     assert np.isneginf(est.i0)
     with pytest.raises(li.InvalidParameter):
         li.estimate_message(post, gamma, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# observations off the support, swapped arguments
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family, params, xi", [
+    ("Gamma", (1.0, 1.0), -5.0),
+    ("Poisson", (1.0,), 0.37),
+    ("Poisson", (1.0,), -1.0),
+    ("NegativeBinomial", (1.0, 0.5), 1.5),
+    ("InverseGaussian", (1.0, 2.0), -0.1),
+])
+def test_observation_off_support_raises(family, params, xi):
+    assert issubclass(li.OffSupport, li.LevyInfoError)
+    model = li.make_noise_model(family, params)
+    prior = li.prior_from_atoms([(0.0, 1.0), (0.2, 1.0)])
+    with pytest.raises(li.OffSupport, match="support"):
+        li.posterior_update(prior, model, xi, 1.0)
+    post = li.posterior_update(prior, model, 2.0, 1.0)
+    with pytest.raises(li.OffSupport):
+        li.sequential_update(post, model, xi, 1.0)
+    # one bad observation in the second block, found by the block's reductions
+    obs = np.full(BLOCK_ROWS + 5, 3.0)
+    obs[BLOCK_ROWS + 2] = xi
+    with pytest.raises(li.OffSupport, match=f"xi={xi:g}"):
+        posterior_expectations(prior, model, obs, 1.0, np.eye(2))
+
+
+@pytest.mark.parametrize("family, params", [
+    ("Brownian", ()), ("VarianceGamma", (2.0,)), ("NormalInverseGaussian", (2.0, 0.5, 1.0))])
+def test_real_families_take_any_observation(family, params):
+    model = li.make_noise_model(family, params)
+    prior = li.prior_from_atoms([(0.0, 1.0), (0.2, 1.0)])
+    assert len(li.posterior_update(prior, model, -5.37, 1.0)) == 2
+
+
+def test_drifted_support_is_checked_within_the_stated_tolerance():
+    poisson = li.make_noise_model("Poisson", (1.0,), drift=0.3)
+    prior = li.prior_from_atoms([(0.0, 1.0), (0.2, 1.0)])
+    t = 0.7
+    li.posterior_update(prior, poisson, 2.0 + 0.3 * t, t)
+    li.posterior_update(prior, poisson, 2.0 + 0.3 * t + 1e-12, t)  # rounding of the sums
+    with pytest.raises(li.OffSupport):
+        li.posterior_update(prior, poisson, 2.0 + 0.3 * t + 1e-6, t)
+    with pytest.raises(li.OffSupport):
+        li.posterior_update(prior, poisson, 2.0, t)  # the drift not added
+    # drifted paths as the sampler builds them, summed interval by interval
+    grid = li.TimeGrid.regular(1.0, 50)
+    gamma = li.make_noise_model("Gamma", (1.0, 1.0), drift=-0.4)
+    for model in (poisson, li.make_noise_model("NegativeBinomial", (1.0, 0.5), drift=-1.9), gamma):
+        _, _, yhat, _ = li.innovations_ensemble(model, prior, grid, 600, seed=3)
+        assert np.isfinite(yhat).all()
+
+
+def test_swapped_prior_and_model_is_invalid_parameter():
+    model = li.make_noise_model("Gamma", (1.0, 1.0))
+    prior = li.prior_from_atoms([(0.0, 1.0), (0.2, 1.0)])
+    with pytest.raises(li.InvalidParameter, match="Prior and a NoiseModel"):
+        li.posterior_update(model, prior, 1.0, 1.0)
+    with pytest.raises(li.InvalidParameter, match="Prior and a NoiseModel"):
+        posterior_expectations(model, prior, [1.0], 1.0, np.eye(2))
+    with pytest.raises(li.InvalidParameter, match="Prior and a NoiseModel"):
+        li.simulate_ensemble(prior, model, li.TimeGrid.regular(1.0, 2), 3, seed=1)

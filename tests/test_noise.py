@@ -157,6 +157,17 @@ def test_inverse_marginal_round_trip(model):
         assert abs(li.inverse_marginal(model, y) - a) <= 1e-10
 
 
+def test_variance_gamma_inverse_takes_the_admissible_root_at_extreme_rates():
+    # near an end of A the computed log argument of the admissible root can
+    # round to <= 0; the root must still be the one inside A, next to the
+    # end that psi0' tends to
+    model = li.esscher_transform(li.make_noise_model("VarianceGamma", (2.0,)), 0.875)
+    domain = li.admissible_set(model)
+    for y in (1e12, 5.569669104380902e15, -5.569669104380902e15, 1e17):
+        end = domain.hi if y > 0 else domain.lo
+        assert abs(inverse_closed_form(model, y) - end) <= 1e-9, y
+
+
 def test_inverse_marginal_rejects_unattained_values():
     gamma = li.make_noise_model("Gamma", (2.0, 1.0))
     with pytest.raises(li.OutOfRange):

@@ -92,3 +92,55 @@ def test_experiments_invert_no_path():
         if name in banned:
             used.append(f"experiments.py:{node.lineno}: {name}")
     assert used == []
+
+
+def family_comparisons(source):
+    """Lines where ``fam``, ``family`` or ``<obj>.family`` is compared with a
+    family constant, a canonical family name or a tuple of them, outside the
+    allowed functions."""
+    allowed = {"_rep_increments"}  # picks a model by representation name
+    constants = {"BROWNIAN", "POISSON", "GAMMA", "VG", "NB", "IG", "NIG"}
+
+    def is_family(node):
+        return (isinstance(node, ast.Name) and node.id in {"fam", "family"}) or (
+            isinstance(node, ast.Attribute) and node.attr == "family")
+
+    def is_constant(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return bool(node.elts) and all(map(is_constant, node.elts))
+        return (isinstance(node, ast.Name) and node.id in constants) or (
+            isinstance(node, ast.Constant) and node.value in li.FAMILIES)
+
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = node.name
+        if isinstance(node, ast.Compare) and inside not in allowed:
+            sides = [node.left, *node.comparators]
+            if any(map(is_family, sides)) and any(map(is_constant, sides)):
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("module", ["noise", "simulate", "characteristics"])
+def test_families_are_defined_by_their_records(module):
+    # each family is one record in noise._FAMILIES; a per-family if/elif
+    # chain in these modules is a second definition
+    path = Path(li.__file__).with_name(f"{module}.py")
+    assert family_comparisons(path.read_text(encoding="utf-8")) == []
+
+
+def test_family_lint_sees_a_chain():
+    chain = ("def f(model):\n"
+             "    fam = model.family\n"
+             "    if fam == GAMMA:\n        return 1\n"
+             "    if fam in (POISSON, NB):\n        return 2\n"
+             "    if model.family != 'Brownian':\n        return 3\n"
+             "def _rep_increments(model):\n"
+             "    return model.family == VG\n")
+    assert family_comparisons(chain) == [3, 5, 7]
