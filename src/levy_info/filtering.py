@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeights, IncompatibleSupport, InvalidParameter, NonFiniteValue, OffSupport
-from .noise import _FAMILIES, NoiseModel, admissible_set, inverse_marginal_clamped, psi_unchecked
+from .errors import DegenerateWeights, IncompatibleSupport, InvalidParameter, NonFiniteValue
+from .noise import NoiseModel, admissible_set, check_support, inverse_marginal_clamped, psi_unchecked
 from .prior import Prior, _frozen, check_compatibility, prior_expectation
 from .rng import map_ordered
 
@@ -91,50 +91,6 @@ def _check_observation(xi: float, t: float, t_name: str = "t") -> tuple:
     return xi, t
 
 
-# Observation rows per block of posterior_expectations: a block's
-# (rows x atoms) weight matrix stays cache-sized, and each block is one unit
-# of work for map_ordered.  Blocks share nothing, so results do not depend on
-# the worker count.
-BLOCK_ROWS = 512
-
-
-# With a nonzero drift, xi - drift t carries the rounding of the sums that
-# built xi; it may miss the support by this much relative to 1 + |xi| +
-# |drift t|.  With zero drift the support is checked exactly.
-SUPPORT_RTOL = 1e-9
-
-
-def _check_support(model: NoiseModel, xi, t) -> None:
-    """Raise OffSupport unless every xi - drift t is a value the family can
-    produce: >= 0 ("nonnegative"), a nonnegative integer ("lattice").
-
-    ``xi`` is a scalar or an array and ``t`` broadcasts to it.  A
-    nonnegative family without drift costs one reduction; otherwise the
-    observations are taken ``BLOCK_ROWS`` at a time, so that no temporary
-    is larger than a block.
-    """
-    support = _FAMILIES[model.family].support
-    xi = np.asarray(xi, dtype=float)
-    if support == "real" or (support == "nonnegative" and model.drift == 0.0 and xi.min(initial=np.inf) >= 0.0):
-        return
-    t = np.broadcast_to(np.asarray(t, dtype=float), xi.shape)
-    for start in range(0, xi.size, BLOCK_ROWS):
-        x, s = xi.flat[start:start + BLOCK_ROWS], t.flat[start:start + BLOCK_ROWS]
-        y, tol = x, 0.0
-        if model.drift != 0.0:
-            y = x - model.drift * s
-            tol = SUPPORT_RTOL * (1.0 + np.abs(x).max() + abs(model.drift) * s.max())
-        off = y < -tol
-        if support == "lattice":
-            off |= np.abs(y - np.rint(y)) > tol
-        if off.any():
-            i = np.argmax(off)
-            raise OffSupport(
-                f"observation xi={x[i]:g} at t={s[i]:g} is off the support of {model!r}: "
-                f"xi - drift t must be {'a nonnegative integer' if support == 'lattice' else '>= 0'}"
-            )
-
-
 def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Posterior:
     """Posterior over message atoms given the observation xi at time t.
 
@@ -148,13 +104,13 @@ def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Po
         If a prior atom is outside the admissible set.
     OffSupport
         If ``xi - drift t`` is a value the family cannot produce at time t
-        (within ``SUPPORT_RTOL`` where the drift is not zero).
+        (within ``noise.SUPPORT_RTOL`` where the drift is not zero).
     DegenerateWeights
         If every reweighted atom underflows to zero probability.
     """
     xi, t = _check_observation(xi, t)
     check_compatibility(prior, model)
-    _check_support(model, xi, t)
+    check_support(model, xi, t)
     x = prior.positions
     if xi == 0.0 and t == 0.0:
         return Posterior(
@@ -173,14 +129,20 @@ def sequential_update(posterior: Posterior, model: NoiseModel, dxi: float, dt: f
 
     Raises
     ------
+    InvalidParameter
+        If ``posterior`` is not a Posterior or ``model`` not a NoiseModel.
     IncompatibleSupport, DegenerateWeights
     OffSupport
         If the increment is off the support of an increment over ``dt``.
     """
+    if not (isinstance(posterior, Posterior) and isinstance(model, NoiseModel)):
+        raise InvalidParameter(
+            f"expected a Posterior and a NoiseModel, got {type(posterior).__name__} and {type(model).__name__}"
+        )
     dxi, dt = _check_observation(dxi, dt, t_name="dt")
     if dxi == 0.0 and dt == 0.0:
         return posterior
-    _check_support(model, dxi, dt)
+    check_support(model, dxi, dt)
     x = posterior.positions
     if not admissible_set(model).contains_array(x).all():
         raise IncompatibleSupport(
@@ -189,6 +151,13 @@ def sequential_update(posterior: Posterior, model: NoiseModel, dxi: float, dt: f
     with np.errstate(over="ignore"):
         raw = posterior.log_weights + x * dxi - psi_unchecked(model, x) * dt
     return _normalized(x, raw, posterior.xi + dxi, posterior.t + dt)
+
+
+# Observation rows per block of posterior_expectations: a block's
+# (rows x atoms) weight matrix stays cache-sized, and each block is one unit
+# of work for map_ordered.  Blocks share nothing, so results do not depend on
+# the worker count.
+BLOCK_ROWS = 512
 
 
 def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndarray:
@@ -240,7 +209,7 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
         raise InvalidParameter("observation times must be finite and >= 0")
     xi = np.asarray(xi, dtype=float)
     t = np.broadcast_to(t, xi.shape)
-    _check_support(model, xi, t)
+    check_support(model, xi, t)
     xi_rows = xi.reshape(-1)
     coef = np.stack([x, -psi_unchecked(model, x), np.log(prior.weights)])
     ones_g = np.column_stack([np.ones(x.size), g])

@@ -45,7 +45,8 @@ parameters in canonical order, or a plain value:
     triplet        Levy-Khintchine data: (drift compensation, gaussian
                    coefficient, Levy measure tag, its parameters, atoms)
     support        the values xi_t - drift t takes: "real", "nonnegative" or
-                   "lattice" (the nonnegative integers)
+                   "lattice" (the nonnegative integers); ``check_support``
+                   tests observations against it
 
 Only ``tilt`` sees the drift: the public functions look the record up and
 add ``drift * alpha`` (``drift``, ``drift * dt``) and the shape handling.
@@ -59,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameter, OutOfDomain, OutOfRange
+from .errors import InvalidParameter, OffSupport, OutOfDomain, OutOfRange
 
 __all__ = [
     "FAMILIES",
@@ -217,14 +218,27 @@ def _vg_d(a, m, mu, sigma):
     return 1.0 - (mu * a + 0.5 * sigma * sigma * a * a) / m
 
 
+def _vg_ends(m, mu, sigma):
+    """The ends of A, the roots of d."""
+    root = math.sqrt(mu * mu + 2.0 * m * sigma * sigma)
+    return (-mu - root) / sigma**2, (-mu + root) / sigma**2
+
+
 def _vg(fn):
-    """A VarianceGamma derivative written in d and n = mu + sigma^2 a."""
-    return lambda a, m, mu, sigma: fn(_vg_d(a, m, mu, sigma), mu + sigma * sigma * a, m, sigma)
+    """A VarianceGamma derivative written in d and n = mu + sigma^2 a.
+
+    d is taken as sigma^2 / 2m times the distances from a to the two ends of
+    A: positive at every float inside A, where ``_vg_d`` cancels to 0 next
+    to an end.
+    """
+    def derivative(a, m, mu, sigma):
+        lo, hi = _vg_ends(m, mu, sigma)
+        return fn(0.5 * sigma * sigma / m * (a - lo) * (hi - a), mu + sigma * sigma * a, m, sigma)
+    return derivative
 
 
 def _vg_domain(m, mu, sigma):
-    root = math.sqrt(mu * mu + 2.0 * m * sigma * sigma)
-    return Interval((-mu - root) / sigma**2, (-mu + root) / sigma**2)
+    return Interval(*_vg_ends(m, mu, sigma))
 
 
 def _vg_inverse(y, m, mu, sigma):
@@ -296,8 +310,11 @@ def _nb_atoms(m: float, q: float) -> tuple:
 
 
 def _nig(fn):
-    """A NormalInverseGaussian derivative written in s = b + a."""
-    return lambda a, av, b, m: fn(b + a, av, m)
+    """A NormalInverseGaussian derivative written in s = b + w and
+    a^2 - s^2, the latter as the product of the distances from w to the ends
+    of A: positive at every float inside A, where b + w may round onto -a or
+    a next to an end."""
+    return lambda w, a, b, m: fn(b + w, ((a - b) - w) * (w + (a + b)), a, m)
 
 
 def _nig_sample(x, dt, rng, size, a, b, m):
@@ -418,12 +435,12 @@ _FAMILIES = {
         rules=((lambda a, b, m: a > 0, "a must be > 0"), (lambda a, b, m: abs(b) < a, "requires |b| < a"),
                (lambda a, b, m: m > 0, "m must be > 0")),
         psi=lambda w, a, b, m: m * (math.sqrt(a * a - b * b) - np.sqrt(a * a - (b + w) * (b + w))),
-        dpsi=_nig(lambda s, a, m: m * s / np.sqrt(a * a - s * s)),
-        d2psi=_nig(lambda s, a, m: m * a * a * (a * a - s * s) ** (-1.5)),
-        d3psi=_nig(lambda s, a, m: 3.0 * m * a * a * s * (a * a - s * s) ** (-2.5)),
+        dpsi=_nig(lambda s, q, a, m: m * s / np.sqrt(q)),
+        d2psi=_nig(lambda s, q, a, m: m * a * a * q ** (-1.5)),
+        d3psi=_nig(lambda s, q, a, m: 3.0 * m * a * a * s * q ** (-2.5)),
         domain=lambda a, b, m: Interval(-a - b, a - b),
         range_lo=lambda a, b, m: -math.inf,
-        inverse=lambda y, a, b, m: a * y / np.sqrt(m * m + y * y) - b,
+        inverse=lambda y, a, b, m: a * y / np.hypot(m, y) - b,
         tilt=lambda lam, drift, a, b, m: ((a, b + lam, m), drift),
         sample=_nig_sample,
         triplet=_nig_triplet,
@@ -434,6 +451,48 @@ _FAMILIES = {
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise InvalidParameter(message)
+
+
+# With a nonzero drift, xi - drift t carries the rounding of the sums that
+# built xi; it may miss the support by this much relative to 1 + |xi| +
+# |drift t|, observation by observation.  With zero drift the support is
+# checked exactly.
+SUPPORT_RTOL = 1e-9
+
+# Observations per block of check_support, so that no temporary is larger
+# than a block.
+SUPPORT_BLOCK = 4096
+
+
+def check_support(model: NoiseModel, xi, t) -> None:
+    """Raise OffSupport unless every xi - drift t is a value the family can
+    produce at time t: >= 0 ("nonnegative"), a nonnegative integer
+    ("lattice"), anything ("real"), within ``SUPPORT_RTOL`` where the drift
+    is not zero.
+
+    ``xi`` is a scalar or an array and ``t`` broadcasts to it.
+    """
+    support = _FAMILIES[model.family].support
+    if support == "real":
+        return
+    xi = np.asarray(xi, dtype=float)
+    t = np.broadcast_to(np.asarray(t, dtype=float), xi.shape)
+    drift = model.drift
+    for start in range(0, xi.size, SUPPORT_BLOCK):
+        x, s = xi.flat[start:start + SUPPORT_BLOCK], t.flat[start:start + SUPPORT_BLOCK]
+        y, tol = x, 0.0
+        if drift != 0.0:
+            y = x - drift * s
+            tol = SUPPORT_RTOL * (1.0 + np.abs(x) + abs(drift) * s)
+        off = y < -tol
+        if support == "lattice":
+            off |= np.abs(y - np.rint(y)) > tol
+        if off.any():
+            i = np.argmax(off)
+            raise OffSupport(
+                f"observation xi={x[i]:g} at t={s[i]:g} is off the support of {model!r}: "
+                f"xi - drift t must be {'a nonnegative integer' if support == 'lattice' else '>= 0'}"
+            )
 
 
 def make_noise_model(family: str, params=(), drift: float = 0.0) -> NoiseModel:
@@ -581,10 +640,16 @@ def inverse_closed_form(model: NoiseModel, y):
 
     The one inverse behind ``inverse_marginal`` (scalar, range-checked) and
     ``inverse_marginal_clamped`` (vectorized, clamped).  Input values must
-    lie in the open range of psi0'.
+    lie in the open range of psi0'.  The result lies in A: where I0 of a
+    rate next to an end of the range rounds onto a finite open end of A, it
+    is moved one float inside.
     """
-    yv = np.asarray(y, dtype=float) - model.drift
-    return _shaped(_FAMILIES[model.family].inverse(yv, *model.params))
+    rec = _FAMILIES[model.family]
+    alpha = rec.inverse(np.asarray(y, dtype=float) - model.drift, *model.params)
+    dom = rec.domain(*model.params)
+    lo = np.nextafter(dom.lo, math.inf) if dom.lo_open and np.isfinite(dom.lo) else dom.lo
+    hi = np.nextafter(dom.hi, -math.inf) if dom.hi_open and np.isfinite(dom.hi) else dom.hi
+    return _shaped(np.clip(alpha, lo, hi))
 
 
 def inverse_marginal(model: NoiseModel, y: float) -> float:

@@ -7,7 +7,8 @@ import pytest
 
 import levy_info as li
 from conftest import FAMILY_PARAMS
-from levy_info.filtering import BLOCK_ROWS, posterior_expectations
+from levy_info.filtering import posterior_expectations
+from levy_info.noise import SUPPORT_BLOCK
 
 
 def poisson_bayes_weights(prior, m, n, t):
@@ -268,9 +269,9 @@ def test_observation_off_support_raises(family, params, xi):
     post = li.posterior_update(prior, model, 2.0, 1.0)
     with pytest.raises(li.OffSupport):
         li.sequential_update(post, model, xi, 1.0)
-    # one bad observation in the second block, found by the block's reductions
-    obs = np.full(BLOCK_ROWS + 5, 3.0)
-    obs[BLOCK_ROWS + 2] = xi
+    # one bad observation in the second block of the check
+    obs = np.full(SUPPORT_BLOCK + 5, 3.0)
+    obs[SUPPORT_BLOCK + 2] = xi
     with pytest.raises(li.OffSupport, match=f"xi={xi:g}"):
         posterior_expectations(prior, model, obs, 1.0, np.eye(2))
 
@@ -293,6 +294,13 @@ def test_drifted_support_is_checked_within_the_stated_tolerance():
         li.posterior_update(prior, poisson, 2.0 + 0.3 * t + 1e-6, t)
     with pytest.raises(li.OffSupport):
         li.posterior_update(prior, poisson, 2.0, t)  # the drift not added
+    # the tolerance is per observation: a large one next to it in the same
+    # block does not widen it
+    obs = np.array([1e6 + 0.3 * t, 2.0005 + 0.3 * t])
+    with pytest.raises(li.OffSupport, match="xi=2.2105"):
+        posterior_expectations(prior, poisson, obs, t, np.eye(2))
+    with pytest.raises(li.OffSupport):
+        li.posterior_update(prior, poisson, obs[1], t)
     # drifted paths as the sampler builds them, summed interval by interval
     grid = li.TimeGrid.regular(1.0, 50)
     gamma = li.make_noise_model("Gamma", (1.0, 1.0), drift=-0.4)
@@ -308,5 +316,8 @@ def test_swapped_prior_and_model_is_invalid_parameter():
         li.posterior_update(model, prior, 1.0, 1.0)
     with pytest.raises(li.InvalidParameter, match="Prior and a NoiseModel"):
         posterior_expectations(model, prior, [1.0], 1.0, np.eye(2))
+    post = li.posterior_update(prior, model, 1.0, 1.0)
+    with pytest.raises(li.InvalidParameter, match="Posterior and a NoiseModel"):
+        li.sequential_update(model, post, 1.0, 1.0)
     with pytest.raises(li.InvalidParameter, match="Prior and a NoiseModel"):
         li.simulate_ensemble(prior, model, li.TimeGrid.regular(1.0, 2), 3, seed=1)

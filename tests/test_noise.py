@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import levy_info as li
 from conftest import FAMILY_PARAMS, all_models, interior_grid, window
-from levy_info.noise import inverse_closed_form
+from levy_info.noise import d2psi_unchecked, d3psi_unchecked, dpsi_unchecked, inverse_closed_form
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +166,29 @@ def test_variance_gamma_inverse_takes_the_admissible_root_at_extreme_rates():
     for y in (1e12, 5.569669104380902e15, -5.569669104380902e15, 1e17):
         end = domain.hi if y > 0 else domain.lo
         assert abs(inverse_closed_form(model, y) - end) <= 1e-9, y
+
+
+@pytest.mark.parametrize("family, lam", [("VarianceGamma", -1.05), ("NormalInverseGaussian", -2.0)])
+def test_derivatives_are_finite_next_to_the_ends_of_A(family, lam):
+    # at the floats next to an end, b + w (NIG) rounds onto -a and the
+    # expanded log argument d (VG) cancels to 0 unless taken as the product
+    # of the distances to the ends; the inverse of the rates there, which
+    # may round onto the end, stays inside A
+    model = li.esscher_transform(li.make_noise_model(family, FAMILY_PARAMS[family]), lam)
+    domain = li.admissible_set(model)
+    inner = np.array([np.nextafter(domain.lo, math.inf), np.nextafter(domain.hi, -math.inf)])
+    for derivative in (dpsi_unchecked, d2psi_unchecked, d3psi_unchecked):
+        assert np.isfinite(derivative(model, inner)).all(), derivative
+    rates = dpsi_unchecked(model, inner)
+    assert domain.contains_array(inverse_closed_form(model, rates)).all()
+
+
+def test_normal_inverse_gaussian_inverse_of_a_huge_rate_is_next_to_the_end():
+    model = li.make_noise_model("NormalInverseGaussian", (2.0, 0.5, 1.0))
+    domain = li.admissible_set(model)
+    for y, end in ((1e160, domain.hi), (-1e160, domain.lo)):
+        alpha = inverse_closed_form(model, y)
+        assert domain.contains(alpha) and abs(alpha - end) <= 1e-9, y
 
 
 def test_inverse_marginal_rejects_unattained_values():
