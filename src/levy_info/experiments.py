@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameter, OutOfDomain
+from .errors import InvalidParameter
 from .noise import (
     NB,
     VG,
@@ -29,7 +29,7 @@ from .noise import (
 )
 from .prior import Prior, check_compatibility
 from .rng import stream
-from .simulate import TimeGrid, _count, increment_draws, representation_draws, simulate_ensemble
+from .simulate import TimeGrid, _check_message, _count, increment_draws, representation_draws, simulate_ensemble
 from .stats import (
     StudyReport,
     StudyRow,
@@ -231,15 +231,18 @@ def esscher_consistency_study(
     compares mean and variance.  Common random numbers make the lam = 0
     case agree exactly and otherwise only overstate the standard error of
     the difference, never understate it.
+
+    Raises
+    ------
+    OutOfDomain
+        Unless ``lam`` is 0 or interior to A (from ``esscher_transform``).
     """
     lam = float(lam)
-    if not admissible_set(model).interior_contains(lam):
-        raise OutOfDomain(f"lambda={lam:g} is not interior to the admissible set of {model!r}")
+    tilted = esscher_transform(model, lam)
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):
         raise InvalidParameter(f"t must be positive, got {t}")
     n = _count(n_paths, "n_paths")
-    tilted = esscher_transform(model, lam)
     direct = increment_draws(tilted, 0.0, t, stream(seed, 1), n)
     fiducial = increment_draws(model, 0.0, t, stream(seed, 1), n)
     weights = np.exp(lam * fiducial - fiducial_exponent(model, lam) * t)
@@ -335,9 +338,7 @@ def bridge_study(
     horizon, s, t = float(horizon), float(s), float(t)
     if not (0.0 < s < t < horizon):
         raise InvalidParameter(f"need 0 < s < t < horizon, got s={s}, t={t}, horizon={horizon}")
-    x = float(x)
-    if not admissible_set(model).contains(x):
-        raise OutOfDomain(f"message x={x:g} is not admissible for {model!r}")
+    x = _check_message(model, x)
     n = _count(n_paths, "n_paths")
     u_s = s * horizon / (horizon - s)
     u_t = t * horizon / (horizon - t)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeights, IncompatibleSupport, InvalidParameter, NonFiniteValue
-from .noise import NoiseModel, admissible_set, check_support, inverse_marginal_clamped, psi_unchecked
+from .errors import DegenerateWeights, InvalidParameter, NonFiniteValue
+from .noise import NoiseModel, check_support, inverse_marginal_clamped, psi_unchecked
 from .prior import Prior, _frozen, check_compatibility, prior_expectation
 from .rng import map_ordered
 
@@ -36,50 +36,36 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class Posterior:
-    """Posterior atom weights plus the observation (xi, t) that produced them.
+class Posterior(Prior):
+    """A message law conditioned on the observation (xi, t).
 
-    Atom positions coincide with the prior's (the update is absolutely
-    continuous with respect to the prior); only the weights change.
-    ``log_weights`` are the normalized log-probabilities and remain finite
-    even when a dominated weight underflows to zero in ``weights``.
+    A posterior is a prior again: its atoms are the prior's (the update is
+    absolutely continuous with respect to the prior) with new weights, and
+    filtering restarts from it.  ``log_weights`` are the normalized
+    log-probabilities.
     """
 
-    positions: np.ndarray
-    weights: np.ndarray
-    log_weights: np.ndarray
     xi: float
     t: float
 
-    @property
-    def atoms(self) -> list:
-        return list(zip(self.positions.tolist(), self.weights.tolist()))
 
-    @property
-    def mean(self) -> float:
-        return float(self.weights @ self.positions)
-
-    @property
-    def variance(self) -> float:
-        mu = self.weights @ self.positions
-        return float(self.weights @ (self.positions - mu) ** 2)
-
-    def __len__(self) -> int:
-        return self.positions.size
-
-
-def _normalized(positions: np.ndarray, raw_log_weights: np.ndarray, xi: float, t: float) -> Posterior:
-    top = raw_log_weights.max()
+def _reweighted(base: Prior, model: NoiseModel, dxi: float, dt: float, xi: float, t: float) -> Posterior:
+    """``base`` reweighted by exp(x dxi - psi0(x) dt) and renormalized in log
+    space with max-subtraction: the posterior at (xi, t)."""
+    x = base.positions
+    if dxi == 0.0 and dt == 0.0:
+        return Posterior(x, base.weights, base.log_weights, xi, t)
+    with np.errstate(over="ignore"):  # +-inf log-weights raise below
+        raw = base.log_weights + x * dxi - psi_unchecked(model, x) * dt
+    top = raw.max()
     if not np.isfinite(top):
         raise DegenerateWeights(
             "all posterior log-weights collapsed to -inf; the observation is "
             "numerically impossible under every prior atom"
         )
-    shifted = np.exp(raw_log_weights - top)
+    shifted = np.exp(raw - top)
     total = shifted.sum()
-    weights = shifted / total
-    log_weights = raw_log_weights - (top + math.log(total))
-    return Posterior(_frozen(positions), _frozen(weights), _frozen(log_weights), float(xi), float(t))
+    return Posterior(x, _frozen(shifted / total), _frozen(raw - (top + math.log(total))), xi, t)
 
 
 def _check_observation(xi: float, t: float, t_name: str = "t") -> tuple:
@@ -96,12 +82,13 @@ def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Po
 
     Weights w_i' are proportional to w_i exp(x_i xi - psi0(x_i) t), computed
     in log space with max-subtraction.  At t = 0 the posterior equals the
-    prior exactly.
+    prior exactly.  ``prior`` may itself be a Posterior: the filter then
+    restarts from it, and (xi, t) is the observation made since.
 
     Raises
     ------
     IncompatibleSupport
-        If a prior atom is outside the admissible set.
+        If a prior atom fails :func:`~levy_info.prior.check_compatibility`.
     OffSupport
         If ``xi - drift t`` is a value the family cannot produce at time t
         (within ``noise.SUPPORT_RTOL`` where the drift is not zero).
@@ -111,19 +98,14 @@ def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Po
     xi, t = _check_observation(xi, t)
     check_compatibility(prior, model)
     check_support(model, xi, t)
-    x = prior.positions
-    if xi == 0.0 and t == 0.0:
-        return Posterior(
-            _frozen(x), _frozen(prior.weights), _frozen(np.log(prior.weights)), xi, t
-        )
-    with np.errstate(over="ignore"):  # +-inf log-weights flow to _normalized
-        raw = np.log(prior.weights) + x * xi - psi_unchecked(model, x) * t
-    return _normalized(x, raw, xi, t)
+    return _reweighted(prior, model, xi, t, xi, t)
 
 
 def sequential_update(posterior: Posterior, model: NoiseModel, dxi: float, dt: float) -> Posterior:
     """Restart the filter on a fresh increment: reweight by exp(x dxi - psi0(x) dt).
 
+    The reweighting of ``posterior_update(posterior, model, dxi, dt)``, with
+    the result labelled by the summed observation (xi + dxi, t + dt).
     Composing sequential updates over consecutive increments reproduces the
     one-shot :func:`posterior_update` at the summed observation.
 
@@ -131,7 +113,10 @@ def sequential_update(posterior: Posterior, model: NoiseModel, dxi: float, dt: f
     ------
     InvalidParameter
         If ``posterior`` is not a Posterior or ``model`` not a NoiseModel.
-    IncompatibleSupport, DegenerateWeights
+    IncompatibleSupport
+        If an atom fails :func:`~levy_info.prior.check_compatibility`.
+    DegenerateWeights
+        If every reweighted atom underflows to zero probability.
     OffSupport
         If the increment is off the support of an increment over ``dt``.
     """
@@ -143,14 +128,8 @@ def sequential_update(posterior: Posterior, model: NoiseModel, dxi: float, dt: f
     if dxi == 0.0 and dt == 0.0:
         return posterior
     check_support(model, dxi, dt)
-    x = posterior.positions
-    if not admissible_set(model).contains_array(x).all():
-        raise IncompatibleSupport(
-            f"posterior atoms are not admissible for {model!r}", atoms=tuple(x.tolist())
-        )
-    with np.errstate(over="ignore"):
-        raw = posterior.log_weights + x * dxi - psi_unchecked(model, x) * dt
-    return _normalized(x, raw, posterior.xi + dxi, posterior.t + dt)
+    check_compatibility(posterior, model)
+    return _reweighted(posterior, model, dxi, dt, posterior.xi + dxi, posterior.t + dt)
 
 
 # Observation rows per block of posterior_expectations: a block's
@@ -211,7 +190,7 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
     t = np.broadcast_to(t, xi.shape)
     check_support(model, xi, t)
     xi_rows = xi.reshape(-1)
-    coef = np.stack([x, -psi_unchecked(model, x), np.log(prior.weights)])
+    coef = np.stack([x, -psi_unchecked(model, x), prior.log_weights])
     ones_g = np.column_stack([np.ones(x.size), g])
     out = np.empty((xi_rows.size, g.shape[1]))
 

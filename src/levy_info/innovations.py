@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, OutOfDomain, TooFewSamples
+from .errors import InvalidParameter, TooFewSamples
 from .filtering import posterior_expectations
-from .noise import NoiseModel, admissible_set, dpsi_unchecked
+from .noise import NoiseModel, check_support, dpsi_unchecked
 from .prior import Prior, check_compatibility
-from .simulate import InformationPath, TimeGrid, simulate_ensemble
+from .simulate import InformationPath, TimeGrid, _check_message, simulate_ensemble
 from .stats import StudyReport, StudyRow, zscore
 
 __all__ = [
@@ -73,11 +73,14 @@ def innovations_path(path: InformationPath, prior: Prior) -> InnovationsPath:
     ------
     InvalidParameter
         If the grid has fewer than two points.
+    OffSupport
+        If an increment is one no message could produce (a Gamma path that decreases).
     IncompatibleSupport, DegenerateWeights
         Propagated from the filter.
     """
     if len(path.grid) < 2:
         raise InvalidParameter("innovations need a grid with at least two points")
+    check_support(path.model, np.diff(path.values), np.diff(path.grid.times))
     yhat, integral, m = _decompose(path.model, prior, path.grid, path.values[None, :])
     return InnovationsPath(path.grid, path.values, yhat[0], integral[0], m[0])
 
@@ -107,9 +110,7 @@ def compensated_path(path: InformationPath, model: NoiseModel) -> np.ndarray:
     OutOfDomain
         If the stored message is not admissible for ``model``.
     """
-    x = path.message
-    if not admissible_set(model).contains(x):
-        raise OutOfDomain(f"stored message x={x:g} is not admissible for {model!r}")
+    x = _check_message(model, path.message)
     return path.values - dpsi_unchecked(model, x) * path.grid.times
 
 

@@ -131,11 +131,7 @@ class Interval:
 
     def contains(self, x: float) -> bool:
         """Membership test respecting the endpoint conventions."""
-        if not np.isfinite(x):
-            return False
-        above = x > self.lo if self.lo_open else x >= self.lo
-        below = x < self.hi if self.hi_open else x <= self.hi
-        return bool(above and below)
+        return bool(self.contains_array(x))
 
     def interior_contains(self, x: float) -> bool:
         """Strict membership in the open interval (lo, hi)."""
@@ -243,10 +239,14 @@ def _vg_domain(m, mu, sigma):
 
 def _vg_inverse(y, m, mu, sigma):
     s2 = sigma * sigma
-    # quadratic (y s2 / 2m) a^2 + (s2 + y mu / m) a + (mu - y) = 0
-    qa = y * s2 / (2.0 * m)
-    qb = s2 + y * mu / m
-    qc = mu - y
+    # quadratic (y s2 / 2m) a^2 + (s2 + y mu / m) a + (mu - y) = 0, divided
+    # by max(1, |y|) so that no coefficient grows with y and the discriminant
+    # cannot overflow; for |y| <= 1 the division is exact
+    scale = np.maximum(1.0, np.abs(y))
+    y_s = y / scale
+    qa = y_s * s2 / (2.0 * m)
+    qb = s2 / scale + y_s * mu / m
+    qc = mu / scale - y_s
     with np.errstate(invalid="ignore", divide="ignore"):
         disc = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
         qq = -0.5 * (qb + np.where(qb >= 0.0, 1.0, -1.0) * disc)
@@ -541,8 +541,9 @@ def admissible_set(model: NoiseModel) -> Interval:
 
 
 def _check_domain(model: NoiseModel, re_alpha: float, what: str = "alpha") -> None:
-    if not admissible_set(model).contains(re_alpha):
-        iv = admissible_set(model)
+    """The one scalar admissibility check: OutOfDomain unless ``re_alpha`` is in A."""
+    iv = admissible_set(model)
+    if not iv.contains(re_alpha):
         raise OutOfDomain(
             f"{what}={re_alpha:g} outside admissible set "
             f"{'(' if iv.lo_open else '['}{iv.lo:g}, {iv.hi:g}{')' if iv.hi_open else ']'}"

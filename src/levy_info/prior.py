@@ -39,24 +39,33 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Prior:
-    """Atoms of the message law: positions (increasing) and weights (sum 1)."""
+    """Atoms of the message law: positions (increasing), weights (sum 1) and
+    their logs, which stay finite where a posterior weight underflows to 0."""
 
     positions: np.ndarray
     weights: np.ndarray
-    support_hull: Interval
+    log_weights: np.ndarray
 
     @property
     def atoms(self) -> list:
         """The atoms as a list of (position, weight) tuples."""
         return list(zip(self.positions.tolist(), self.weights.tolist()))
 
+    @property
+    def mean(self) -> float:
+        return float(self.weights @ self.positions)
+
+    @property
+    def variance(self) -> float:
+        mu = self.weights @ self.positions
+        return float(self.weights @ (self.positions - mu) ** 2)
+
     def __len__(self) -> int:
         return self.positions.size
 
 
 def _build_prior(positions: np.ndarray, weights: np.ndarray) -> Prior:
-    hull = Interval(float(positions[0]), float(positions[-1]), lo_open=False, hi_open=False)
-    return Prior(_frozen(positions), _frozen(weights), hull)
+    return Prior(_frozen(positions), _frozen(weights), _frozen(np.log(weights)))
 
 
 def prior_from_atoms(points) -> Prior:
@@ -148,14 +157,18 @@ def prior_from_density(f, interval: Interval, n: int) -> Prior:
     return _build_prior(xs[keep], ws[keep] / mass)
 
 
-def check_compatibility(prior: Prior, model: NoiseModel, margin: float = 1e-9) -> None:
+# An atom keeps this relative distance from each finite open end of A.
+MARGIN = 1e-9
+
+
+def check_compatibility(prior: Prior, model: NoiseModel) -> None:
     """Verify that every prior atom is admissible for the model.
 
     An atom x passes when it lies in the admissible set A and, for each
     finite open boundary c of A, keeps a relative distance
-    ``|x - c| >= margin * max(1, |c|)``.  A closed endpoint belongs to A
+    ``|x - c| >= MARGIN * max(1, |c|)``.  A closed endpoint belongs to A
     and takes no margin (the InverseGaussian atom x = 0 is the fiducial law
-    itself).  ``margin=0`` reduces to plain membership in A.
+    itself).
 
     Raises
     ------
@@ -169,28 +182,24 @@ def check_compatibility(prior: Prior, model: NoiseModel, margin: float = 1e-9) -
         raise InvalidParameter(
             f"expected a Prior and a NoiseModel, got {type(prior).__name__} and {type(model).__name__}"
         )
-    margin = float(margin)
-    if margin < 0.0:
-        raise InvalidParameter(f"margin must be >= 0, got {margin}")
     interval = admissible_set(model)
     xs = prior.positions
     ok = interval.contains_array(xs)
     if interval.lo_open and np.isfinite(interval.lo):
-        ok &= (xs - interval.lo) >= margin * max(1.0, abs(interval.lo))
+        ok &= (xs - interval.lo) >= MARGIN * max(1.0, abs(interval.lo))
     if interval.hi_open and np.isfinite(interval.hi):
-        ok &= (interval.hi - xs) >= margin * max(1.0, abs(interval.hi))
+        ok &= (interval.hi - xs) >= MARGIN * max(1.0, abs(interval.hi))
     if not ok.all():
         bad = xs[~ok].tolist()
         raise IncompatibleSupport(
             f"prior atoms {bad} outside the admissible set of {model!r} "
-            f"(margin {margin:g})",
+            f"(margin {MARGIN:g})",
             atoms=bad,
         )
 
 
 def prior_expectation(prior: Prior, g) -> float:
-    """The weighted sum ``sum_i w_i g(x_i)`` over the atoms of ``prior``, or
-    of anything else with ``positions`` and ``weights`` (a ``Posterior``).
+    """The weighted sum ``sum_i w_i g(x_i)`` over the atoms of ``prior``.
 
     Raises
     ------

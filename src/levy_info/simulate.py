@@ -19,13 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GridExceedsHorizon,
-    InvalidParameter,
-    OutOfDomain,
-    UnsupportedRepresentation,
-)
-from .noise import _FAMILIES, NB, VG, NoiseModel, admissible_set
+from .errors import GridExceedsHorizon, InvalidParameter, UnsupportedRepresentation
+from .noise import _FAMILIES, NB, VG, NoiseModel, _check_domain
 from .prior import Prior, check_compatibility
 from .rng import CHUNK, map_ordered, stream
 
@@ -229,9 +224,9 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
 
 
 def _check_message(model: NoiseModel, x: float) -> float:
+    """A message value as a float; OutOfDomain unless it lies in A."""
     x = float(x)
-    if not admissible_set(model).contains(x):
-        raise OutOfDomain(f"message x={x:g} is not admissible for {model!r}")
+    _check_domain(model, x, "message x")
     return x
 
 
@@ -335,8 +330,9 @@ def simulate_bridge_path(
 ) -> InformationPath:
     """Simulate the finite-horizon bridge xi_{tT} = ((T-t)/T) xi(tT/(T-t)).
 
-    The process is simulated exactly on the transformed clock
-    u = tT/(T-t) and rescaled; it reveals X as t -> T.  Grid times must stay
+    The bridge is the information path of
+    :func:`simulate_information_path` on the transformed clock
+    u = tT/(T-t), rescaled; it reveals X as t -> T.  Grid times must stay
     below the horizon and the transformed times below ``u_cap`` (default
     1e6 * T), which guards the singularity at t = T.
 
@@ -360,10 +356,5 @@ def simulate_bridge_path(
             f"transformed time {u[-1]:.6g} exceeds the cap {u_cap:.6g}; "
             f"refine u_cap or keep the grid away from the horizon"
         )
-    check_compatibility(prior, model)
-    x = sample_message(prior, rng)
-    raw = np.zeros(times.size)
-    if times.size > 1:
-        raw[1:] = np.cumsum(increment_draws(model, x, np.diff(u), rng))
-    values = (horizon - times) / horizon * raw
-    return _path(grid, values, x, model)
+    path = simulate_information_path(model, prior, TimeGrid(u), rng)
+    return _path(grid, (horizon - times) / horizon * path.values, path.message, model)

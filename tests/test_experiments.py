@@ -72,10 +72,13 @@ def test_convergence_study_deterministic_and_validated():
 
 def inversion_exceeds(model, atom, epsilon, rates):
     """|I0(rate) - atom| >= epsilon, inverting psi0' at every rate: the
-    reference for the per-atom thresholds the study compares rates with."""
+    reference for the per-atom thresholds the study compares rates with.
+    I0 is compared with atom +- epsilon, the ends the study's thresholds are
+    taken at; the difference I0 - atom would round, and next to an end of A
+    may round up to epsilon where I0 is strictly inside atom - epsilon."""
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         i0, _ = inverse_marginal_clamped(model, rates)
-        return np.abs(i0 - atom) >= epsilon
+        return (i0 >= atom + epsilon) | (i0 <= atom - epsilon)
 
 
 @settings(max_examples=300, deadline=None)
@@ -220,6 +223,16 @@ def test_esscher_zero_tilt_agrees_exactly():
     rows = rows_by_name(report)
     assert rows["mean"].z == 0.0
     assert rows["mean"].estimate == rows["mean"].reference
+
+
+def test_esscher_zero_tilt_at_the_closed_end_of_A_is_the_trivial_case():
+    # lambda = 0 is the closed lower end of the InverseGaussian A: not
+    # interior, but the tilt by 0 is the model itself
+    model = li.make_noise_model("InverseGaussian", (1.0, 2.0))
+    report = li.esscher_consistency_study(model, 0.0, 1.0, 2000, seed=69)
+    assert report.passed
+    mean = rows_by_name(report)["mean"]
+    assert mean.estimate == mean.reference and mean.z == 0.0
 
 
 def test_esscher_poisson_tilted_mean():

@@ -1,14 +1,18 @@
 """Posterior updates, sequential restarts, best estimates, gamma filter."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levy_info as li
-from conftest import FAMILY_PARAMS
+from conftest import FAMILY_PARAMS, window
 from levy_info.filtering import posterior_expectations
-from levy_info.noise import SUPPORT_BLOCK
+from levy_info.noise import SUPPORT_BLOCK, psi_unchecked
+from levy_info.prior import MARGIN
 
 
 def poisson_bayes_weights(prior, m, n, t):
@@ -139,6 +143,86 @@ def test_sequential_recheck_guards_support():
     shrunk = li.make_noise_model("Gamma", (1.0, 4.0))  # A = (-inf, 0.25)
     with pytest.raises(li.IncompatibleSupport):
         li.sequential_update(post, shrunk, 0.5, 0.5)
+
+
+def test_sequential_margin_is_the_prior_check():
+    # one admissibility rule: an atom within MARGIN of an open end of A is
+    # refused by the restart as by the one-shot update
+    model = li.make_noise_model("Gamma", (1.0, 1.0))  # A = (-inf, 1)
+    post = li.posterior_update(li.prior_from_atoms([(0.0, 1.0)]), model, 1.0, 1.0)
+    near = li.make_noise_model("Gamma", (1.0, 1.0 / (1.0 + MARGIN / 2.0)))  # A = (-inf, 1 + MARGIN/2)
+    edge = li.prior_from_atoms([(1.0, 1.0)])
+    with pytest.raises(li.IncompatibleSupport):
+        li.posterior_update(edge, near, 1.0, 1.0)
+    with pytest.raises(li.IncompatibleSupport):
+        li.sequential_update(dataclasses.replace(post, positions=edge.positions), near, 1.0, 1.0)
+
+
+def reweighting_scale(model, prior, dxis, dts):
+    """max_i sum_j |x_i dxi_j| + |psi0(x_i) dt_j| + |log w_i|: the size of
+    the terms either form of the update sums into a log-weight."""
+    x = prior.positions
+    psi = np.abs(psi_unchecked(model, x))
+    terms = np.abs(np.outer(x, dxis)).sum(axis=1) + psi * np.sum(dts) + np.abs(prior.log_weights)
+    return float(terms.max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILY_PARAMS)),
+    spots=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=8, unique=True),
+    masses=st.lists(st.floats(0.1, 10.0), min_size=8, max_size=8),
+    dts=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6),
+    cut=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sequential_updates_compose_to_the_one_shot_update(family, spots, masses, dts, cut, seed):
+    model = li.make_noise_model(family, FAMILY_PARAMS[family])
+    lo, hi = window(li.admissible_set(model))
+    prior = li.prior_from_atoms(zip([lo + u * (hi - lo) for u in spots], masses))
+    # xi_t split into increments on the support, drawn under one of the atoms
+    rng = np.random.default_rng(seed)
+    x = prior.positions[rng.integers(len(prior))]
+    dxis = np.atleast_1d(li.increment_draws(model, x, np.array(dts), rng))
+    xi, t = float(dxis.sum()), float(np.sum(dts))
+    one = li.posterior_update(prior, model, xi, t)
+
+    chained = li.posterior_update(prior, model, 0.0, 0.0)
+    for dxi, dt in zip(dxis, dts):
+        chained = li.sequential_update(chained, model, float(dxi), dt)
+    # a restart: the posterior after the first `cut` increments is the prior
+    # of the rest
+    cut = min(cut, len(dts))
+    head = li.posterior_update(prior, model, float(dxis[:cut].sum()), float(np.sum(dts[:cut])))
+    restarted = li.posterior_update(head, model, float(dxis[cut:].sum()), float(np.sum(dts[cut:])))
+
+    # each log-weight sums the same terms in another order: a few ulps of
+    # their size per term, and a weight moves by at most twice the largest
+    # log-weight error
+    tol = 8.0 * (len(dts) + 2) * np.finfo(float).eps * max(1.0, reweighting_scale(model, prior, dxis, dts))
+    for other in (chained, restarted):
+        np.testing.assert_allclose(other.weights, one.weights, rtol=0.0, atol=tol)
+        np.testing.assert_array_equal(other.positions, one.positions)
+    assert chained.xi == pytest.approx(xi, rel=1e-12, abs=1e-12) and chained.t == pytest.approx(t)
+    assert isinstance(restarted, li.Prior) and restarted.xi == float(dxis[cut:].sum())
+
+
+def test_restart_from_an_underflowed_weight():
+    # after xi = -800 at t = 1 the weight of x = 1 is exp(-1600) and
+    # underflows to 0; its log-weight does not, and the next increment
+    # brings the atom back
+    model = li.make_noise_model("Brownian", ())
+    prior = li.prior_from_atoms([(-1.0, 1.0), (1.0, 1.0)])
+    post = li.posterior_update(prior, model, -800.0, 1.0)
+    assert post.weights[1] == 0.0 and math.isfinite(post.log_weights[1])
+    one = li.posterior_update(prior, model, 800.0, 2.0)
+    for after in (li.sequential_update(post, model, 1600.0, 1.0),
+                  li.posterior_update(post, model, 1600.0, 1.0)):
+        np.testing.assert_array_equal(after.weights, [0.0, 1.0])
+        np.testing.assert_allclose(after.log_weights, one.log_weights, rtol=1e-12)
+    # the batched filter reads the same log-weights
+    np.testing.assert_array_equal(
+        posterior_expectations(post, model, [1600.0], 1.0, np.eye(2)), [[0.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------

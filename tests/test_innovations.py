@@ -149,6 +149,26 @@ def test_overflowing_observation_raises_degenerate_weights():
         li.innovations_path(path, prior)
 
 
+@pytest.mark.parametrize("family, params, drift, values", [
+    ("Gamma", (1.0, 1.0), 0.0, [0.0, 3.0, 1.0]),
+    ("Poisson", (1.0,), 0.0, [0.0, 3.0, 2.0]),
+    ("Poisson", (1.0,), 0.3, [0.0, 3.3, 2.6]),
+    ("NegativeBinomial", (1.0, 0.5), 0.0, [0.0, 2.0, 1.0]),
+    ("InverseGaussian", (1.0, 2.0), 0.0, [0.0, 0.5, 0.4]),
+])
+def test_path_with_increments_off_the_support_raises(family, params, drift, values):
+    # every observation xi_t is on the support, but no message makes a
+    # nondecreasing process step down
+    model = li.make_noise_model(family, params, drift)
+    prior = li.prior_from_atoms([(0.0, 1.0), (0.2, 1.0)])
+    grid = li.TimeGrid([0.0, 1.0, 2.0])
+    path = li.InformationPath(grid, np.array(values), 0.0, model)
+    with pytest.raises(li.OffSupport, match="support"):
+        li.innovations_path(path, prior)
+    ok = li.InformationPath(grid, np.array([0.0, 3.0, 4.0]) + drift * grid.times, 0.0, model)
+    assert np.isfinite(li.innovations_path(ok, prior).M).all()
+
+
 # ---------------------------------------------------------------------------
 # compensated_path
 # ---------------------------------------------------------------------------

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import levy_info as li
 from conftest import FAMILY_PARAMS, all_models, interior_grid, window
-from levy_info.noise import d2psi_unchecked, d3psi_unchecked, dpsi_unchecked, inverse_closed_form
+from levy_info.noise import (
+    d2psi_unchecked,
+    d3psi_unchecked,
+    dpsi_unchecked,
+    inverse_closed_form,
+    inverse_marginal_clamped,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +195,24 @@ def test_normal_inverse_gaussian_inverse_of_a_huge_rate_is_next_to_the_end():
     for y, end in ((1e160, domain.hi), (-1e160, domain.lo)):
         alpha = inverse_closed_form(model, y)
         assert domain.contains(alpha) and abs(alpha - end) <= 1e-9, y
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.875])
+def test_variance_gamma_inverse_of_a_huge_rate_is_next_to_the_end(lam):
+    # the quadratic's discriminant, unscaled, overflows for |y| >~ 1.3e154
+    # and the inverse came out as 0
+    model = li.esscher_transform(li.make_noise_model("VarianceGamma", (2.0,)), lam)
+    domain = li.admissible_set(model)
+    inner = {1.0: np.nextafter(domain.hi, -math.inf), -1.0: np.nextafter(domain.lo, math.inf)}
+    for magnitude in (1e155, 1e160, 1e300):
+        for sign, end in inner.items():
+            y = sign * magnitude
+            assert inverse_closed_form(model, y) == end, y
+            assert li.inverse_marginal(model, y) == end, y
+    rates = np.array([1e160, -1e300])
+    alpha, clamped = inverse_marginal_clamped(model, rates)
+    np.testing.assert_array_equal(alpha, [inner[1.0], inner[-1.0]])
+    assert not clamped.any()
 
 
 def test_inverse_marginal_rejects_unattained_values():

@@ -144,3 +144,31 @@ def test_family_lint_sees_a_chain():
              "def _rep_increments(model):\n"
              "    return model.family == VG\n")
     assert family_comparisons(chain) == [3, 5, 7]
+
+
+def raised_names(source):
+    """(line, name) of every ``raise Name(...)`` or ``raise Name``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.append((node.lineno, exc.id))
+    return found
+
+
+def test_each_admissibility_check_is_written_once():
+    # "is x in A" is noise._check_domain and "are the atoms admissible" is
+    # prior.check_compatibility; a raise elsewhere is a second copy of a rule
+    owner = {"OutOfDomain": "noise.py", "IncompatibleSupport": "prior.py"}
+    stray = []
+    for path in sorted(Path(li.__file__).parent.glob("*.py")):
+        for line, name in raised_names(path.read_text(encoding="utf-8")):
+            if owner.get(name, path.name) != path.name:
+                stray.append(f"{path.name}:{line}: {name}")
+    assert stray == []
+
+
+def test_raise_lint_sees_both_forms():
+    source = "def f():\n    raise OutOfDomain('x')\ndef g():\n    raise IncompatibleSupport\n"
+    assert raised_names(source) == [(2, "OutOfDomain"), (4, "IncompatibleSupport")]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import levy_info as li
+from levy_info.prior import MARGIN
 
 
 def gamma_density(r, theta):
@@ -98,15 +99,17 @@ def test_compatibility_examples():
     li.check_compatibility(li.prior_from_atoms([(0.1, 1.0), (1.9, 1.0)]), ig)
 
 
-def test_compatibility_margin_zero_uses_interval_membership():
+def test_compatibility_closed_end_takes_no_margin():
     ig = li.make_noise_model("InverseGaussian", (1.0, 2.0))
-    # lo = 0 is closed, hi = 2 is open
-    li.check_compatibility(li.prior_from_atoms([(0.0, 1.0)]), ig, margin=0.0)
-    with pytest.raises(li.IncompatibleSupport):
-        li.check_compatibility(li.prior_from_atoms([(2.0, 1.0)]), ig, margin=0.0)
+    # lo = 0 is closed, hi = 2 is open and keeps MARGIN * max(1, 2)
+    li.check_compatibility(li.prior_from_atoms([(0.0, 1.0)]), ig)
+    li.check_compatibility(li.prior_from_atoms([(2.0 - 4.0 * MARGIN, 1.0)]), ig)
+    for atom in (2.0, 2.0 - MARGIN, 2.5):
+        with pytest.raises(li.IncompatibleSupport):
+            li.check_compatibility(li.prior_from_atoms([(atom, 1.0)]), ig)
     gamma = li.make_noise_model("Gamma", (1.0, 1.0))
     with pytest.raises(li.IncompatibleSupport):
-        li.check_compatibility(li.prior_from_atoms([(1.0, 1.0)]), gamma, margin=0.0)
+        li.check_compatibility(li.prior_from_atoms([(1.0, 1.0)]), gamma)
 
 
 def test_compatibility_error_lists_offenders():

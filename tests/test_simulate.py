@@ -291,6 +291,24 @@ def test_bridge_starts_at_zero():
     np.testing.assert_array_equal(path.values, [0.0])
 
 
+@pytest.mark.parametrize("family", ["Brownian", "Gamma", "Poisson"])
+def test_bridge_is_the_information_path_on_its_clock(family):
+    # xi_{tT} = ((T - t)/T) xi(u), u = tT/(T - t): the same draws as the
+    # information path on the u grid, rescaled
+    model = li.make_noise_model(family, FAMILY_PARAMS[family])
+    prior = li.prior_from_atoms([(-0.5, 1.0), (0.0, 2.0), (0.25, 1.0)])
+    horizon, grid = 2.0, li.TimeGrid([0.0, 0.3, 1.0, 1.9])
+    u = grid.times * horizon / (horizon - grid.times)
+    for seed in range(5):
+        bridge = li.simulate_bridge_path(model, prior, horizon, grid, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        x = li.sample_message(prior, rng)
+        raw = np.concatenate(([0.0], np.cumsum(li.increment_draws(model, x, np.diff(u), rng))))
+        assert bridge.message == x
+        np.testing.assert_array_equal(bridge.values, (horizon - grid.times) / horizon * raw)
+        np.testing.assert_array_equal(bridge.grid.times, grid.times)
+
+
 def test_bridge_brownian_mean():
     model = li.make_noise_model("Brownian", ())
     grid = li.TimeGrid([0.0, 0.5])
