@@ -38,14 +38,18 @@ __all__ = [
 ]
 
 
+# Levy measure tag -> density, from the family records that carry one
+_DENSITIES = {rec.measure: rec.density for rec in _FAMILIES.values() if rec.density is not None}
+
+
 @dataclass(frozen=True)
 class LevyMeasure:
     """Parametric description of a Levy measure.
 
-    ``tag`` is one of "none", "atoms", "nb", "gamma", "vg", "ig", "nig".  Atomic
-    measures (Poisson, negative binomial) carry ``atoms`` as a tuple of
-    (position, mass) pairs; continuous ones expose their density through
-    :meth:`density`.
+    ``tag`` is one of "none", "atoms", "nb", "gamma", "vg", "ig", "nig", the
+    ``measure`` of a family record.  Atomic measures (Poisson, negative
+    binomial) carry ``atoms`` as a tuple of (position, mass) pairs; continuous
+    ones expose the record's density through :meth:`density`.
     """
 
     tag: str
@@ -54,32 +58,10 @@ class LevyMeasure:
 
     def density(self, z):
         """Density of the measure at ``z`` (continuous tags only)."""
-        z = np.asarray(z, dtype=float)
-        if self.tag == "gamma":
-            m, kappa = self.params
-            return np.where(z > 0, m * np.exp(-z / kappa) / np.where(z > 0, z, 1.0), 0.0)
-        if self.tag == "vg":
-            m, k1, k2 = self.params
-            az = np.abs(z)
-            scale = np.where(z > 0, k1, k2)
-            return np.where(z != 0, m * np.exp(-az / scale) / np.where(z != 0, az, 1.0), 0.0)
-        if self.tag == "ig":
-            a, b = self.params
-            return np.where(
-                z > 0,
-                a / math.sqrt(2.0 * math.pi)
-                * np.where(z > 0, z, 1.0) ** (-1.5)
-                * np.exp(-0.5 * b * b * z),
-                0.0,
-            )
-        if self.tag == "nig":
-            from scipy import special
-
-            a, b, m = self.params
-            az = np.abs(z)
-            azs = np.where(z != 0, az, 1.0)
-            return np.where(z != 0, m * a / math.pi * np.exp(b * z) * special.k1(a * azs) / azs, 0.0)
-        raise InvalidParameter(f"Levy measure tag {self.tag!r} has no density")
+        density = _DENSITIES.get(self.tag)
+        if density is None:
+            raise InvalidParameter(f"Levy measure tag {self.tag!r} has no density")
+        return density(np.asarray(z, dtype=float), *self.params)
 
 
 @dataclass(frozen=True)
@@ -97,8 +79,9 @@ class CharacteristicTriplet:
 
 def characteristic_triplet(model: NoiseModel) -> CharacteristicTriplet:
     """The Levy-Khintchine triplet of the model's fiducial exponent."""
-    comp, gaussian, tag, params, atoms = _FAMILIES[model.family].triplet(*model.params)
-    return CharacteristicTriplet(model.drift + comp, gaussian, LevyMeasure(tag, params, atoms))
+    rec = _FAMILIES[model.family]
+    comp, gaussian, params, atoms = rec.triplet(*model.params)
+    return CharacteristicTriplet(model.drift + comp, gaussian, LevyMeasure(rec.measure, params, atoms))
 
 
 def tilted_characteristics(model: NoiseModel, x: float) -> CharacteristicTriplet:
@@ -120,13 +103,11 @@ def tilted_characteristics(model: NoiseModel, x: float) -> CharacteristicTriplet
 def _jump_integral(measure: LevyMeasure, alpha: float, eps: float = 1e-8) -> float:
     """int (e^{alpha z} - 1 - alpha z 1{|z|<1}) nu(dz), numerically.
 
-    Continuous measures are integrated on (eps, inf) (both sides where
-    two-sided), with the omitted (0, eps) part replaced by its second-order
-    Taylor value (alpha^2 / 2) int_0^eps z^2 nu(dz).
+    Continuous measures are integrated on both half-lines outside (-eps,
+    eps), with the omitted part replaced by its second-order Taylor value
+    (alpha^2 / 2) int_{-eps}^{eps} z^2 nu(dz).
     """
-    if measure.tag == "none":
-        return 0.0
-    if measure.tag in ("atoms", "nb"):
+    if measure.tag not in _DENSITIES:
         total = 0.0
         for z, mass in measure.atoms:
             term = math.expm1(alpha * z)
@@ -161,19 +142,14 @@ def _jump_integral(measure: LevyMeasure, alpha: float, eps: float = 1e-8) -> flo
             term -= alpha * z * d
         return term
 
-    def small_z2(lo, hi):
-        val, _ = integrate.quad(lambda z: z * z * float(measure.density(z)), lo, hi, limit=200)
-        return 0.5 * alpha * alpha * val
-
     total = 0.0
-    # positive side
-    total += integrate.quad(integrand, eps, 1.0, limit=200)[0]
-    total += integrate.quad(integrand, 1.0, np.inf, limit=200)[0]
-    total += small_z2(0.0, eps)
-    if measure.tag in ("vg", "nig"):
-        total += integrate.quad(integrand, -1.0, -eps, limit=200)[0]
-        total += integrate.quad(integrand, -np.inf, -1.0, limit=200)[0]
-        val, _ = integrate.quad(lambda z: z * z * float(measure.density(z)), -eps, 0.0, limit=200)
+    # each half-line in three pieces; a one-sided density gives exactly 0 on
+    # the negative ones
+    for near, far, small in (((eps, 1.0), (1.0, np.inf), (0.0, eps)),
+                             ((-1.0, -eps), (-np.inf, -1.0), (-eps, 0.0))):
+        total += integrate.quad(integrand, *near, limit=200)[0]
+        total += integrate.quad(integrand, *far, limit=200)[0]
+        val, _ = integrate.quad(lambda z: z * z * float(measure.density(z)), *small, limit=200)
         total += 0.5 * alpha * alpha * val
     return total
 

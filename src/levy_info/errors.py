@@ -1,9 +1,11 @@
-"""Exception types raised by the levy_info package.
+"""Exception types raised by the levy_info package, and the one count check.
 
 Every error raised on purpose by this package derives from ``LevyInfoError``,
 so callers can catch numerical/validation problems with a single handler
 while letting genuine bugs (TypeError, etc.) propagate.
 """
+
+import operator
 
 
 class LevyInfoError(Exception):
@@ -75,3 +77,14 @@ class TooFewSamples(LevyInfoError):
 
 class UsageError(LevyInfoError):
     """Bad command line arguments (CLI only)."""
+
+
+def _count(n, name: str, least: int = 1) -> int:
+    """A count of at least ``least``, given as an integer (numpy's included), never truncated."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {n!r}") from None
+    if n < least:
+        raise InvalidParameter(f"{name} must be >= {least}, got {n}")
+    return n

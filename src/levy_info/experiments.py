@@ -14,10 +14,9 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, _count
 from .noise import (
-    NB,
-    VG,
+    _FAMILIES,
     NoiseModel,
     admissible_set,
     d2psi_unchecked,
@@ -29,7 +28,7 @@ from .noise import (
 )
 from .prior import Prior, check_compatibility
 from .rng import stream
-from .simulate import TimeGrid, _check_message, _count, increment_draws, representation_draws, simulate_ensemble
+from .simulate import TimeGrid, _check_message, increment_draws, representation_draws, simulate_ensemble
 from .stats import (
     StudyReport,
     StudyRow,
@@ -99,8 +98,7 @@ def convergence_study(
     differ from inverting each rate only for rates within a few ulps of a
     threshold.
     """
-    if int(n_paths) < 1000:
-        raise InvalidParameter(f"convergence_study needs n_paths >= 1000, got {n_paths}")
+    n_paths = _count(n_paths, "n_paths", 1000)
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise InvalidParameter(f"epsilon must be positive, got {epsilon}")
@@ -228,9 +226,10 @@ def esscher_consistency_study(
 
     Draws xi_t directly from the tilted model and, with common random
     numbers, from the fiducial model weighted by exp(lam xi - psi0(lam) t);
-    compares mean and variance.  Common random numbers make the lam = 0
-    case agree exactly and otherwise only overstate the standard error of
-    the difference, never understate it.
+    compares mean and variance, both variances with the divisor n - 1.
+    Common random numbers make the lam = 0 case agree (the variance to
+    rounding) and otherwise only overstate the standard error of the
+    difference, never understate it.
 
     Raises
     ------
@@ -256,9 +255,9 @@ def esscher_consistency_study(
 
     var_d, se_vd = jackknife_covariance(direct, direct)
     u = weights * fiducial * fiducial
-    var_w = float(u.mean() - weighted.mean() ** 2)
+    var_w = float(u.mean() - weighted.mean() ** 2) * n / (n - 1)
     m = n - 1
-    loo = (u.sum() - u) / m - ((weighted.sum() - weighted) / m) ** 2
+    loo = ((u.sum() - u) / m - ((weighted.sum() - weighted) / m) ** 2) * m / (m - 1)
     se_vw = jackknife_se(loo)
     se_v = math.hypot(se_vd, se_vw)
     rows.append(StudyRow("variance", var_d, var_w, se_v, zscore(var_d, var_w, se_v)))
@@ -273,21 +272,17 @@ def representation_equivalence_study(
     seed: int,
     threshold: float = 3.5,
 ) -> StudyReport:
-    """Cross-check the alternative VG/NB constructions on first three cumulants.
+    """Cross-check the alternative constructions on first three cumulants.
 
-    Every representation of the model's family is sampled at the same fixed
-    message; per-representation rows compare k-statistics against the
-    analytic cumulants psi0^(k)(x) t, and pairwise rows compare the
+    Every construction in the record of the model's family (VarianceGamma
+    and NegativeBinomial have them) is sampled at the same fixed message,
+    drift and tilt included; per-representation rows compare k-statistics
+    against the analytic cumulants psi0^(k)(x) t, and pairwise rows compare the
     representations against each other with combined jackknife errors.
     """
-    if model.family == VG:
-        reps = ("VG_subordinated", "VG_scaled_subordinator", "VG_gamma_difference")
-    elif model.family == NB:
-        reps = ("NB_subordinated", "NB_compound")
-    else:
-        raise InvalidParameter(
-            f"representation study applies to VarianceGamma or NegativeBinomial, got {model.family}"
-        )
+    reps = tuple(_FAMILIES[model.family].constructions)
+    if len(reps) < 2:
+        raise InvalidParameter(f"{model.family} has {len(reps)} constructions; the representation study needs two")
     t = float(t)
     x = float(x)
     analytic = (

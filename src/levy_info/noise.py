@@ -41,21 +41,27 @@ parameters in canonical order, or a plain value:
     inverse        the closed-form inverse of psi0' on that range
     tilt           the Esscher map (lam, drift) -> (params, drift)
     sample         (x, dt, rng, size): exact increments given the message x
+    constructions  name -> a sampler like ``sample``: the alternative
+                   constructions (VarianceGamma, NegativeBinomial)
     drift_is_tilt  the drift enters the sampler as x + drift (Brownian)
     triplet        Levy-Khintchine data: (drift compensation, gaussian
-                   coefficient, Levy measure tag, its parameters, atoms)
+                   coefficient, Levy measure parameters, atoms)
+    measure, density   the Levy measure tag and, for a continuous
+                   measure, its density (z, *measure parameters)
     support        the values xi_t - drift t takes: "real", "nonnegative" or
                    "lattice" (the nonnegative integers); ``check_support``
                    tests observations against it
 
 Only ``tilt`` sees the drift: the public functions look the record up and
 add ``drift * alpha`` (``drift``, ``drift * dt``) and the shape handling.
+The law given X = x is the x-tilted model, so a sampler or construction
+written in the record's parameters serves every tilted model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -188,6 +194,9 @@ class _Family:
     support: str = "real"
     fixed: tuple = ()
     drift_is_tilt: bool = False
+    constructions: dict = field(default_factory=dict)
+    measure: str = "none"
+    density: Callable | None = None
 
 
 def _ig_draws(mean, shape_, rng: np.random.Generator, size):
@@ -272,12 +281,25 @@ def _vg_sample(x, dt, rng, size, m, mu, sigma):
     return (mu + sigma * sigma * x) / d * g + sigma / np.sqrt(d) * np.sqrt(g) * rng.standard_normal(size)
 
 
+def _vg_scaled_subordinator(x, dt, rng, size, m, mu, sigma):
+    # the gamma subordinator scaled by 1/d, then the untilted gaussian on it
+    g = rng.gamma(m * dt, 1.0 / m, size) * (1.0 / _vg_d(x, m, mu, sigma))
+    return (mu + sigma * sigma * x) * g + sigma * np.sqrt(g) * rng.standard_normal(size)
+
+
+def _vg_gamma_difference(x, dt, rng, size, m, mu, sigma):
+    # psi0 splits at the ends of A into a positive and a negative gamma
+    # exponent; tilting by x moves each scale to 1/(distance from x to its end)
+    lo, hi = _vg_ends(m, mu, sigma)
+    return rng.gamma(m * dt, 1.0, size) / (hi - x) - rng.gamma(m * dt, 1.0, size) / (x - lo)
+
+
 def _vg_triplet(m, mu, sigma):
     root = math.sqrt(mu * mu + 2.0 * m * sigma * sigma)
     k1 = (mu + root) / (2.0 * m)   # scale of the positive gamma component
     k2 = (-mu + root) / (2.0 * m)  # scale of the negative gamma component
     comp = m * (k1 * (1.0 - math.exp(-1.0 / k1)) - k2 * (1.0 - math.exp(-1.0 / k2)))
-    return comp, 0.0, "vg", (m, k1, k2), ()
+    return comp, 0.0, (m, k1, k2), ()
 
 
 def _nb(fn):
@@ -289,6 +311,36 @@ def _nb_sample(x, dt, rng, size, m, q):
     # Poisson counts mixed over a scaled gamma increment
     qx = q * np.exp(x)
     return np.asarray(rng.poisson(rng.gamma(m * dt, 1.0, size) * (qx / (1.0 - qx))), dtype=float)
+
+
+def _logarithmic_draws(q: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Vectorized logarithmic sampling by inversion on the shared cumsum."""
+    if size == 0:
+        return np.zeros(0, dtype=np.int64)
+    u = rng.random(size)
+    ln1mq = math.log1p(-q)
+    cums = []
+    pmf = -q / ln1mq
+    cum = pmf
+    u_max = u.max()
+    k = 1
+    while cum <= u_max:
+        cums.append(cum)
+        k += 1
+        pmf *= q * (k - 1) / k
+        cum += pmf
+    cums.append(cum)
+    return np.searchsorted(np.asarray(cums), u, side="right") + 1
+
+
+def _nb_compound(x, dt, rng, size, m, q):
+    # a Poisson number of logarithmic jumps, at a scalar message x
+    qx = q * math.exp(x)
+    counts = rng.poisson(-m * math.log1p(-qx) * dt, size)
+    flat = np.ravel(counts)
+    jumps = _logarithmic_draws(qx, rng, int(flat.sum()))
+    owner = np.repeat(np.arange(flat.size), flat)  # the draw each jump belongs to
+    return np.bincount(owner, weights=jumps, minlength=flat.size).reshape(np.shape(counts))
 
 
 _NB_TAIL_MASS = 1e-12  # drop the atom tail once 1 - 1e-12 of nu(R) is kept
@@ -332,7 +384,15 @@ def _nig_triplet(a, b, m):
 
         comp = integrate.quad(lambda z: 2.0 * m * a / math.pi * math.sinh(b * z) * special.k1(a * z),
                               0.0, 1.0, limit=200)[0]
-    return comp, 0.0, "nig", (a, b, m), ()
+    return comp, 0.0, (a, b, m), ()
+
+
+def _nig_density(z, a, b, m):
+    from scipy import special
+
+    # K1(a|z|) = k1e(a|z|) e^{-a|z|}, finite where e^{bz} overflows (|b| < a)
+    azs = np.where(z != 0, np.abs(z), 1.0)
+    return np.where(z != 0, m * a / math.pi * np.exp(b * z - a * azs) * special.k1e(a * azs) / azs, 0.0)
 
 
 _FAMILIES = {
@@ -346,7 +406,7 @@ _FAMILIES = {
         inverse=lambda y: y,
         tilt=lambda lam, drift: ((), drift + lam),
         sample=lambda x, dt, rng, size: x * dt + np.sqrt(dt) * rng.standard_normal(size),
-        triplet=lambda: (0.0, 1.0, "none", (), ()),
+        triplet=lambda: (0.0, 1.0, (), ()),
         drift_is_tilt=True,
     ),
     POISSON: _Family(
@@ -362,7 +422,8 @@ _FAMILIES = {
         tilt=lambda lam, drift, m: ((m * math.exp(lam),), drift),
         sample=lambda x, dt, rng, size, m: np.asarray(rng.poisson(m * np.exp(x) * dt, size), dtype=float),
         # a single jump atom at 1; no |z|<1 compensation applies
-        triplet=lambda m: (0.0, 0.0, "atoms", (), ((1.0, m),)),
+        triplet=lambda m: (0.0, 0.0, (), ((1.0, m),)),
+        measure="atoms",
         support="lattice",
     ),
     GAMMA: _Family(
@@ -379,7 +440,9 @@ _FAMILIES = {
         # numpy draws gamma(shape, scale) as scale * standard_gamma(shape), so
         # this is the same variate through the faster scalar-shape fill loop
         sample=lambda x, dt, rng, size, m, k: rng.standard_gamma(m * dt, size) * (k / (1.0 - k * x)),
-        triplet=lambda m, k: (m * k * (1.0 - math.exp(-1.0 / k)), 0.0, "gamma", (m, k), ()),
+        triplet=lambda m, k: (m * k * (1.0 - math.exp(-1.0 / k)), 0.0, (m, k), ()),
+        measure="gamma",
+        density=lambda z, m, k: np.where(z > 0, m * np.exp(-z / k) / np.where(z > 0, z, 1.0), 0.0),
         support="nonnegative",
     ),
     VG: _Family(
@@ -394,7 +457,12 @@ _FAMILIES = {
         inverse=_vg_inverse,
         tilt=_vg_tilt,
         sample=_vg_sample,
+        constructions={"VG_subordinated": _vg_sample, "VG_scaled_subordinator": _vg_scaled_subordinator,
+                       "VG_gamma_difference": _vg_gamma_difference},
         triplet=_vg_triplet,
+        measure="vg",
+        density=lambda z, m, k1, k2: np.where(z != 0, m * np.exp(-np.abs(z) / np.where(z > 0, k1, k2))
+                                              / np.where(z != 0, np.abs(z), 1.0), 0.0),
         fixed=(0.0, 1.0),
     ),
     NB: _Family(
@@ -410,7 +478,9 @@ _FAMILIES = {
         inverse=lambda y, m, q: np.log(y) - np.log(q * (m + y)),
         tilt=lambda lam, drift, m, q: ((m, q * math.exp(lam)), drift),
         sample=_nb_sample,
-        triplet=lambda m, q: (0.0, 0.0, "nb", (m, q), _nb_atoms(m, q)),
+        constructions={"NB_subordinated": _nb_sample, "NB_compound": _nb_compound},
+        triplet=lambda m, q: (0.0, 0.0, (m, q), _nb_atoms(m, q)),
+        measure="nb",
         support="lattice",
     ),
     IG: _Family(
@@ -427,7 +497,10 @@ _FAMILIES = {
         # the Michael-Schucany-Haas inverse gaussian draw with the tilted mean
         sample=lambda x, dt, rng, size, a, b: _ig_draws(a * dt / np.sqrt(b * b - 2.0 * x), a * dt * (a * dt),
                                                         rng, size),
-        triplet=lambda a, b: ((a / b) * math.erf(b / math.sqrt(2.0)), 0.0, "ig", (a, b), ()),
+        triplet=lambda a, b: ((a / b) * math.erf(b / math.sqrt(2.0)), 0.0, (a, b), ()),
+        measure="ig",
+        density=lambda z, a, b: np.where(z > 0, a / math.sqrt(2.0 * math.pi) * np.where(z > 0, z, 1.0) ** (-1.5)
+                                         * np.exp(-0.5 * b * b * z), 0.0),
         support="nonnegative",
     ),
     NIG: _Family(
@@ -444,6 +517,8 @@ _FAMILIES = {
         tilt=lambda lam, drift, a, b, m: ((a, b + lam, m), drift),
         sample=_nig_sample,
         triplet=_nig_triplet,
+        measure="nig",
+        density=_nig_density,
     ),
 }
 
@@ -759,13 +834,13 @@ def sheffer_polynomials(model: NoiseModel, xi: float, t: float) -> tuple:
     Each of Q1(xi_t, t), Q2(xi_t, t), Q3(xi_t, t) is a martingale under the
     fiducial measure.
     """
-    t = float(t)
-    if t < 0.0:
-        raise InvalidParameter(f"time t must be >= 0, got {t}")
+    xi, t = float(xi), float(t)
+    if not (math.isfinite(xi) and math.isfinite(t) and t >= 0.0):
+        raise InvalidParameter(f"need a finite xi and a finite time t >= 0, got xi={xi}, t={t}")
     p1 = float(dpsi_unchecked(model, 0.0))
     p2 = float(d2psi_unchecked(model, 0.0))
     p3 = float(d3psi_unchecked(model, 0.0))
-    u = float(xi) - p1 * t
+    u = xi - p1 * t
     q1 = u
     q2 = 0.5 * (u * u - p2 * t)
     q3 = (u**3 - 3.0 * p2 * t * u - p3 * t) / 6.0

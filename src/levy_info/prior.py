@@ -19,6 +19,7 @@ from .errors import (
     NonFiniteValue,
     NonPositiveWeight,
     ZeroMass,
+    _count,
 )
 from .noise import Interval, NoiseModel, admissible_set
 
@@ -129,9 +130,7 @@ def prior_from_density(f, interval: Interval, n: int) -> Prior:
     """
     if not (np.isfinite(interval.lo) and np.isfinite(interval.hi)):
         raise InvalidParameter("prior_from_density requires a bounded interval")
-    n = int(n)
-    if n < 2:
-        raise InvalidParameter(f"need at least 2 quadrature nodes, got {n}")
+    n = _count(n, "quadrature node count n", 2)
     # scipy's nodes, not numpy's leggauss: the two differ in the last bits
     from scipy.special import roots_legendre
 

@@ -6,21 +6,22 @@ Conditioning on X = x turns each family into a tilted copy of itself, so a
 single per-family increment sampler, the ``sample`` field of the family's
 record in :mod:`levy_info.noise`, covers both fiducial and conditional draws.
 
-Alternative constructions of the VG and NB processes (scaled subordinator,
-gamma difference, compound Poisson with logarithmic jumps) are provided for
-cross-validation, along with the finite-horizon time-changed bridge.
+The alternative VG and NB constructions (scaled subordinator, gamma
+difference, compound Poisson with logarithmic jumps), named in
+``REPRESENTATIONS``, are the records' ``constructions``: written in the
+tilted parameters, they hold for drifted and tilted models too.  They serve
+cross-validation, as does the finite-horizon time-changed bridge.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridExceedsHorizon, InvalidParameter, UnsupportedRepresentation
-from .noise import _FAMILIES, NB, VG, NoiseModel, _check_domain
+from .errors import GridExceedsHorizon, InvalidParameter, UnsupportedRepresentation, _count
+from .noise import _FAMILIES, NoiseModel, _check_domain
 from .prior import Prior, check_compatibility
 from .rng import CHUNK, map_ordered, stream
 
@@ -37,13 +38,7 @@ __all__ = [
     "representation_draws",
 ]
 
-REPRESENTATIONS = (
-    "VG_subordinated",
-    "VG_scaled_subordinator",
-    "VG_gamma_difference",
-    "NB_subordinated",
-    "NB_compound",
-)
+REPRESENTATIONS = tuple(name for rec in _FAMILIES.values() for name in rec.constructions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +63,9 @@ class TimeGrid:
     @classmethod
     def regular(cls, t_max: float, steps: int) -> "TimeGrid":
         """An equally spaced grid of ``steps`` intervals on [0, t_max]."""
-        steps = int(steps)
-        if steps < 1 or not (np.isfinite(t_max) and t_max > 0):
-            raise InvalidParameter(f"need t_max > 0 and steps >= 1, got {t_max}, {steps}")
+        steps = _count(steps, "steps")
+        if not (np.isfinite(t_max) and t_max > 0):
+            raise InvalidParameter(f"need a positive, finite t_max, got {t_max}")
         return cls(np.linspace(0.0, float(t_max), steps + 1))
 
     def __len__(self):
@@ -103,26 +98,6 @@ def _path(grid: TimeGrid, values: np.ndarray, message: float, model: NoiseModel)
 # ---------------------------------------------------------------------------
 
 
-def _logarithmic_draws(q: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized logarithmic sampling by inversion on the shared cumsum."""
-    if size == 0:
-        return np.zeros(0, dtype=np.int64)
-    u = rng.random(size)
-    ln1mq = math.log1p(-q)
-    cums = []
-    pmf = -q / ln1mq
-    cum = pmf
-    u_max = u.max()
-    k = 1
-    while cum <= u_max:
-        cums.append(cum)
-        k += 1
-        pmf *= q * (k - 1) / k
-        cum += pmf
-    cums.append(cum)
-    return np.searchsorted(np.asarray(cums), u, side="right") + 1
-
-
 def increment_draws(model: NoiseModel, x, dt, rng: np.random.Generator, size=None):
     """Exact draws of xi(t+dt) - xi(t) given X = x; vectorized over x and dt.
 
@@ -130,14 +105,18 @@ def increment_draws(model: NoiseModel, x, dt, rng: np.random.Generator, size=Non
     given).  No domain validation is performed here; callers check the
     message values once up front.
     """
+    return _draws(model, _FAMILIES[model.family].sample, x, dt, rng, size)
+
+
+def _draws(model: NoiseModel, sample, x, dt, rng: np.random.Generator, size):
+    """Draws of ``sample``, the record's sampler or a construction, drift added once."""
     x = np.asarray(x, dtype=float)
     dt = np.asarray(dt, dtype=float)
     if size is None:
         size = np.broadcast(x, dt).shape or None
-    rec = _FAMILIES[model.family]
-    if rec.drift_is_tilt:
-        return rec.sample(model.drift + x, dt, rng, size, *model.params)
-    out = rec.sample(x, dt, rng, size, *model.params)
+    if _FAMILIES[model.family].drift_is_tilt:
+        return sample(model.drift + x, dt, rng, size, *model.params)
+    out = sample(x, dt, rng, size, *model.params)
     if model.drift != 0.0:
         out = out + model.drift * dt
     return out
@@ -175,24 +154,15 @@ def simulate_information_path(
         If a prior atom is not admissible for the model.
     """
     check_compatibility(prior, model)
-    x = sample_message(prior, rng)
-    times = grid.times
-    values = np.zeros(times.size)
-    if times.size > 1:
-        inc = increment_draws(model, x, np.diff(times), rng)
-        values[1:] = np.cumsum(inc)
+    return _walk(model, _FAMILIES[model.family].sample, sample_message(prior, rng), grid, rng)
+
+
+def _walk(model: NoiseModel, sample, x: float, grid: TimeGrid, rng: np.random.Generator) -> InformationPath:
+    """The path of cumulated ``sample`` increments on ``grid`` given X = x."""
+    values = np.zeros(len(grid))
+    if len(grid) > 1:
+        values[1:] = np.cumsum(_draws(model, sample, x, np.diff(grid.times), rng, None))
     return _path(grid, values, x, model)
-
-
-def _count(n, name: str) -> int:
-    """A positive number of draws, given as an integer (numpy's included)."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidParameter(f"{name} must be an integer, got {n!r}") from None
-    if n < 1:
-        raise InvalidParameter(f"{name} must be >= 1, got {n}")
-    return n
 
 
 def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: int, seed: int, tag: int = 0):
@@ -230,47 +200,14 @@ def _check_message(model: NoiseModel, x: float) -> float:
     return x
 
 
-def _rep_increments(model: NoiseModel, rep: str, x: float, dts, rng: np.random.Generator, size):
-    """Increment draws for one named alternative construction."""
-    fam, p = model.family, model.params
-    if rep not in REPRESENTATIONS:
+def _construction(model: NoiseModel, rep: str):
+    """The sampler of one named construction of the model's family."""
+    constructions = _FAMILIES[model.family].constructions
+    if rep not in constructions:
         raise UnsupportedRepresentation(
-            f"unknown representation {rep!r}; expected one of {REPRESENTATIONS}"
+            f"{model.family} has no representation {rep!r}; it has {tuple(constructions)} (all: {REPRESENTATIONS})"
         )
-    want = VG if rep.startswith("VG") else NB
-    if fam != want:
-        raise UnsupportedRepresentation(f"representation {rep!r} needs a {want} model, got {fam}")
-
-    if rep == "VG_subordinated":
-        return increment_draws(model, x, dts, rng, size)
-    if rep == "VG_scaled_subordinator":
-        m = p[0]
-        scale = 1.0 / (1.0 - x * x / (2.0 * m))
-        g = rng.gamma(m * np.asarray(dts, dtype=float), 1.0 / m, size) * scale
-        return x * g + np.sqrt(g) * rng.standard_normal(size)
-    if rep == "VG_gamma_difference":
-        m = p[0]
-        root = math.sqrt(2.0 * m)
-        shape = m * np.asarray(dts, dtype=float)
-        g1 = rng.gamma(shape, 1.0, size)
-        g2 = rng.gamma(shape, 1.0, size)
-        return g1 / (root - x) - g2 / (root + x)
-    if rep == "NB_subordinated":
-        return increment_draws(model, x, dts, rng, size)
-    # NB_compound: Poisson number of logarithmic jumps
-    m, q = p
-    qx = q * math.exp(x)
-    rate = -m * math.log1p(-qx)
-    counts = rng.poisson(rate * np.asarray(dts, dtype=float), size)
-    flat = np.atleast_1d(counts).ravel()
-    jumps = _logarithmic_draws(qx, rng, int(flat.sum()))
-    starts = np.concatenate(([0], np.cumsum(flat)[:-1]))
-    sums = np.zeros(flat.size)
-    nz = flat > 0
-    if np.any(nz):
-        sums[nz] = np.add.reduceat(jumps, starts[nz])
-    out = sums.reshape(np.shape(counts)).astype(float)
-    return out if out.ndim else float(out)
+    return constructions[rep]
 
 
 def simulate_alternative_representation(
@@ -290,12 +227,7 @@ def simulate_alternative_representation(
     OutOfDomain
         If the message value is not admissible.
     """
-    x = _check_message(model, x)
-    times = grid.times
-    values = np.zeros(times.size)
-    if times.size > 1:
-        values[1:] = np.cumsum(_rep_increments(model, rep, x, np.diff(times), rng, None))
-    return _path(grid, values, x, model)
+    return _walk(model, _construction(model, rep), _check_message(model, x), grid, rng)
 
 
 def representation_draws(model: NoiseModel, rep: str, x: float, t: float, n: int, seed: int, tag: int = 0):
@@ -304,17 +236,18 @@ def representation_draws(model: NoiseModel, rep: str, x: float, t: float, n: int
     Chunk-keyed like :func:`simulate_ensemble` (interval index is always 1:
     the construction is conditionally Levy, so xi_t is a single increment).
     """
+    sample = _construction(model, rep)
     x = _check_message(model, x)
     t = float(t)
-    if t <= 0:
-        raise InvalidParameter(f"t must be > 0, got {t}")
+    if not (math.isfinite(t) and t > 0.0):
+        raise InvalidParameter(f"t must be positive and finite, got {t}")
     n = _count(n, "n")
     out = np.empty(n)
 
     def run_chunk(c):
         sl = slice(c * CHUNK, min(n, (c + 1) * CHUNK))
         count = sl.stop - sl.start
-        out[sl] = _rep_increments(model, rep, x, t, stream(seed, tag, c, 1), count)
+        out[sl] = _draws(model, sample, x, t, stream(seed, tag, c, 1), count)
 
     map_ordered(run_chunk, range((n + CHUNK - 1) // CHUNK))
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewSamples
+from .errors import InvalidParameter, TooFewSamples
 
 __all__ = [
     "StudyRow",
@@ -66,11 +66,15 @@ class StudyRow:
 
 @dataclass(frozen=True, eq=False)
 class StudyReport:
-    """A named collection of study rows with a shared |z| threshold."""
+    """A named collection of study rows with a shared |z| threshold (> 0)."""
 
     name: str
     rows: tuple
     threshold: float = 3.5
+
+    def __post_init__(self):
+        if not self.threshold > 0.0:
+            raise InvalidParameter(f"study threshold must be > 0, got {self.threshold}")
 
     @property
     def max_abs_z(self) -> float:

@@ -106,6 +106,21 @@ def test_levy_khintchine_reconstruction_matches_conditional_exponent():
             assert got == pytest.approx(want, abs=1e-8), (fam, a)
 
 
+@pytest.mark.parametrize("family, params, x", [
+    ("VarianceGamma", (2.0,), 0.4),
+    ("InverseGaussian", (1.0, 2.0), 0.5),
+    ("NormalInverseGaussian", (2.0, 0.5, 1.0), 0.0),
+    ("NormalInverseGaussian", (2.0, 1.5, 1.0), 0.0),
+])
+def test_reconstruction_from_the_record_densities(family, params, x):
+    # both half-lines of a two-sided density are integrated; the NIG density
+    # stays finite where e^{bz} alone overflows and K1 underflows
+    model = li.make_noise_model(family, params)
+    tr = li.tilted_characteristics(model, x)
+    for a in (-0.3, 0.2):
+        assert reconstruct_exponent(tr, a) == pytest.approx(li.conditional_exponent(model, x, a), abs=1e-8)
+
+
 def test_reconstruction_covers_gaussian_and_drift_terms():
     brown = li.make_noise_model("Brownian", (), drift=0.25)
     tr = li.characteristic_triplet(brown)

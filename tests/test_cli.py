@@ -123,6 +123,23 @@ def test_failed_study_exits_three():
     assert out.splitlines()[4] == "quantity,estimate,reference,stderr,z"
 
 
+@pytest.mark.parametrize("extra", [["--threshold", "nan"], ["--set", "study.threshold=-1"]])
+def test_threshold_not_positive_exits_two(extra):
+    code, out, err = run_cli(["experiment", "esscher", "--paths", "2000", "--seed", "3", *extra])
+    assert code == 2
+    assert "InvalidParameter" in err and "threshold" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("model", [
+    ["--set", "model.drift=0.5"],
+    ["--set", "model.family=NegativeBinomial", "--set", "model.params=[1.0,0.5]", "--set", "model.drift=0.25"],
+], ids=["drifted-vg", "drifted-nb"])
+def test_representation_study_of_a_drifted_model_passes(model):
+    code, _, err = run_cli(["experiment", "representation", "--paths", "20000", "--seed", "3", *model])
+    assert code == 0, err
+
+
 # ---------------------------------------------------------------------------
 # CSV contract
 # ---------------------------------------------------------------------------

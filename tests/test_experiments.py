@@ -12,6 +12,7 @@ import levy_info as li
 from conftest import FAMILY_PARAMS, window
 from levy_info.experiments import _exceed_thresholds
 from levy_info.noise import dpsi_unchecked, inverse_marginal_clamped
+from levy_info.rng import stream
 
 
 def rows_by_name(report):
@@ -235,6 +236,19 @@ def test_esscher_zero_tilt_at_the_closed_end_of_A_is_the_trivial_case():
     assert mean.estimate == mean.reference and mean.z == 0.0
 
 
+def test_esscher_zero_tilt_rows_agree_with_one_divisor():
+    # at lambda = 0 the weights are 1 and both sides see the same draws, so
+    # both variances take the divisor n - 1 and so do their leave-one-out
+    # values: the weighted side's jackknife error is the direct side's
+    model = li.make_noise_model("InverseGaussian", (1.0, 2.0))
+    report = li.esscher_consistency_study(model, 0.0, 1.0, 2000, seed=69)
+    for row in report.rows:
+        assert row.reference == pytest.approx(row.estimate, rel=1e-12, abs=0.0)
+    direct = li.increment_draws(model, 0.0, 1.0, stream(69, 1), 2000)
+    _, se = li.jackknife_covariance(direct, direct)
+    assert rows_by_name(report)["variance"].stderr == pytest.approx(math.sqrt(2.0) * se, rel=1e-9)
+
+
 def test_esscher_poisson_tilted_mean():
     model = li.make_noise_model("Poisson", (1.0,))
     report = li.esscher_consistency_study(model, math.log(2.0), 2.0, 20_000, seed=70)
@@ -287,6 +301,18 @@ def test_representation_vg_nonzero_message():
     assert report.passed
 
 
+@pytest.mark.parametrize("model", [
+    li.make_noise_model("VarianceGamma", (2.0,), drift=0.5),
+    li.make_noise_model("NegativeBinomial", (1.0, 0.5), drift=0.25),
+    li.esscher_transform(li.make_noise_model("VarianceGamma", (2.0,)), 0.4),
+], ids=["drifted-vg", "drifted-nb", "tilted-vg"])
+def test_representation_study_holds_for_drifted_and_tilted_models(model):
+    # every construction is written in the record's (tilted) parameters and
+    # takes the drift, so each agrees with the analytic cumulants
+    report = li.representation_equivalence_study(model, 0.5, 1.0, 20_000, seed=3)
+    assert report.passed, report.summary()
+
+
 def test_representation_rejects_other_families():
     gamma = li.make_noise_model("Gamma", (1.0, 1.0))
     with pytest.raises(li.InvalidParameter):
@@ -332,3 +358,11 @@ def test_esscher_and_bridge_path_counts_must_be_integers():
         li.esscher_consistency_study(gamma, 0.25, 1.0, 2000.7, seed=1)
     with pytest.raises(li.InvalidParameter, match="n_paths"):
         li.bridge_study(gamma, 0.3, 2.0, 0.5, 1.0, 2000.7, seed=1)
+
+
+@pytest.mark.parametrize("bad", ["abc", None, 2000.5, 999])
+def test_convergence_path_count_is_a_whole_number_of_at_least_1000(bad):
+    gamma = li.make_noise_model("Gamma", (1.0, 1.0))
+    prior = li.prior_from_atoms([(0.0, 1.0)])
+    with pytest.raises(li.InvalidParameter, match="n_paths"):
+        li.convergence_study(gamma, prior, [1.0], bad, seed=1)

@@ -88,9 +88,11 @@ CASES = {
         ["experiment", "factorization", "--paths", "5000", "--seed", "7"],
         "aa6cab2e42c2c89a06c76a36728deafa9800611b9e5d1d689459c04c6cd22da9",
     ),
+    # re-recorded when the weighted variance took the divisor n - 1 of the
+    # direct one: only the variance row's reference, stderr and z moved
     "experiment-esscher": (
         ["experiment", "esscher", "--paths", "5000", "--seed", "8"],
-        "eb9f1faee4e0876f62a0ef5dda00ab9a7dc6a0cc813830f87ed3429556405648",
+        "9ac3cbc21685ec69ee5d1992c5bf7bf859aad25637f9dc3a745b96fd418377be",
     ),
     # pins the cumulant kernels' product-form cubes through its k3[...] rows
     "experiment-representation": (

@@ -443,6 +443,13 @@ def test_sheffer_literals():
     assert q3 == pytest.approx(-2.0 / 3.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("xi, t", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (1.0, -1.0)])
+def test_sheffer_polynomials_reject_non_finite_input(xi, t):
+    gamma = li.make_noise_model("Gamma", (1.0, 1.0))
+    with pytest.raises(li.InvalidParameter):
+        li.sheffer_polynomials(gamma, xi, t)
+
+
 def test_sheffer_polynomials_have_zero_mean(model):
     # E[Q^k(xi_t, t)] = 0 under the fiducial law; checked by Monte Carlo.
     if model.family == "Brownian":

@@ -73,6 +73,12 @@ def test_shifted_gamma_prior_mean():
     assert mean == pytest.approx(-0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [2.7, 2.0, "3", None, 1])
+def test_density_node_count_is_a_whole_number(n):
+    with pytest.raises(li.InvalidParameter, match="node count"):
+        li.prior_from_density(lambda x: np.ones_like(x), li.Interval(0.0, 1.0), n)
+
+
 def test_zero_density_raises():
     with pytest.raises(li.ZeroMass):
         li.prior_from_density(lambda x: 0.0, li.Interval(0.0, 1.0, True, True), 8)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import levy_info as li
 from conftest import FAMILY_PARAMS, interior_grid
+from levy_info.noise import _logarithmic_draws
 from levy_info.rng import stream
-from levy_info.simulate import _logarithmic_draws
 
 
 def degenerate(x):
@@ -20,6 +20,12 @@ def degenerate(x):
 # ---------------------------------------------------------------------------
 # TimeGrid
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("steps", [2.5, 2.0, "3", None, 0])
+def test_grid_regular_steps_are_a_whole_number(steps):
+    with pytest.raises(li.InvalidParameter, match="steps"):
+        li.TimeGrid.regular(1.0, steps)
+
 
 def test_grid_regular():
     g = li.TimeGrid.regular(2.0, 4)
@@ -267,6 +273,24 @@ def test_representation_names_and_family_checks():
         li.simulate_alternative_representation(nb, "VG_subordinated", 0.0, grid, rng)
     with pytest.raises(li.UnsupportedRepresentation):
         li.simulate_alternative_representation(vg, "VG_sub", 0.0, grid, rng)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+def test_representation_draws_need_a_positive_finite_time(t):
+    vg = li.make_noise_model("VarianceGamma", (2.0,))
+    with pytest.raises(li.InvalidParameter, match="t must be"):
+        li.representation_draws(vg, "VG_subordinated", 0.0, t, 10, seed=1)
+
+
+def test_scaled_subordinator_path_draws_one_normal_per_step():
+    # each step of a path gets its own gaussian: with one shared normal
+    # every increment at x = 0 would take its sign
+    vg = li.make_noise_model("VarianceGamma", (2.0,))
+    rng = np.random.default_rng(5)
+    grid = li.TimeGrid.regular(1.0, 10)
+    signs = [np.unique(np.sign(np.diff(li.simulate_alternative_representation(
+        vg, "VG_scaled_subordinator", 0.0, grid, rng).values))).size for _ in range(50)]
+    assert max(signs) == 2
 
 
 def test_representation_draws_deterministic():

@@ -196,6 +196,12 @@ def test_report_pass_fail_and_summary():
     assert "passed=false" in rep2.summary()
 
 
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
+def test_report_threshold_must_be_positive(threshold):
+    with pytest.raises(li.InvalidParameter, match="threshold"):
+        li.StudyReport("demo", (), threshold=threshold)
+
+
 def test_row_with_reference_and_nan_estimate_fails():
     nan_row = li.StudyRow("q", math.nan, 1.0, 0.1, li.zscore(math.nan, 1.0, 0.1))
     ok = li.StudyRow("a", 1.0, 1.1, 0.05, -2.0)
