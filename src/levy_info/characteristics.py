@@ -38,8 +38,10 @@ __all__ = [
 ]
 
 
-# Levy measure tag -> density, from the family records that carry one
+# Levy measure tag -> density or series of atom masses, from the family
+# records that carry one
 _DENSITIES = {rec.measure: rec.density for rec in _FAMILIES.values() if rec.density is not None}
+_MASSES = {rec.measure: rec.masses for rec in _FAMILIES.values() if rec.masses is not None}
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,10 @@ def _jump_integral(measure: LevyMeasure, alpha: float, eps: float = 1e-8) -> flo
 
     Continuous measures are integrated on both half-lines outside (-eps,
     eps), with the omitted part replaced by its second-order Taylor value
-    (alpha^2 / 2) int_{-eps}^{eps} z^2 nu(dz).
+    (alpha^2 / 2) int_{-eps}^{eps} z^2 nu(dz).  An atomic measure whose
+    record gives its masses as a series continues past its last stored atom
+    (the atoms are truncated by unweighted mass), so the e^{alpha z}-weighted
+    tail is kept.
     """
     if measure.tag not in _DENSITIES:
         total = 0.0
@@ -114,18 +119,13 @@ def _jump_integral(measure: LevyMeasure, alpha: float, eps: float = 1e-8) -> flo
             if abs(z) < 1.0:
                 term -= alpha * z
             total += mass * term
-        if measure.tag == "nb":
-            # the stored atom list is truncated by unweighted mass; continue
-            # the geometric series so the e^{alpha z}-weighted tail is kept
-            m, q = measure.params
-            ratio = q * math.exp(alpha)
-            k = len(measure.atoms) + 1
-            while ratio < 1.0:
-                term = m * q ** k / k * math.expm1(alpha * k)
+        if measure.tag in _MASSES:
+            masses = _MASSES[measure.tag]
+            for k in range(len(measure.atoms) + 1, 200_002):
+                term = masses(k, *measure.params) * math.expm1(alpha * k)
                 total += term
-                if abs(term) <= 1e-17 * (1.0 + abs(total)) or k > 200_000:
+                if abs(term) <= 1e-17 * (1.0 + abs(total)):
                     break
-                k += 1
         return total
 
     from scipy import integrate

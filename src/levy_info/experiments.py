@@ -28,10 +28,18 @@ from .noise import (
 )
 from .prior import Prior, check_compatibility
 from .rng import stream
-from .simulate import TimeGrid, _check_message, increment_draws, representation_draws, simulate_ensemble
+from .simulate import (
+    TimeGrid,
+    _bridge_clock,
+    _check_message,
+    increment_draws,
+    representation_draws,
+    simulate_ensemble,
+)
 from .stats import (
     StudyReport,
     StudyRow,
+    _threshold,
     jackknife_covariance,
     jackknife_cumulants,
     jackknife_se,
@@ -98,6 +106,7 @@ def convergence_study(
     differ from inverting each rate only for rates within a few ulps of a
     threshold.
     """
+    threshold = _threshold(threshold)
     n_paths = _count(n_paths, "n_paths", 1000)
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
@@ -123,7 +132,7 @@ def convergence_study(
         rows.append(
             StudyRow(f"exceed[t={t:g},eps={epsilon:g}]", p, math.nan, se_p, math.nan)
         )
-    return StudyReport("convergence", tuple(rows), float(threshold))
+    return StudyReport("convergence", tuple(rows), threshold)
 
 
 def _pure_imaginary(value, name: str) -> complex:
@@ -175,6 +184,7 @@ def factorization_study(
     gathered by each path's atom index, as is psi0(x_i) in the weights.
     Each pair is then one complex multiply.
     """
+    threshold = _threshold(threshold)
     alphas = _imaginary_grid(alpha, "alpha")
     betas = _imaginary_grid(beta, "beta")
     t = float(t)
@@ -211,7 +221,7 @@ def factorization_study(
                 se = float(np.sqrt((resid * resid).sum() / (n - 1) / n) / w_mean)
                 ref = float(take(reference))
                 rows.append(StudyRow(f"cf_{part}[{key}]", est, ref, se, zscore(est, ref, se)))
-    return StudyReport("factorization", tuple(rows), float(threshold))
+    return StudyReport("factorization", tuple(rows), threshold)
 
 
 def esscher_consistency_study(
@@ -236,6 +246,7 @@ def esscher_consistency_study(
     OutOfDomain
         Unless ``lam`` is 0 or interior to A (from ``esscher_transform``).
     """
+    threshold = _threshold(threshold)
     lam = float(lam)
     tilted = esscher_transform(model, lam)
     t = float(t)
@@ -261,7 +272,7 @@ def esscher_consistency_study(
     se_vw = jackknife_se(loo)
     se_v = math.hypot(se_vd, se_vw)
     rows.append(StudyRow("variance", var_d, var_w, se_v, zscore(var_d, var_w, se_v)))
-    return StudyReport("esscher", tuple(rows), float(threshold))
+    return StudyReport("esscher", tuple(rows), threshold)
 
 
 def representation_equivalence_study(
@@ -280,6 +291,7 @@ def representation_equivalence_study(
     against the analytic cumulants psi0^(k)(x) t, and pairwise rows compare the
     representations against each other with combined jackknife errors.
     """
+    threshold = _threshold(threshold)
     reps = tuple(_FAMILIES[model.family].constructions)
     if len(reps) < 2:
         raise InvalidParameter(f"{model.family} has {len(reps)} constructions; the representation study needs two")
@@ -311,7 +323,7 @@ def representation_equivalence_study(
                 rows.append(
                     StudyRow(f"k{order}[{rep_a}|{rep_b}]", est, ref, se, zscore(est, ref, se))
                 )
-    return StudyReport("representation", tuple(rows), float(threshold))
+    return StudyReport("representation", tuple(rows), threshold)
 
 
 def bridge_study(
@@ -330,17 +342,17 @@ def bridge_study(
     and covariance s (T - t)/T psi0''(x); the study compares sample mean,
     variance and cross-covariance with jackknife standard errors.
     """
+    threshold = _threshold(threshold)
     horizon, s, t = float(horizon), float(s), float(t)
     if not (0.0 < s < t < horizon):
         raise InvalidParameter(f"need 0 < s < t < horizon, got s={s}, t={t}, horizon={horizon}")
     x = _check_message(model, x)
     n = _count(n_paths, "n_paths")
-    u_s = s * horizon / (horizon - s)
-    u_t = t * horizon / (horizon - t)
+    (u_s, u_t), (scale_s, scale_t) = _bridge_clock(horizon, np.array([s, t]))
     raw_s = increment_draws(model, x, u_s, stream(seed, 1), n)
     raw_t = raw_s + increment_draws(model, x, u_t - u_s, stream(seed, 2), n)
-    xi_s = (horizon - s) / horizon * raw_s
-    xi_t = (horizon - t) / horizon * raw_t
+    xi_s = scale_s * raw_s
+    xi_t = scale_t * raw_t
 
     d1 = dpsi_unchecked(model, x)
     d2 = d2psi_unchecked(model, x)
@@ -355,4 +367,4 @@ def bridge_study(
     cov, se_c = jackknife_covariance(xi_s, xi_t)
     ref_c = s * (horizon - t) / horizon * d2
     rows.append(StudyRow("cov[s,t]", cov, ref_c, se_c, zscore(cov, ref_c, se_c)))
-    return StudyReport("bridge", tuple(rows), float(threshold))
+    return StudyReport("bridge", tuple(rows), threshold)

@@ -7,7 +7,8 @@ renormalization per update.  The restart property makes the sequential form
 (reweight by increments) exactly consistent with the one-shot form, so
 batched callers (the innovations decomposition, ``levy-info filter``) use
 the closed form: :func:`posterior_expectations` filters every observation
-(xi_j, t_j) on its own, with no recursion along the path.
+(xi_j, t_j) on its own, with no recursion along the path.  One kernel,
+``_log_weights``, serves both forms, behind one ``_check_observation``.
 """
 
 from __future__ import annotations
@@ -49,44 +50,64 @@ class Posterior(Prior):
     t: float
 
 
-def _reweighted(base: Prior, model: NoiseModel, dxi: float, dt: float, xi: float, t: float) -> Posterior:
-    """``base`` reweighted by exp(x dxi - psi0(x) dt) and renormalized in log
-    space with max-subtraction: the posterior at (xi, t)."""
-    x = base.positions
-    if dxi == 0.0 and dt == 0.0:
-        return Posterior(x, base.weights, base.log_weights, xi, t)
-    with np.errstate(over="ignore"):  # +-inf log-weights raise below
-        raw = base.log_weights + x * dxi - psi_unchecked(model, x) * dt
-    top = raw.max()
-    if not np.isfinite(top):
+def _check_observation(xi, t, prior=None, model=None) -> tuple:
+    """(xi, t) as arrays, t broadcasting to xi, once xi is finite
+    (NonFiniteValue), t finite and >= 0 (InvalidParameter), and, given a
+    model, the atoms and xi admissible (check_compatibility, check_support)."""
+    xi, t = np.asarray(xi, dtype=float), np.asarray(t, dtype=float)
+    if not np.isfinite(xi).all():
+        raise NonFiniteValue(f"observation xi must be finite, got {xi[~np.isfinite(xi)][0]}")
+    bad = ~(np.isfinite(t) & (t >= 0.0))
+    if bad.any():
+        raise InvalidParameter(f"observation time must be finite and >= 0, got {t[bad][0]}")
+    if model is not None:
+        check_compatibility(prior, model)
+        check_support(model, xi, t)
+    return xi, np.broadcast_to(t, xi.shape)
+
+
+def _coefficients(prior: Prior, model: NoiseModel) -> np.ndarray:
+    """The kernel's coefficients [x; -psi0(x); log pi] over the prior atoms."""
+    x = prior.positions
+    return np.stack([x, -psi_unchecked(model, x), prior.log_weights])
+
+
+def _log_weights(coef: np.ndarray, xi, t) -> np.ndarray:
+    """The filter kernel: [xi, t, 1] @ coef, coef = [x; -psi0(x); log pi],
+    gives the posterior log-weights at each observation (1-D xi and t, or
+    one pair); each row less its maximum, DegenerateWeights if that is not
+    finite (every atom underflows, or one overflows)."""
+    obs = np.empty((np.size(xi), 3))
+    obs[:, 0] = xi
+    obs[:, 1] = t
+    obs[:, 2] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
+        log_w = obs @ coef
+    top = log_w.max(axis=1, keepdims=True)
+    finite = np.isfinite(top[:, 0])
+    if not finite.all():
+        bad = obs[np.argmin(finite)]
         raise DegenerateWeights(
-            "all posterior log-weights collapsed to -inf; the observation is "
-            "numerically impossible under every prior atom"
+            f"posterior log-weights at xi={bad[0]:g}, t={bad[1]:g} are not finite; "
+            "the observation is numerically impossible under every prior atom"
         )
-    shifted = np.exp(raw - top)
-    total = shifted.sum()
-    return Posterior(x, _frozen(shifted / total), _frozen(raw - (top + math.log(total))), xi, t)
-
-
-def _check_observation(xi: float, t: float, t_name: str = "t") -> tuple:
-    xi, t = float(xi), float(t)
-    if not math.isfinite(xi):
-        raise NonFiniteValue(f"observation xi must be finite, got {xi}")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise InvalidParameter(f"{t_name} must be finite and >= 0, got {t}")
-    return xi, t
+    log_w -= top
+    return log_w
 
 
 def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Posterior:
     """Posterior over message atoms given the observation xi at time t.
 
-    Weights w_i' are proportional to w_i exp(x_i xi - psi0(x_i) t), computed
-    in log space with max-subtraction.  At t = 0 the posterior equals the
-    prior exactly.  ``prior`` may itself be a Posterior: the filter then
-    restarts from it, and (xi, t) is the observation made since.
+    Weights w_i' are proportional to w_i exp(x_i xi - psi0(x_i) t): the
+    one-row case of the kernel of :func:`posterior_expectations`, normalized
+    in log space.  At t = 0 the posterior equals the prior exactly.
+    ``prior`` may itself be a Posterior: the filter then restarts from it,
+    and (xi, t) is the observation made since.
 
     Raises
     ------
+    NonFiniteValue, InvalidParameter
+        If xi is not finite, or t is negative or not finite.
     IncompatibleSupport
         If a prior atom fails :func:`~levy_info.prior.check_compatibility`.
     OffSupport
@@ -95,17 +116,20 @@ def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Po
     DegenerateWeights
         If every reweighted atom underflows to zero probability.
     """
-    xi, t = _check_observation(xi, t)
-    check_compatibility(prior, model)
-    check_support(model, xi, t)
-    return _reweighted(prior, model, xi, t, xi, t)
+    xi, t = map(float, _check_observation(xi, t, prior, model))
+    if xi == 0.0 and t == 0.0:
+        return Posterior(prior.positions, prior.weights, prior.log_weights, xi, t)
+    log_w = _log_weights(_coefficients(prior, model), xi, t)[0]
+    w = np.exp(log_w)
+    total = w.sum()
+    return Posterior(prior.positions, _frozen(w / total), _frozen(log_w - math.log(total)), xi, t)
 
 
 def sequential_update(posterior: Posterior, model: NoiseModel, dxi: float, dt: float) -> Posterior:
     """Restart the filter on a fresh increment: reweight by exp(x dxi - psi0(x) dt).
 
-    The reweighting of ``posterior_update(posterior, model, dxi, dt)``, with
-    the result labelled by the summed observation (xi + dxi, t + dt).
+    ``posterior_update(posterior, model, dxi, dt)``, labelled by the summed
+    observation (xi + dxi, t + dt); the posterior itself when dxi = dt = 0.
     Composing sequential updates over consecutive increments reproduces the
     one-shot :func:`posterior_update` at the summed observation.
 
@@ -113,23 +137,17 @@ def sequential_update(posterior: Posterior, model: NoiseModel, dxi: float, dt: f
     ------
     InvalidParameter
         If ``posterior`` is not a Posterior or ``model`` not a NoiseModel.
-    IncompatibleSupport
-        If an atom fails :func:`~levy_info.prior.check_compatibility`.
-    DegenerateWeights
-        If every reweighted atom underflows to zero probability.
-    OffSupport
-        If the increment is off the support of an increment over ``dt``.
+    NonFiniteValue, InvalidParameter, IncompatibleSupport, OffSupport, DegenerateWeights
+        As :func:`posterior_update` at (dxi, dt).
     """
     if not (isinstance(posterior, Posterior) and isinstance(model, NoiseModel)):
         raise InvalidParameter(
             f"expected a Posterior and a NoiseModel, got {type(posterior).__name__} and {type(model).__name__}"
         )
-    dxi, dt = _check_observation(dxi, dt, t_name="dt")
-    if dxi == 0.0 and dt == 0.0:
+    step = posterior_update(posterior, model, dxi, dt)
+    if step.xi == 0.0 and step.t == 0.0:
         return posterior
-    check_support(model, dxi, dt)
-    check_compatibility(posterior, model)
-    return _reweighted(posterior, model, dxi, dt, posterior.xi + dxi, posterior.t + dt)
+    return Posterior(step.positions, step.weights, step.log_weights, posterior.xi + step.xi, posterior.t + step.t)
 
 
 # Observation rows per block of posterior_expectations: a block's
@@ -144,11 +162,11 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
 
     The one-shot form: the posterior at (xi, t) has log-weights
     log pi(x) + x xi - psi0(x) t, so each observation is filtered on its own.
-    Rows are taken in blocks of ``BLOCK_ROWS``; per block, one matrix product
-    [xi, t, 1] @ [x; -psi0(x); log pi] gives the log-weights, the row maximum
-    is subtracted, and a second product of their exponentials with [1 | g]
-    gives the normalizer and the unnormalized expectations.  Blocks run on up
-    to ``worker_count()`` threads.
+    Rows are taken in blocks of ``BLOCK_ROWS``; per block, the filter kernel
+    (one matrix product [xi, t, 1] @ [x; -psi0(x); log pi], less the row
+    maximum) gives the log-weights, and a second product of their
+    exponentials with [1 | g] gives the normalizer and the unnormalized
+    expectations.  Blocks run on up to ``worker_count()`` threads.
 
     Parameters
     ----------
@@ -167,9 +185,9 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
 
     Raises
     ------
-    InvalidParameter
-        If a time is negative or not finite, or ``g`` does not have one row
-        per prior atom.
+    NonFiniteValue, InvalidParameter
+        If an observation is not finite, a time is negative or not finite,
+        or ``g`` does not have one row per prior atom.
     IncompatibleSupport
         If a prior atom is outside the admissible set.
     OffSupport
@@ -178,39 +196,18 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
         If at some observation the log-weights are not finite: every
         reweighted atom underflows to zero probability, or one overflows.
     """
-    check_compatibility(prior, model)
-    x = prior.positions
+    xi, t = _check_observation(xi, t, prior, model)
     g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != x.size:
-        raise InvalidParameter(f"g must have shape (atoms, k) = ({x.size}, k), got {g.shape}")
-    t = np.asarray(t, dtype=float)
-    if not (np.isfinite(t).all() and (t >= 0.0).all()):
-        raise InvalidParameter("observation times must be finite and >= 0")
-    xi = np.asarray(xi, dtype=float)
-    t = np.broadcast_to(t, xi.shape)
-    check_support(model, xi, t)
+    if g.ndim != 2 or g.shape[0] != len(prior):
+        raise InvalidParameter(f"g must have shape (atoms, k) = ({len(prior)}, k), got {g.shape}")
     xi_rows = xi.reshape(-1)
-    coef = np.stack([x, -psi_unchecked(model, x), prior.log_weights])
-    ones_g = np.column_stack([np.ones(x.size), g])
+    coef = _coefficients(prior, model)
+    ones_g = np.column_stack([np.ones(len(prior)), g])
     out = np.empty((xi_rows.size, g.shape[1]))
 
     def block(start: int) -> None:
         stop = min(start + BLOCK_ROWS, xi_rows.size)
-        obs = np.empty((stop - start, 3))
-        obs[:, 0] = xi_rows[start:stop]
-        obs[:, 1] = t.flat[start:stop]
-        obs[:, 2] = 1.0
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
-            log_w = obs @ coef
-        top = log_w.max(axis=1, keepdims=True)
-        finite = np.isfinite(top[:, 0])
-        if not finite.all():
-            bad = obs[np.argmin(finite)]
-            raise DegenerateWeights(
-                f"posterior log-weights at xi={bad[0]:g}, t={bad[1]:g} are not finite; "
-                "the observation is numerically impossible under every prior atom"
-            )
-        log_w -= top
+        log_w = _log_weights(coef, xi_rows[start:stop], t.flat[start:stop])
         w = np.exp(log_w, out=log_w)
         sums = w @ ones_g
         np.divide(sums[:, 1:], sums[:, :1], out=out[start:stop])
@@ -220,8 +217,12 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
 
 
 def conditional_cdf(posterior: Posterior, y: float) -> float:
-    """P(X <= y) under the posterior: the right-continuous step function."""
-    idx = int(np.searchsorted(posterior.positions, float(y), side="right"))
+    """P(X <= y) under the posterior: the right-continuous step function
+    (0 at y = -inf, 1 at y = inf, InvalidParameter at y = NaN)."""
+    y = float(y)
+    if math.isnan(y):
+        raise InvalidParameter("conditional_cdf needs a threshold y that is not NaN")
+    idx = int(np.searchsorted(posterior.positions, y, side="right"))
     return float(posterior.weights[:idx].sum())
 
 
@@ -248,13 +249,13 @@ def gamma_linear_filter(theta: float, r: float, m: float, xi: float, t: float) -
 
     Raises
     ------
-    InvalidParameter
-        Unless r > 1, theta > 0, m > 0 and t >= 0.
+    InvalidParameter, NonFiniteValue
+        Unless r > 1, theta > 0, m > 0, t is finite and >= 0, and xi finite.
     """
     theta, r, m = float(theta), float(r), float(m)
     if not (r > 1.0 and theta > 0.0 and m > 0.0):
         raise InvalidParameter(f"need r > 1, theta > 0, m > 0; got r={r}, theta={theta}, m={m}")
-    xi, t = _check_observation(xi, t)
+    xi, t = map(float, _check_observation(xi, t))
     return (xi + theta) / (t + (r - 1.0) / m)
 
 
@@ -278,12 +279,12 @@ def estimate_message(posterior: Posterior, model: NoiseModel, xi: float, t: floa
 
     Raises
     ------
-    InvalidParameter
-        If t <= 0 (the rate xi/t is undefined).
+    NonFiniteValue, InvalidParameter, IncompatibleSupport, OffSupport
+        As :func:`posterior_update`, and InvalidParameter at t = 0 (the rate
+        xi/t is undefined).
     """
-    xi = float(xi)
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
+    xi, t = map(float, _check_observation(xi, t, posterior, model))
+    if not t > 0.0:
         raise InvalidParameter(f"estimate_message needs t > 0, got {t}")
     i0, clamped = inverse_marginal_clamped(model, xi / t)
     return MessageEstimate(float(i0), posterior.mean, bool(clamped))

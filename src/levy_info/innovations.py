@@ -20,7 +20,7 @@ from .filtering import posterior_expectations
 from .noise import NoiseModel, check_support, dpsi_unchecked
 from .prior import Prior, check_compatibility
 from .simulate import InformationPath, TimeGrid, _check_message, simulate_ensemble
-from .stats import StudyReport, StudyRow, zscore
+from .stats import StudyReport, StudyRow, _threshold, zscore
 
 __all__ = [
     "InnovationsPath",
@@ -125,6 +125,7 @@ def martingale_test(samples, threshold: float = 3.5) -> StudyReport:
     ------
     TooFewSamples
     """
+    threshold = _threshold(threshold)
     if isinstance(samples, np.ndarray) and samples.ndim == 2:
         groups = [np.ascontiguousarray(g, dtype=float) for g in samples]
     elif isinstance(samples, (list, tuple)) and len(samples) > 0 and np.ndim(samples[0]) > 0:
@@ -138,4 +139,4 @@ def martingale_test(samples, threshold: float = 3.5) -> StudyReport:
         mean = float(g.mean())
         se = float(g.std(ddof=1) / math.sqrt(g.size))
         rows.append(StudyRow(f"increment[{i}]", mean, 0.0, se, zscore(mean, 0.0, se)))
-    return StudyReport("martingale", tuple(rows), float(threshold))
+    return StudyReport("martingale", tuple(rows), threshold)

@@ -48,6 +48,8 @@ parameters in canonical order, or a plain value:
                    coefficient, Levy measure parameters, atoms)
     measure, density   the Levy measure tag and, for a continuous
                    measure, its density (z, *measure parameters)
+    masses         the mass at z = k (k, *measure parameters) of an atomic
+                   measure on 1, 2, ...; the triplet's atoms are its head
     support        the values xi_t - drift t takes: "real", "nonnegative" or
                    "lattice" (the nonnegative integers); ``check_support``
                    tests observations against it
@@ -197,6 +199,7 @@ class _Family:
     constructions: dict = field(default_factory=dict)
     measure: str = "none"
     density: Callable | None = None
+    masses: Callable | None = None
 
 
 def _ig_draws(mean, shape_, rng: np.random.Generator, size):
@@ -347,17 +350,16 @@ _NB_TAIL_MASS = 1e-12  # drop the atom tail once 1 - 1e-12 of nu(R) is kept
 
 
 def _nb_atoms(m: float, q: float) -> tuple:
-    """Negative binomial atom masses m q^n / n at z = n, truncated."""
+    """The record's masses at z = 1, 2, ... until 1 - _NB_TAIL_MASS of the total is kept."""
     total = -m * math.log1p(-q)
     atoms = []
     cum = 0.0
     n = 1
-    mass = m * q
     while cum < (1.0 - _NB_TAIL_MASS) * total:
+        mass = _FAMILIES[NB].masses(n, m, q)
         atoms.append((float(n), mass))
         cum += mass
         n += 1
-        mass = m * q**n / n
     return tuple(atoms)
 
 
@@ -481,6 +483,7 @@ _FAMILIES = {
         constructions={"NB_subordinated": _nb_sample, "NB_compound": _nb_compound},
         triplet=lambda m, q: (0.0, 0.0, (m, q), _nb_atoms(m, q)),
         measure="nb",
+        masses=lambda n, m, q: m * q**n / n,
         support="lattice",
     ),
     IG: _Family(

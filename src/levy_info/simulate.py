@@ -273,12 +273,19 @@ def simulate_bridge_path(
     ------
     GridExceedsHorizon
     """
+    u, scale = _bridge_clock(horizon, grid.times, u_cap)
+    path = simulate_information_path(model, prior, TimeGrid(u), rng)
+    return _path(grid, scale * path.values, path.message, model)
+
+
+def _bridge_clock(horizon: float, times: np.ndarray, u_cap: float | None = None) -> tuple:
+    """(u, scale) at increasing ``times``: the clock u = tT/(T - t) and the
+    rescale (T - t)/T, once T > 0 is finite, t < T and u <= ``u_cap``."""
     horizon = float(horizon)
     if not (np.isfinite(horizon) and horizon > 0):
         raise InvalidParameter(f"horizon must be positive and finite, got {horizon}")
     if u_cap is None:
         u_cap = 1e6 * horizon
-    times = grid.times
     if times[-1] >= horizon:
         raise GridExceedsHorizon(
             f"bridge grid reaches t={times[-1]:g} but the horizon is T={horizon:g}"
@@ -289,5 +296,4 @@ def simulate_bridge_path(
             f"transformed time {u[-1]:.6g} exceeds the cap {u_cap:.6g}; "
             f"refine u_cap or keep the grid away from the horizon"
         )
-    path = simulate_information_path(model, prior, TimeGrid(u), rng)
-    return _path(grid, (horizon - times) / horizon * path.values, path.message, model)
+    return u, (horizon - times) / horizon

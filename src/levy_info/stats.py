@@ -64,6 +64,14 @@ class StudyRow:
         return math.isnan(self.reference)
 
 
+def _threshold(threshold) -> float:
+    """A study's |z| threshold as a float; InvalidParameter unless > 0 (NaN fails)."""
+    threshold = float(threshold)
+    if not threshold > 0.0:
+        raise InvalidParameter(f"study threshold must be > 0, got {threshold}")
+    return threshold
+
+
 @dataclass(frozen=True, eq=False)
 class StudyReport:
     """A named collection of study rows with a shared |z| threshold (> 0)."""
@@ -73,8 +81,7 @@ class StudyReport:
     threshold: float = 3.5
 
     def __post_init__(self):
-        if not self.threshold > 0.0:
-            raise InvalidParameter(f"study threshold must be > 0, got {self.threshold}")
+        _threshold(self.threshold)
 
     @property
     def max_abs_z(self) -> float:

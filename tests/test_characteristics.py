@@ -1,5 +1,6 @@
 """Characteristic triplets, message tilting, Levy-Khintchine reconstruction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -87,6 +88,18 @@ def test_nb_atom_masses_positive_and_near_total_mass():
     assert (masses > 0.0).all()
     total = -2.0 * math.log(0.5)
     assert abs(masses.sum() - total) <= 1e-11 * total
+
+
+def test_atom_series_continues_past_the_stored_atoms():
+    # the NB record gives its masses m q^k / k, so a measure holding only
+    # the first three atoms still reconstructs the whole exponent
+    model = li.make_noise_model("NegativeBinomial", (1.0, 0.25))
+    x = math.log(2.0)
+    tr = li.tilted_characteristics(model, x)
+    head = dataclasses.replace(tr.levy_measure, atoms=tr.levy_measure.atoms[:3])
+    short = dataclasses.replace(tr, levy_measure=head)
+    for a in (-0.5, 0.1, 0.4):
+        assert reconstruct_exponent(short, a) == pytest.approx(li.conditional_exponent(model, x, a), abs=1e-12)
 
 
 def test_levy_khintchine_reconstruction_matches_conditional_exponent():

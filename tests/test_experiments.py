@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import levy_info as li
 from conftest import FAMILY_PARAMS, window
+from levy_info import experiments
 from levy_info.experiments import _exceed_thresholds
 from levy_info.noise import dpsi_unchecked, inverse_marginal_clamped
 from levy_info.rng import stream
@@ -342,6 +343,43 @@ def test_bridge_validates_arguments():
         li.bridge_study(gamma, 0.3, 1.0, 0.5, 1.0, 1000, seed=78)  # t = T
     with pytest.raises(li.OutOfDomain):
         li.bridge_study(gamma, 1.5, 2.0, 0.5, 1.0, 1000, seed=78)  # bad x
+
+
+def test_bridge_study_keeps_the_bridge_clock_checks():
+    # the study and simulate_bridge_path share one clock and its checks
+    gamma = li.make_noise_model("Gamma", (1.0, 1.0))
+    with pytest.raises(li.GridExceedsHorizon, match="cap"):
+        li.bridge_study(gamma, 0.3, 2.0, 0.5, 2.0 - 1e-7, 1000, seed=78)
+    with pytest.raises(li.InvalidParameter, match="horizon"):
+        li.bridge_study(gamma, 0.3, math.inf, 0.5, 1.0, 1000, seed=78)
+
+
+def _study_at(name, threshold):
+    """Run the named study at ``threshold`` with small, valid arguments."""
+    gamma = li.make_noise_model("Gamma", (1.0, 1.0))
+    prior = li.prior_from_atoms([(0.0, 1.0), (0.5, 1.0)])
+    if name == "convergence":
+        return li.convergence_study(gamma, prior, [1.0], 1000, seed=1, threshold=threshold)
+    if name == "factorization":
+        return li.factorization_study(gamma, prior, 0.3j, 0.2j, 1.0, 1000, seed=1, threshold=threshold)
+    if name == "esscher":
+        return li.esscher_consistency_study(gamma, 0.25, 1.0, 1000, seed=1, threshold=threshold)
+    if name == "representation":
+        vg = li.make_noise_model("VarianceGamma", (2.0,))
+        return li.representation_equivalence_study(vg, 0.5, 1.0, 1000, seed=1, threshold=threshold)
+    return li.bridge_study(gamma, 0.3, 2.0, 0.5, 1.0, 1000, seed=1, threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["convergence", "factorization", "esscher", "representation", "bridge"])
+def test_study_threshold_is_checked_before_sampling(name, threshold, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before the threshold was checked")
+
+    for sampler in ("simulate_ensemble", "increment_draws", "representation_draws"):
+        monkeypatch.setattr(experiments, sampler, refuse)
+    with pytest.raises(li.InvalidParameter, match="threshold"):
+        _study_at(name, threshold)
 
 
 def test_studies_are_deterministic_given_seed():

@@ -99,6 +99,43 @@ def test_posterior_update_validates_observation():
         li.posterior_update(prior, model, 0.0, -1.0)
 
 
+def _filter_entry_points():
+    """Each filter entry point as a call taking one observation (xi, t)."""
+    model = li.make_noise_model("Brownian", ())
+    prior = li.prior_from_atoms([(-1.0, 1.0), (1.0, 1.0)])
+    post = li.posterior_update(prior, model, 1.0, 1.0)
+
+    def along_a_path(xi, t):
+        path = li.InformationPath(li.TimeGrid([0.0, t]), np.array([0.0, xi]), 1.0, model)
+        return li.innovations_path(path, prior)
+
+    return {
+        "posterior_update": lambda xi, t: li.posterior_update(prior, model, xi, t),
+        "sequential_update": lambda xi, t: li.sequential_update(post, model, xi, t),
+        "posterior_expectations": lambda xi, t: posterior_expectations(
+            prior, model, [0.0, xi], [0.0, t], np.eye(2)),
+        "innovations_path": along_a_path,
+        "estimate_message": lambda xi, t: li.estimate_message(post, model, xi, t),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_filter_entry_points()))
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+def test_every_entry_point_calls_a_non_finite_observation_non_finite(entry, xi):
+    # one observation check: the batched filter used to raise
+    # DegenerateWeights here and estimate_message returned i0 = nan
+    with pytest.raises(li.NonFiniteValue, match="xi must be finite"):
+        _filter_entry_points()[entry](xi, 1.0)
+
+
+# a path's times are checked where its TimeGrid is built
+@pytest.mark.parametrize("entry", sorted(set(_filter_entry_points()) - {"innovations_path"}))
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_every_entry_point_rejects_a_bad_time(entry, t):
+    with pytest.raises(li.InvalidParameter, match="time must be finite and >= 0"):
+        _filter_entry_points()[entry](1.0, t)
+
+
 # ---------------------------------------------------------------------------
 # sequential_update
 # ---------------------------------------------------------------------------
@@ -240,6 +277,15 @@ def test_conditional_cdf_steps():
     assert li.conditional_cdf(post, 5.0) == 1.0
 
 
+def test_conditional_cdf_at_infinite_and_nan_thresholds():
+    model = li.make_noise_model("Brownian", ())
+    post = li.posterior_update(li.prior_from_atoms([(-1.0, 1.0), (1.0, 1.0)]), model, 0.0, 1.0)
+    assert li.conditional_cdf(post, -math.inf) == 0.0
+    assert li.conditional_cdf(post, math.inf) == 1.0
+    with pytest.raises(li.InvalidParameter, match="NaN"):
+        li.conditional_cdf(post, math.nan)
+
+
 def test_conditional_cdf_degenerate_prior():
     model = li.make_noise_model("Poisson", (1.0,))
     post = li.posterior_update(li.prior_from_atoms([(0.3, 1.0)]), model, 4.0, 2.0)
@@ -331,6 +377,15 @@ def test_estimate_message_clamps_out_of_range_observations():
     assert np.isneginf(est.i0)
     with pytest.raises(li.InvalidParameter):
         li.estimate_message(post, gamma, 0.0, 0.0)
+
+
+def test_estimate_message_checks_the_observation_like_the_filter():
+    gamma = li.make_noise_model("Gamma", (1.0, 1.0))
+    post = li.posterior_update(li.prior_from_atoms([(0.0, 1.0), (0.5, 1.0)]), gamma, 1.0, 1.0)
+    with pytest.raises(li.OffSupport):
+        li.estimate_message(post, gamma, -1.0, 1.0)
+    with pytest.raises(li.IncompatibleSupport):
+        li.estimate_message(post, li.make_noise_model("Gamma", (1.0, 2.0)), 1.0, 1.0)  # A = (-inf, 0.5)
 
 
 # ---------------------------------------------------------------------------

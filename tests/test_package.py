@@ -172,3 +172,51 @@ def test_each_admissibility_check_is_written_once():
 def test_raise_lint_sees_both_forms():
     source = "def f():\n    raise OutOfDomain('x')\ndef g():\n    raise IncompatibleSupport\n"
     assert raised_names(source) == [(2, "OutOfDomain"), (4, "IncompatibleSupport")]
+
+
+def test_degenerate_weights_is_raised_at_one_site():
+    # the filter kernel filtering._log_weights is the one place that forms
+    # posterior log-weights and finds them degenerate
+    sites = []
+    for path in sorted(Path(li.__file__).parent.glob("*.py")):
+        sites += [f"{path.name}:{line}" for line, name in raised_names(path.read_text(encoding="utf-8"))
+                  if name == "DegenerateWeights"]
+    assert len(sites) == 1 and sites[0].startswith("filtering.py:"), sites
+
+
+def tag_comparisons(source):
+    """Lines where a ``<obj>.tag`` is compared with a string or a collection of them."""
+    def is_text(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return bool(node.elts) and all(map(is_text, node.elts))
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(isinstance(side, ast.Attribute) and side.attr == "tag" for side in sides) and any(
+                    map(is_text, sides)):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_characteristics_reads_measures_from_the_records():
+    # what a Levy measure tag means is a field of its family record; a
+    # string comparison on the tag is a per-family branch
+    path = Path(li.__file__).with_name("characteristics.py")
+    assert tag_comparisons(path.read_text(encoding="utf-8")) == []
+
+
+def test_tag_lint_sees_every_form():
+    source = ("def f(measure, m):\n"
+              "    if measure.tag == 'nb':\n        return 1\n"
+              "    if 'atoms' != m.tag:\n        return 2\n"
+              "    if measure.tag in ('gamma', 'vg'):\n        return 3\n"
+              "    return measure.tag in _DENSITIES\n")
+    assert tag_comparisons(source) == [2, 4, 6]
+
+
+def test_raise_lint_counts_every_degenerate_weights_site():
+    source = "def f():\n    raise DegenerateWeights('a')\ndef g():\n    raise DegenerateWeights\n"
+    assert [name for _, name in raised_names(source)] == ["DegenerateWeights"] * 2
