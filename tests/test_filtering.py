@@ -121,7 +121,7 @@ def _filter_entry_points():
 
 @pytest.mark.parametrize("entry", sorted(_filter_entry_points()))
 @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
-def test_every_entry_point_calls_a_non_finite_observation_non_finite(entry, xi):
+def test_every_entry_point_raises_non_finite_value_for_a_non_finite_xi(entry, xi):
     # one observation check: the batched filter used to raise
     # DegenerateWeights here and estimate_message returned i0 = nan
     with pytest.raises(li.NonFiniteValue, match="xi must be finite"):
