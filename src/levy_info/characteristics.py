@@ -38,10 +38,10 @@ __all__ = [
 ]
 
 
-# Levy measure tag -> density or series of atom masses, from the family
+# Levy measure tag -> density or series of log atom masses, from the family
 # records that carry one
 _DENSITIES = {rec.measure: rec.density for rec in _FAMILIES.values() if rec.density is not None}
-_MASSES = {rec.measure: rec.masses for rec in _FAMILIES.values() if rec.masses is not None}
+_LOG_MASSES = {rec.measure: rec.log_masses for rec in _FAMILIES.values() if rec.log_masses is not None}
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,8 @@ def _jump_integral(measure: LevyMeasure, alpha: float, eps: float = 1e-8) -> flo
     (alpha^2 / 2) int_{-eps}^{eps} z^2 nu(dz).  An atomic measure whose
     record gives its masses as a series continues past its last stored atom
     (the atoms are truncated by unweighted mass), so the e^{alpha z}-weighted
-    tail is kept.
+    tail is kept, each term as exp(log mass + alpha k) - mass: either factor
+    alone can underflow or overflow where the product is tame.
     """
     if measure.tag not in _DENSITIES:
         total = 0.0
@@ -119,10 +120,11 @@ def _jump_integral(measure: LevyMeasure, alpha: float, eps: float = 1e-8) -> flo
             if abs(z) < 1.0:
                 term -= alpha * z
             total += mass * term
-        if measure.tag in _MASSES:
-            masses = _MASSES[measure.tag]
+        if measure.tag in _LOG_MASSES:
+            log_masses = _LOG_MASSES[measure.tag]
             for k in range(len(measure.atoms) + 1, 200_002):
-                term = masses(k, *measure.params) * math.expm1(alpha * k)
+                log_mass = log_masses(k, *measure.params)
+                term = math.exp(log_mass + alpha * k) - math.exp(log_mass)
                 total += term
                 if abs(term) <= 1e-17 * (1.0 + abs(total)):
                     break

@@ -1,10 +1,11 @@
-"""Exception types raised by the levy_info package, and the one count check.
+"""Exception types raised by the levy_info package, and the count and positive-number checks.
 
 Every error raised on purpose by this package derives from ``LevyInfoError``,
 so callers can catch numerical/validation problems with a single handler
 while letting genuine bugs (TypeError, etc.) propagate.
 """
 
+import math
 import operator
 
 
@@ -88,3 +89,11 @@ def _count(n, name: str, least: int = 1) -> int:
     if n < least:
         raise InvalidParameter(f"{name} must be >= {least}, got {n}")
     return n
+
+
+def _positive(value, name: str) -> float:
+    """A positive, finite number as a float."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidParameter(f"{name} must be positive and finite, got {value}")
+    return value

@@ -14,10 +14,11 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameter, _count
+from .errors import InvalidParameter, _count, _positive
 from .noise import (
     _FAMILIES,
     NoiseModel,
+    _check_domain,
     admissible_set,
     d2psi_unchecked,
     d3psi_unchecked,
@@ -31,7 +32,6 @@ from .rng import stream
 from .simulate import (
     TimeGrid,
     _bridge_clock,
-    _check_message,
     increment_draws,
     representation_draws,
     simulate_ensemble,
@@ -39,7 +39,6 @@ from .simulate import (
 from .stats import (
     StudyReport,
     StudyRow,
-    _threshold,
     jackknife_covariance,
     jackknife_cumulants,
     jackknife_se,
@@ -71,7 +70,7 @@ def _exceed_thresholds(model: NoiseModel, atoms: np.ndarray, epsilon: float):
     sides = []
     for end in (atoms + epsilon, atoms - epsilon):
         side = np.full(atoms.shape, math.nan)
-        inside = domain.contains_array(end)
+        inside = domain.contains(end)
         side[inside] = dpsi_unchecked(model, end[inside])
         sides.append(side)
     return sides
@@ -106,11 +105,9 @@ def convergence_study(
     differ from inverting each rate only for rates within a few ulps of a
     threshold.
     """
-    threshold = _threshold(threshold)
+    threshold = _positive(threshold, "study threshold")
     n_paths = _count(n_paths, "n_paths", 1000)
-    epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise InvalidParameter(f"epsilon must be positive, got {epsilon}")
+    epsilon = _positive(epsilon, "epsilon")
     times = _ladder(times)
     grid = TimeGrid(np.concatenate(([0.0], times)))
     messages, xi = simulate_ensemble(model, prior, grid, n_paths, seed)
@@ -184,12 +181,10 @@ def factorization_study(
     gathered by each path's atom index, as is psi0(x_i) in the weights.
     Each pair is then one complex multiply.
     """
-    threshold = _threshold(threshold)
+    threshold = _positive(threshold, "study threshold")
     alphas = _imaginary_grid(alpha, "alpha")
     betas = _imaginary_grid(beta, "beta")
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise InvalidParameter(f"t must be positive, got {t}")
+    t = _positive(t, "t")
     check_compatibility(prior, model)
     messages, xi = simulate_ensemble(model, prior, TimeGrid(np.array([0.0, t])), n_paths, seed)
     atoms = prior.positions
@@ -246,12 +241,10 @@ def esscher_consistency_study(
     OutOfDomain
         Unless ``lam`` is 0 or interior to A (from ``esscher_transform``).
     """
-    threshold = _threshold(threshold)
+    threshold = _positive(threshold, "study threshold")
     lam = float(lam)
     tilted = esscher_transform(model, lam)
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise InvalidParameter(f"t must be positive, got {t}")
+    t = _positive(t, "t")
     n = _count(n_paths, "n_paths")
     direct = increment_draws(tilted, 0.0, t, stream(seed, 1), n)
     fiducial = increment_draws(model, 0.0, t, stream(seed, 1), n)
@@ -291,12 +284,12 @@ def representation_equivalence_study(
     against the analytic cumulants psi0^(k)(x) t, and pairwise rows compare the
     representations against each other with combined jackknife errors.
     """
-    threshold = _threshold(threshold)
+    threshold = _positive(threshold, "study threshold")
     reps = tuple(_FAMILIES[model.family].constructions)
     if len(reps) < 2:
         raise InvalidParameter(f"{model.family} has {len(reps)} constructions; the representation study needs two")
-    t = float(t)
-    x = float(x)
+    t = _positive(t, "t")
+    x = _check_domain(model, x, "message x")
     analytic = (
         dpsi_unchecked(model, x) * t,
         d2psi_unchecked(model, x) * t,
@@ -342,11 +335,11 @@ def bridge_study(
     and covariance s (T - t)/T psi0''(x); the study compares sample mean,
     variance and cross-covariance with jackknife standard errors.
     """
-    threshold = _threshold(threshold)
+    threshold = _positive(threshold, "study threshold")
     horizon, s, t = float(horizon), float(s), float(t)
     if not (0.0 < s < t < horizon):
         raise InvalidParameter(f"need 0 < s < t < horizon, got s={s}, t={t}, horizon={horizon}")
-    x = _check_message(model, x)
+    x = _check_domain(model, x, "message x")
     n = _count(n_paths, "n_paths")
     (u_s, u_t), (scale_s, scale_t) = _bridge_clock(horizon, np.array([s, t]))
     raw_s = increment_draws(model, x, u_s, stream(seed, 1), n)

@@ -8,7 +8,7 @@ renormalization per update.  The restart property makes the sequential form
 batched callers (the innovations decomposition, ``levy-info filter``) use
 the closed form: :func:`posterior_expectations` filters every observation
 (xi_j, t_j) on its own, with no recursion along the path.  One kernel,
-``_log_weights``, serves both forms, behind one ``_check_observation``.
+``_log_weights``, serves both forms, behind one ``noise.check_observation``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeights, InvalidParameter, NonFiniteValue
-from .noise import NoiseModel, check_support, inverse_marginal_clamped, psi_unchecked
+from .errors import DegenerateWeights, InvalidParameter, _positive
+from .noise import GAMMA, NoiseModel, check_observation, inverse_marginal_clamped, make_noise_model, psi_unchecked
 from .prior import Prior, _frozen, check_compatibility, prior_expectation
 from .rng import map_ordered
 
@@ -48,22 +48,6 @@ class Posterior(Prior):
 
     xi: float
     t: float
-
-
-def _check_observation(xi, t, prior=None, model=None) -> tuple:
-    """(xi, t) as arrays, t broadcasting to xi, once xi is finite
-    (NonFiniteValue), t finite and >= 0 (InvalidParameter), and, given a
-    model, the atoms and xi admissible (check_compatibility, check_support)."""
-    xi, t = np.asarray(xi, dtype=float), np.asarray(t, dtype=float)
-    if not np.isfinite(xi).all():
-        raise NonFiniteValue(f"observation xi must be finite, got {xi[~np.isfinite(xi)][0]}")
-    bad = ~(np.isfinite(t) & (t >= 0.0))
-    if bad.any():
-        raise InvalidParameter(f"observation time must be finite and >= 0, got {t[bad][0]}")
-    if model is not None:
-        check_compatibility(prior, model)
-        check_support(model, xi, t)
-    return xi, np.broadcast_to(t, xi.shape)
 
 
 def _coefficients(prior: Prior, model: NoiseModel) -> np.ndarray:
@@ -116,7 +100,8 @@ def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Po
     DegenerateWeights
         If every reweighted atom underflows to zero probability.
     """
-    xi, t = map(float, _check_observation(xi, t, prior, model))
+    check_compatibility(prior, model)
+    xi, t = map(float, check_observation(model, xi, t))
     if xi == 0.0 and t == 0.0:
         return Posterior(prior.positions, prior.weights, prior.log_weights, xi, t)
     log_w = _log_weights(_coefficients(prior, model), xi, t)[0]
@@ -196,7 +181,8 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
         If at some observation the log-weights are not finite: every
         reweighted atom underflows to zero probability, or one overflows.
     """
-    xi, t = _check_observation(xi, t, prior, model)
+    check_compatibility(prior, model)
+    xi, t = check_observation(model, xi, t)
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != len(prior):
         raise InvalidParameter(f"g must have shape (atoms, k) = ({len(prior)}, k), got {g.shape}")
@@ -249,14 +235,15 @@ def gamma_linear_filter(theta: float, r: float, m: float, xi: float, t: float) -
 
     Raises
     ------
-    InvalidParameter, NonFiniteValue
-        Unless r > 1, theta > 0, m > 0, t is finite and >= 0, and xi finite.
+    InvalidParameter
+        Unless theta, m and r - 1 are positive and finite.
+    NonFiniteValue, InvalidParameter, OffSupport
+        As ``noise.check_observation`` under Gamma(m, 1), whose psi0' is Y.
     """
-    theta, r, m = float(theta), float(r), float(m)
-    if not (r > 1.0 and theta > 0.0 and m > 0.0):
-        raise InvalidParameter(f"need r > 1, theta > 0, m > 0; got r={r}, theta={theta}, m={m}")
-    xi, t = map(float, _check_observation(xi, t))
-    return (xi + theta) / (t + (r - 1.0) / m)
+    theta, m = _positive(theta, "theta"), _positive(m, "m")
+    tau = _positive(float(r) - 1.0, "r - 1") / m
+    xi, t = map(float, check_observation(make_noise_model(GAMMA, (m, 1.0)), xi, t))
+    return (xi + theta) / (t + tau)
 
 
 @dataclass(frozen=True)
@@ -283,8 +270,7 @@ def estimate_message(posterior: Posterior, model: NoiseModel, xi: float, t: floa
         As :func:`posterior_update`, and InvalidParameter at t = 0 (the rate
         xi/t is undefined).
     """
-    xi, t = map(float, _check_observation(xi, t, posterior, model))
-    if not t > 0.0:
-        raise InvalidParameter(f"estimate_message needs t > 0, got {t}")
-    i0, clamped = inverse_marginal_clamped(model, xi / t)
+    check_compatibility(posterior, model)
+    xi, t = map(float, check_observation(model, xi, t))
+    i0, clamped = inverse_marginal_clamped(model, xi / _positive(t, "t"))
     return MessageEstimate(float(i0), posterior.mean, bool(clamped))

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, TooFewSamples
+from .errors import InvalidParameter, TooFewSamples, _positive
 from .filtering import posterior_expectations
-from .noise import NoiseModel, check_support, dpsi_unchecked
+from .noise import NoiseModel, _check_domain, check_observation, dpsi_unchecked
 from .prior import Prior, check_compatibility
-from .simulate import InformationPath, TimeGrid, _check_message, simulate_ensemble
-from .stats import StudyReport, StudyRow, _threshold, zscore
+from .simulate import InformationPath, TimeGrid, simulate_ensemble
+from .stats import StudyReport, StudyRow, zscore
 
 __all__ = [
     "InnovationsPath",
@@ -73,14 +73,14 @@ def innovations_path(path: InformationPath, prior: Prior) -> InnovationsPath:
     ------
     InvalidParameter
         If the grid has fewer than two points.
-    OffSupport
-        If an increment is one no message could produce (a Gamma path that decreases).
+    NonFiniteValue, OffSupport
+        If an increment is not finite or no message could produce it (a decreasing Gamma path).
     IncompatibleSupport, DegenerateWeights
         Propagated from the filter.
     """
     if len(path.grid) < 2:
         raise InvalidParameter("innovations need a grid with at least two points")
-    check_support(path.model, np.diff(path.values), np.diff(path.grid.times))
+    check_observation(path.model, np.diff(path.values), np.diff(path.grid.times))
     yhat, integral, m = _decompose(path.model, prior, path.grid, path.values[None, :])
     return InnovationsPath(path.grid, path.values, yhat[0], integral[0], m[0])
 
@@ -110,7 +110,7 @@ def compensated_path(path: InformationPath, model: NoiseModel) -> np.ndarray:
     OutOfDomain
         If the stored message is not admissible for ``model``.
     """
-    x = _check_message(model, path.message)
+    x = _check_domain(model, path.message, "message x")
     return path.values - dpsi_unchecked(model, x) * path.grid.times
 
 
@@ -125,7 +125,7 @@ def martingale_test(samples, threshold: float = 3.5) -> StudyReport:
     ------
     TooFewSamples
     """
-    threshold = _threshold(threshold)
+    threshold = _positive(threshold, "study threshold")
     if isinstance(samples, np.ndarray) and samples.ndim == 2:
         groups = [np.ascontiguousarray(g, dtype=float) for g in samples]
     elif isinstance(samples, (list, tuple)) and len(samples) > 0 and np.ndim(samples[0]) > 0:

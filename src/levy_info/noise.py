@@ -48,10 +48,10 @@ parameters in canonical order, or a plain value:
                    coefficient, Levy measure parameters, atoms)
     measure, density   the Levy measure tag and, for a continuous
                    measure, its density (z, *measure parameters)
-    masses         the mass at z = k (k, *measure parameters) of an atomic
-                   measure on 1, 2, ...; the triplet's atoms are its head
+    log_masses     log of the mass at z = k (k, *measure parameters) of an
+                   atomic measure on 1, 2, ...; the triplet's atoms are its head
     support        the values xi_t - drift t takes: "real", "nonnegative" or
-                   "lattice" (the nonnegative integers); ``check_support``
+                   "lattice" (the nonnegative integers); ``check_observation``
                    tests observations against it
 
 Only ``tilt`` sees the drift: the public functions look the record up and
@@ -68,7 +68,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameter, OffSupport, OutOfDomain, OutOfRange
+from .errors import InvalidParameter, NonFiniteValue, OffSupport, OutOfDomain, OutOfRange
 
 __all__ = [
     "FAMILIES",
@@ -137,16 +137,9 @@ class Interval:
     lo_open: bool = True
     hi_open: bool = True
 
-    def contains(self, x: float) -> bool:
-        """Membership test respecting the endpoint conventions."""
-        return bool(self.contains_array(x))
-
-    def interior_contains(self, x: float) -> bool:
-        """Strict membership in the open interval (lo, hi)."""
-        return bool(np.isfinite(x) and self.lo < x < self.hi)
-
-    def contains_array(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized ``contains``."""
+    def contains(self, x):
+        """Membership respecting the endpoint conventions, elementwise: a
+        numpy bool, or a bool array for an array ``x``."""
         x = np.asarray(x, dtype=float)
         above = x > self.lo if self.lo_open else x >= self.lo
         below = x < self.hi if self.hi_open else x <= self.hi
@@ -199,7 +192,7 @@ class _Family:
     constructions: dict = field(default_factory=dict)
     measure: str = "none"
     density: Callable | None = None
-    masses: Callable | None = None
+    log_masses: Callable | None = None
 
 
 def _ig_draws(mean, shape_, rng: np.random.Generator, size):
@@ -356,7 +349,7 @@ def _nb_atoms(m: float, q: float) -> tuple:
     cum = 0.0
     n = 1
     while cum < (1.0 - _NB_TAIL_MASS) * total:
-        mass = _FAMILIES[NB].masses(n, m, q)
+        mass = math.exp(_FAMILIES[NB].log_masses(n, m, q))
         atoms.append((float(n), mass))
         cum += mass
         n += 1
@@ -483,7 +476,7 @@ _FAMILIES = {
         constructions={"NB_subordinated": _nb_sample, "NB_compound": _nb_compound},
         triplet=lambda m, q: (0.0, 0.0, (m, q), _nb_atoms(m, q)),
         measure="nb",
-        masses=lambda n, m, q: m * q**n / n,
+        log_masses=lambda n, m, q: math.log(m) + n * math.log(q) - math.log(n),
         support="lattice",
     ),
     IG: _Family(
@@ -537,24 +530,35 @@ def _require(cond: bool, message: str) -> None:
 # checked exactly.
 SUPPORT_RTOL = 1e-9
 
-# Observations per block of check_support, so that no temporary is larger
-# than a block.
+# Observations per block of check_observation's support test, so that no
+# temporary is larger than a block.
 SUPPORT_BLOCK = 4096
 
 
-def check_support(model: NoiseModel, xi, t) -> None:
-    """Raise OffSupport unless every xi - drift t is a value the family can
-    produce at time t: >= 0 ("nonnegative"), a nonnegative integer
-    ("lattice"), anything ("real"), within ``SUPPORT_RTOL`` where the drift
-    is not zero.
+def _check_times(t, what: str) -> np.ndarray:
+    """``t`` as a float array; InvalidParameter unless every entry is finite and >= 0."""
+    t = np.asarray(t, dtype=float)
+    bad = ~(np.isfinite(t) & (t >= 0.0))
+    if bad.any():
+        raise InvalidParameter(f"{what} must be finite and >= 0, got {t[bad][0]}")
+    return t
 
-    ``xi`` is a scalar or an array and ``t`` broadcasts to it.
+
+def check_observation(model: NoiseModel, xi, t) -> tuple:
+    """The one observation check: (xi, t) as float arrays, t broadcast to
+    xi, once xi is finite (NonFiniteValue), t is finite and >= 0
+    (InvalidParameter), and every xi - drift t is a value the family can
+    produce at time t (OffSupport): >= 0 ("nonnegative"), a nonnegative
+    integer ("lattice"), anything ("real"), within ``SUPPORT_RTOL`` where the
+    drift is not zero.
     """
+    xi = np.asarray(xi, dtype=float)
+    if not np.isfinite(xi).all():
+        raise NonFiniteValue(f"observation xi must be finite, got {xi[~np.isfinite(xi)][0]}")
+    t = np.broadcast_to(_check_times(t, "observation time"), xi.shape)
     support = _FAMILIES[model.family].support
     if support == "real":
-        return
-    xi = np.asarray(xi, dtype=float)
-    t = np.broadcast_to(np.asarray(t, dtype=float), xi.shape)
+        return xi, t
     drift = model.drift
     for start in range(0, xi.size, SUPPORT_BLOCK):
         x, s = xi.flat[start:start + SUPPORT_BLOCK], t.flat[start:start + SUPPORT_BLOCK]
@@ -571,6 +575,7 @@ def check_support(model: NoiseModel, xi, t) -> None:
                 f"observation xi={x[i]:g} at t={s[i]:g} is off the support of {model!r}: "
                 f"xi - drift t must be {'a nonnegative integer' if support == 'lattice' else '>= 0'}"
             )
+    return xi, t
 
 
 def make_noise_model(family: str, params=(), drift: float = 0.0) -> NoiseModel:
@@ -618,8 +623,9 @@ def admissible_set(model: NoiseModel) -> Interval:
     return _FAMILIES[model.family].domain(*model.params)
 
 
-def _check_domain(model: NoiseModel, re_alpha: float, what: str = "alpha") -> None:
-    """The one scalar admissibility check: OutOfDomain unless ``re_alpha`` is in A."""
+def _check_domain(model: NoiseModel, re_alpha: float, what: str = "alpha") -> float:
+    """The one scalar admissibility check: ``re_alpha`` as a float; OutOfDomain unless it is in A."""
+    re_alpha = float(re_alpha)
     iv = admissible_set(model)
     if not iv.contains(re_alpha):
         raise OutOfDomain(
@@ -627,6 +633,7 @@ def _check_domain(model: NoiseModel, re_alpha: float, what: str = "alpha") -> No
             f"{'(' if iv.lo_open else '['}{iv.lo:g}, {iv.hi:g}{')' if iv.hi_open else ']'}"
             f" of {model!r}"
         )
+    return re_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -816,12 +823,7 @@ def esscher_transform(model: NoiseModel, lam: float) -> NoiseModel:
     lam = float(lam)
     if lam == 0.0:
         return model
-    interval = admissible_set(model)
-    if not interval.interior_contains(lam):
-        raise OutOfDomain(
-            f"lambda={lam:g} outside interior ({interval.lo:g}, {interval.hi:g}) of {model!r}"
-        )
-    params, drift = _FAMILIES[model.family].tilt(lam, model.drift, *model.params)
+    params, drift = _FAMILIES[model.family].tilt(_check_domain(model, lam, "lambda"), model.drift, *model.params)
     return NoiseModel(model.family, params, drift)
 
 
@@ -836,10 +838,13 @@ def sheffer_polynomials(model: NoiseModel, xi: float, t: float) -> tuple:
 
     Each of Q1(xi_t, t), Q2(xi_t, t), Q3(xi_t, t) is a martingale under the
     fiducial measure.
+
+    Raises
+    ------
+    NonFiniteValue, InvalidParameter, OffSupport
+        As :func:`check_observation`.
     """
-    xi, t = float(xi), float(t)
-    if not (math.isfinite(xi) and math.isfinite(t) and t >= 0.0):
-        raise InvalidParameter(f"need a finite xi and a finite time t >= 0, got xi={xi}, t={t}")
+    xi, t = map(float, check_observation(model, xi, t))
     p1 = float(dpsi_unchecked(model, 0.0))
     p2 = float(d2psi_unchecked(model, 0.0))
     p3 = float(d3psi_unchecked(model, 0.0))

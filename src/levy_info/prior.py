@@ -183,7 +183,7 @@ def check_compatibility(prior: Prior, model: NoiseModel) -> None:
         )
     interval = admissible_set(model)
     xs = prior.positions
-    ok = interval.contains_array(xs)
+    ok = interval.contains(xs)
     if interval.lo_open and np.isfinite(interval.lo):
         ok &= (xs - interval.lo) >= MARGIN * max(1.0, abs(interval.lo))
     if interval.hi_open and np.isfinite(interval.hi):

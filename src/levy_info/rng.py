@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, _count
 
 __all__ = ["stream", "worker_count", "map_ordered", "CHUNK"]
 
@@ -29,12 +29,10 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     Raises
     ------
     InvalidParameter
-        If ``seed`` is negative.
+        If ``seed`` or a key is not a non-negative integer (numpy's included).
     """
-    seed = int(seed)
-    if seed < 0:
-        raise InvalidParameter(f"seed must be a non-negative integer, got {seed}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
+    seed = _count(seed, "seed", 0)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(_count(k, "stream key", 0) for k in key))
     return np.random.Generator(np.random.Philox(seed=ss))
 
 

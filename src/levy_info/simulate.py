@@ -15,13 +15,12 @@ cross-validation, as does the finite-horizon time-changed bridge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridExceedsHorizon, InvalidParameter, UnsupportedRepresentation, _count
-from .noise import _FAMILIES, NoiseModel, _check_domain
+from .errors import GridExceedsHorizon, InvalidParameter, UnsupportedRepresentation, _count, _positive
+from .noise import _FAMILIES, NoiseModel, _check_domain, _check_times
 from .prior import Prior, check_compatibility
 from .rng import CHUNK, map_ordered, stream
 
@@ -64,9 +63,7 @@ class TimeGrid:
     def regular(cls, t_max: float, steps: int) -> "TimeGrid":
         """An equally spaced grid of ``steps`` intervals on [0, t_max]."""
         steps = _count(steps, "steps")
-        if not (np.isfinite(t_max) and t_max > 0):
-            raise InvalidParameter(f"need a positive, finite t_max, got {t_max}")
-        return cls(np.linspace(0.0, float(t_max), steps + 1))
+        return cls(np.linspace(0.0, _positive(t_max, "t_max"), steps + 1))
 
     def __len__(self):
         return self.times.size
@@ -102,10 +99,11 @@ def increment_draws(model: NoiseModel, x, dt, rng: np.random.Generator, size=Non
     """Exact draws of xi(t+dt) - xi(t) given X = x; vectorized over x and dt.
 
     ``x`` and ``dt`` broadcast against each other (and against ``size`` when
-    given).  No domain validation is performed here; callers check the
-    message values once up front.
+    given).  ``dt`` must be finite and >= 0 (InvalidParameter).  ``x`` is not
+    checked: callers check messages once, and an ensemble calls this once per
+    interval and chunk.
     """
-    return _draws(model, _FAMILIES[model.family].sample, x, dt, rng, size)
+    return _draws(model, _FAMILIES[model.family].sample, x, _check_times(dt, "dt"), rng, size)
 
 
 def _draws(model: NoiseModel, sample, x, dt, rng: np.random.Generator, size):
@@ -193,13 +191,6 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
     return x, xi
 
 
-def _check_message(model: NoiseModel, x: float) -> float:
-    """A message value as a float; OutOfDomain unless it lies in A."""
-    x = float(x)
-    _check_domain(model, x, "message x")
-    return x
-
-
 def _construction(model: NoiseModel, rep: str):
     """The sampler of one named construction of the model's family."""
     constructions = _FAMILIES[model.family].constructions
@@ -227,7 +218,7 @@ def simulate_alternative_representation(
     OutOfDomain
         If the message value is not admissible.
     """
-    return _walk(model, _construction(model, rep), _check_message(model, x), grid, rng)
+    return _walk(model, _construction(model, rep), _check_domain(model, x, "message x"), grid, rng)
 
 
 def representation_draws(model: NoiseModel, rep: str, x: float, t: float, n: int, seed: int, tag: int = 0):
@@ -237,10 +228,8 @@ def representation_draws(model: NoiseModel, rep: str, x: float, t: float, n: int
     the construction is conditionally Levy, so xi_t is a single increment).
     """
     sample = _construction(model, rep)
-    x = _check_message(model, x)
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise InvalidParameter(f"t must be positive and finite, got {t}")
+    x = _check_domain(model, x, "message x")
+    t = _positive(t, "t")
     n = _count(n, "n")
     out = np.empty(n)
 
@@ -280,12 +269,10 @@ def simulate_bridge_path(
 
 def _bridge_clock(horizon: float, times: np.ndarray, u_cap: float | None = None) -> tuple:
     """(u, scale) at increasing ``times``: the clock u = tT/(T - t) and the
-    rescale (T - t)/T, once T > 0 is finite, t < T and u <= ``u_cap``."""
-    horizon = float(horizon)
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise InvalidParameter(f"horizon must be positive and finite, got {horizon}")
-    if u_cap is None:
-        u_cap = 1e6 * horizon
+    rescale (T - t)/T, once T and ``u_cap`` are positive and finite, t < T
+    and u <= ``u_cap``."""
+    horizon = _positive(horizon, "horizon")
+    u_cap = 1e6 * horizon if u_cap is None else _positive(u_cap, "u_cap")
     if times[-1] >= horizon:
         raise GridExceedsHorizon(
             f"bridge grid reaches t={times[-1]:g} but the horizon is T={horizon:g}"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, TooFewSamples
+from .errors import TooFewSamples, _positive
 
 __all__ = [
     "StudyRow",
@@ -64,14 +64,6 @@ class StudyRow:
         return math.isnan(self.reference)
 
 
-def _threshold(threshold) -> float:
-    """A study's |z| threshold as a float; InvalidParameter unless > 0 (NaN fails)."""
-    threshold = float(threshold)
-    if not threshold > 0.0:
-        raise InvalidParameter(f"study threshold must be > 0, got {threshold}")
-    return threshold
-
-
 @dataclass(frozen=True, eq=False)
 class StudyReport:
     """A named collection of study rows with a shared |z| threshold (> 0)."""
@@ -81,7 +73,7 @@ class StudyReport:
     threshold: float = 3.5
 
     def __post_init__(self):
-        _threshold(self.threshold)
+        _positive(self.threshold, "study threshold")
 
     @property
     def max_abs_z(self) -> float:

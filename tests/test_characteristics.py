@@ -102,6 +102,14 @@ def test_atom_series_continues_past_the_stored_atoms():
         assert reconstruct_exponent(short, a) == pytest.approx(li.conditional_exponent(model, x, a), abs=1e-12)
 
 
+def test_atom_series_is_summed_in_log_space_near_the_end_of_a():
+    # at alpha = 0.69 < ln 2 the terms (q e^alpha)^k / k decay slowly: past
+    # k ~ 1030, e^{alpha k} alone overflows and q^k alone underflows
+    model = li.make_noise_model("NegativeBinomial", (1.0, 0.5))
+    got = reconstruct_exponent(li.characteristic_triplet(model), 0.69)
+    assert got == pytest.approx(li.fiducial_exponent(model, 0.69), abs=1e-12)
+
+
 def test_levy_khintchine_reconstruction_matches_conditional_exponent():
     # finite / truncatable measures: Poisson, NB, Gamma
     cases = [

@@ -111,7 +111,7 @@ def test_exceed_thresholds_match_inversion(family, tilt, drift, where, epsilon, 
     # rates across the range of psi0', at and around each threshold, at and
     # below the finite lower end of the range (where I0 clamps), and NaN
     inside = lo + np.array(spots) * (hi - lo)
-    rates = [dpsi_unchecked(model, inside[domain.contains_array(inside)]), [math.nan]]
+    rates = [dpsi_unchecked(model, inside[domain.contains(inside)]), [math.nan]]
     range_lo = li.marginal_range(model).lo
     for level in (upper, lower, range_lo):
         if np.isfinite(level):

@@ -345,6 +345,22 @@ def test_gamma_linear_filter_values():
         li.gamma_linear_filter(-1.0, 2.0, 1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("theta, r, m", [(math.inf, 2.0, 1.0), (1.0, math.inf, 1.0), (1.0, 2.0, math.inf),
+                                         (math.nan, 2.0, 1.0), (1.0, 2.0, 0.0)])
+def test_gamma_linear_filter_parameters_are_positive_and_finite(theta, r, m):
+    # theta = inf used to return inf
+    with pytest.raises(li.InvalidParameter):
+        li.gamma_linear_filter(theta, r, m, 1.0, 1.0)
+
+
+def test_gamma_linear_filter_checks_the_observation_under_gamma():
+    # the observation is one of Gamma(m, 1); xi = -5 used to give Y = -2
+    with pytest.raises(li.OffSupport):
+        li.gamma_linear_filter(1.0, 2.0, 1.0, -5.0, 1.0)
+    with pytest.raises(li.NonFiniteValue):
+        li.gamma_linear_filter(1.0, 2.0, 1.0, math.nan, 1.0)
+
+
 def test_estimate_message_inversions():
     brown = li.make_noise_model("Brownian", ())
     prior = li.prior_from_atoms([(0.0, 1.0), (0.5, 1.0)])

@@ -186,7 +186,7 @@ def test_derivatives_are_finite_next_to_the_ends_of_A(family, lam):
     for derivative in (dpsi_unchecked, d2psi_unchecked, d3psi_unchecked):
         assert np.isfinite(derivative(model, inner)).all(), derivative
     rates = dpsi_unchecked(model, inner)
-    assert domain.contains_array(inverse_closed_form(model, rates)).all()
+    assert domain.contains(inverse_closed_form(model, rates)).all()
 
 
 def test_normal_inverse_gaussian_inverse_of_a_huge_rate_is_next_to_the_end():
@@ -445,9 +445,16 @@ def test_sheffer_literals():
 
 @pytest.mark.parametrize("xi, t", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (1.0, -1.0)])
 def test_sheffer_polynomials_reject_non_finite_input(xi, t):
+    # the filter's observation check: NonFiniteValue for xi, InvalidParameter for t
     gamma = li.make_noise_model("Gamma", (1.0, 1.0))
-    with pytest.raises(li.InvalidParameter):
+    with pytest.raises(li.InvalidParameter if math.isfinite(xi) else li.NonFiniteValue):
         li.sheffer_polynomials(gamma, xi, t)
+
+
+@pytest.mark.parametrize("family, params, xi", [("Gamma", (1.0, 1.0), -5.0), ("Poisson", (1.0,), 0.5)])
+def test_sheffer_polynomials_reject_an_observation_off_the_support(family, params, xi):
+    with pytest.raises(li.OffSupport):
+        li.sheffer_polynomials(li.make_noise_model(family, params), xi, 1.0)
 
 
 def test_sheffer_polynomials_have_zero_mean(model):

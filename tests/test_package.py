@@ -157,16 +157,26 @@ def raised_names(source):
     return found
 
 
+def package_sources():
+    """{file name: source} of every module of the package."""
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(Path(li.__file__).parent.glob("*.py"))}
+
+
+def raise_sites(name, sources):
+    """``file:line`` of every ``raise name`` in a {file name: source} mapping."""
+    return [f"{file}:{line}" for file, source in sources.items()
+            for line, raised in raised_names(source) if raised == name]
+
+
 def test_each_admissibility_check_is_written_once():
-    # "is x in A" is noise._check_domain and "are the atoms admissible" is
+    # "is x in A" is noise._check_domain, "is xi on the support" is
+    # noise.check_observation and "are the atoms admissible" is
     # prior.check_compatibility; a raise elsewhere is a second copy of a rule
-    owner = {"OutOfDomain": "noise.py", "IncompatibleSupport": "prior.py"}
-    stray = []
-    for path in sorted(Path(li.__file__).parent.glob("*.py")):
-        for line, name in raised_names(path.read_text(encoding="utf-8")):
-            if owner.get(name, path.name) != path.name:
-                stray.append(f"{path.name}:{line}: {name}")
-    assert stray == []
+    sources = package_sources()
+    for name in ("OutOfDomain", "OffSupport"):
+        sites = raise_sites(name, sources)
+        assert len(sites) == 1 and sites[0].startswith("noise.py:"), sites
+    assert {site.partition(":")[0] for site in raise_sites("IncompatibleSupport", sources)} == {"prior.py"}
 
 
 def test_raise_lint_sees_both_forms():
@@ -174,13 +184,17 @@ def test_raise_lint_sees_both_forms():
     assert raised_names(source) == [(2, "OutOfDomain"), (4, "IncompatibleSupport")]
 
 
+def test_raise_lint_counts_every_admissibility_site():
+    sources = {"noise.py": "def f():\n    raise OutOfDomain('a')\ndef g():\n    raise OffSupport\n",
+               "simulate.py": "def h(x):\n    if x:\n        raise OutOfDomain\n    raise OffSupport('b')\n"}
+    assert raise_sites("OutOfDomain", sources) == ["noise.py:2", "simulate.py:3"]
+    assert raise_sites("OffSupport", sources) == ["noise.py:4", "simulate.py:4"]
+
+
 def test_degenerate_weights_is_raised_at_one_site():
     # the filter kernel filtering._log_weights is the one place that forms
     # posterior log-weights and finds them degenerate
-    sites = []
-    for path in sorted(Path(li.__file__).parent.glob("*.py")):
-        sites += [f"{path.name}:{line}" for line, name in raised_names(path.read_text(encoding="utf-8"))
-                  if name == "DegenerateWeights"]
+    sites = raise_sites("DegenerateWeights", package_sources())
     assert len(sites) == 1 and sites[0].startswith("filtering.py:"), sites
 
 

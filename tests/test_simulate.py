@@ -191,6 +191,29 @@ def test_negative_seed_is_invalid_parameter():
         stream(-1, 0)
 
 
+@pytest.mark.parametrize("seed", [2.5, math.nan, "2"])
+def test_a_seed_that_is_not_a_whole_number_is_invalid_parameter(seed):
+    # 2.5 used to run seed 2 and NaN raised numpy's ValueError
+    model = li.make_noise_model("Gamma", (1.0, 1.0))
+    with pytest.raises(li.InvalidParameter, match="seed"):
+        li.simulate_ensemble(model, degenerate(0.0), li.TimeGrid.regular(1.0, 2), 3, seed=seed)
+
+
+@pytest.mark.parametrize("tag", [2.5, -1, math.nan])
+def test_a_stream_key_that_is_not_a_count_is_invalid_parameter(tag):
+    model = li.make_noise_model("Gamma", (1.0, 1.0))
+    with pytest.raises(li.InvalidParameter, match="stream key"):
+        li.simulate_ensemble(model, degenerate(0.0), li.TimeGrid.regular(1.0, 2), 3, seed=1, tag=tag)
+
+
+@pytest.mark.parametrize("dt", [-1.0, math.nan, math.inf, [0.5, -0.5]])
+def test_increment_draws_reject_a_bad_time_step(dt):
+    # dt = -1 used to raise numpy's ValueError and NaN returned NaN draws
+    model = li.make_noise_model("Gamma", (1.0, 1.0))
+    with pytest.raises(li.InvalidParameter, match="dt must be finite and >= 0"):
+        li.increment_draws(model, 0.0, dt, np.random.default_rng(0))
+
+
 def test_gamma_draws_match_numpy_gamma():
     # the sampler goes through standard_gamma; the variates must be the ones
     # numpy's gamma(shape, scale) gives on the same stream
@@ -370,3 +393,12 @@ def test_bridge_grid_must_stay_inside_horizon():
                                    li.TimeGrid([0.0, 1.0 - 1e-9]), rng,
                                    u_cap=1e12)
     assert np.isfinite(path.values).all()
+
+
+@pytest.mark.parametrize("u_cap", [math.nan, math.inf, 0.0])
+def test_bridge_cap_is_positive_and_finite(u_cap):
+    # a NaN cap used to switch the cap off
+    model = li.make_noise_model("Brownian", ())
+    with pytest.raises(li.InvalidParameter, match="u_cap"):
+        li.simulate_bridge_path(model, degenerate(0.0), 1.0, li.TimeGrid([0.0, 0.5]), np.random.default_rng(0),
+                                u_cap=u_cap)

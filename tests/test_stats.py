@@ -196,7 +196,7 @@ def test_report_pass_fail_and_summary():
     assert "passed=false" in rep2.summary()
 
 
-@pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0, math.inf])
 def test_report_threshold_must_be_positive(threshold):
     with pytest.raises(li.InvalidParameter, match="threshold"):
         li.StudyReport("demo", (), threshold=threshold)
