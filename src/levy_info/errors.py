@@ -1,4 +1,4 @@
-"""Exception types raised by the levy_info package, and the count and positive-number checks.
+"""Exception types raised by the levy_info package, and the count, positive-number and argument-type checks.
 
 Every error raised on purpose by this package derives from ``LevyInfoError``,
 so callers can catch numerical/validation problems with a single handler
@@ -97,3 +97,12 @@ def _positive(value, name: str) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise InvalidParameter(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def _instances(*pairs) -> None:
+    """InvalidParameter unless every (value, type) pair matches: the guard
+    against arguments passed in the wrong order."""
+    if not all(isinstance(value, kind) for value, kind in pairs):
+        wanted = " and ".join(("an " if kind.__name__[0] in "AEIOU" else "a ") + kind.__name__ for _, kind in pairs)
+        got = " and ".join(type(value).__name__ for value, _ in pairs)
+        raise InvalidParameter(f"expected {wanted}, got {got}")

@@ -113,17 +113,23 @@ def convergence_study(
     messages, xi = simulate_ensemble(model, prior, grid, n_paths, seed)
     atoms = prior.positions
     idx = np.searchsorted(atoms, messages)
+    del messages
     drift_x = dpsi_unchecked(model, atoms)[idx]
     hi, lo = (side[idx] for side in _exceed_thresholds(model, atoms, epsilon))
+    del idx
     reference_d2 = float(prior.weights @ d2psi_unchecked(model, atoms))
     rows = []
+    rate, sq = np.empty(n_paths), np.empty(n_paths)
+    exceed, below = np.empty(n_paths, dtype=bool), np.empty(n_paths, dtype=bool)
     for j, t in enumerate(times, start=1):
-        rate = xi[:, j] / t
-        sq = (rate - drift_x) ** 2
+        np.divide(xi[:, j], t, out=rate)
+        np.subtract(rate, drift_x, out=sq)
+        np.square(sq, out=sq)
         est, se = mean_stderr(sq)
         ref = reference_d2 / t
         rows.append(StudyRow(f"mse[t={t:g}]", est, ref, se, zscore(est, ref, se)))
-        exceed = (rate >= hi) | (rate <= lo)
+        np.greater_equal(rate, hi, out=exceed)
+        exceed |= np.less_equal(rate, lo, out=below)
         p = float(exceed.mean())
         se_p = math.sqrt(p * (1.0 - p) / exceed.size)
         rows.append(
@@ -180,6 +186,15 @@ def factorization_study(
     exp(beta x_i) once per beta as a K-entry table over the prior atoms,
     gathered by each path's atom index, as is psi0(x_i) in the weights.
     Each pair is then one complex multiply.
+
+    Memory stays at a few n-length arrays whatever the grid sizes: the
+    weights are formed in the message buffer, xi_t is copied out of the
+    ensemble so the ensemble can go, and three buffers, each allocated once,
+    are reused: the complex path factor (per alpha), the complex pair
+    samples (per pair) and the real residual (per part).  Every expression
+    keeps its ufuncs and their order on purpose, the complex multiply
+    included: the same product in real arithmetic, or sums regrouped by
+    atom, would round differently and change the output bits.
     """
     threshold = _positive(threshold, "study threshold")
     alphas = _imaginary_grid(alpha, "alpha")
@@ -189,31 +204,45 @@ def factorization_study(
     messages, xi = simulate_ensemble(model, prior, TimeGrid(np.array([0.0, t])), n_paths, seed)
     atoms = prior.positions
     idx = np.searchsorted(atoms, messages)
-    xi_t = xi[:, 1]
-    weights = np.exp(-messages * xi_t + psi_unchecked(model, atoms)[idx] * t)
+    xi_t = xi[:, 1].copy()
+    del xi
+    # weights = exp(-X xi_t + psi0(X) t), in the message buffer; the term
+    # psi0(X) t goes in the buffer the residuals reuse below
+    weights = np.negative(messages, out=messages)
+    weights *= xi_t
+    resid = np.take(psi_unchecked(model, atoms), idx)
+    resid *= t
+    weights += resid
+    np.exp(weights, out=weights)
     w_mean = weights.mean()
     w_est, w_se = mean_stderr(weights)
     rows = [StudyRow("weight_mean", w_est, 1.0, w_se, zscore(w_est, 1.0, w_se))]
     n = weights.size
-    b_factors = []
-    for b in betas:
-        table = np.exp(b * atoms)
-        b_factors.append((b, table[idx], prior.weights @ table))
+    b_tables = [(b, np.exp(b * atoms)) for b in betas]
+    a_factor = np.empty(n, dtype=complex)
     samples = np.empty(n, dtype=complex)
     for a in alphas:
-        a_factor = np.exp(a * xi_t)
-        a_factor *= weights
+        # the real operands are cast to complex by assignment, so no ufunc
+        # allocates a cast buffer; samples is free until the pair loop
+        a_factor[...] = xi_t
+        np.multiply(a, a_factor, out=a_factor)
+        np.exp(a_factor, out=a_factor)
+        samples[...] = weights
+        a_factor *= samples
         a_ref = np.exp(fiducial_exponent(model, a) * t)
-        for b, b_factor, b_ref in b_factors:
-            np.multiply(a_factor, b_factor, out=samples)
-            reference = a_ref * b_ref
+        for b, table in b_tables:
+            np.take(table, idx, out=samples, mode="clip")  # "raise" would buffer out
+            np.multiply(a_factor, samples, out=samples)
+            reference = a_ref * (prior.weights @ table)
             key = f"alpha={a.imag:g}i,beta={b.imag:g}i"
             for part, take in (("re", np.real), ("im", np.imag)):
                 part_samples = take(samples)
                 est = float(part_samples.mean() / w_mean)
                 # delta-method standard error of the ratio estimator
-                resid = part_samples - est * weights
-                se = float(np.sqrt((resid * resid).sum() / (n - 1) / n) / w_mean)
+                np.multiply(est, weights, out=resid)
+                np.subtract(part_samples, resid, out=resid)
+                resid *= resid
+                se = float(np.sqrt(resid.sum() / (n - 1) / n) / w_mean)
                 ref = float(take(reference))
                 rows.append(StudyRow(f"cf_{part}[{key}]", est, ref, se, zscore(est, ref, se)))
     return StudyReport("factorization", tuple(rows), threshold)

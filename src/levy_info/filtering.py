@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeights, InvalidParameter, _positive
+from .errors import DegenerateWeights, InvalidParameter, _instances, _positive
 from .noise import GAMMA, NoiseModel, check_observation, inverse_marginal_clamped, make_noise_model, psi_unchecked
 from .prior import Prior, _frozen, check_compatibility, prior_expectation
 from .rng import map_ordered
@@ -125,10 +125,7 @@ def sequential_update(posterior: Posterior, model: NoiseModel, dxi: float, dt: f
     NonFiniteValue, InvalidParameter, IncompatibleSupport, OffSupport, DegenerateWeights
         As :func:`posterior_update` at (dxi, dt).
     """
-    if not (isinstance(posterior, Posterior) and isinstance(model, NoiseModel)):
-        raise InvalidParameter(
-            f"expected a Posterior and a NoiseModel, got {type(posterior).__name__} and {type(model).__name__}"
-        )
+    _instances((posterior, Posterior), (model, NoiseModel))
     step = posterior_update(posterior, model, dxi, dt)
     if step.xi == 0.0 and step.t == 0.0:
         return posterior

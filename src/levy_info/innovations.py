@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, TooFewSamples, _positive
+from .errors import InvalidParameter, TooFewSamples, _instances, _positive
 from .filtering import posterior_expectations
 from .noise import NoiseModel, _check_domain, check_observation, dpsi_unchecked
 from .prior import Prior, check_compatibility
@@ -72,12 +72,14 @@ def innovations_path(path: InformationPath, prior: Prior) -> InnovationsPath:
     Raises
     ------
     InvalidParameter
-        If the grid has fewer than two points.
+        If ``path`` is not an InformationPath or ``prior`` not a Prior (the
+        two swapped, say), or the grid has fewer than two points.
     NonFiniteValue, OffSupport
         If an increment is not finite or no message could produce it (a decreasing Gamma path).
     IncompatibleSupport, DegenerateWeights
         Propagated from the filter.
     """
+    _instances((path, InformationPath), (prior, Prior))
     if len(path.grid) < 2:
         raise InvalidParameter("innovations need a grid with at least two points")
     check_observation(path.model, np.diff(path.values), np.diff(path.grid.times))
@@ -107,9 +109,12 @@ def compensated_path(path: InformationPath, model: NoiseModel) -> np.ndarray:
 
     Raises
     ------
+    InvalidParameter
+        If ``path`` is not an InformationPath or ``model`` not a NoiseModel.
     OutOfDomain
         If the stored message is not admissible for ``model``.
     """
+    _instances((path, InformationPath), (model, NoiseModel))
     x = _check_domain(model, path.message, "message x")
     return path.values - dpsi_unchecked(model, x) * path.grid.times
 

@@ -20,6 +20,7 @@ from .errors import (
     NonPositiveWeight,
     ZeroMass,
     _count,
+    _instances,
 )
 from .noise import Interval, NoiseModel, admissible_set
 
@@ -177,10 +178,7 @@ def check_compatibility(prior: Prior, model: NoiseModel) -> None:
     IncompatibleSupport
         Listing the offending atom positions.
     """
-    if not (isinstance(prior, Prior) and isinstance(model, NoiseModel)):
-        raise InvalidParameter(
-            f"expected a Prior and a NoiseModel, got {type(prior).__name__} and {type(model).__name__}"
-        )
+    _instances((prior, Prior), (model, NoiseModel))
     interval = admissible_set(model)
     xs = prior.positions
     ok = interval.contains(xs)

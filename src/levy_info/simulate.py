@@ -99,10 +99,14 @@ def increment_draws(model: NoiseModel, x, dt, rng: np.random.Generator, size=Non
     """Exact draws of xi(t+dt) - xi(t) given X = x; vectorized over x and dt.
 
     ``x`` and ``dt`` broadcast against each other (and against ``size`` when
-    given).  ``dt`` must be finite and >= 0 (InvalidParameter).  ``x`` is not
-    checked: callers check messages once, and an ensemble calls this once per
-    interval and chunk.
+    given).  ``dt`` must be finite and >= 0, and ``size`` None, a count or a
+    sequence of counts (InvalidParameter).  ``x`` is not checked: callers check
+    messages once, and an ensemble calls this once per interval and chunk.
     """
+    if isinstance(size, (tuple, list)):
+        size = tuple(_count(n, "size", 0) for n in size)
+    elif size is not None:
+        size = _count(size, "size", 0)
     return _draws(model, _FAMILIES[model.family].sample, x, _check_times(dt, "dt"), rng, size)
 
 

@@ -119,7 +119,7 @@ def _centred_k_statistics(shift: float, xc: np.ndarray) -> tuple:
     d = xc - m
     d2 = d * d
     s2 = float(d2.sum())
-    s3 = float((d2 * d).sum())
+    s3 = float(np.multiply(d2, d, out=d).sum())
     k1 = shift + m
     k2 = s2 / (n - 1)
     k3 = n * s3 / ((n - 1) * (n - 2))
@@ -156,9 +156,15 @@ class CumulantEstimate:
 
 def jackknife_se(loo) -> float:
     """Jackknife standard error from a vector of leave-one-out estimates."""
-    loo = np.ascontiguousarray(loo, dtype=float).ravel()
+    return _jackknife_se(np.array(loo, dtype=float).ravel())
+
+
+def _jackknife_se(loo: np.ndarray) -> float:
+    """:func:`jackknife_se`, overwriting ``loo`` with its squared deviations."""
     n = loo.size
-    return float(math.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum()))
+    loo -= loo.mean()
+    np.square(loo, out=loo)
+    return float(math.sqrt((n - 1) / n * loo.sum()))
 
 
 def jackknife_cumulants(x) -> CumulantEstimate:
@@ -167,6 +173,15 @@ def jackknife_cumulants(x) -> CumulantEstimate:
     Leave-one-out values come from downdated power sums (O(n) total); the
     data are centred at the grand mean first so the power sums do not lose
     precision to a large common location.
+
+    Memory stays at four n-length arrays besides ``x``: each leave-one-out
+    vector is reduced to its standard error before the next is formed, and
+    the centred powers ``xc``, ``xc2`` and ``xc3`` are overwritten by the
+    downdated sums and leave-one-out values once they are spent.  Each
+    expression keeps its operands and their order on purpose, so the bits
+    are those of the plain expressions
+    r1 = s1 - xc, mu = r1 / m, c2 = (s2 - xc2) - r1 * mu and
+    c3 = ((s3 - xc3) - (3.0 * mu) * r2) + (2.0 * m) * ((mu * mu) * mu).
     """
     x = _samples(x, 4)
     n = x.size
@@ -178,17 +193,25 @@ def jackknife_cumulants(x) -> CumulantEstimate:
     xc3 = xc2 * xc
     s1, s2, s3 = xc.sum(), float(xc2.sum()), float(xc3.sum())
     m = n - 1
-    r1 = s1 - xc
-    r2 = s2 - xc2
+    r1 = np.subtract(s1, xc, out=xc)
     mu = r1 / m
-    c2 = r2 - r1 * mu
-    c3 = (s3 - xc3) - 3.0 * mu * r2 + 2.0 * m * (mu * mu * mu)
-    loo_k1 = shift + mu
-    loo_k2 = c2 / (m - 1)
-    loo_k3 = m * c3 / ((m - 1) * (m - 2))
-    return CumulantEstimate(
-        n, k1, k2, k3, jackknife_se(loo_k1), jackknife_se(loo_k2), jackknife_se(loo_k3)
-    )
+    r2 = np.subtract(s2, xc2, out=xc2)
+    loo = np.multiply(r1, mu, out=r1)  # loo_k2 = c2 / (m - 1)
+    np.subtract(r2, loo, out=loo)
+    loo /= m - 1
+    se2 = _jackknife_se(loo)
+    se1 = _jackknife_se(np.add(shift, mu, out=loo))  # loo_k1
+    c3 = np.subtract(s3, xc3, out=xc3)  # loo_k3 = m * c3 / ((m - 1) * (m - 2))
+    term = np.multiply(3.0, mu, out=loo)
+    term *= r2
+    c3 -= term
+    np.multiply(mu, mu, out=term)
+    term *= mu
+    term *= 2.0 * m
+    c3 += term
+    c3 *= m
+    c3 /= (m - 1) * (m - 2)
+    return CumulantEstimate(n, k1, k2, k3, se1, se2, _jackknife_se(c3))
 
 
 def jackknife_covariance(a, b) -> tuple:

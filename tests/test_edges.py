@@ -69,7 +69,8 @@ CALLS = {
     "simulate_information_path": call(lambda: li.simulate_information_path(GAMMA, PRIOR, GRID, rng())),
     "simulate_ensemble": call(lambda n_paths, seed, tag: li.simulate_ensemble(GAMMA, PRIOR, GRID, n_paths, seed, tag),
                               counts={"n_paths": 3, "seed": 1, "tag": 0}),
-    "increment_draws": call(lambda x, dt: li.increment_draws(GAMMA, x, dt, rng()), x=0.0, dt=0.5),
+    "increment_draws": call(lambda x, dt, size: li.increment_draws(GAMMA, x, dt, rng(), size),
+                            counts={"size": 3}, x=0.0, dt=0.5),
     "simulate_alternative_representation": call(
         lambda x: li.simulate_alternative_representation(VG, "VG_subordinated", x, GRID, rng()), x=0.5),
     "representation_draws": call(

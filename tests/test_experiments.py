@@ -12,7 +12,7 @@ import levy_info as li
 from conftest import FAMILY_PARAMS, window
 from levy_info import experiments
 from levy_info.experiments import _exceed_thresholds
-from levy_info.noise import dpsi_unchecked, inverse_marginal_clamped
+from levy_info.noise import dpsi_unchecked, inverse_marginal_clamped, psi_unchecked
 from levy_info.rng import stream
 
 
@@ -189,6 +189,40 @@ def test_factorization_grid_matches_per_pair_calls():
     assert [r.quantity for r in grid.rows] == [r.quantity for r in expected]
     got = np.array([(r.estimate, r.reference, r.stderr, r.z) for r in grid.rows])
     want = np.array([(r.estimate, r.reference, r.stderr, r.z) for r in expected])
+    assert got.tobytes() == want.tobytes()
+
+
+def plain_factorization_rows(model, prior, alphas, betas, t, n_paths, seed):
+    """The study's rows as plain expressions, one new array per step: the
+    reference its reused buffers must reproduce bit for bit."""
+    messages, xi = li.simulate_ensemble(model, prior, li.TimeGrid(np.array([0.0, t])), n_paths, seed)
+    idx = np.searchsorted(prior.positions, messages)
+    xi_t = xi[:, 1]
+    weights = np.exp(-messages * xi_t + psi_unchecked(model, prior.positions)[idx] * t)
+    w_mean = weights.mean()
+    rows = [li.mean_stderr(weights)]
+    for a in alphas:
+        a_factor = np.exp(a * xi_t) * weights
+        for b in betas:
+            samples = a_factor * np.exp(b * prior.positions)[idx]
+            for take in (np.real, np.imag):
+                est = float(take(samples).mean() / w_mean)
+                resid = take(samples) - est * weights
+                rows.append((est, float(np.sqrt((resid * resid).sum() / (n_paths - 1) / n_paths) / w_mean)))
+    return rows
+
+
+@pytest.mark.parametrize("family, atoms", [
+    ("Gamma", [(0.0, 1.0), (0.3, 2.0), (0.5, 1.0)]),
+    ("NormalInverseGaussian", [(-0.5, 1.0), (0.5, 1.0)]),
+])
+def test_factorization_matches_the_plain_expressions(family, atoms):
+    model = li.make_noise_model(family, FAMILY_PARAMS[family])
+    prior = li.prior_from_atoms(atoms)
+    alphas, betas = [0.3j, 0.9j], [0.2j, 0.5j, 0.8j]
+    report = li.factorization_study(model, prior, alphas, betas, 1.5, 9000, seed=70)
+    got = np.array([(r.estimate, r.stderr) for r in report.rows])
+    want = np.array(plain_factorization_rows(model, prior, alphas, betas, 1.5, 9000, 70))
     assert got.tobytes() == want.tobytes()
 
 

@@ -214,6 +214,19 @@ def test_increment_draws_reject_a_bad_time_step(dt):
         li.increment_draws(model, 0.0, dt, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("size", [-1, (2, -1), (2, 2.5), [math.nan]])
+def test_increment_draws_reject_a_size_that_is_not_a_count(size):
+    # -1 and (2, -1) used to raise numpy's ValueError
+    model = li.make_noise_model("Gamma", (1.0, 1.0))
+    with pytest.raises(li.InvalidParameter, match="size must be"):
+        li.increment_draws(model, 0.0, 1.0, np.random.default_rng(0), size)
+
+
+def test_increment_draws_take_an_empty_size():
+    model = li.make_noise_model("Gamma", (1.0, 1.0))
+    assert li.increment_draws(model, 0.0, 1.0, np.random.default_rng(0), (2, 0)).shape == (2, 0)
+
+
 def test_gamma_draws_match_numpy_gamma():
     # the sampler goes through standard_gamma; the variates must be the ones
     # numpy's gamma(shape, scale) gives on the same stream

@@ -168,6 +168,38 @@ def test_cumulant_kernels_match_pow_reference(n, seed, shape, offset, scale):
         assert abs(got - ref) <= 1e-12 * max(abs(ref), r2**1.5), (got, ref)
 
 
+def plain_jackknife_cumulants(x):
+    """The kernel as plain expressions, one new array per step: the reference
+    its reused buffers must reproduce bit for bit."""
+    n = x.size
+    k1, k2, k3 = li.k_statistics(x)
+    shift = x.mean()
+    xc = x - shift
+    xc2 = xc * xc
+    xc3 = xc2 * xc
+    s1, s2, s3 = xc.sum(), float(xc2.sum()), float(xc3.sum())
+    m = n - 1
+    r1 = s1 - xc
+    r2 = s2 - xc2
+    mu = r1 / m
+    c2 = r2 - r1 * mu
+    c3 = (s3 - xc3) - 3.0 * mu * r2 + 2.0 * m * (mu * mu * mu)
+    loos = (shift + mu, c2 / (m - 1), m * c3 / ((m - 1) * (m - 2)))
+    ses = [math.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum()) for loo in loos]
+    return li.CumulantEstimate(n, k1, k2, k3, *ses)
+
+
+@pytest.mark.parametrize("n", [4, 5, 1000, 8193, 40_001])
+@pytest.mark.parametrize("shape", ["student", "lattice"])
+def test_jackknife_cumulants_match_the_plain_expressions(n, shape):
+    rng = np.random.default_rng(n)
+    z = rng.standard_t(3.0, size=n) if shape == "student" else rng.poisson(2.0, size=n) - 2.0
+    x = 1e3 + 5.0 * z
+    assert li.jackknife_cumulants(x) == plain_jackknife_cumulants(x)
+    loo = rng.standard_normal(n)
+    assert li.jackknife_se(loo) == math.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum())
+
+
 # ---------------------------------------------------------------------------
 # study reports
 # ---------------------------------------------------------------------------
