@@ -34,7 +34,6 @@ __all__ = [
     "CharacteristicTriplet",
     "characteristic_triplet",
     "tilted_characteristics",
-    "reconstruct_exponent",
 ]
 
 

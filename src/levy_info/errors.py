@@ -8,6 +8,24 @@ while letting genuine bugs (TypeError, etc.) propagate.
 import math
 import operator
 
+__all__ = [
+    "LevyInfoError",
+    "InvalidParameter",
+    "OutOfDomain",
+    "OutOfRange",
+    "EmptyPrior",
+    "NonPositiveWeight",
+    "ZeroMass",
+    "IncompatibleSupport",
+    "NonFiniteValue",
+    "DegenerateWeights",
+    "OffSupport",
+    "UnsupportedRepresentation",
+    "GridExceedsHorizon",
+    "TooFewSamples",
+    "UsageError",
+]
+
 
 class LevyInfoError(Exception):
     """Base class for all levy_info errors."""
@@ -49,7 +67,8 @@ class IncompatibleSupport(LevyInfoError):
 
 
 class NonFiniteValue(LevyInfoError):
-    """A user-supplied function returned a non-finite value on an atom."""
+    """A value that must be finite is not: an observation, the imaginary part
+    of an exponent argument, or a user-supplied function's value on an atom."""
 
 
 class OffSupport(LevyInfoError):

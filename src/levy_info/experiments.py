@@ -20,12 +20,9 @@ from .noise import (
     NoiseModel,
     _check_domain,
     admissible_set,
-    d2psi_unchecked,
-    d3psi_unchecked,
-    dpsi_unchecked,
     esscher_transform,
+    exponent_derivatives,
     fiducial_exponent,
-    psi_unchecked,
 )
 from .prior import Prior, check_compatibility
 from .rng import stream
@@ -71,7 +68,7 @@ def _exceed_thresholds(model: NoiseModel, atoms: np.ndarray, epsilon: float):
     for end in (atoms + epsilon, atoms - epsilon):
         side = np.full(atoms.shape, math.nan)
         inside = domain.contains(end)
-        side[inside] = dpsi_unchecked(model, end[inside])
+        side[inside] = exponent_derivatives(model, end[inside])[0]
         sides.append(side)
     return sides
 
@@ -114,10 +111,11 @@ def convergence_study(
     atoms = prior.positions
     idx = np.searchsorted(atoms, messages)
     del messages
-    drift_x = dpsi_unchecked(model, atoms)[idx]
+    d1, d2, _ = exponent_derivatives(model, atoms)
+    drift_x = d1[idx]
     hi, lo = (side[idx] for side in _exceed_thresholds(model, atoms, epsilon))
     del idx
-    reference_d2 = float(prior.weights @ d2psi_unchecked(model, atoms))
+    reference_d2 = float(prior.weights @ d2)
     rows = []
     rate, sq = np.empty(n_paths), np.empty(n_paths)
     exceed, below = np.empty(n_paths, dtype=bool), np.empty(n_paths, dtype=bool)
@@ -140,8 +138,8 @@ def convergence_study(
 
 def _pure_imaginary(value, name: str) -> complex:
     value = complex(value)
-    if value.real != 0.0:
-        raise InvalidParameter(f"{name} must be purely imaginary, got {value}")
+    if value.real != 0.0 or not math.isfinite(value.imag):
+        raise InvalidParameter(f"{name} must be purely imaginary and finite, got {value}")
     return value
 
 
@@ -210,7 +208,7 @@ def factorization_study(
     # psi0(X) t goes in the buffer the residuals reuse below
     weights = np.negative(messages, out=messages)
     weights *= xi_t
-    resid = np.take(psi_unchecked(model, atoms), idx)
+    resid = np.take(fiducial_exponent(model, atoms), idx)
     resid *= t
     weights += resid
     np.exp(weights, out=weights)
@@ -287,7 +285,7 @@ def esscher_consistency_study(
     rows.append(StudyRow("mean", mean_d, mean_w, se, zscore(mean_d, mean_w, se)))
 
     var_d, se_vd = jackknife_covariance(direct, direct)
-    u = weights * fiducial * fiducial
+    u = weighted * fiducial
     var_w = float(u.mean() - weighted.mean() ** 2) * n / (n - 1)
     m = n - 1
     loo = ((u.sum() - u) / m - ((weighted.sum() - weighted) / m) ** 2) * m / (m - 1)
@@ -319,11 +317,7 @@ def representation_equivalence_study(
         raise InvalidParameter(f"{model.family} has {len(reps)} constructions; the representation study needs two")
     t = _positive(t, "t")
     x = _check_domain(model, x, "message x")
-    analytic = (
-        dpsi_unchecked(model, x) * t,
-        d2psi_unchecked(model, x) * t,
-        d3psi_unchecked(model, x) * t,
-    )
+    analytic = tuple(d * t for d in exponent_derivatives(model, x))
     estimates = {
         rep: jackknife_cumulants(representation_draws(model, rep, x, t, n_paths, seed, tag=i))
         for i, rep in enumerate(reps)
@@ -376,8 +370,7 @@ def bridge_study(
     xi_s = scale_s * raw_s
     xi_t = scale_t * raw_t
 
-    d1 = dpsi_unchecked(model, x)
-    d2 = d2psi_unchecked(model, x)
+    d1, d2, _ = exponent_derivatives(model, x)
     rows = []
     for label, sample, at in (("s", xi_s, s), ("t", xi_t, t)):
         est, se = mean_stderr(sample)

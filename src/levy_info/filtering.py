@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeights, InvalidParameter, _instances, _positive
-from .noise import GAMMA, NoiseModel, check_observation, inverse_marginal_clamped, make_noise_model, psi_unchecked
+from .noise import GAMMA, NoiseModel, check_observation, fiducial_exponent, inverse_marginal_clamped, make_noise_model
 from .prior import Prior, _frozen, check_compatibility, prior_expectation
 from .rng import map_ordered
 
@@ -53,7 +53,7 @@ class Posterior(Prior):
 def _coefficients(prior: Prior, model: NoiseModel) -> np.ndarray:
     """The kernel's coefficients [x; -psi0(x); log pi] over the prior atoms."""
     x = prior.positions
-    return np.stack([x, -psi_unchecked(model, x), prior.log_weights])
+    return np.stack([x, -fiducial_exponent(model, x), prior.log_weights])
 
 
 def _log_weights(coef: np.ndarray, xi, t) -> np.ndarray:

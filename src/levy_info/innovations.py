@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidParameter, TooFewSamples, _instances, _positive
 from .filtering import posterior_expectations
-from .noise import NoiseModel, _check_domain, check_observation, dpsi_unchecked
+from .noise import NoiseModel, _check_domain, check_observation, exponent_derivatives
 from .prior import Prior, check_compatibility
 from .simulate import InformationPath, TimeGrid, simulate_ensemble
 from .stats import StudyReport, StudyRow, zscore
@@ -47,11 +47,19 @@ class InnovationsPath:
     M: np.ndarray
 
 
+def _check_values(path: InformationPath) -> None:
+    """InvalidParameter unless the path holds one value per grid time."""
+    if np.shape(path.values) != path.grid.times.shape:
+        raise InvalidParameter(
+            f"path values of shape {np.shape(path.values)} do not fit its grid of {len(path.grid)} times"
+        )
+
+
 def _decompose(model: NoiseModel, prior: Prior, grid: TimeGrid, xi: np.ndarray):
     """Filter a matrix of paths (rows) and return (yhat, integral, M)."""
     check_compatibility(prior, model)  # before psi0' is evaluated at the atoms
     times = grid.times
-    dpsi = dpsi_unchecked(model, prior.positions)
+    dpsi = exponent_derivatives(model, prior.positions)[0]
     yhat = posterior_expectations(prior, model, xi, times, dpsi[:, None])[..., 0]
     integral = np.zeros_like(xi)
     integral[:, 1:] = np.cumsum(yhat[:, :-1] * np.diff(times), axis=1)
@@ -73,13 +81,15 @@ def innovations_path(path: InformationPath, prior: Prior) -> InnovationsPath:
     ------
     InvalidParameter
         If ``path`` is not an InformationPath or ``prior`` not a Prior (the
-        two swapped, say), or the grid has fewer than two points.
+        two swapped, say), its values do not fit its grid, or the grid has
+        fewer than two points.
     NonFiniteValue, OffSupport
         If an increment is not finite or no message could produce it (a decreasing Gamma path).
     IncompatibleSupport, DegenerateWeights
         Propagated from the filter.
     """
     _instances((path, InformationPath), (prior, Prior))
+    _check_values(path)
     if len(path.grid) < 2:
         raise InvalidParameter("innovations need a grid with at least two points")
     check_observation(path.model, np.diff(path.values), np.diff(path.grid.times))
@@ -110,13 +120,15 @@ def compensated_path(path: InformationPath, model: NoiseModel) -> np.ndarray:
     Raises
     ------
     InvalidParameter
-        If ``path`` is not an InformationPath or ``model`` not a NoiseModel.
+        If ``path`` is not an InformationPath or ``model`` not a NoiseModel,
+        or its values do not fit its grid.
     OutOfDomain
         If the stored message is not admissible for ``model``.
     """
     _instances((path, InformationPath), (model, NoiseModel))
+    _check_values(path)
     x = _check_domain(model, path.message, "message x")
-    return path.values - dpsi_unchecked(model, x) * path.grid.times
+    return path.values - exponent_derivatives(model, x)[0] * path.grid.times
 
 
 def martingale_test(samples, threshold: float = 3.5) -> StudyReport:

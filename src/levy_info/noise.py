@@ -36,9 +36,9 @@ parameters in canonical order, or a plain value:
                    not give (VarianceGamma mu = 0, sigma = 1)
     psi            psi0(a) for real or complex numpy a (principal branches)
     dpsi, d2psi, d3psi   its first three derivatives, real a
-    domain         the admissible set A;  range_lo: the lower end of the
-                   range of psi0' (the upper end is +inf)
-    inverse        the closed-form inverse of psi0' on that range
+    domain         the admissible set A
+    inverse        the closed-form inverse of psi0' on its range, which runs
+                   from psi0' at the lower end of A to +inf
     tilt           the Esscher map (lam, drift) -> (params, drift)
     sample         (x, dt, rng, size): exact increments given the message x
     constructions  name -> a sampler like ``sample``: the alternative
@@ -83,8 +83,6 @@ __all__ = [
     "esscher_transform",
     "sheffer_polynomials",
     "marginal_range",
-    "inverse_closed_form",
-    "inverse_marginal_clamped",
 ]
 
 BROWNIAN = "Brownian"
@@ -179,7 +177,6 @@ class _Family:
     d2psi: Callable
     d3psi: Callable
     domain: Callable
-    range_lo: Callable
     inverse: Callable
     tilt: Callable
     sample: Callable
@@ -397,7 +394,6 @@ _FAMILIES = {
         d2psi=np.ones_like,
         d3psi=np.zeros_like,
         domain=lambda: Interval(-math.inf, math.inf),
-        range_lo=lambda: -math.inf,
         inverse=lambda y: y,
         tilt=lambda lam, drift: ((), drift + lam),
         sample=lambda x, dt, rng, size: x * dt + np.sqrt(dt) * rng.standard_normal(size),
@@ -412,7 +408,6 @@ _FAMILIES = {
         d2psi=lambda a, m: m * np.exp(a),
         d3psi=lambda a, m: m * np.exp(a),
         domain=lambda m: Interval(-math.inf, math.inf),
-        range_lo=lambda m: 0.0,
         inverse=lambda y, m: np.log(y / m),
         tilt=lambda lam, drift, m: ((m * math.exp(lam),), drift),
         sample=lambda x, dt, rng, size, m: np.asarray(rng.poisson(m * np.exp(x) * dt, size), dtype=float),
@@ -429,7 +424,6 @@ _FAMILIES = {
         d2psi=lambda a, m, k: m * k * k / (1.0 - k * a) ** 2,
         d3psi=lambda a, m, k: 2.0 * m * k**3 / (1.0 - k * a) ** 3,
         domain=lambda m, k: Interval(-math.inf, 1.0 / k),
-        range_lo=lambda m, k: 0.0,
         inverse=lambda y, m, k: 1.0 / k - m / y,
         tilt=lambda lam, drift, m, k: ((m, k / (1.0 - k * lam)), drift),
         # numpy draws gamma(shape, scale) as scale * standard_gamma(shape), so
@@ -448,7 +442,6 @@ _FAMILIES = {
         d2psi=_vg(lambda d, n, m, sigma: (sigma * sigma * d + n * n / m) / (d * d)),
         d3psi=_vg(lambda d, n, m, sigma: n * (3.0 * sigma * sigma * d * m + 2.0 * n * n) / (m * m * d**3)),
         domain=_vg_domain,
-        range_lo=lambda m, mu, sigma: -math.inf,
         inverse=_vg_inverse,
         tilt=_vg_tilt,
         sample=_vg_sample,
@@ -469,7 +462,6 @@ _FAMILIES = {
         d2psi=_nb(lambda m, u: m * u / (1.0 - u) ** 2),
         d3psi=_nb(lambda m, u: m * u * (1.0 + u) / (1.0 - u) ** 3),
         domain=lambda m, q: Interval(-math.inf, -math.log(q)),
-        range_lo=lambda m, q: 0.0,
         inverse=lambda y, m, q: np.log(y) - np.log(q * (m + y)),
         tilt=lambda lam, drift, m, q: ((m, q * math.exp(lam)), drift),
         sample=_nb_sample,
@@ -487,7 +479,6 @@ _FAMILIES = {
         d2psi=lambda w, a, b: a * (b * b - 2.0 * w) ** (-1.5),
         d3psi=lambda w, a, b: 3.0 * a * (b * b - 2.0 * w) ** (-2.5),
         domain=lambda a, b: Interval(0.0, 0.5 * b**2, lo_open=False),
-        range_lo=lambda a, b: a / b,
         inverse=lambda y, a, b: 0.5 * (b * b - (a / y) ** 2),
         tilt=lambda lam, drift, a, b: ((a, math.sqrt(b * b - 2.0 * lam)), drift),
         # the Michael-Schucany-Haas inverse gaussian draw with the tilted mean
@@ -508,7 +499,6 @@ _FAMILIES = {
         d2psi=_nig(lambda s, q, a, m: m * a * a * q ** (-1.5)),
         d3psi=_nig(lambda s, q, a, m: 3.0 * m * a * a * s * q ** (-2.5)),
         domain=lambda a, b, m: Interval(-a - b, a - b),
-        range_lo=lambda a, b, m: -math.inf,
         inverse=lambda y, a, b, m: a * y / np.hypot(m, y) - b,
         tilt=lambda lam, drift, a, b, m: ((a, b + lam, m), drift),
         sample=_nig_sample,
@@ -623,28 +613,45 @@ def admissible_set(model: NoiseModel) -> Interval:
     return _FAMILIES[model.family].domain(*model.params)
 
 
-def _check_domain(model: NoiseModel, re_alpha: float, what: str = "alpha") -> float:
-    """The one scalar admissibility check: ``re_alpha`` as a float; OutOfDomain unless it is in A."""
-    re_alpha = float(re_alpha)
+def _shaped(out):
+    """An array with dimensions as it is; anything else as a Python float or complex."""
+    out = np.asarray(out)
+    return out if out.ndim else out.item()
+
+
+def _check_domain(model: NoiseModel, re_alpha, what: str = "alpha"):
+    """The one admissibility check: ``re_alpha`` as a float, or a float array
+    for an array; OutOfDomain unless every entry is in A.  A complex value is
+    a TypeError here, as Python's own float() makes it, rather than losing
+    its imaginary part."""
+    if np.iscomplexobj(re_alpha):
+        raise TypeError(f"{what} must be real, got {re_alpha!r}")
+    re_alpha = np.asarray(re_alpha, dtype=float)
     iv = admissible_set(model)
-    if not iv.contains(re_alpha):
+    inside = iv.contains(re_alpha)
+    if not inside.all():
         raise OutOfDomain(
-            f"{what}={re_alpha:g} outside admissible set "
+            f"{what}={re_alpha[~inside][0]:g} outside admissible set "
             f"{'(' if iv.lo_open else '['}{iv.lo:g}, {iv.hi:g}{')' if iv.hi_open else ']'}"
             f" of {model!r}"
         )
-    return re_alpha
+    return _shaped(re_alpha)
 
 
-# ---------------------------------------------------------------------------
-# Exponent and derivatives.  The *_unchecked helpers are vectorized over
-# real numpy arrays and perform no domain validation; hot loops in the
-# filter and the simulators call these after validating once up front.
-# ---------------------------------------------------------------------------
-
-
-def _shaped(out):
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+def _argument(model: NoiseModel, alpha, what: str = "alpha"):
+    """``alpha`` as a float or complex array, once every Re alpha is in A
+    (OutOfDomain) and every Im alpha is finite (NonFiniteValue).  A scalar
+    comes back as a numpy scalar: numpy rounds complex products of scalars
+    and of arrays differently, and the scalar form is the one whose bits the
+    golden digests pin."""
+    a = np.asarray(alpha)
+    is_complex = np.iscomplexobj(a)
+    a = a.astype(complex if is_complex else float, copy=False)
+    _check_domain(model, a.real, f"Re {what}" if is_complex else what)
+    finite = np.isfinite(a.imag)
+    if not finite.all():
+        raise NonFiniteValue(f"Im {what} must be finite, got {a.imag[~finite][0]:g}")
+    return a[()]
 
 
 def _exponent(model: NoiseModel, a):
@@ -652,131 +659,109 @@ def _exponent(model: NoiseModel, a):
     return _FAMILIES[model.family].psi(a, *model.params) + model.drift * a
 
 
-def psi_unchecked(model: NoiseModel, alpha):
-    """psi0(alpha) for real scalar/array alpha, no domain check."""
-    return _shaped(_exponent(model, np.asarray(alpha, dtype=float)))
-
-
-def dpsi_unchecked(model: NoiseModel, alpha):
-    """First derivative psi0'(alpha), real scalar/array, no domain check."""
-    return _shaped(_FAMILIES[model.family].dpsi(np.asarray(alpha, dtype=float), *model.params) + model.drift)
-
-
-def d2psi_unchecked(model: NoiseModel, alpha):
-    """Second derivative psi0''(alpha), real scalar/array, no domain check."""
-    return _shaped(_FAMILIES[model.family].d2psi(np.asarray(alpha, dtype=float), *model.params))
-
-
-def d3psi_unchecked(model: NoiseModel, alpha):
-    """Third derivative psi0'''(alpha), real scalar/array, no domain check."""
-    return _shaped(_FAMILIES[model.family].d3psi(np.asarray(alpha, dtype=float), *model.params))
-
-
 def fiducial_exponent(model: NoiseModel, alpha):
-    """Evaluate the fiducial exponent psi0 at a real or complex scalar.
+    """Evaluate the fiducial exponent psi0 at a real or complex scalar or array.
 
     Parameters
     ----------
     model : NoiseModel
-    alpha : real or complex scalar
-        ``Re alpha`` must lie in the admissible set of the model.
+    alpha : real or complex scalar or array
+        Every ``Re alpha`` must lie in the admissible set of the model and
+        every ``Im alpha`` must be finite.
 
     Returns
     -------
-    float or complex
-        ``psi0(alpha)``; real input yields real output.  Complex input is
-        evaluated by the same formula on ``complex128`` (principal branches).
+    float, complex or array
+        ``psi0(alpha)``, of the shape of ``alpha``; real input yields real
+        output.  Complex input is evaluated by the same formula on
+        ``complex128`` (principal branches).
 
     Raises
     ------
     OutOfDomain
-        If ``Re alpha`` is outside the admissible set.
+        If some ``Re alpha`` is outside the admissible set.
+    NonFiniteValue
+        If some ``Im alpha`` is NaN or infinite.
     """
-    if isinstance(alpha, complex) or np.iscomplexobj(alpha):
-        a = np.complex128(alpha)
-        _check_domain(model, a.real, "Re alpha")
-        return complex(_exponent(model, a))
-    a = float(alpha)
-    _check_domain(model, a)
-    return float(psi_unchecked(model, a))
+    return _shaped(_exponent(model, _argument(model, alpha)))
 
 
-def exponent_derivatives(model: NoiseModel, alpha: float) -> tuple:
-    """First and second derivatives (psi0'(alpha), psi0''(alpha)).
+def exponent_derivatives(model: NoiseModel, alpha) -> tuple:
+    """The first three derivatives (psi0'(alpha), psi0''(alpha), psi0'''(alpha)).
 
-    ``alpha`` must be a real number in the admissible set.
+    ``alpha`` is a real scalar or array, every entry in the admissible set;
+    each derivative is a float, or an array of the shape of ``alpha``.
 
     Raises
     ------
     OutOfDomain
     """
-    a = float(alpha)
-    _check_domain(model, a)
-    return float(dpsi_unchecked(model, a)), float(d2psi_unchecked(model, a))
+    a = np.asarray(_check_domain(model, alpha), dtype=float)
+    rec, p = _FAMILIES[model.family], model.params
+    return _shaped(rec.dpsi(a, *p) + model.drift), _shaped(rec.d2psi(a, *p)), _shaped(rec.d3psi(a, *p))
 
 
 def marginal_range(model: NoiseModel) -> Interval:
-    """The open range of psi0' over the interior of the admissible set."""
-    lo = _FAMILIES[model.family].range_lo(*model.params)
-    return Interval(lo + model.drift if np.isfinite(lo) else lo, math.inf)
+    """The open range of psi0' over the interior of the admissible set.
 
-
-def inverse_closed_form(model: NoiseModel, y):
-    """Analytic inverse of psi0' (vectorized; no clamping, no checks).
-
-    The one inverse behind ``inverse_marginal`` (scalar, range-checked) and
-    ``inverse_marginal_clamped`` (vectorized, clamped).  Input values must
-    lie in the open range of psi0'.  The result lies in A: where I0 of a
-    rate next to an end of the range rounds onto a finite open end of A, it
-    is moved one float inside.
+    psi0' increases, so the range runs from psi0' at the lower end of A to
+    +inf; at the finite open lower ends of VarianceGamma and
+    NormalInverseGaussian psi0' is -inf.
     """
     rec = _FAMILIES[model.family]
-    alpha = rec.inverse(np.asarray(y, dtype=float) - model.drift, *model.params)
-    dom = rec.domain(*model.params)
-    lo = np.nextafter(dom.lo, math.inf) if dom.lo_open and np.isfinite(dom.lo) else dom.lo
-    hi = np.nextafter(dom.hi, -math.inf) if dom.hi_open and np.isfinite(dom.hi) else dom.hi
-    return _shaped(np.clip(alpha, lo, hi))
+    with np.errstate(divide="ignore"):
+        lo = float(rec.dpsi(np.asarray(rec.domain(*model.params).lo), *model.params))
+    return Interval(lo + model.drift if math.isfinite(lo) else lo, math.inf)
 
 
 def inverse_marginal(model: NoiseModel, y: float) -> float:
     """Invert the marginal exponent: return I0(y) with psi0'(I0(y)) = y.
 
-    Every family is inverted in closed form (``inverse_closed_form``).
+    The scalar case of :func:`inverse_marginal_clamped`, which raises where
+    that would clamp.
 
     Raises
     ------
     OutOfRange
         If ``y`` is not attained by psi0' on the interior of the admissible
-        set.
+        set: it is not finite or not above the lower end of the range.
     """
     y = float(y)
-    rng = marginal_range(model)
-    if not (np.isfinite(y) and rng.lo < y < rng.hi):
+    alpha, clamped = inverse_marginal_clamped(model, y)
+    if clamped:
+        rng = marginal_range(model)
         raise OutOfRange(
             f"y={y:g} is not attained by psi0' of {model!r}; range is ({rng.lo:g}, {rng.hi:g})"
         )
-    return float(inverse_closed_form(model, y))
+    return alpha
 
 
 def inverse_marginal_clamped(model: NoiseModel, y):
     """Vectorized inverse of psi0' with clamping to the closure of its range.
 
-    Values of ``y`` at or below a finite lower range boundary are clamped to
-    that boundary before inversion, which psi0' attains at the lower end of
-    A: the InverseGaussian family maps them to alpha = 0 (the closed end of
-    its admissible set), while Poisson, Gamma and NegativeBinomial map them
-    to -inf (the inverse diverges as y -> 0+).
+    Every family is inverted in closed form.  Values of ``y`` that are not
+    finite are clamped to NaN, and values at or below a finite lower range
+    boundary to that boundary, which psi0' attains at the lower end of A:
+    the InverseGaussian family maps them to alpha = 0 (the closed end of its
+    admissible set), while Poisson, Gamma and NegativeBinomial map them to
+    -inf (the inverse diverges as y -> 0+).  Every other result lies in A:
+    where I0 of a rate next to an end of the range rounds onto a finite open
+    end of A, it is moved one float inside.
     Returns ``(alpha, clamped)`` where ``clamped`` marks adjusted entries.
     """
+    rec = _FAMILIES[model.family]
     arr = np.asarray(y, dtype=float)
     yv = np.atleast_1d(arr)
+    dom = rec.domain(*model.params)
     bad = ~np.isfinite(yv)
     clamped = bad | (yv <= marginal_range(model).lo)
-    alpha = np.full(yv.shape, admissible_set(model).lo)
+    alpha = np.full(yv.shape, dom.lo)
     alpha[bad] = np.nan
     ok = ~clamped
     if np.any(ok):
-        alpha[ok] = inverse_closed_form(model, yv[ok])
+        lo = np.nextafter(dom.lo, math.inf) if dom.lo_open and np.isfinite(dom.lo) else dom.lo
+        hi = np.nextafter(dom.hi, -math.inf) if dom.hi_open and np.isfinite(dom.hi) else dom.hi
+        alpha[ok] = np.clip(rec.inverse(yv[ok] - model.drift, *model.params), lo, hi)
     if arr.ndim == 0:
         return float(alpha[0]), bool(clamped[0])
     return alpha, clamped
@@ -787,21 +772,18 @@ def conditional_exponent(model: NoiseModel, x: float, alpha):
 
         psi0(alpha + x) - psi0(x)
 
-    ``x`` and ``Re alpha + x`` must lie in the admissible set.
+    ``x`` and every ``Re alpha + x`` must lie in the admissible set, and
+    every ``Im alpha`` must be finite; ``alpha`` is a real or complex scalar
+    or array, and psi0(x) is evaluated in its type.
 
     Raises
     ------
-    OutOfDomain
+    OutOfDomain, NonFiniteValue
+        As :func:`fiducial_exponent`.
     """
-    x = float(x)
-    _check_domain(model, x, "x")
-    if isinstance(alpha, complex) or np.iscomplexobj(alpha):
-        a = np.complex128(alpha)
-        _check_domain(model, a.real + x, "Re alpha + x")
-        return complex(_exponent(model, a + x) - _exponent(model, np.complex128(x)))
-    a = float(alpha)
-    _check_domain(model, a + x, "alpha + x")
-    return float(psi_unchecked(model, a + x) - psi_unchecked(model, x))
+    x = _check_domain(model, x, "x")
+    a = _argument(model, np.add(alpha, x), "alpha + x")
+    return _shaped(_exponent(model, a) - _exponent(model, np.asarray(x, dtype=a.dtype)))
 
 
 def esscher_transform(model: NoiseModel, lam: float) -> NoiseModel:
@@ -845,9 +827,7 @@ def sheffer_polynomials(model: NoiseModel, xi: float, t: float) -> tuple:
         As :func:`check_observation`.
     """
     xi, t = map(float, check_observation(model, xi, t))
-    p1 = float(dpsi_unchecked(model, 0.0))
-    p2 = float(d2psi_unchecked(model, 0.0))
-    p3 = float(d3psi_unchecked(model, 0.0))
+    p1, p2, p3 = exponent_derivatives(model, 0.0)
     u = xi - p1 * t
     q1 = u
     q2 = 0.5 * (u * u - p2 * t)

@@ -81,6 +81,8 @@ CALLS = {
     # filtering and innovations
     "posterior_update": call(lambda xi, t: li.posterior_update(PRIOR, GAMMA, xi, t), xi=1.0, t=1.0),
     "sequential_update": call(lambda dxi, dt: li.sequential_update(POST, GAMMA, dxi, dt), dxi=0.5, dt=0.5),
+    "posterior_expectations": call(lambda xi, t: li.posterior_expectations(PRIOR, GAMMA, [xi], [t], np.eye(2)),
+                                   xi=1.0, t=1.0),
     "conditional_cdf": call(lambda y: li.conditional_cdf(POST, y), y=0.0),
     "best_estimate": call(lambda: li.best_estimate(POST, abs)),
     "gamma_linear_filter": call(li.gamma_linear_filter, theta=1.0, r=2.0, m=1.0, xi=1.0, t=1.0),

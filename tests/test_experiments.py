@@ -12,7 +12,7 @@ import levy_info as li
 from conftest import FAMILY_PARAMS, window
 from levy_info import experiments
 from levy_info.experiments import _exceed_thresholds
-from levy_info.noise import dpsi_unchecked, inverse_marginal_clamped, psi_unchecked
+from levy_info.noise import inverse_marginal_clamped
 from levy_info.rng import stream
 
 
@@ -111,7 +111,7 @@ def test_exceed_thresholds_match_inversion(family, tilt, drift, where, epsilon, 
     # rates across the range of psi0', at and around each threshold, at and
     # below the finite lower end of the range (where I0 clamps), and NaN
     inside = lo + np.array(spots) * (hi - lo)
-    rates = [dpsi_unchecked(model, inside[domain.contains(inside)]), [math.nan]]
+    rates = [li.exponent_derivatives(model, inside[domain.contains(inside)])[0], [math.nan]]
     range_lo = li.marginal_range(model).lo
     for level in (upper, lower, range_lo):
         if np.isfinite(level):
@@ -198,7 +198,7 @@ def plain_factorization_rows(model, prior, alphas, betas, t, n_paths, seed):
     messages, xi = li.simulate_ensemble(model, prior, li.TimeGrid(np.array([0.0, t])), n_paths, seed)
     idx = np.searchsorted(prior.positions, messages)
     xi_t = xi[:, 1]
-    weights = np.exp(-messages * xi_t + psi_unchecked(model, prior.positions)[idx] * t)
+    weights = np.exp(-messages * xi_t + li.fiducial_exponent(model, prior.positions)[idx] * t)
     w_mean = weights.mean()
     rows = [li.mean_stderr(weights)]
     for a in alphas:
@@ -247,6 +247,22 @@ def test_factorization_rejects_nonimaginary_arguments():
         li.factorization_study(model, prior, 0.1 + 0.3j, 0j, 1.0, 1000, seed=68)
     with pytest.raises(li.InvalidParameter):
         li.factorization_study(model, prior, 0j, 1.0 + 0j, 1.0, 1000, seed=68)
+
+
+@pytest.mark.parametrize("imag", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("which", ["alpha", "beta"])
+def test_factorization_rejects_non_finite_imaginary_values_before_sampling(imag, which, monkeypatch):
+    # a real part of 0 made these pass as purely imaginary; the ensemble was
+    # then sampled and the rows came out NaN
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled before checking the grids")
+
+    monkeypatch.setattr(experiments, "simulate_ensemble", fail)
+    grids = {"alpha": 0.5j, "beta": 0.5j, which: complex(0.0, imag)}
+    model = li.make_noise_model("Brownian", ())
+    prior = li.prior_from_atoms([(0.0, 1.0)])
+    with pytest.raises(li.InvalidParameter, match=which):
+        li.factorization_study(model, prior, grids["alpha"], grids["beta"], 1.0, 1000, seed=68)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import levy_info as li
 from conftest import FAMILY_PARAMS, window
 from levy_info.filtering import posterior_expectations
-from levy_info.noise import SUPPORT_BLOCK, psi_unchecked
+from levy_info.noise import SUPPORT_BLOCK
 from levy_info.prior import MARGIN
 
 
@@ -199,7 +199,7 @@ def reweighting_scale(model, prior, dxis, dts):
     """max_i sum_j |x_i dxi_j| + |psi0(x_i) dt_j| + |log w_i|: the size of
     the terms either form of the update sums into a log-weight."""
     x = prior.positions
-    psi = np.abs(psi_unchecked(model, x))
+    psi = np.abs(li.fiducial_exponent(model, x))
     terms = np.abs(np.outer(x, dxis)).sum(axis=1) + psi * np.sum(dts) + np.abs(prior.log_weights)
     return float(terms.max())
 

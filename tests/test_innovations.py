@@ -8,7 +8,6 @@ import pytest
 import levy_info as li
 from conftest import interior_grid
 from levy_info.filtering import BLOCK_ROWS
-from levy_info.noise import dpsi_unchecked, psi_unchecked
 
 # Kernel vs recursion: |yhat - reference| <= KERNEL_TOL * max(1, |reference|).
 # Set from float64 rounding, not fitted to the kernel: both sides compute the
@@ -92,8 +91,8 @@ def sequential_yhat(model, prior, times, xi):
     by each increment and renormalizes after every step.
     """
     x = prior.positions
-    psi = psi_unchecked(model, x)
-    dpsi = dpsi_unchecked(model, x)
+    psi = li.fiducial_exponent(model, x)
+    dpsi = li.exponent_derivatives(model, x)[0]
     dts = np.diff(times)
     log_w = np.tile(np.log(prior.weights), (xi.shape[0], 1))
     yhat = np.empty_like(xi)
@@ -202,6 +201,18 @@ def test_compensated_path_validates_message():
     wrong = li.make_noise_model("Gamma", (1.0, 4.0))  # 0.5 outside A
     with pytest.raises(li.OutOfDomain):
         li.compensated_path(path, wrong)
+
+
+@pytest.mark.parametrize("values", [[0.0, 0.5, 1.0], [[0.0, 0.5]]], ids=["three-values", "one-row-matrix"])
+def test_path_values_must_fit_the_grid(values):
+    # three values on two times broadcast to a bare ValueError; a (1, 2)
+    # matrix was decomposed as if it were a path
+    model = li.make_noise_model("Gamma", (1.0, 1.0))
+    path = li.InformationPath(li.TimeGrid([0.0, 1.0]), np.array(values), 0.5, model)
+    with pytest.raises(li.InvalidParameter, match="do not fit"):
+        li.innovations_path(path, degenerate(0.5))
+    with pytest.raises(li.InvalidParameter, match="do not fit"):
+        li.compensated_path(path, model)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 
 import levy_info as li
 from conftest import FAMILY_PARAMS, all_models, interior_grid, window
-from levy_info.noise import (
-    d2psi_unchecked,
-    d3psi_unchecked,
-    dpsi_unchecked,
-    inverse_closed_form,
-    inverse_marginal_clamped,
-)
+from levy_info.noise import inverse_marginal_clamped
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +97,61 @@ def test_exponent_complex_argument_checks_real_part():
         li.fiducial_exponent(gamma, 1.5 + 2.0j)
 
 
+@pytest.mark.parametrize("imag", [math.nan, math.inf, -math.inf], ids=str)
+def test_non_finite_imaginary_part_is_rejected(imag):
+    # Gamma(1, 1) at 0.1 + nan i used to return nan + nan i
+    gamma = li.make_noise_model("Gamma", (1.0, 1.0))
+    alpha = complex(0.1, imag)
+    with pytest.raises(li.NonFiniteValue, match="Im alpha"):
+        li.fiducial_exponent(gamma, alpha)
+    with pytest.raises(li.NonFiniteValue, match="Im alpha"):
+        li.fiducial_exponent(gamma, np.array([0.5j, alpha]))
+    with pytest.raises(li.NonFiniteValue, match="Im alpha"):
+        li.conditional_exponent(gamma, 0.25, alpha)
+    with pytest.raises(li.NonFiniteValue, match="Im alpha"):
+        li.conditional_exponent(gamma, 0.25, np.array([alpha, 0.5j]))
+
+
+def test_exponent_and_derivatives_take_arrays(model):
+    # an array call is the scalar calls stacked, to rounding (numpy's scalar
+    # and array powers and complex products may round differently), and it
+    # checks every entry against A
+    grid = interior_grid(model, 9).reshape(3, 3)
+    scalar = lambda fn: np.array([[fn(float(a)) for a in row] for row in grid])
+    close = lambda got, want: np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=1e-300)
+    got = li.fiducial_exponent(model, grid)
+    assert got.dtype == float and got.shape == grid.shape
+    close(got, scalar(lambda a: li.fiducial_exponent(model, a)))
+    for k, derivative in enumerate(li.exponent_derivatives(model, grid)):
+        assert derivative.shape == grid.shape
+        close(derivative, scalar(lambda a: li.exponent_derivatives(model, a)[k]))
+    got = li.fiducial_exponent(model, grid + 0.5j)
+    assert got.dtype == complex and got.shape == grid.shape
+    close(got, scalar(lambda a: li.fiducial_exponent(model, a + 0.5j)))
+    outside = grid.copy()
+    outside[1, 2] = np.nan
+    for fn in (li.fiducial_exponent, li.exponent_derivatives):
+        with pytest.raises(li.OutOfDomain):
+            fn(model, outside)
+
+
+@pytest.mark.parametrize("alpha", [0.25 + 2j, np.complex128(0.25 + 2j), np.array([0.25 + 2j, 0.5])], ids=repr)
+def test_real_argument_keeps_its_imaginary_part(alpha):
+    # numpy's cast to float drops an imaginary part with only a warning
+    gamma = li.make_noise_model("Gamma", (1.0, 1.0))
+    with pytest.raises(TypeError):
+        li.exponent_derivatives(gamma, alpha)
+
+
 # ---------------------------------------------------------------------------
 # derivatives and inversion
 # ---------------------------------------------------------------------------
 
 def test_derivative_literals():
     brown = li.make_noise_model("Brownian", ())
-    assert li.exponent_derivatives(brown, 2.0) == (2.0, 1.0)
+    assert li.exponent_derivatives(brown, 2.0) == (2.0, 1.0, 0.0)
     gamma = li.make_noise_model("Gamma", (2.0, 1.0))
-    d1, d2 = li.exponent_derivatives(gamma, 0.0)
+    d1, d2, _ = li.exponent_derivatives(gamma, 0.0)
     assert d1 == pytest.approx(2.0, abs=1e-15)
     assert d2 == pytest.approx(2.0, abs=1e-15)
 
@@ -123,7 +163,7 @@ def test_second_derivative_positive_on_interior(model):
     hi = dom.hi if np.isfinite(dom.hi) else 4.0
     pts = rng.uniform(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), size=200)
     for a in pts:
-        _, d2 = li.exponent_derivatives(model, float(a))
+        _, d2, _ = li.exponent_derivatives(model, float(a))
         assert d2 > 0.0
 
 
@@ -138,7 +178,7 @@ def test_derivatives_match_finite_differences(model):
         a = float(a)
         # step shrinks with the distance to the boundary, where psi0''' blows up
         h = min(1e-5, 3e-4 * (dom.hi - a), 3e-4 * (a - dom.lo))
-        d1, d2 = li.exponent_derivatives(model, a)
+        d1, d2, _ = li.exponent_derivatives(model, a)
         fd1 = (li.fiducial_exponent(model, a + h)
                - li.fiducial_exponent(model, a - h)) / (2.0 * h)
         fd2 = (li.exponent_derivatives(model, a + h)[0]
@@ -171,7 +211,7 @@ def test_variance_gamma_inverse_takes_the_admissible_root_at_extreme_rates():
     domain = li.admissible_set(model)
     for y in (1e12, 5.569669104380902e15, -5.569669104380902e15, 1e17):
         end = domain.hi if y > 0 else domain.lo
-        assert abs(inverse_closed_form(model, y) - end) <= 1e-9, y
+        assert abs(li.inverse_marginal(model, y) - end) <= 1e-9, y
 
 
 @pytest.mark.parametrize("family, lam", [("VarianceGamma", -1.05), ("NormalInverseGaussian", -2.0)])
@@ -183,17 +223,17 @@ def test_derivatives_are_finite_next_to_the_ends_of_A(family, lam):
     model = li.esscher_transform(li.make_noise_model(family, FAMILY_PARAMS[family]), lam)
     domain = li.admissible_set(model)
     inner = np.array([np.nextafter(domain.lo, math.inf), np.nextafter(domain.hi, -math.inf)])
-    for derivative in (dpsi_unchecked, d2psi_unchecked, d3psi_unchecked):
-        assert np.isfinite(derivative(model, inner)).all(), derivative
-    rates = dpsi_unchecked(model, inner)
-    assert domain.contains(inverse_closed_form(model, rates)).all()
+    derivatives = li.exponent_derivatives(model, inner)
+    for order, derivative in enumerate(derivatives, start=1):
+        assert np.isfinite(derivative).all(), order
+    assert domain.contains(inverse_marginal_clamped(model, derivatives[0])[0]).all()
 
 
 def test_normal_inverse_gaussian_inverse_of_a_huge_rate_is_next_to_the_end():
     model = li.make_noise_model("NormalInverseGaussian", (2.0, 0.5, 1.0))
     domain = li.admissible_set(model)
     for y, end in ((1e160, domain.hi), (-1e160, domain.lo)):
-        alpha = inverse_closed_form(model, y)
+        alpha = li.inverse_marginal(model, y)
         assert domain.contains(alpha) and abs(alpha - end) <= 1e-9, y
 
 
@@ -207,7 +247,7 @@ def test_variance_gamma_inverse_of_a_huge_rate_is_next_to_the_end(lam):
     for magnitude in (1e155, 1e160, 1e300):
         for sign, end in inner.items():
             y = sign * magnitude
-            assert inverse_closed_form(model, y) == end, y
+            assert inverse_marginal_clamped(model, y) == (end, False), y
             assert li.inverse_marginal(model, y) == end, y
     rates = np.array([1e160, -1e300])
     alpha, clamped = inverse_marginal_clamped(model, rates)
@@ -240,7 +280,7 @@ def test_inverse_marginal_is_the_closed_form(family, tilt, where, gap, beyond):
     a = lo + where * (hi - lo)
     y = li.exponent_derivatives(model, a)[0]
     inverse = li.inverse_marginal(model, y)
-    assert struct.pack("<d", inverse) == struct.pack("<d", inverse_closed_form(model, y))
+    assert struct.pack("<d", inverse) == struct.pack("<d", inverse_marginal_clamped(model, np.array([y]))[0][0])
     assert abs(inverse - a) <= 1e-10 * max(1.0, abs(a))  # the C4 gate
     bound = li.marginal_range(model).lo
     outside = bound - gap if np.isfinite(bound) else beyond

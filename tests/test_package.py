@@ -234,3 +234,42 @@ def test_tag_lint_sees_every_form():
 def test_raise_lint_counts_every_degenerate_weights_site():
     source = "def f():\n    raise DegenerateWeights('a')\ndef g():\n    raise DegenerateWeights\n"
     assert [name for _, name in raised_names(source)] == ["DegenerateWeights"] * 2
+
+
+def field_readers(source, fields):
+    """{field: names of the functions that read ``<record>.field``}; None
+    stands for a read outside any ``def``."""
+    readers = {name: set() for name in fields}
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = node.name
+        if isinstance(node, ast.Attribute) and node.attr in readers:
+            readers[node.attr].add(inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), None)
+    return readers
+
+
+def test_each_exponent_quantity_is_one_function():
+    # psi0 and the inverse of psi0' are each read from the family record by
+    # one function, behind its check; an unchecked twin of a checked
+    # function, or a stored copy of a quantity derived from the record, is a
+    # second definition
+    sources = package_sources()
+    twins = [f"{file}:{node.lineno}: {node.name}" for file, source in sources.items()
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.endswith("_unchecked")]
+    assert twins == []
+    readers = field_readers(sources["noise.py"], ("psi", "inverse"))
+    assert all(len(names) == 1 for names in readers.values()), readers
+    assert [file for file, source in sources.items() if "range_lo" in source] == []
+
+
+def test_field_reader_lint_sees_every_reader():
+    source = ("def f(rec):\n    return rec.psi(1)\n"
+              "def g(rec):\n    return rec.psi\n"
+              "h = lambda rec: rec.inverse\n")
+    assert field_readers(source, ("psi", "inverse")) == {"psi": {"f", "g"}, "inverse": {None}}

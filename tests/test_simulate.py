@@ -122,7 +122,7 @@ def test_conditional_moment_laws(model):
     t = 1.0
     rng = np.random.default_rng(8)
     draws = li.increment_draws(model, x, t, rng, size=20_000)
-    d1, d2 = li.exponent_derivatives(model, x)
+    d1, d2, _ = li.exponent_derivatives(model, x)
     mean, se = li.mean_stderr(draws)
     assert abs(mean - d1 * t) <= 3.5 * se
     est = li.jackknife_cumulants(draws)
