@@ -98,7 +98,7 @@ def tilted_characteristics(model: NoiseModel, x: float) -> CharacteristicTriplet
         If ``x`` is outside the interior of the admissible set (x = 0 is
         always accepted and returns the fiducial triplet).
     """
-    return characteristic_triplet(esscher_transform(model, float(x)))
+    return characteristic_triplet(esscher_transform(model, x))
 
 
 def _jump_integral(measure: LevyMeasure, alpha: float, eps: float = 1e-8) -> float:

@@ -1,4 +1,4 @@
-"""Exception types raised by the levy_info package, and the count, positive-number and argument-type checks.
+"""Exception types raised by the levy_info package, and the count, real-number, positive-number and argument-type checks.
 
 Every error raised on purpose by this package derives from ``LevyInfoError``,
 so callers can catch numerical/validation problems with a single handler
@@ -7,6 +7,8 @@ while letting genuine bugs (TypeError, etc.) propagate.
 
 import math
 import operator
+
+import numpy as np
 
 __all__ = [
     "LevyInfoError",
@@ -110,9 +112,16 @@ def _count(n, name: str, least: int = 1) -> int:
     return n
 
 
+def _real(value, name: str):
+    """``value``, unless it is complex: a TypeError, as Python's float() makes it, not a lost imaginary part."""
+    if np.iscomplexobj(value):
+        raise TypeError(f"{name} must be real, got {value!r}")
+    return value
+
+
 def _positive(value, name: str) -> float:
     """A positive, finite number as a float."""
-    value = float(value)
+    value = float(_real(value, name))
     if not (math.isfinite(value) and value > 0.0):
         raise InvalidParameter(f"{name} must be positive and finite, got {value}")
     return value

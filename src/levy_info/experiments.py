@@ -24,15 +24,8 @@ from .noise import (
     exponent_derivatives,
     fiducial_exponent,
 )
-from .prior import Prior, check_compatibility
-from .rng import stream
-from .simulate import (
-    TimeGrid,
-    _bridge_clock,
-    increment_draws,
-    representation_draws,
-    simulate_ensemble,
-)
+from .prior import Prior, check_compatibility, prior_from_atoms
+from .simulate import TimeGrid, _bridge_clock, representation_draws, simulate_ensemble
 from .stats import (
     StudyReport,
     StudyRow,
@@ -259,7 +252,8 @@ def esscher_consistency_study(
     Draws xi_t directly from the tilted model and, with common random
     numbers, from the fiducial model weighted by exp(lam xi - psi0(lam) t);
     compares mean and variance, both variances with the divisor n - 1.
-    Common random numbers make the lam = 0 case agree (the variance to
+    Both sides are a ``simulate_ensemble`` at the message 0, seed and tag 1:
+    the common random numbers make the lam = 0 case agree (the variance to
     rounding) and otherwise only overstate the standard error of the
     difference, never understate it.
 
@@ -267,14 +261,17 @@ def esscher_consistency_study(
     ------
     OutOfDomain
         Unless ``lam`` is 0 or interior to A (from ``esscher_transform``).
+    IncompatibleSupport
+        If ``lam`` is within ``prior.MARGIN`` of an open end of A.
     """
     threshold = _positive(threshold, "study threshold")
-    lam = float(lam)
     tilted = esscher_transform(model, lam)
+    lam = float(lam)  # real and in A: esscher_transform checked it
     t = _positive(t, "t")
-    n = _count(n_paths, "n_paths")
-    direct = increment_draws(tilted, 0.0, t, stream(seed, 1), n)
-    fiducial = increment_draws(model, 0.0, t, stream(seed, 1), n)
+    grid, origin = TimeGrid(np.array([0.0, t])), prior_from_atoms([(0.0, 1.0)])
+    direct = simulate_ensemble(tilted, origin, grid, n_paths, seed, tag=1)[1][:, 1].copy()
+    fiducial = simulate_ensemble(model, origin, grid, n_paths, seed, tag=1)[1][:, 1].copy()
+    n = direct.size
     weights = np.exp(lam * fiducial - fiducial_exponent(model, lam) * t)
 
     rows = []
@@ -356,21 +353,21 @@ def bridge_study(
 
     At fixed message x the bridge has conditional mean psi0'(x) u at time u
     and covariance s (T - t)/T psi0''(x); the study compares sample mean,
-    variance and cross-covariance with jackknife standard errors.
+    variance and cross-covariance with jackknife standard errors.  The
+    paths are one ``simulate_ensemble`` at the message x on the bridge
+    clock (0, u_s, u_t), keyed by the seed and tag 2, rescaled; an x within
+    ``prior.MARGIN`` of an open end of A is IncompatibleSupport there.
     """
     threshold = _positive(threshold, "study threshold")
-    horizon, s, t = float(horizon), float(s), float(t)
-    if not (0.0 < s < t < horizon):
+    horizon, s, t = _positive(horizon, "horizon"), _positive(s, "s"), _positive(t, "t")
+    if not s < t < horizon:
         raise InvalidParameter(f"need 0 < s < t < horizon, got s={s}, t={t}, horizon={horizon}")
     x = _check_domain(model, x, "message x")
-    n = _count(n_paths, "n_paths")
-    (u_s, u_t), (scale_s, scale_t) = _bridge_clock(horizon, np.array([s, t]))
-    raw_s = increment_draws(model, x, u_s, stream(seed, 1), n)
-    raw_t = raw_s + increment_draws(model, x, u_t - u_s, stream(seed, 2), n)
-    xi_s = scale_s * raw_s
-    xi_t = scale_t * raw_t
-
     d1, d2, _ = exponent_derivatives(model, x)
+    u, scale = _bridge_clock(horizon, np.array([0.0, s, t]))
+    raw = simulate_ensemble(model, prior_from_atoms([(x, 1.0)]), TimeGrid(u), n_paths, seed, tag=2)[1]
+    xi_s, xi_t = scale[1] * raw[:, 1], scale[2] * raw[:, 2]
+    del raw
     rows = []
     for label, sample, at in (("s", xi_s, s), ("t", xi_t, t)):
         est, se = mean_stderr(sample)

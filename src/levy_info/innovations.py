@@ -10,7 +10,6 @@ a discretization bias.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .filtering import posterior_expectations
 from .noise import NoiseModel, _check_domain, check_observation, exponent_derivatives
 from .prior import Prior, check_compatibility
 from .simulate import InformationPath, TimeGrid, simulate_ensemble
-from .stats import StudyReport, StudyRow, zscore
+from .stats import StudyReport, StudyRow, mean_stderr, zscore
 
 __all__ = [
     "InnovationsPath",
@@ -143,17 +142,12 @@ def martingale_test(samples, threshold: float = 3.5) -> StudyReport:
     TooFewSamples
     """
     threshold = _positive(threshold, "study threshold")
-    if isinstance(samples, np.ndarray) and samples.ndim == 2:
-        groups = [np.ascontiguousarray(g, dtype=float) for g in samples]
-    elif isinstance(samples, (list, tuple)) and len(samples) > 0 and np.ndim(samples[0]) > 0:
-        groups = [np.ascontiguousarray(g, dtype=float).ravel() for g in samples]
-    else:
-        groups = [np.ascontiguousarray(samples, dtype=float).ravel()]
+    two_d = isinstance(samples, np.ndarray) and samples.ndim == 2
+    nested = isinstance(samples, (list, tuple)) and len(samples) > 0 and np.ndim(samples[0]) > 0
     rows = []
-    for i, g in enumerate(groups):
-        if g.size < 100:
-            raise TooFewSamples(f"interval {i}: need at least 100 increments, got {g.size}")
-        mean = float(g.mean())
-        se = float(g.std(ddof=1) / math.sqrt(g.size))
+    for i, g in enumerate(samples if two_d or nested else [samples]):
+        if np.size(g) < 100:
+            raise TooFewSamples(f"interval {i}: need at least 100 increments, got {np.size(g)}")
+        mean, se = mean_stderr(g)
         rows.append(StudyRow(f"increment[{i}]", mean, 0.0, se, zscore(mean, 0.0, se)))
     return StudyReport("martingale", tuple(rows), threshold)

@@ -68,7 +68,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameter, NonFiniteValue, OffSupport, OutOfDomain, OutOfRange
+from .errors import InvalidParameter, NonFiniteValue, OffSupport, OutOfDomain, OutOfRange, _real
 
 __all__ = [
     "FAMILIES",
@@ -622,11 +622,8 @@ def _shaped(out):
 def _check_domain(model: NoiseModel, re_alpha, what: str = "alpha"):
     """The one admissibility check: ``re_alpha`` as a float, or a float array
     for an array; OutOfDomain unless every entry is in A.  A complex value is
-    a TypeError here, as Python's own float() makes it, rather than losing
-    its imaginary part."""
-    if np.iscomplexobj(re_alpha):
-        raise TypeError(f"{what} must be real, got {re_alpha!r}")
-    re_alpha = np.asarray(re_alpha, dtype=float)
+    a TypeError (``errors._real``)."""
+    re_alpha = np.asarray(_real(re_alpha, what), dtype=float)
     iv = admissible_set(model)
     inside = iv.contains(re_alpha)
     if not inside.all():
@@ -802,10 +799,10 @@ def esscher_transform(model: NoiseModel, lam: float) -> NoiseModel:
     OutOfDomain
         If ``lam`` is outside the interior of the admissible set.
     """
-    lam = float(lam)
+    lam = float(_check_domain(model, lam, "lambda"))
     if lam == 0.0:
         return model
-    params, drift = _FAMILIES[model.family].tilt(_check_domain(model, lam, "lambda"), model.drift, *model.params)
+    params, drift = _FAMILIES[model.family].tilt(lam, model.drift, *model.params)
     return NoiseModel(model.family, params, drift)
 
 

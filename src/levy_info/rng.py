@@ -23,6 +23,11 @@ __all__ = ["stream", "worker_count", "map_ordered", "CHUNK"]
 CHUNK = 4096
 
 
+def _chunks(n: int) -> list:
+    """(index, slice) of each chunk of ``n`` paths, in order; the last may be short."""
+    return [(c, slice(start, min(n, start + CHUNK))) for c, start in enumerate(range(0, n, CHUNK))]
+
+
 def stream(seed: int, *key: int) -> np.random.Generator:
     """A Generator for the (seed, *key) stream; same inputs, same stream.
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GridExceedsHorizon, InvalidParameter, UnsupportedRepresentation, _count, _positive
 from .noise import _FAMILIES, NoiseModel, _check_domain, _check_times
 from .prior import Prior, check_compatibility
-from .rng import CHUNK, map_ordered, stream
+from .rng import _chunks, map_ordered, stream
 
 __all__ = [
     "TimeGrid",
@@ -177,13 +177,12 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
     """
     check_compatibility(prior, model)
     n_paths = _count(n_paths, "n_paths")
-    times = grid.times
-    dts = np.diff(times)
+    dts = np.diff(grid.times)
     x = np.empty(n_paths)
-    xi = np.zeros((n_paths, times.size))
+    xi = np.zeros((n_paths, len(grid)))
 
-    def run_chunk(c):
-        sl = slice(c * CHUNK, min(n_paths, (c + 1) * CHUNK))
+    def run_chunk(chunk):
+        c, sl = chunk
         count = sl.stop - sl.start
         x[sl] = sample_messages(prior, count, stream(seed, tag, c, 0))
         acc = np.zeros(count)
@@ -191,7 +190,7 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
             acc = acc + increment_draws(model, x[sl], dt, stream(seed, tag, c, j), count)
             xi[sl, j] = acc
 
-    map_ordered(run_chunk, range((n_paths + CHUNK - 1) // CHUNK))
+    map_ordered(run_chunk, _chunks(n_paths))
     return x, xi
 
 
@@ -237,12 +236,11 @@ def representation_draws(model: NoiseModel, rep: str, x: float, t: float, n: int
     n = _count(n, "n")
     out = np.empty(n)
 
-    def run_chunk(c):
-        sl = slice(c * CHUNK, min(n, (c + 1) * CHUNK))
-        count = sl.stop - sl.start
-        out[sl] = _draws(model, sample, x, t, stream(seed, tag, c, 1), count)
+    def run_chunk(chunk):
+        c, sl = chunk
+        out[sl] = _draws(model, sample, x, t, stream(seed, tag, c, 1), sl.stop - sl.start)
 
-    map_ordered(run_chunk, range((n + CHUNK - 1) // CHUNK))
+    map_ordered(run_chunk, _chunks(n))
     return out
 
 

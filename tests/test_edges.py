@@ -134,6 +134,20 @@ EXEMPT = {
     ("increment_draws", "x"): "callers check the message once; an ensemble draws once per interval and chunk",
 }
 
+# Arguments read through errors._real, by way of errors._positive or
+# noise._check_domain, before any float(): a complex value is a TypeError
+# there, as float() makes it, rather than a number without its imaginary part
+REAL = ("TimeGrid.regular.t_max", "esscher_transform.lam", "tilted_characteristics.x",
+        "exponent_derivatives.alpha", "conditional_exponent.x", "simulate_alternative_representation.x",
+        "representation_draws.x", "representation_draws.t", "simulate_bridge_path.horizon",
+        "simulate_bridge_path.u_cap", "gamma_linear_filter.theta", "gamma_linear_filter.m",
+        "compensated_path.message", "martingale_test.threshold", "StudyReport.threshold",
+        "convergence_study.epsilon", "convergence_study.threshold", "factorization_study.t",
+        "factorization_study.threshold", "esscher_consistency_study.lam", "esscher_consistency_study.t",
+        "esscher_consistency_study.threshold", "representation_equivalence_study.x",
+        "representation_equivalence_study.t", "representation_equivalence_study.threshold", "bridge_study.x",
+        "bridge_study.horizon", "bridge_study.s", "bridge_study.t", "bridge_study.threshold")
+
 FLOAT_EDGES = (math.nan, math.inf, -math.inf, -1e3, 0.0)
 COUNT_EDGES = (2.5, -1, math.nan)
 
@@ -205,3 +219,10 @@ def test_finite_sees_a_nan_anywhere():
     assert not finite(li.MessageEstimate(-math.inf, 0.0, False))
     assert not finite([li.StudyRow("q", 1.0, 1.0, math.inf, 0.0)])
     assert not finite(li.Interval(math.nan, 1.0))
+
+
+@pytest.mark.parametrize("case", REAL)
+def test_a_complex_value_where_a_real_one_is_due_is_a_type_error(case):
+    name, _, arg = case.rpartition(".")
+    with pytest.raises(TypeError, match="must be real"):
+        run(name, arg, np.complex128(CALLS[name][1][arg] + 1j))

@@ -13,7 +13,7 @@ from conftest import FAMILY_PARAMS, window
 from levy_info import experiments
 from levy_info.experiments import _exceed_thresholds
 from levy_info.noise import inverse_marginal_clamped
-from levy_info.rng import stream
+from levy_info.prior import MARGIN
 
 
 def rows_by_name(report):
@@ -295,7 +295,8 @@ def test_esscher_zero_tilt_rows_agree_with_one_divisor():
     report = li.esscher_consistency_study(model, 0.0, 1.0, 2000, seed=69)
     for row in report.rows:
         assert row.reference == pytest.approx(row.estimate, rel=1e-12, abs=0.0)
-    direct = li.increment_draws(model, 0.0, 1.0, stream(69, 1), 2000)
+    origin, grid = li.prior_from_atoms([(0.0, 1.0)]), li.TimeGrid(np.array([0.0, 1.0]))
+    direct = li.simulate_ensemble(model, origin, grid, 2000, 69, tag=1)[1][:, 1]
     _, se = li.jackknife_covariance(direct, direct)
     assert rows_by_name(report)["variance"].stderr == pytest.approx(math.sqrt(2.0) * se, rel=1e-9)
 
@@ -320,6 +321,36 @@ def test_esscher_rejects_boundary_tilt():
     model = li.make_noise_model("Gamma", (1.0, 1.0))
     with pytest.raises(li.OutOfDomain):
         li.esscher_consistency_study(model, 1.0, 1.0, 1000, seed=72)
+
+
+def test_esscher_and_bridge_draw_through_the_ensemble_at_tags_1_and_2(monkeypatch):
+    # both Esscher sides are the ensemble at the message 0 under one key, so
+    # they share their random numbers; the bridge is one ensemble on its clock
+    calls = []
+
+    def recording(model, prior, grid, n_paths, seed, tag=0):
+        calls.append((model, prior.positions.tolist(), grid.times.tolist(), n_paths, seed, tag))
+        return li.simulate_ensemble(model, prior, grid, n_paths, seed, tag)
+
+    monkeypatch.setattr(experiments, "simulate_ensemble", recording)
+    gamma = li.make_noise_model("Gamma", (1.0, 1.0))
+    li.esscher_consistency_study(gamma, 0.25, 1.5, 1000, seed=5)
+    li.bridge_study(gamma, 0.3, 2.0, 0.5, 1.0, 1000, seed=6)
+    tilted = li.esscher_transform(gamma, 0.25)
+    assert calls == [(tilted, [0.0], [0.0, 1.5], 1000, 5, 1), (gamma, [0.0], [0.0, 1.5], 1000, 5, 1),
+                     (gamma, [0.3], [0.0, 2.0 / 3.0, 2.0], 1000, 6, 2)]
+
+
+def test_esscher_tilt_and_bridge_message_keep_the_prior_margin():
+    # each study samples a one-atom prior, so it is refused where a prior
+    # atom would be: within MARGIN of the open end 1 of the Gamma(1, 1) A
+    # (tilting by lam moves that end to 1 - lam, next to the atom 0)
+    gamma = li.make_noise_model("Gamma", (1.0, 1.0))
+    near_end = 1.0 - MARGIN / 2
+    with pytest.raises(li.IncompatibleSupport):
+        li.esscher_consistency_study(gamma, near_end, 1.0, 1000, seed=72)
+    with pytest.raises(li.IncompatibleSupport):
+        li.bridge_study(gamma, near_end, 2.0, 0.5, 1.0, 1000, seed=72)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +457,7 @@ def test_study_threshold_is_checked_before_sampling(name, threshold, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before the threshold was checked")
 
-    for sampler in ("simulate_ensemble", "increment_draws", "representation_draws"):
+    for sampler in ("simulate_ensemble", "representation_draws"):
         monkeypatch.setattr(experiments, sampler, refuse)
     with pytest.raises(li.InvalidParameter, match="threshold"):
         _study_at(name, threshold)

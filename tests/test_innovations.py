@@ -252,6 +252,23 @@ def test_martingale_test_requires_samples():
         li.martingale_test(np.zeros(99))
 
 
+def test_martingale_rows_are_each_intervals_mean_and_stderr():
+    # every input shape reduces to a contiguous float copy per interval, and
+    # its row is that copy's mean and standard error, bit for bit
+    rng = np.random.default_rng(50)
+    block = rng.standard_normal((300, 3))
+    ragged = [rng.standard_normal(150), rng.standard_normal(400).tolist()]
+    for samples, groups in ((block.T, list(block.T)), (ragged, ragged), (block[:, 1], [block[:, 1]]),
+                            (block[:, 2].tolist(), [block[:, 2]])):
+        rows = li.martingale_test(samples).rows
+        assert len(rows) == len(groups)
+        for row, g in zip(rows, groups):
+            g = np.ascontiguousarray(g, dtype=float)
+            assert (row.estimate, row.stderr) == (float(g.mean()), float(g.std(ddof=1) / math.sqrt(g.size)))
+    with pytest.raises(li.TooFewSamples, match="interval 1"):
+        li.martingale_test([np.zeros(100), np.zeros(99)])
+
+
 def test_martingale_interval_labels_and_report_name():
     report = li.martingale_test(np.zeros((2, 200)), threshold=4.0)
     assert report.name == "martingale"

@@ -12,7 +12,9 @@ at its peak:
   rate, its square and ``mean_stderr``'s deviations, two byte masks (1/4)
 * factorization: xi_t, the weights, the atom indices, the residual and two
   complex buffers (2 each)
-* esscher and bridge: the draws, their products and the jackknife's vectors
+* esscher: the draws, their products and the jackknife's vectors
+* bridge: xi_s and xi_t, once the ensemble they are scaled from is freed,
+  and the jackknife's vectors
 * representation: the draws and the jackknife's four buffers
 """
 
@@ -35,7 +37,7 @@ STUDIES = {
     "esscher": (10.0, lambda n: li.esscher_consistency_study(BROWNIAN, 0.25, 1.0, n, 0)),
     "representation": (5.0, lambda n: li.representation_equivalence_study(
         li.make_noise_model("VarianceGamma", (2.0,)), 0.5, 1.0, n, 0)),
-    "bridge": (10.0, lambda n: li.bridge_study(li.make_noise_model("Gamma", (1.0, 1.0)), 0.3, 2.0, 0.5, 1.0, n, 0)),
+    "bridge": (8.0, lambda n: li.bridge_study(li.make_noise_model("Gamma", (1.0, 1.0)), 0.3, 2.0, 0.5, 1.0, n, 0)),
 }
 
 

@@ -78,20 +78,44 @@ def test_study_modules_raise_to_no_power_but_two(module):
     assert bad == []
 
 
-def test_experiments_invert_no_path():
-    # the studies count exceedances by comparing rates with psi0' at per-atom
-    # thresholds; inverting psi0' on every path is the per-path work they avoid
-    banned = {"inverse_marginal_clamped", "inverse_closed_form"}
-    path = Path(li.__file__).with_name("experiments.py")
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def names_used(source, names):
+    """Sorted ``line: name`` of every import, call or other use of one of
+    ``names``, bare or as an attribute."""
     used = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         name = (node.name.rpartition(".")[2] if isinstance(node, ast.alias)
                 else node.id if isinstance(node, ast.Name)
                 else node.attr if isinstance(node, ast.Attribute) else None)
-        if name in banned:
-            used.append(f"experiments.py:{node.lineno}: {name}")
-    assert used == []
+        if name in names:
+            used.append((node.lineno, name))
+    return [f"{line}: {name}" for line, name in sorted(used)]
+
+
+def experiments_source():
+    return Path(li.__file__).with_name("experiments.py").read_text(encoding="utf-8")
+
+
+def test_experiments_invert_no_path():
+    # the studies count exceedances by comparing rates with psi0' at per-atom
+    # thresholds; inverting psi0' on every path is the per-path work they avoid
+    assert names_used(experiments_source(), {"inverse_marginal_clamped", "inverse_closed_form"}) == []
+
+
+def test_studies_draw_only_through_the_chunk_keyed_samplers():
+    # every study samples through simulate_ensemble or representation_draws,
+    # keyed by (seed, tag, chunk, interval); a stream or increment_draws of
+    # its own in experiments.py is a second keying of the studies' draws
+    assert names_used(experiments_source(), {"stream", "increment_draws"}) == []
+
+
+def test_name_lint_sees_imports_calls_and_attributes():
+    source = ("from .rng import stream\n"
+              "from . import simulate as sim\n"
+              "def f(seed):\n"
+              "    return sim.increment_draws(M, 0.0, 1.0, stream(seed, 1), 3)\n"
+              "draw = sim.increment_draws\n")
+    assert names_used(source, {"stream", "increment_draws"}) == [
+        "1: stream", "4: increment_draws", "4: stream", "5: increment_draws"]
 
 
 def family_comparisons(source):

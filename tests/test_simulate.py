@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import levy_info as li
 from conftest import FAMILY_PARAMS, interior_grid
 from levy_info.noise import _logarithmic_draws
-from levy_info.rng import stream
+from levy_info.rng import CHUNK, _chunks, stream
 
 
 def degenerate(x):
@@ -152,6 +152,13 @@ def test_ensemble_deterministic_and_thread_independent(monkeypatch):
     np.testing.assert_array_equal(x1, x3)
     _, xi4 = li.simulate_ensemble(model, prior, grid, 5000, seed=11, tag=1)
     assert not np.array_equal(xi1, xi4)
+
+
+def test_chunks_cover_the_paths_in_order():
+    n = 2 * CHUNK + 5
+    assert _chunks(n) == [(0, slice(0, CHUNK)), (1, slice(CHUNK, 2 * CHUNK)), (2, slice(2 * CHUNK, n))]
+    assert _chunks(CHUNK) == [(0, slice(0, CHUNK))]
+    assert _chunks(1) == [(0, slice(0, 1))]
 
 
 @settings(max_examples=40, deadline=None)
