@@ -89,19 +89,24 @@ CASES = {
         "aa6cab2e42c2c89a06c76a36728deafa9800611b9e5d1d689459c04c6cd22da9",
     ),
     # re-recorded when the weighted variance took the divisor n - 1 of the
-    # direct one: only the variance row's reference, stderr and z moved
+    # direct one (only the variance row's reference, stderr and z moved), and
+    # again when both sides came to be drawn by simulate_ensemble at tag 1,
+    # keyed by (seed, tag, chunk, interval), in place of one stream (seed, 1)
     "experiment-esscher": (
         ["experiment", "esscher", "--paths", "5000", "--seed", "8"],
-        "9ac3cbc21685ec69ee5d1992c5bf7bf859aad25637f9dc3a745b96fd418377be",
+        "d0a8864beb650835bb6ec21f04dd9f2ac44af78dea81d3cbf9b8baf0d97348eb",
     ),
     # pins the cumulant kernels' product-form cubes through its k3[...] rows
     "experiment-representation": (
         ["experiment", "representation", "--paths", "20000", "--seed", "3"],
         "0e84cb74627f0648374d747b337a54e08a44c54277678045fd25dc2aedac7fdf",
     ),
+    # re-recorded when the bridge came to be drawn by one simulate_ensemble
+    # at tag 2 on the bridge clock, in place of the streams (seed, 1) and
+    # (seed, 2), one per interval
     "experiment-bridge": (
         ["experiment", "bridge", "--paths", "5000", "--seed", "6"],
-        "94165f0dc6ac08373d51ab96488a410e0a148a1563631f9e377283dbbec47cc2",
+        "bda8a6f013b86d5267c0c4180844bbbb56660740714996bbf3f9027e4fc16e54",
     ),
 }
 
