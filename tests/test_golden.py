@@ -60,6 +60,19 @@ CASES = {
          "--set", 'prior={"density":"uniform","lo":-1,"hi":1,"n":8}'],
         "c8598f383dfd7bc5754aa053ed3e365a469f6e8b9db0face98bade318a876604",
     ),
+    # the other two density recipes: the bench's path-filter prior, and the
+    # shifted-gamma message of the gamma channel
+    "filter-gaussian-truncated": (
+        ["filter", "--set", "grid.steps=700", "--seed", "17",
+         "--set", 'prior={"density":"gaussian-truncated","mean":0.0,"sd":1.0,"lo":-3,"hi":3,"n":64}'],
+        "d7a0050cca3bcef36b46fb245df9d2914c56d360288320dd7cf0969ac7759086",
+    ),
+    "filter-gamma-shifted": (
+        ["filter", "--set", "model.family=Gamma", "--set", "model.params=[1.0,1.0]",
+         "--set", "grid.steps=700", "--seed", "18",
+         "--set", 'prior={"density":"gamma-shifted","theta":2.0,"r":3.0,"u_max":40.0,"n":64}'],
+        "45a24ad85bf83ffe2696a771f9431ab55af7061b9349b3b96a2b5b29e1988053",
+    ),
     "innovations": (
         ["innovations", *GAMMA, "--set", "grid.steps=600", "--seed", "5"],
         "921996bc3221be7bf6f893dc20865c01af90a3c048afef4f5b03dd84b6347fb0",
