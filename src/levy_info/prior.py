@@ -108,6 +108,9 @@ def prior_from_atoms(points) -> Prior:
 def prior_from_density(f, interval: Interval, n: int) -> Prior:
     """Discretize a density on a bounded interval by Gauss-Legendre quadrature.
 
+    The n-point rule is numpy's ``np.polynomial.legendre.leggauss``, exact
+    for polynomials of degree below 2n, mapped from [-1, 1] onto the interval.
+
     Parameters
     ----------
     f : callable
@@ -132,10 +135,7 @@ def prior_from_density(f, interval: Interval, n: int) -> Prior:
     if not (np.isfinite(interval.lo) and np.isfinite(interval.hi)):
         raise InvalidParameter("prior_from_density requires a bounded interval")
     n = _count(n, "quadrature node count n", 2)
-    # scipy's nodes, not numpy's leggauss: the two differ in the last bits
-    from scipy.special import roots_legendre
-
-    nodes, gl_weights = roots_legendre(n)
+    nodes, gl_weights = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (interval.hi - interval.lo)
     mid = 0.5 * (interval.hi + interval.lo)
     xs = mid + half * nodes

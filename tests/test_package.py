@@ -27,11 +27,33 @@ def test_every_exported_name_resolves(module):
     assert [name for name in exported if not hasattr(mod, name)] == []
 
 
+DENSITY_RECIPES = (
+    '{"density":"uniform","lo":-1,"hi":1,"n":8}',
+    '{"density":"gaussian-truncated","mean":0,"sd":1,"lo":-3,"hi":3,"n":8}',
+    '{"density":"gamma-shifted","theta":2,"r":3,"u_max":40,"n":8}',
+)
+
+# Every subcommand with every density recipe, then the scipy modules loaded.
+# scipy serves only the characteristics helpers; the CLI never needs it.
+SCIPY_PROBE = """
+import contextlib, io, sys
+from levy_info.cli import main
+recipes = sys.argv[1:]
+for command in (["simulate", "--paths", "3"], ["filter"], ["innovations"],
+                ["experiment", "convergence", "--paths", "1000"]):
+    for prior in recipes:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([*command, "--set", "grid.steps=5", "--set", "prior=" + prior])
+        assert code == 0, (command, prior)
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+
+
 def test_import_leaves_scipy_unloaded():
     src = str(Path(li.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, levy_info, levy_info.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *DENSITY_RECIPES], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
