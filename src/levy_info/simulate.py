@@ -177,6 +177,8 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
     """
     check_compatibility(prior, model)
     n_paths = _count(n_paths, "n_paths")
+    # checked here too: a one-atom prior on a one-point grid builds no stream
+    seed, tag = _count(seed, "seed", 0), _count(tag, "stream key", 0)
     dts = np.diff(grid.times)
     x = np.empty(n_paths)
     xi = np.zeros((n_paths, len(grid)))
@@ -184,7 +186,8 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
     def run_chunk(chunk):
         c, sl = chunk
         count = sl.stop - sl.start
-        x[sl] = sample_messages(prior, count, stream(seed, tag, c, 0))
+        # a one-atom prior names every message; no other draw reads stream 0
+        x[sl] = prior.positions[0] if len(prior) == 1 else sample_messages(prior, count, stream(seed, tag, c, 0))
         acc = np.zeros(count)
         for j, dt in enumerate(dts, start=1):
             acc = acc + increment_draws(model, x[sl], dt, stream(seed, tag, c, j), count)

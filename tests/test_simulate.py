@@ -154,6 +154,25 @@ def test_ensemble_deterministic_and_thread_independent(monkeypatch):
     assert not np.array_equal(xi1, xi4)
 
 
+@pytest.mark.parametrize("atoms, draws_messages", [([(0.5, 1.0)], False), ([(0.0, 0.5), (0.5, 0.5)], True)])
+def test_only_a_prior_of_two_atoms_or_more_draws_messages(atoms, draws_messages, monkeypatch):
+    # every message of a one-atom prior is that atom: no (seed, tag, chunk, 0) stream
+    keys = []
+    monkeypatch.setattr(li.simulate, "stream", lambda seed, *key: keys.append(key) or stream(seed, *key))
+    model = li.make_noise_model("Gamma", (1.0, 1.0))
+    x, _ = li.simulate_ensemble(model, li.prior_from_atoms(atoms), li.TimeGrid.regular(1.0, 2), CHUNK + 3, seed=5)
+    assert sorted(keys) == sorted([(0, c, j) for c in (0, 1) for j in range(1 - draws_messages, 3)])
+    assert draws_messages or (x == 0.5).all()
+
+
+def test_a_bad_seed_is_refused_where_no_stream_is_built():
+    model = li.make_noise_model("Gamma", (1.0, 1.0))
+    with pytest.raises(li.InvalidParameter, match="seed"):
+        li.simulate_ensemble(model, degenerate(0.0), li.TimeGrid([0.0]), 3, seed=2.5)
+    with pytest.raises(li.InvalidParameter, match="stream key"):
+        li.simulate_ensemble(model, degenerate(0.0), li.TimeGrid([0.0]), 3, seed=1, tag=-1)
+
+
 def test_chunks_cover_the_paths_in_order():
     n = 2 * CHUNK + 5
     assert _chunks(n) == [(0, slice(0, CHUNK)), (1, slice(CHUNK, 2 * CHUNK)), (2, slice(2 * CHUNK, n))]
