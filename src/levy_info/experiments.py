@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameter, _count, _positive
+from .errors import InvalidParameter, _count, _positive, _real
 from .noise import (
     _FAMILIES,
     NoiseModel,
@@ -46,7 +46,7 @@ __all__ = [
 
 
 def _ladder(times) -> np.ndarray:
-    times = np.ascontiguousarray(times, dtype=float).ravel()
+    times = np.ascontiguousarray(_real(times, "study times"), dtype=float).ravel()
     if times.size == 0 or not np.all(times > 0.0) or not np.all(np.diff(times) > 0.0):
         raise InvalidParameter("study times must be positive and strictly increasing")
     return times

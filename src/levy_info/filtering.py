@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeights, InvalidParameter, _instances, _positive
+from .errors import DegenerateWeights, InvalidParameter, _instances, _positive, _real
 from .noise import GAMMA, NoiseModel, check_observation, fiducial_exponent, inverse_marginal_clamped, make_noise_model
 from .prior import Prior, _frozen, check_compatibility, prior_expectation
 from .rng import map_ordered
@@ -202,7 +202,7 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
 def conditional_cdf(posterior: Posterior, y: float) -> float:
     """P(X <= y) under the posterior: the right-continuous step function
     (0 at y = -inf, 1 at y = inf, InvalidParameter at y = NaN)."""
-    y = float(y)
+    y = float(_real(y, "y"))
     if math.isnan(y):
         raise InvalidParameter("conditional_cdf needs a threshold y that is not NaN")
     idx = int(np.searchsorted(posterior.positions, y, side="right"))
@@ -238,7 +238,7 @@ def gamma_linear_filter(theta: float, r: float, m: float, xi: float, t: float) -
         As ``noise.check_observation`` under Gamma(m, 1), whose psi0' is Y.
     """
     theta, m = _positive(theta, "theta"), _positive(m, "m")
-    tau = _positive(float(r) - 1.0, "r - 1") / m
+    tau = _positive(float(_real(r, "r")) - 1.0, "r - 1") / m
     xi, t = map(float, check_observation(make_noise_model(GAMMA, (m, 1.0)), xi, t))
     return (xi + theta) / (t + tau)
 

@@ -135,6 +135,10 @@ class Interval:
     lo_open: bool = True
     hi_open: bool = True
 
+    def __post_init__(self):
+        _real(self.lo, "interval end lo")
+        _real(self.hi, "interval end hi")
+
     def contains(self, x):
         """Membership respecting the endpoint conventions, elementwise: a
         numpy bool, or a bool array for an array ``x``."""
@@ -527,7 +531,7 @@ SUPPORT_BLOCK = 4096
 
 def _check_times(t, what: str) -> np.ndarray:
     """``t`` as a float array; InvalidParameter unless every entry is finite and >= 0."""
-    t = np.asarray(t, dtype=float)
+    t = np.asarray(_real(t, what), dtype=float)
     bad = ~(np.isfinite(t) & (t >= 0.0))
     if bad.any():
         raise InvalidParameter(f"{what} must be finite and >= 0, got {t[bad][0]}")
@@ -542,7 +546,7 @@ def check_observation(model: NoiseModel, xi, t) -> tuple:
     integer ("lattice"), anything ("real"), within ``SUPPORT_RTOL`` where the
     drift is not zero.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi = np.asarray(_real(xi, "observation xi"), dtype=float)
     if not np.isfinite(xi).all():
         raise NonFiniteValue(f"observation xi must be finite, got {xi[~np.isfinite(xi)][0]}")
     t = np.broadcast_to(_check_times(t, "observation time"), xi.shape)
@@ -592,8 +596,8 @@ def make_noise_model(family: str, params=(), drift: float = 0.0) -> NoiseModel:
     """
     fam = canonical_family(family)
     rec = _FAMILIES[fam]
-    p = tuple(float(v) for v in params)
-    drift = float(drift)
+    p = tuple(float(_real(v, f"{fam} parameter")) for v in params)
+    drift = float(_real(drift, "drift"))
     _require(all(np.isfinite(p)), f"{fam} parameters must be finite, got {p}")
     _require(math.isfinite(drift), f"drift must be finite, got {drift}")
     given = rec.names[: len(rec.names) - len(rec.fixed)]
@@ -723,12 +727,11 @@ def inverse_marginal(model: NoiseModel, y: float) -> float:
         If ``y`` is not attained by psi0' on the interior of the admissible
         set: it is not finite or not above the lower end of the range.
     """
-    y = float(y)
     alpha, clamped = inverse_marginal_clamped(model, y)
     if clamped:
         rng = marginal_range(model)
         raise OutOfRange(
-            f"y={y:g} is not attained by psi0' of {model!r}; range is ({rng.lo:g}, {rng.hi:g})"
+            f"y={float(y):g} is not attained by psi0' of {model!r}; range is ({rng.lo:g}, {rng.hi:g})"
         )
     return alpha
 
@@ -747,7 +750,7 @@ def inverse_marginal_clamped(model: NoiseModel, y):
     Returns ``(alpha, clamped)`` where ``clamped`` marks adjusted entries.
     """
     rec = _FAMILIES[model.family]
-    arr = np.asarray(y, dtype=float)
+    arr = np.asarray(_real(y, "y"), dtype=float)
     yv = np.atleast_1d(arr)
     dom = rec.domain(*model.params)
     bad = ~np.isfinite(yv)

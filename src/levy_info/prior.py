@@ -21,6 +21,7 @@ from .errors import (
     ZeroMass,
     _count,
     _instances,
+    _real,
 )
 from .noise import Interval, NoiseModel, admissible_set
 
@@ -88,8 +89,8 @@ def prior_from_atoms(points) -> Prior:
     pts = list(points)
     if len(pts) == 0:
         raise EmptyPrior("a prior needs at least one atom")
-    xs = np.array([float(x) for x, _ in pts])
-    ws = np.array([float(w) for _, w in pts])
+    xs = np.array([float(_real(x, "atom position")) for x, _ in pts])
+    ws = np.array([float(_real(w, "atom weight")) for _, w in pts])
     if not (np.isfinite(xs).all() and np.isfinite(ws).all()):
         raise NonFiniteValue("prior atoms must have finite positions and weights")
     if np.any(ws <= 0.0):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridExceedsHorizon, InvalidParameter, UnsupportedRepresentation, _count, _positive
+from .errors import GridExceedsHorizon, InvalidParameter, UnsupportedRepresentation, _count, _positive, _real
 from .noise import _FAMILIES, NoiseModel, _check_domain, _check_times
 from .prior import Prior, check_compatibility
 from .rng import _chunks, map_ordered, stream
@@ -47,7 +47,7 @@ class TimeGrid:
     times: np.ndarray
 
     def __post_init__(self):
-        times = np.ascontiguousarray(self.times, dtype=float)
+        times = np.ascontiguousarray(_real(self.times, "grid times"), dtype=float)
         if times.ndim != 1 or times.size < 1:
             raise InvalidParameter("a time grid needs at least the point t=0")
         if times[0] != 0.0:
