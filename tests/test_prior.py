@@ -84,6 +84,57 @@ def test_zero_density_raises():
         li.prior_from_density(lambda x: 0.0, li.Interval(0.0, 1.0, True, True), 8)
 
 
+RULE_SIZES = [2, 3, 8, 64, 256]
+
+
+def legendre_rule(n):
+    """The n-point Gauss-Legendre rule on [-1, 1] that prior_from_density maps."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_density_prior_on_the_reference_interval_is_the_rule(n):
+    nodes, weights = legendre_rule(n)
+    p = li.prior_from_density(np.ones_like, li.Interval(-1.0, 1.0), n)
+    np.testing.assert_array_equal(p.positions, nodes)
+    np.testing.assert_allclose(p.weights, weights / weights.sum(), rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_legendre_rule_is_symmetric_with_weights_summing_to_two(n):
+    nodes, weights = legendre_rule(n)
+    np.testing.assert_array_equal(nodes, -nodes[::-1])
+    np.testing.assert_array_equal(weights, weights[::-1])
+    assert abs(weights.sum() - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_legendre_rule_integrates_every_degree_below_2n(n):
+    nodes, weights = legendre_rule(n)
+    k = np.arange(2 * n)
+    exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+    sums = np.array([weights @ nodes ** j for j in k])
+    np.testing.assert_allclose(sums, exact, rtol=0.0, atol=1e-13)
+
+
+def test_legendre_rule_closed_forms():
+    nodes, weights = legendre_rule(2)
+    np.testing.assert_allclose(nodes, [-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], rtol=1e-15)
+    np.testing.assert_allclose(weights, [1.0, 1.0], rtol=1e-15)
+    nodes, weights = legendre_rule(3)
+    np.testing.assert_allclose(nodes, [-math.sqrt(0.6), 0.0, math.sqrt(0.6)], rtol=1e-15, atol=1e-16)
+    np.testing.assert_allclose(weights, [5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_mapped_prior_reproduces_a_polynomial_densitys_moments(n):
+    # f(x) = 1 + x^2 on [0, 2]: x^k f has degree k + 2, integrated exactly for k < 2n - 2
+    p = li.prior_from_density(lambda x: 1.0 + x * x, li.Interval(0.0, 2.0), n)
+    for k in range(2 * n - 2):
+        exact = (2.0 ** (k + 1) / (k + 1) + 2.0 ** (k + 3) / (k + 3)) / (2.0 + 8.0 / 3.0)
+        assert li.prior_expectation(p, lambda x: x ** k) == pytest.approx(exact, rel=1e-12)
+
+
 def test_density_mean_converges_when_doubling_nodes():
     f = gamma_density(3.0, 2.0)
     dom = li.Interval(0.0, 30.0, True, True)
