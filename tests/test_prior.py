@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 import levy_info as li
 from levy_info.prior import MARGIN
@@ -84,17 +85,13 @@ def test_zero_density_raises():
         li.prior_from_density(lambda x: 0.0, li.Interval(0.0, 1.0, True, True), 8)
 
 
+# n-point Gauss-Legendre rules on [-1, 1], the rule prior_from_density maps
 RULE_SIZES = [2, 3, 8, 64, 256]
-
-
-def legendre_rule(n):
-    """The n-point Gauss-Legendre rule on [-1, 1] that prior_from_density maps."""
-    return np.polynomial.legendre.leggauss(n)
 
 
 @pytest.mark.parametrize("n", RULE_SIZES)
 def test_density_prior_on_the_reference_interval_is_the_rule(n):
-    nodes, weights = legendre_rule(n)
+    nodes, weights = leggauss(n)
     p = li.prior_from_density(np.ones_like, li.Interval(-1.0, 1.0), n)
     np.testing.assert_array_equal(p.positions, nodes)
     np.testing.assert_allclose(p.weights, weights / weights.sum(), rtol=1e-15)
@@ -102,7 +99,7 @@ def test_density_prior_on_the_reference_interval_is_the_rule(n):
 
 @pytest.mark.parametrize("n", RULE_SIZES)
 def test_legendre_rule_is_symmetric_with_weights_summing_to_two(n):
-    nodes, weights = legendre_rule(n)
+    nodes, weights = leggauss(n)
     np.testing.assert_array_equal(nodes, -nodes[::-1])
     np.testing.assert_array_equal(weights, weights[::-1])
     assert abs(weights.sum() - 2.0) <= 1e-14
@@ -110,7 +107,7 @@ def test_legendre_rule_is_symmetric_with_weights_summing_to_two(n):
 
 @pytest.mark.parametrize("n", RULE_SIZES)
 def test_legendre_rule_integrates_every_degree_below_2n(n):
-    nodes, weights = legendre_rule(n)
+    nodes, weights = leggauss(n)
     k = np.arange(2 * n)
     exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
     sums = np.array([weights @ nodes ** j for j in k])
@@ -118,10 +115,10 @@ def test_legendre_rule_integrates_every_degree_below_2n(n):
 
 
 def test_legendre_rule_closed_forms():
-    nodes, weights = legendre_rule(2)
+    nodes, weights = leggauss(2)
     np.testing.assert_allclose(nodes, [-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], rtol=1e-15)
     np.testing.assert_allclose(weights, [1.0, 1.0], rtol=1e-15)
-    nodes, weights = legendre_rule(3)
+    nodes, weights = leggauss(3)
     np.testing.assert_allclose(nodes, [-math.sqrt(0.6), 0.0, math.sqrt(0.6)], rtol=1e-15, atol=1e-16)
     np.testing.assert_allclose(weights, [5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0], rtol=1e-15)
 
