@@ -52,8 +52,6 @@ from .stats import StudyReport
 
 __all__ = ["main"]
 
-EXPERIMENTS = ("convergence", "factorization", "esscher", "representation", "bridge")
-
 _BASE_CONFIG = {
     "model": {"family": "Brownian", "params": []},
     "prior": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]},
@@ -62,23 +60,55 @@ _BASE_CONFIG = {
     "seed": 0,
 }
 
-_STUDY_DEFAULTS = {
-    "convergence": {"times": [1.0, 4.0, 16.0], "epsilon": 0.5, "threshold": 3.5},
-    "factorization": {"alpha_im": [0.3, 0.6, 0.9], "beta_im": [0.2, 0.5, 0.8], "t": 1.0, "threshold": 3.5},
-    "esscher": {"lambda": 0.25, "t": 1.0, "threshold": 3.5},
-    "representation": {"x": 0.5, "t": 1.0, "threshold": 3.5},
-    "bridge": {"x": 0.3, "horizon": 2.0, "s": 0.5, "t": 1.0, "threshold": 3.5},
-}
-
-_STUDY_MODELS = {
-    "representation": {"family": "VarianceGamma", "params": [2.0]},
-    "bridge": {"family": "Gamma", "params": [1.0, 1.0]},
-}
-
 
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+
+def _integer(value, name: str) -> int:
+    """An integral number: a JSON integer or a float such as 1e3; fractions,
+    booleans and strings are usage errors rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise UsageError(f"{name} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _number(value, name: str) -> float:
+    """A JSON number or a string ``float`` reads, such as ``nan``; not a boolean."""
+    if isinstance(value, bool):
+        raise UsageError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _array(value, name: str, item=_number) -> list:
+    """A JSON array, each entry read by ``item``; not a string or an object."""
+    if not isinstance(value, list):
+        raise UsageError(f"{name} must be an array, got {json.dumps(value)}")
+    return [item(v, name) for v in value]
+
+
+def _imaginary(value, name: str) -> list:
+    """A JSON array of numbers b, read as the imaginary arguments i*b."""
+    return [1j * b for b in _array(value, name)]
+
+
+# study name -> (study function, reads the prior, default model or None,
+# {config key: (keyword, default, reader)}); the options are read in this order
+_STUDIES = {
+    "convergence": (convergence_study, True, None,
+                    {"times": ("times", [1.0, 4.0, 16.0], _array), "epsilon": ("epsilon", 0.5, _number)}),
+    "factorization": (factorization_study, True, None,
+                      {"alpha_im": ("alpha", [0.3, 0.6, 0.9], _imaginary),
+                       "beta_im": ("beta", [0.2, 0.5, 0.8], _imaginary), "t": ("t", 1.0, _number)}),
+    "esscher": (esscher_consistency_study, False, None,
+                {"lambda": ("lam", 0.25, _number), "t": ("t", 1.0, _number)}),
+    "representation": (representation_equivalence_study, False, {"family": "VarianceGamma", "params": [2.0]},
+                       {"x": ("x", 0.5, _number), "t": ("t", 1.0, _number)}),
+    "bridge": (bridge_study, False, {"family": "Gamma", "params": [1.0, 1.0]},
+               {"x": ("x", 0.3, _number), "horizon": ("horizon", 2.0, _number),
+                "s": ("s", 0.5, _number), "t": ("t", 1.0, _number)}),
+}
 
 
 def _merge(base, override):
@@ -112,11 +142,12 @@ def _resolve_config(args) -> dict:
     # into the module-level defaults across invocations
     config = copy.deepcopy(_BASE_CONFIG)
     default_atoms = config["prior"]["atoms"]
-    study = getattr(args, "name", None)
-    if study is not None:
-        config["study"] = copy.deepcopy(_STUDY_DEFAULTS[study])
-        if study in _STUDY_MODELS:
-            config["model"] = copy.deepcopy(_STUDY_MODELS[study])
+    name = getattr(args, "name", None)
+    if name is not None:
+        _, _, model, options = copy.deepcopy(_STUDIES[name])
+        config["study"] = {key: default for key, (_, default, _) in options.items()} | {"threshold": 3.5}
+        if model is not None:
+            config["model"] = model
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -134,8 +165,9 @@ def _resolve_config(args) -> dict:
         config["seed"] = args.seed
     if args.paths is not None:
         config["paths"] = args.paths
-    if getattr(args, "threshold", None) is not None:
-        config.setdefault("study", {})["threshold"] = args.threshold
+    # a study section that is not an object is reported by _run_study
+    if getattr(args, "threshold", None) is not None and isinstance(config["study"], dict):
+        config["study"]["threshold"] = args.threshold
     prior = config.get("prior")
     if isinstance(prior, dict) and "density" in prior and "atoms" in prior:
         # the merges keep the default atoms object unless an override replaced it
@@ -153,8 +185,8 @@ def _resolve_config(args) -> dict:
 def _config_key(key: str):
     """Re-raise validation errors with the offending config key named.
 
-    A ``TypeError`` or ``ValueError`` here comes from converting a value of
-    the wrong type (``float("abc")``, iterating a number) and is a usage error.
+    A ``TypeError`` or ``ValueError`` here comes from reading a value of the
+    wrong type (``float("abc")``, an atom that is not a pair) and is a usage error.
     """
     try:
         yield
@@ -164,47 +196,36 @@ def _config_key(key: str):
         raise type(exc)(f"config key '{key}': {type(exc).__name__}: {exc}") from exc
 
 
-def _integer(value, name: str) -> int:
-    """An integral number: a JSON integer or a float such as 1e3; fractions,
-    booleans and strings are usage errors rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
-        raise UsageError(f"{name} must be an integer, got {json.dumps(value)}")
-    return int(value)
-
-
 def _build_model(config: dict):
     section = config["model"]
     with _config_key("model"):
         if not isinstance(section, dict) or "family" not in section:
             raise UsageError("expected an object with a 'family' key")
-        return make_noise_model(
-            section["family"], section.get("params", []), section.get("drift", 0.0)
-        )
+        return make_noise_model(section["family"], _array(section.get("params", []), "params"),
+                                _number(section.get("drift", 0.0), "drift"))
 
 
-def _density_prior(section: dict):
-    name = section["density"]
-    n = _integer(section.get("n", 64), "n")
-    if name == "uniform":
-        lo, hi = float(section["lo"]), float(section["hi"])
-        return prior_from_density(lambda x: np.ones_like(x), Interval(lo, hi), n)
-    if name == "gaussian-truncated":
-        mean = float(section.get("mean", 0.0))
-        sd = float(section.get("sd", 1.0))
-        lo, hi = float(section["lo"]), float(section["hi"])
-        return prior_from_density(
-            lambda x: np.exp(-0.5 * ((x - mean) / sd) ** 2), Interval(lo, hi), n
-        )
-    if name == "gamma-shifted":
-        theta = float(section["theta"])
-        r = float(section["r"])
-        u_max = float(section.get("u_max", 40.0))
-        return prior_from_density(
-            lambda x: (1.0 - x) ** (r - 1.0) * np.exp(-theta * (1.0 - x)),
-            Interval(1.0 - u_max, 1.0),
-            n,
-        )
-    raise UsageError(f"unknown density recipe {name!r}; expected uniform, gaussian-truncated or gamma-shifted")
+def _interval(section: dict) -> Interval:
+    return Interval(_number(section["lo"], "lo"), _number(section["hi"], "hi"))
+
+
+def _gaussian_truncated(section: dict):
+    mean, sd = _number(section.get("mean", 0.0), "mean"), _number(section.get("sd", 1.0), "sd")
+    return lambda x: np.exp(-0.5 * ((x - mean) / sd) ** 2), _interval(section)
+
+
+def _gamma_shifted(section: dict):
+    theta, r = _number(section["theta"], "theta"), _number(section["r"], "r")
+    u_max = _number(section.get("u_max", 40.0), "u_max")
+    return lambda x: (1.0 - x) ** (r - 1.0) * np.exp(-theta * (1.0 - x)), Interval(1.0 - u_max, 1.0)
+
+
+# density recipe name -> builder of (density, Interval) from the prior section
+_DENSITIES = {
+    "uniform": lambda section: (np.ones_like, _interval(section)),
+    "gaussian-truncated": _gaussian_truncated,
+    "gamma-shifted": _gamma_shifted,
+}
 
 
 def _build_prior(config: dict):
@@ -213,10 +234,14 @@ def _build_prior(config: dict):
         if not isinstance(section, dict):
             raise UsageError("expected an object with 'atoms' or 'density'")
         if "atoms" in section:
-            return prior_from_atoms([(float(x), float(w)) for x, w in section["atoms"]])
+            return prior_from_atoms([(x, w) for x, w in _array(section["atoms"], "atoms", _array)])
         if "density" in section:
+            n = _integer(section.get("n", 64), "n")
+            name = section["density"]
+            if not isinstance(name, str) or name not in _DENSITIES:
+                raise UsageError(f"unknown density recipe {name!r}; expected {', '.join(_DENSITIES)}")
             try:
-                return _density_prior(section)
+                return prior_from_density(*_DENSITIES[name](section), n)
             except KeyError as exc:
                 raise UsageError(f"density recipe is missing key {exc}") from exc
         raise UsageError("expected an object with 'atoms' or 'density'")
@@ -228,13 +253,13 @@ def _build_grid(config: dict) -> TimeGrid:
         if not isinstance(section, dict):
             raise UsageError("expected an object with 't_max'/'steps' or 'times'")
         if "times" in section:
-            times = [float(v) for v in section["times"]]
+            times = _array(section["times"], "times")
             if not times or times[0] != 0.0:
                 times = [0.0] + times
             return TimeGrid(np.asarray(times))
         if "t_max" in section or "steps" in section:
             steps = _integer(section.get("steps", 100), "steps")
-            return TimeGrid.regular(float(section.get("t_max", 1.0)), steps)
+            return TimeGrid.regular(_number(section.get("t_max", 1.0), "t_max"), steps)
         raise UsageError("expected an object with 't_max'/'steps' or 'times'")
 
 
@@ -251,11 +276,11 @@ def _paths(config: dict) -> int:
         return n
 
 
-def _study_value(study: dict, key: str, cast=float):
+def _study_value(study: dict, key: str, read):
     with _config_key(f"study.{key}"):
         if key not in study:
             raise UsageError("missing study option")
-        return cast(study[key])
+        return read(study[key], key)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +342,21 @@ def _check_out(out_path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
+def _prelude(args):
+    """The resolved config and the model, prior and grid built from it."""
     config = _resolve_config(args)
-    model = _build_model(config)
-    prior = _build_prior(config)
-    grid = _build_grid(config)
-    n_paths = _paths(config)
-    seed = _seed(config)
-    messages, xi = simulate_ensemble(model, prior, grid, n_paths, seed)
+    return config, _build_model(config), _build_prior(config), _build_grid(config)
+
+
+def _one_path(args):
+    """The config, the prior and the one path ``filter`` and ``innovations`` read."""
+    config, model, prior, grid = _prelude(args)
+    return config, prior, simulate_information_path(model, prior, grid, stream(_seed(config), 0))
+
+
+def _cmd_simulate(args) -> int:
+    config, model, prior, grid = _prelude(args)
+    messages, xi = simulate_ensemble(model, prior, grid, _paths(config), _seed(config))
     t_cells = _floats(grid.times)
     n = len(t_cells)
     blocks = (
@@ -335,83 +367,50 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _filter_columns(model, prior, grid, values, with_weights):
-    times = grid.times
-    weights = posterior_expectations(prior, model, values, times, np.eye(len(prior)))
+def _filter_columns(path, prior, with_weights):
+    times, values = path.grid.times, path.values
+    weights = posterior_expectations(prior, path.model, values, times, np.eye(len(prior)))
     x = prior.positions
     mean = weights @ x
     var = np.einsum("ij,ij->i", weights, (x - mean[:, None]) ** 2)
     i0 = np.full(times.size, math.nan)
     later = times > 0.0
-    i0[later] = inverse_marginal_clamped(model, values[later] / times[later])[0]
+    i0[later] = inverse_marginal_clamped(path.model, values[later] / times[later])[0]
     columns = [times, values, mean, var, i0] + (list(weights.T) if with_weights else [])
     return tuple(map(_floats, columns))
 
 
 def _cmd_filter(args) -> int:
-    config = _resolve_config(args)
-    model = _build_model(config)
-    prior = _build_prior(config)
-    grid = _build_grid(config)
-    seed = _seed(config)
-    path = simulate_information_path(model, prior, grid, stream(seed, 0))
+    config, prior, path = _one_path(args)
     columns = ["t", "xi", "post_mean", "post_var", "i0_estimate"]
     if args.weights:
         columns.extend(f"w_{i}" for i in range(len(prior)))
-    block = _filter_columns(model, prior, grid, path.values, args.weights)
+    block = _filter_columns(path, prior, args.weights)
     _emit(args.out, "filter", config, columns, [block])
     return 0
 
 
 def _cmd_innovations(args) -> int:
-    config = _resolve_config(args)
-    model = _build_model(config)
-    prior = _build_prior(config)
-    grid = _build_grid(config)
-    seed = _seed(config)
-    path = simulate_information_path(model, prior, grid, stream(seed, 0))
+    config, prior, path = _one_path(args)
     dec = innovations_path(path, prior)
-    block = tuple(map(_floats, (grid.times, dec.xi, dec.yhat, dec.integral, dec.M)))
+    block = tuple(map(_floats, (dec.grid.times, dec.xi, dec.yhat, dec.integral, dec.M)))
     _emit(args.out, "innovations", config, ("t", "xi", "yhat", "int_yhat", "M"), [block])
     return 0
 
 
 def _run_study(name: str, config: dict) -> StudyReport:
+    run, reads_prior, _, options = _STUDIES[name]
     model = _build_model(config)
-    study = config.get("study", {})
+    study = config["study"]
     if not isinstance(study, dict):
         raise UsageError("config key 'study': expected an object")
     with _config_key("study.threshold"):
-        threshold = float(study.get("threshold", 3.5))
+        threshold = _number(study.get("threshold", 3.5), "threshold")
     n_paths = _paths(config)
     seed = _seed(config)
-    if name == "convergence":
-        prior = _build_prior(config)
-        times = _study_value(study, "times", lambda v: [float(u) for u in v])
-        epsilon = _study_value(study, "epsilon")
-        return convergence_study(model, prior, times, n_paths, seed, epsilon, threshold)
-    if name == "factorization":
-        prior = _build_prior(config)
-        alphas = _study_value(study, "alpha_im", lambda v: [float(u) for u in v])
-        betas = _study_value(study, "beta_im", lambda v: [float(u) for u in v])
-        t = _study_value(study, "t")
-        return factorization_study(model, prior, [1j * a for a in alphas], [1j * b for b in betas],
-                                   t, n_paths, seed, threshold)
-    if name == "esscher":
-        lam = _study_value(study, "lambda")
-        t = _study_value(study, "t")
-        return esscher_consistency_study(model, lam, t, n_paths, seed, threshold)
-    if name == "representation":
-        x = _study_value(study, "x")
-        t = _study_value(study, "t")
-        return representation_equivalence_study(model, x, t, n_paths, seed, threshold)
-    if name == "bridge":
-        x = _study_value(study, "x")
-        horizon = _study_value(study, "horizon")
-        s = _study_value(study, "s")
-        t = _study_value(study, "t")
-        return bridge_study(model, x, horizon, s, t, n_paths, seed, threshold)
-    raise UsageError(f"unknown experiment {name!r}")  # pragma: no cover
+    prior = [_build_prior(config)] if reads_prior else []
+    kwargs = {keyword: _study_value(study, key, read) for key, (keyword, _, read) in options.items()}
+    return run(model, *prior, n_paths=n_paths, seed=seed, threshold=threshold, **kwargs)
 
 
 def _cmd_experiment(args) -> int:
@@ -460,7 +459,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p_inn)
 
     p_exp = sub.add_parser("experiment", help="run a named statistical study")
-    p_exp.add_argument("name", choices=EXPERIMENTS)
+    p_exp.add_argument("name", choices=tuple(_STUDIES))
     _add_common(p_exp)
     p_exp.add_argument("--threshold", type=float, help="|z| pass threshold (default 3.5)")
 

@@ -101,12 +101,40 @@ def test_config_errors_exit_one_naming_key():
     (["simulate", "--set", "grid.steps=abc"], "grid"),
     (["simulate", "--set", "prior.atoms=5"], "prior"),
     (["simulate", "--set", "model.params=abc"], "model"),
+    # a boolean where a number is read, and a string or an object where an
+    # array is read, are usage errors rather than 1, 0 or iterated
+    (["experiment", "esscher", "--set", "study.t=true"], "study.t"),
+    (["experiment", "esscher", "--set", "study.threshold=false"], "study.threshold"),
+    (["simulate", "--set", "model.family=Poisson", "--set", "model.params=[true]"], "model"),
+    (["simulate", "--set", "model.drift=false"], "model"),
+    (["simulate", "--set", "grid.t_max=true"], "grid"),
+    (["simulate", "--set", 'prior={"density":"uniform","lo":true,"hi":1}'], "prior"),
+    (["experiment", "convergence", "--set", 'study.times="48"'], "study.times"),
+    (["experiment", "factorization", "--set", 'study.beta_im="12"'], "study.beta_im"),
+    (["simulate", "--set", 'prior.atoms={"12":0,"34":0}'], "prior"),
+    (["simulate", "--set", 'prior.atoms=["12","34"]'], "prior"),
+    (["simulate", "--set", 'grid.times={"0.5":1}'], "grid"),
+    (["simulate", "--set", 'model.params="12"'], "model"),
+    # --threshold with a study section that is not an object
+    (["experiment", "esscher", "--set", "study=5", "--threshold", "2"], "study"),
 ])
 def test_config_value_of_wrong_type_exits_one_naming_key(argv, key):
     code, out, err = run_cli(argv)
     assert code == 1
     assert out == ""
     assert err.splitlines() == [err.strip()] and err.startswith(f"error: config key '{key}': ")
+
+
+@pytest.mark.parametrize("assignment, code", [
+    ('study.t="1.0"', 0), ('study.lambda="0.25"', 0), ("study.t=nan", 2), ("model.drift=inf", 2),
+])
+def test_numbers_as_strings_are_read(assignment, code):
+    # --set falls back to a string, so nan and inf arrive as strings: the
+    # number reader takes every string float() reads
+    result, out, err = run_cli(["experiment", "esscher", "--set", assignment])
+    assert result == code, err
+    if code == 0:
+        assert out.splitlines()[4:] == run_cli(["experiment", "esscher"])[1].splitlines()[4:]
 
 
 def test_validation_errors_name_key_and_class():
@@ -374,3 +402,43 @@ def test_integral_json_number_counts_paths():
     code, out, err = run_cli(["simulate", "--set", "grid.steps=1", "--set", "paths=1e1"])
     assert code == 0, err
     assert len(out.splitlines()) == 5 + 10 * 2
+
+
+# the resolved config of each study at its defaults, as `experiment <name>` writes it
+STUDY_CONFIG_LINES = {
+    "convergence": '{"grid":{"steps":100,"t_max":1.0},"model":{"family":"Brownian","params":[]},"paths":2000,'
+                   '"prior":{"atoms":[[-1.0,0.5],[1.0,0.5]]},"seed":0,'
+                   '"study":{"epsilon":0.5,"threshold":3.5,"times":[1.0,4.0,16.0]}}',
+    "factorization": '{"grid":{"steps":100,"t_max":1.0},"model":{"family":"Brownian","params":[]},"paths":2000,'
+                     '"prior":{"atoms":[[-1.0,0.5],[1.0,0.5]]},"seed":0,'
+                     '"study":{"alpha_im":[0.3,0.6,0.9],"beta_im":[0.2,0.5,0.8],"t":1.0,"threshold":3.5}}',
+    "esscher": '{"grid":{"steps":100,"t_max":1.0},"model":{"family":"Brownian","params":[]},"paths":2000,'
+               '"prior":{"atoms":[[-1.0,0.5],[1.0,0.5]]},"seed":0,'
+               '"study":{"lambda":0.25,"t":1.0,"threshold":3.5}}',
+    "representation": '{"grid":{"steps":100,"t_max":1.0},"model":{"family":"VarianceGamma","params":[2.0]},'
+                      '"paths":2000,"prior":{"atoms":[[-1.0,0.5],[1.0,0.5]]},"seed":0,'
+                      '"study":{"t":1.0,"threshold":3.5,"x":0.5}}',
+    "bridge": '{"grid":{"steps":100,"t_max":1.0},"model":{"family":"Gamma","params":[1.0,1.0]},"paths":2000,'
+              '"prior":{"atoms":[[-1.0,0.5],[1.0,0.5]]},"seed":0,'
+              '"study":{"horizon":2.0,"s":0.5,"t":1.0,"threshold":3.5,"x":0.3}}',
+}
+
+
+@pytest.mark.parametrize("name", list(STUDY_CONFIG_LINES))
+def test_study_defaults_in_the_config_line(name):
+    # the golden digests skip comment lines, so this pins each study's
+    # option keys, defaults and default model
+    code, out, err = run_cli(["experiment", name])
+    assert code == 0, err
+    assert out.splitlines()[2] == "# config: " + STUDY_CONFIG_LINES[name]
+
+
+@pytest.mark.parametrize("name, first", [
+    ("convergence", "times"), ("factorization", "alpha_im"), ("esscher", "lambda"),
+    ("representation", "x"), ("bridge", "x"),
+])
+def test_empty_study_section_names_the_first_option(name, first):
+    code, out, err = run_cli(["experiment", name, "--set", "study={}"])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: config key 'study.{first}': missing study option\n"

@@ -192,6 +192,40 @@ def test_family_lint_sees_a_chain():
     assert family_comparisons(chain) == [3, 5, 7, 10]
 
 
+def constant_comparisons(source, names):
+    """Lines where one of ``names``, or a tuple of them, is one side of a
+    comparison."""
+    def is_name(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return bool(node.elts) and all(map(is_name, node.elts))
+        return isinstance(node, ast.Constant) and node.value in names
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Compare) and any(map(is_name, [node.left, *node.comparators])))
+
+
+def test_studies_and_density_recipes_are_defined_by_their_records():
+    # each study is one entry of cli._STUDIES and each density recipe one of
+    # cli._DENSITIES; a name compared in cli.py is a second definition
+    from levy_info import cli
+
+    names = set(cli._STUDIES) | set(cli._DENSITIES)
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert constant_comparisons(source, names) == []
+    strings = [node.value for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Constant) and node.value in names]
+    assert sorted(strings) == sorted(names)
+
+
+def test_study_name_lint_sees_a_chain():
+    chain = ("def run(name):\n"
+             "    if name == 'bridge':\n        return 1\n"
+             "    if name in ('esscher', 'representation'):\n        return 2\n"
+             "    if 'uniform' != name:\n        return 3\n"
+             "    return name == 'poisson'\n")
+    assert constant_comparisons(chain, {"bridge", "esscher", "representation", "uniform"}) == [2, 4, 6]
+
+
 def raised_names(source):
     """(line, name) of every ``raise Name(...)`` or ``raise Name``."""
     found = []
