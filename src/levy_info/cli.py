@@ -174,10 +174,15 @@ def _resolve_config(args) -> dict:
         if prior["atoms"] is not default_atoms:
             raise UsageError("config key 'prior': give 'atoms' or 'density', not both")
         del prior["atoms"]
-    allowed = {"model", "prior", "grid", "paths", "seed", "study"}
-    unknown = set(config) - allowed
+    # section -> its keys; a prior's keys depend on its recipe
+    sections = {"model": {"family", "params", "drift"}, "grid": {"t_max", "steps", "times"}}
+    if name is not None:
+        sections["study"] = set(options) | {"threshold"}
+    unknown = sorted(set(config) - {"prior", "paths", "seed", *sections})
+    unknown += sorted(f"{key}.{inner}" for key, allowed in sections.items()
+                      if isinstance(config[key], dict) for inner in set(config[key]) - allowed)
     if unknown:
-        raise UsageError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
     return config
 
 

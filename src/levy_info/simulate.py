@@ -27,9 +27,8 @@ from .rng import _chunks, map_ordered, stream
 __all__ = [
     "TimeGrid",
     "InformationPath",
-    "sample_message",
+    "sample_messages",
     "simulate_information_path",
-    "simulate_alternative_representation",
     "simulate_bridge_path",
     "REPRESENTATIONS",
     "increment_draws",
@@ -129,15 +128,11 @@ def _draws(model: NoiseModel, sample, x, dt, rng: np.random.Generator, size):
 # ---------------------------------------------------------------------------
 
 
-def sample_message(prior: Prior, rng: np.random.Generator) -> float:
-    """Draw one atom position with its prior probability (inverse CDF)."""
-    return float(sample_messages(prior, None, rng))
-
-
 def sample_messages(prior: Prior, size, rng: np.random.Generator):
-    """Vectorized message draws (``size=None`` for a scalar)."""
+    """``size`` atom positions, each drawn with its prior probability by the
+    inverse CDF; ``size=None`` draws one, as a scalar."""
     cum = np.cumsum(prior.weights)
-    u = rng.random(size)
+    u = rng.random(size if size is None else _count(size, "size", 0))
     idx = np.minimum(np.searchsorted(cum, u, side="right"), len(prior) - 1)
     return prior.positions[idx]
 
@@ -156,14 +151,10 @@ def simulate_information_path(
         If a prior atom is not admissible for the model.
     """
     check_compatibility(prior, model)
-    return _walk(model, _FAMILIES[model.family].sample, sample_message(prior, rng), grid, rng)
-
-
-def _walk(model: NoiseModel, sample, x: float, grid: TimeGrid, rng: np.random.Generator) -> InformationPath:
-    """The path of cumulated ``sample`` increments on ``grid`` given X = x."""
+    x = sample_messages(prior, None, rng)
     values = np.zeros(len(grid))
     if len(grid) > 1:
-        values[1:] = np.cumsum(_draws(model, sample, x, np.diff(grid.times), rng, None))
+        values[1:] = np.cumsum(increment_draws(model, x, np.diff(grid.times), rng))
     return _path(grid, values, x, model)
 
 
@@ -207,28 +198,12 @@ def _construction(model: NoiseModel, rep: str):
     return constructions[rep]
 
 
-def simulate_alternative_representation(
-    model: NoiseModel, rep: str, x: float, grid: TimeGrid, rng: np.random.Generator
-) -> InformationPath:
-    """Simulate a path by one of the named alternative constructions.
-
-    ``rep`` is one of ``REPRESENTATIONS``; VG_* constructions require a
-    VarianceGamma model and NB_* a NegativeBinomial one.  All constructions
-    for a family share the same conditional law (verified statistically by
-    the representation-equivalence study).
-
-    Raises
-    ------
-    UnsupportedRepresentation
-        If the name is unknown or does not match the model family.
-    OutOfDomain
-        If the message value is not admissible.
-    """
-    return _walk(model, _construction(model, rep), _check_domain(model, x, "message x"), grid, rng)
-
-
 def representation_draws(model: NoiseModel, rep: str, x: float, t: float, n: int, seed: int, tag: int = 0):
     """n draws of xi_t at a fixed message, under the named construction.
+
+    ``rep`` is one of ``REPRESENTATIONS`` that the model's family has (VG_*
+    for VarianceGamma, NB_* for NegativeBinomial); any other name is an
+    ``UnsupportedRepresentation``.
 
     Chunk-keyed like :func:`simulate_ensemble` (interval index is always 1:
     the construction is conditionally Levy, so xi_t is a single increment).

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 import levy_info as li
-from levy_info.characteristics import reconstruct_exponent
+from levy_info.noise import _k1e, _nig_triplet
+from levy_khintchine import reconstruct_exponent
 
 
 def test_brownian_tilt_shifts_drift_only():
@@ -148,6 +150,62 @@ def test_reconstruction_covers_gaussian_and_drift_terms():
     for a in (-1.0, 0.3, 2.0):
         assert reconstruct_exponent(tr, a) == pytest.approx(
             li.fiducial_exponent(brown, a), abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the numpy rules behind the NIG triplet, against scipy as a reference
+# ---------------------------------------------------------------------------
+
+def test_k1e_rule_matches_scipy_from_tiny_to_huge_arguments():
+    x = np.logspace(-300, 300, 6001)
+    np.testing.assert_allclose(_k1e(x), special.k1e(x), rtol=2e-15, atol=0.0)
+    assert np.shape(_k1e(0.5)) == ()
+
+
+@pytest.mark.parametrize("a, b, m, rtol", [
+    (2.0, 0.5, 1.0, 1e-12), (2.0, 1.5, 1.0, 1e-12), (2.0, 1.999, 1.0, 1e-12),
+    (1.0, 1e-6, 1.0, 1e-12), (1.0, 1e-12, 1.0, 1e-12), (50.0, 49.0, 3.0, 1e-12),
+    (1e3, 5e2, 1.0, 1e-12), (0.01, -0.005, 2.0, 1e-12),
+    # b - e^{-c}(c sinh b + b cosh b) cancels at small c = a cosh u
+    (1e-4, 5e-5, 1.0, 1e-11),
+    # large a near its end of A: the inner integral varies on u ~ sqrt(2 / a)
+    (400.0, 399.0, 1.0, 1e-12), (700.0, 699.99, 1.0, 1e-12),
+])
+def test_nig_compensator_matches_tight_quadrature(a, b, m, rtol):
+    # (2ma/pi) int_0^1 sinh(bz) K1(az) dz; epsabs=0, or quad stops at its
+    # default absolute tolerance of 1.5e-8
+    want = integrate.quad(lambda z: 2.0 * m * a / math.pi * math.sinh(b * z) * special.k1(a * z),
+                          0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    assert _nig_triplet(a, b, m)[0] == pytest.approx(want, rel=rtol, abs=0.0)
+
+
+def test_nig_compensator_is_finite_where_sinh_b_alone_overflows():
+    # b > 710: sinh(bz) overflows near z = 1, where quad of it stops; the value
+    # is a 25-digit mpmath quadrature of (2a/pi) sinh(bz) K1(az) on [0, 1]
+    assert _nig_triplet(1e3, 999.0, 1.0)[0] == pytest.approx(18.825745964964171053, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("a, b, m", [(2.0, 0.5, 1.0), (1e-4, 5e-5, 1.0), (1e3, 999.0, 2.0)])
+def test_nig_compensator_is_odd_in_b_and_zero_at_b_zero(a, b, m):
+    assert _nig_triplet(a, -b, m)[0] == -_nig_triplet(a, b, m)[0]
+    assert _nig_triplet(a, 0.0, m)[0] == 0.0
+    assert _nig_triplet(a, -0.0, m)[0] == 0.0
+
+
+def test_nig_density_matches_scipy_where_the_exponential_alone_overflows():
+    a, b, m = 2.0, 1.5, 1.0
+    density = li.characteristic_triplet(li.make_noise_model("NormalInverseGaussian", (a, b, m))).levy_measure.density
+    # at z >= 500, e^{bz} alone overflows and K1(az) alone underflows
+    z = np.array([-100.0, -3.0, -0.25, -1e-9, 1e-9, 0.25, 3.0, 500.0, 800.0])
+    az = a * np.abs(z)
+    want = m * a / math.pi * np.exp(b * z - az) * special.k1e(az) / np.abs(z)
+    got = density(z)
+    assert np.isfinite(got).all() and (got > 0.0).all()
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    small = np.abs(z) < 10.0
+    np.testing.assert_allclose(got[small], m * a / math.pi * np.exp(b * z[small]) * special.k1(az[small]) / np.abs(z[small]),
+                               rtol=1e-14, atol=0.0)
+    assert density(0.0) == 0.0
 
 
 def test_tilted_characteristics_requires_interior_message():

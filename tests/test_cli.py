@@ -79,16 +79,24 @@ def test_inverse_gaussian_atom_at_closed_endpoint():
     assert code == 2 and "IncompatibleSupport" in err
 
 
-def test_config_errors_exit_one_naming_key():
-    code, _, err = run_cli(["simulate", "--set", "bogus=3", "--paths", "1"])
-    assert code == 1 and "bogus" in err
-    code, _, err = run_cli(["simulate", "--set", "noequals"])
-    assert code == 1 and "--set" in err
-    code, _, err = run_cli(["simulate", "--config", "/nonexistent/zz.json"])
-    assert code == 1 and "zz.json" in err
-    code, _, err = run_cli(
-        ["simulate", "--set", 'prior={"density":"cauchy","lo":0,"hi":1}'])
-    assert code == 1 and "config key 'prior'" in err and "cauchy" in err
+@pytest.mark.parametrize("argv, names", [
+    (["simulate", "--set", "bogus=3", "--paths", "1"], ["bogus"]),
+    (["simulate", "--set", "noequals"], ["--set"]),
+    (["simulate", "--config", "/nonexistent/zz.json"], ["zz.json"]),
+    (["simulate", "--set", 'prior={"density":"cauchy","lo":0,"hi":1}'], ["config key 'prior'", "cauchy"]),
+    # a misspelt key inside a section, or a section the subcommand does not
+    # read, would otherwise run at the defaults
+    (["experiment", "esscher", "--set", "study.lamda=0.5"], ["study.lamda"]),
+    (["experiment", "bridge", "--set", "study.epsilon=0.5"], ["study.epsilon"]),
+    (["simulate", "--set", "grid.stpes=5", "--set", "model.parms=[1]"], ["grid.stpes", "model.parms"]),
+    (["simulate", "--set", "study.x=1"], ["study"]),
+    (["filter", "--set", "study.x=1"], ["study"]),
+    (["innovations", "--set", "study={}"], ["study"]),
+])
+def test_config_errors_exit_one_naming_key(argv, names):
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert all(name in err for name in names), err
 
 
 @pytest.mark.parametrize("argv, key", [

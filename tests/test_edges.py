@@ -65,14 +65,12 @@ CALLS = {
     # simulation
     "TimeGrid": call(lambda t: li.TimeGrid([0.0, t]), t=1.0),
     "TimeGrid.regular": call(lambda t_max, steps: li.TimeGrid.regular(t_max, steps), counts={"steps": 4}, t_max=1.0),
-    "sample_message": call(lambda: li.sample_message(PRIOR, rng())),
+    "sample_messages": call(lambda size: li.sample_messages(PRIOR, size, rng()), counts={"size": 3}),
     "simulate_information_path": call(lambda: li.simulate_information_path(GAMMA, PRIOR, GRID, rng())),
     "simulate_ensemble": call(lambda n_paths, seed, tag: li.simulate_ensemble(GAMMA, PRIOR, GRID, n_paths, seed, tag),
                               counts={"n_paths": 3, "seed": 1, "tag": 0}),
     "increment_draws": call(lambda x, dt, size: li.increment_draws(GAMMA, x, dt, rng(), size),
                             counts={"size": 3}, x=0.0, dt=0.5),
-    "simulate_alternative_representation": call(
-        lambda x: li.simulate_alternative_representation(VG, "VG_subordinated", x, GRID, rng()), x=0.5),
     "representation_draws": call(
         lambda x, t, n, seed, tag: li.representation_draws(VG, "VG_subordinated", x, t, n, seed, tag),
         counts={"n": 5, "seed": 1, "tag": 0}, x=0.5, t=1.0),

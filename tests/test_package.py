@@ -5,6 +5,7 @@ import ast
 import contextlib
 import importlib
 import io
+import json
 import os
 import pkgutil
 import subprocess
@@ -16,6 +17,7 @@ import pytest
 import levy_info as li
 from levy_info.cli import main
 from levy_info.rng import worker_count
+from conftest import FAMILY_PARAMS
 
 
 @pytest.mark.parametrize("module", ["levy_info"] + [
@@ -33,18 +35,26 @@ DENSITY_RECIPES = (
     '{"density":"gamma-shifted","theta":2,"r":3,"u_max":40,"n":8}',
 )
 
-# Every subcommand with every density recipe, then the scipy modules loaded.
-# scipy serves only the characteristics helpers; the CLI never needs it.
+# Every subcommand with every density recipe, and the characteristics of every
+# family, then the scipy modules loaded: the package needs numpy alone.
 SCIPY_PROBE = """
-import contextlib, io, sys
+import contextlib, io, json, sys
+import numpy as np
+import levy_info as li
 from levy_info.cli import main
-recipes = sys.argv[1:]
+from levy_info.noise import _FAMILIES
+families, recipes = json.loads(sys.argv[1]), sys.argv[2:]
 for command in (["simulate", "--paths", "3"], ["filter"], ["innovations"],
                 ["experiment", "convergence", "--paths", "1000"]):
     for prior in recipes:
         with contextlib.redirect_stdout(io.StringIO()):
             code = main([*command, "--set", "grid.steps=5", "--set", "prior=" + prior])
         assert code == 0, (command, prior)
+for family, params in families.items():
+    model = li.make_noise_model(family, params)
+    for triplet in (li.characteristic_triplet(model), li.tilted_characteristics(model, 0.1)):
+        if _FAMILIES[model.family].density is not None:
+            assert np.isfinite(triplet.levy_measure.density(np.array([-0.5, 0.5]))).all()
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
 
@@ -52,10 +62,41 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 def test_import_leaves_scipy_unloaded():
     src = str(Path(li.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *DENSITY_RECIPES], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(FAMILY_PARAMS), *DENSITY_RECIPES],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def scipy_imports(source):
+    """Lines of every ``import scipy...`` or ``from scipy... import``, in
+    function bodies too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        if "scipy" in roots:
+            found.append(node.lineno)
+    return found
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency; scipy is a test extra
+    assert {name: lines for name, source in package_sources().items() if (lines := scipy_imports(source))} == {}
+
+
+def test_scipy_lint_sees_local_and_aliased_imports():
+    source = ("import numpy as np, scipy.special as sp\n"
+              "def f(z):\n"
+              "    from scipy import special\n"
+              "    return special.k1e(z)\n"
+              "from .scipy_free import x\n"
+              "from scipyx import y\n")
+    assert scipy_imports(source) == [1, 3]
 
 
 @pytest.mark.parametrize("raw, workers", [(None, 1), ("", 1), ("  ", 1), ("1", 1), (" 2 ", 2)])

@@ -49,29 +49,30 @@ def test_grid_times_are_write_protected():
 
 
 # ---------------------------------------------------------------------------
-# sample_message
+# sample_messages
 # ---------------------------------------------------------------------------
 
-def test_sample_message_degenerate():
+def test_sample_messages_degenerate():
     rng = np.random.default_rng(0)
     p = degenerate(2.0)
-    assert all(li.sample_message(p, rng) == 2.0 for _ in range(20))
+    np.testing.assert_array_equal(li.sample_messages(p, 20, rng), np.full(20, 2.0))
+    assert li.sample_messages(p, None, rng) == 2.0
+    assert np.ndim(li.sample_messages(p, None, rng)) == 0
 
 
-def test_sample_message_frequencies():
+def test_sample_messages_frequencies():
     rng = np.random.default_rng(1)
     p = li.prior_from_atoms([(0.0, 0.5), (1.0, 0.5)])
-    draws = np.array([li.sample_message(p, rng) for _ in range(100_000)])
+    draws = li.sample_messages(p, 100_000, rng)
     freq = draws.mean()
     se = math.sqrt(0.25 / draws.size)
     assert abs(freq - 0.5) <= 3.0 * se
 
 
-def test_sample_message_extreme_weights_stay_in_support():
+def test_sample_messages_extreme_weights_stay_in_support():
     rng = np.random.default_rng(2)
     p = li.prior_from_atoms([(0.0, 1e-9), (1.0, 1.0 - 1e-9)])
-    draws = {li.sample_message(p, rng) for _ in range(1000)}
-    assert draws <= {0.0, 1.0}
+    assert set(li.sample_messages(p, 1000, rng)) <= {0.0, 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +299,10 @@ def test_logarithmic_sampler():
 # alternative representations
 # ---------------------------------------------------------------------------
 
-def test_nb_compound_trivial_grid():
-    rng = np.random.default_rng(14)
-    nb = li.make_noise_model("NegativeBinomial", (1.0, 0.5))
-    path = li.simulate_alternative_representation(nb, "NB_compound", 0.0,
-                                                  li.TimeGrid([0.0]), rng)
-    np.testing.assert_array_equal(path.values, [0.0])
-
-
 def test_vg_gamma_difference_at_zero_message():
     # increments distributed as (gamma1 - gamma2)/sqrt(2m): mean 0, var t
-    rng = np.random.default_rng(15)
     vg = li.make_noise_model("VarianceGamma", (2.0,))
-    grid = li.TimeGrid([0.0, 1.0])
-    vals = np.array([
-        li.simulate_alternative_representation(
-            vg, "VG_gamma_difference", 0.0, grid, rng).values[-1]
-        for _ in range(20_000)])
+    vals = li.representation_draws(vg, "VG_gamma_difference", 0.0, 1.0, 20_000, seed=15)
     mean, se = li.mean_stderr(vals)
     assert abs(mean) <= 3.0 * se
     est = li.jackknife_cumulants(vals)
@@ -327,14 +315,12 @@ def test_representation_names_and_family_checks():
         "NB_subordinated", "NB_compound"}
     vg = li.make_noise_model("VarianceGamma", (2.0,))
     nb = li.make_noise_model("NegativeBinomial", (1.0, 0.5))
-    rng = np.random.default_rng(16)
-    grid = li.TimeGrid.regular(1.0, 2)
     with pytest.raises(li.UnsupportedRepresentation):
-        li.simulate_alternative_representation(vg, "NB_compound", 0.0, grid, rng)
+        li.representation_draws(vg, "NB_compound", 0.0, 1.0, 10, seed=16)
     with pytest.raises(li.UnsupportedRepresentation):
-        li.simulate_alternative_representation(nb, "VG_subordinated", 0.0, grid, rng)
+        li.representation_draws(nb, "VG_subordinated", 0.0, 1.0, 10, seed=16)
     with pytest.raises(li.UnsupportedRepresentation):
-        li.simulate_alternative_representation(vg, "VG_sub", 0.0, grid, rng)
+        li.representation_draws(vg, "VG_sub", 0.0, 1.0, 10, seed=16)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
@@ -344,15 +330,12 @@ def test_representation_draws_need_a_positive_finite_time(t):
         li.representation_draws(vg, "VG_subordinated", 0.0, t, 10, seed=1)
 
 
-def test_scaled_subordinator_path_draws_one_normal_per_step():
-    # each step of a path gets its own gaussian: with one shared normal
-    # every increment at x = 0 would take its sign
+def test_scaled_subordinator_draws_one_normal_per_draw():
+    # each draw gets its own gaussian: with one shared normal every draw at
+    # x = 0 would take its sign
     vg = li.make_noise_model("VarianceGamma", (2.0,))
-    rng = np.random.default_rng(5)
-    grid = li.TimeGrid.regular(1.0, 10)
-    signs = [np.unique(np.sign(np.diff(li.simulate_alternative_representation(
-        vg, "VG_scaled_subordinator", 0.0, grid, rng).values))).size for _ in range(50)]
-    assert max(signs) == 2
+    draws = li.representation_draws(vg, "VG_scaled_subordinator", 0.0, 1.0, 50, seed=5)
+    assert set(np.sign(draws)) == {-1.0, 1.0}
 
 
 def test_representation_draws_deterministic():
@@ -388,7 +371,7 @@ def test_bridge_is_the_information_path_on_its_clock(family):
     for seed in range(5):
         bridge = li.simulate_bridge_path(model, prior, horizon, grid, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
-        x = li.sample_message(prior, rng)
+        x = li.sample_messages(prior, None, rng)
         raw = np.concatenate(([0.0], np.cumsum(li.increment_draws(model, x, np.diff(u), rng))))
         assert bridge.message == x
         np.testing.assert_array_equal(bridge.values, (horizon - grid.times) / horizon * raw)
