@@ -175,7 +175,8 @@ def _resolve_config(args) -> dict:
             raise UsageError("config key 'prior': give 'atoms' or 'density', not both")
         del prior["atoms"]
     # section -> its keys; a prior's keys depend on its recipe
-    sections = {"model": {"family", "params", "drift"}, "grid": {"t_max", "steps", "times"}}
+    sections = {"model": {"family", "params", "drift"}, "grid": {"t_max", "steps", "times"},
+                "prior": _prior_keys(prior)}
     if name is not None:
         sections["study"] = set(options) | {"threshold"}
     unknown = sorted(set(config) - {"prior", "paths", "seed", *sections})
@@ -225,12 +226,24 @@ def _gamma_shifted(section: dict):
     return lambda x: (1.0 - x) ** (r - 1.0) * np.exp(-theta * (1.0 - x)), Interval(1.0 - u_max, 1.0)
 
 
-# density recipe name -> builder of (density, Interval) from the prior section
+# density recipe name -> (builder of (density, Interval) from the prior
+# section, the section's keys besides 'density' and 'n')
 _DENSITIES = {
-    "uniform": lambda section: (np.ones_like, _interval(section)),
-    "gaussian-truncated": _gaussian_truncated,
-    "gamma-shifted": _gamma_shifted,
+    "uniform": (lambda section: (np.ones_like, _interval(section)), {"lo", "hi"}),
+    "gaussian-truncated": (_gaussian_truncated, {"mean", "sd", "lo", "hi"}),
+    "gamma-shifted": (_gamma_shifted, {"theta", "r", "u_max"}),
 }
+
+
+def _prior_keys(section) -> set:
+    """The keys a prior section may hold: 'atoms', or 'density', 'n' and the
+    recipe's keys; an unknown recipe is reported by ``_build_prior``."""
+    if not isinstance(section, dict) or "atoms" in section:
+        return {"atoms"}
+    name = section.get("density")
+    if not isinstance(name, str) or name not in _DENSITIES:
+        return set(section)
+    return {"density", "n"} | _DENSITIES[name][1]
 
 
 def _build_prior(config: dict):
@@ -246,7 +259,7 @@ def _build_prior(config: dict):
             if not isinstance(name, str) or name not in _DENSITIES:
                 raise UsageError(f"unknown density recipe {name!r}; expected {', '.join(_DENSITIES)}")
             try:
-                return prior_from_density(*_DENSITIES[name](section), n)
+                return prior_from_density(*_DENSITIES[name][0](section), n)
             except KeyError as exc:
                 raise UsageError(f"density recipe is missing key {exc}") from exc
         raise UsageError("expected an object with 'atoms' or 'density'")
@@ -413,9 +426,10 @@ def _run_study(name: str, config: dict) -> StudyReport:
         threshold = _number(study.get("threshold", 3.5), "threshold")
     n_paths = _paths(config)
     seed = _seed(config)
-    prior = [_build_prior(config)] if reads_prior else []
+    # built for every study, so a malformed prior is reported where it is not read
+    prior = _build_prior(config)
     kwargs = {keyword: _study_value(study, key, read) for key, (keyword, _, read) in options.items()}
-    return run(model, *prior, n_paths=n_paths, seed=seed, threshold=threshold, **kwargs)
+    return run(model, *([prior] if reads_prior else []), n_paths=n_paths, seed=seed, threshold=threshold, **kwargs)
 
 
 def _cmd_experiment(args) -> int:

@@ -196,7 +196,7 @@ class _Family:
     log_masses: Callable | None = None
 
 
-def _ig_draws(mean, shape_, rng: np.random.Generator, size):
+def _ig_draws(mean, shape_, rng, size):
     """Inverse Gaussian draws, IG(mean mu, shape lam), vectorized.
 
     Michael-Schucany-Haas: from the chi-square variate w = mu * N^2 form the
@@ -310,7 +310,7 @@ def _nb_sample(x, dt, rng, size, m, q):
     return np.asarray(rng.poisson(rng.gamma(m * dt, 1.0, size) * (qx / (1.0 - qx))), dtype=float)
 
 
-def _logarithmic_draws(q: float, rng: np.random.Generator, size: int) -> np.ndarray:
+def _logarithmic_draws(q: float, rng, size: int) -> np.ndarray:
     """Vectorized logarithmic sampling by inversion on the shared cumsum."""
     if size == 0:
         return np.zeros(0, dtype=np.int64)

@@ -1,14 +1,22 @@
 """Reproducible, splittable random streams for parallel Monte Carlo.
 
-Streams are counter-based (Philox) and keyed through ``SeedSequence`` spawn
-keys, so any (seed, key...) tuple names the same stream no matter when or on
-which worker it is created.  Ensemble generators key their streams by
-(seed, tag, chunk index, interval index) with a fixed chunk size, which makes
-results independent of evaluation order and of the worker count.
+Streams are counter-based (Philox), and the (seed, key...) stream starts at
+counter 0 under numpy's ``SeedSequence(seed, spawn_key=key)`` key, so any
+(seed, key...) tuple names the same stream no matter when or on which worker
+it is drawn.  Ensemble generators key their streams by (seed, tag, chunk
+index, interval index) with a fixed chunk size, which makes results
+independent of evaluation order and of the worker count.
+
+A Philox stream is its key and a counter (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11), so :func:`stream_keys` computes the
+keys of a whole ensemble in one vectorized pass of the SeedSequence hash, and
+:func:`streams` serves them from one Generator, reset to (key, counter 0) for
+each stream instead of built.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -16,11 +24,16 @@ import numpy as np
 
 from .errors import InvalidParameter, _count
 
-__all__ = ["stream", "worker_count", "map_ordered", "CHUNK"]
+__all__ = ["stream", "stream_keys", "streams", "worker_count", "map_ordered", "CHUNK"]
 
 # Paths are generated in fixed-size chunks; the chunk size is part of the
 # reproducibility contract (changing it changes which variates go where).
 CHUNK = 4096
+
+# numpy's SeedSequence: a pool of 4 uint32 words, hashed with these constants
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def _chunks(n: int) -> list:
@@ -28,17 +41,118 @@ def _chunks(n: int) -> list:
     return [(c, slice(start, min(n, start + CHUNK))) for c, start in enumerate(range(0, n, CHUNK))]
 
 
+def _words(n: int) -> list:
+    """The uint32 words of a non-negative integer, least significant first; [0] for 0."""
+    words = [n & _MASK]
+    while n := n >> 32:
+        words.append(n & _MASK)
+    return words
+
+
+def _key_words(k) -> list:
+    """A key as entropy words: an integer's words, or an integer array as one word per entry."""
+    if np.ndim(k) == 0:
+        return _words(_count(k, "stream key", 0))
+    k = np.asarray(k)
+    if k.dtype.kind not in "iu" or (k.size and (k.min() < 0 or k.max() > _MASK)):
+        raise InvalidParameter("a stream key array must hold integers in [0, 2**32)")
+    return [k.astype(np.uint64)]
+
+
+def stream_keys(seed: int, *key) -> np.ndarray:
+    """The Philox keys of the (seed, *key) streams, as uint64 of shape
+    ``broadcast(*key).shape + (2,)``.
+
+    Each is ``SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)``,
+    numpy's hash computed on Python integers, or on uint64 arrays with every
+    result masked to 32 bits where a key is an array, so one pass serves every
+    row.  Array keys hold integers in [0, 2**32), one word each.
+
+    Raises
+    ------
+    InvalidParameter
+        If ``seed`` or a key is not a non-negative integer (numpy's included),
+        or an array key is not integers in [0, 2**32).
+    """
+    entropy = _words(_count(seed, "seed", 0))
+    if key:
+        # numpy pads the seed's words to the pool size when a spawn key follows
+        entropy += [0] * (4 - len(entropy))
+    for k in key:
+        entropy += _key_words(k)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = (value ^ const) * (const := const * _MULT_A & _MASK) & _MASK
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * y) & _MASK
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = _INIT_B, []
+    for value in pool:
+        value = (value ^ const) * (const := const * _MULT_B & _MASK) & _MASK
+        state.append(value ^ value >> 16)
+    halves = [np.asarray(state[i] | state[i + 1] << 32, dtype=np.uint64) for i in (0, 2)]
+    return np.stack(np.broadcast_arrays(*halves), axis=-1)
+
+
+@functools.cache
+def _computed_key():
+    """The seed sequence that hands ``Philox`` a computed key; made on first
+    use, since importing numpy.random would add to ``import levy_info``."""
+
+    class ComputedKey(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return ComputedKey
+
+
+def streams(keys):
+    """Yield a Generator on each stream of a key table (rows of
+    :func:`stream_keys`) in turn.
+
+    One Generator serves every row: its Philox is reset to (key, counter 0)
+    before each yield, so draw from it before taking the next.
+    """
+    keys = np.reshape(keys, (-1, 2))
+    if not len(keys):
+        return
+    bits = np.random.Philox(_computed_key()(keys[0]))
+    gen = np.random.Generator(bits)
+    start = bits.state  # counter 0 and an empty buffer
+    for key in keys:
+        start["state"]["key"] = key
+        bits.state = start
+        yield gen
+
+
 def stream(seed: int, *key: int) -> np.random.Generator:
     """A Generator for the (seed, *key) stream; same inputs, same stream.
+
+    The one-row case of :func:`stream_keys` and :func:`streams`: it draws what
+    ``Generator(Philox(SeedSequence(seed, spawn_key=key)))`` draws.
 
     Raises
     ------
     InvalidParameter
         If ``seed`` or a key is not a non-negative integer (numpy's included).
     """
-    seed = _count(seed, "seed", 0)
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(_count(k, "stream key", 0) for k in key))
-    return np.random.Generator(np.random.Philox(seed=ss))
+    return next(streams(stream_keys(seed, *(_count(k, "stream key", 0) for k in key))))
 
 
 def worker_count() -> int:

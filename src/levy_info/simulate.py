@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GridExceedsHorizon, InvalidParameter, UnsupportedRepresentation, _count, _positive, _real
 from .noise import _FAMILIES, NoiseModel, _check_domain, _check_times
 from .prior import Prior, check_compatibility
-from .rng import _chunks, map_ordered, stream
+from .rng import _chunks, map_ordered, stream_keys, streams
 
 __all__ = [
     "TimeGrid",
@@ -94,13 +94,13 @@ def _path(grid: TimeGrid, values: np.ndarray, message: float, model: NoiseModel)
 # ---------------------------------------------------------------------------
 
 
-def increment_draws(model: NoiseModel, x, dt, rng: np.random.Generator, size=None):
+def increment_draws(model: NoiseModel, x, dt, rng, size=None):
     """Exact draws of xi(t+dt) - xi(t) given X = x; vectorized over x and dt.
 
     ``x`` and ``dt`` broadcast against each other (and against ``size`` when
     given).  ``dt`` must be finite and >= 0, and ``size`` None, a count or a
     sequence of counts (InvalidParameter).  ``x`` is not checked: callers check
-    messages once, and an ensemble calls this once per interval and chunk.
+    messages once.
     """
     if isinstance(size, (tuple, list)):
         size = tuple(_count(n, "size", 0) for n in size)
@@ -109,7 +109,7 @@ def increment_draws(model: NoiseModel, x, dt, rng: np.random.Generator, size=Non
     return _draws(model, _FAMILIES[model.family].sample, x, _check_times(dt, "dt"), rng, size)
 
 
-def _draws(model: NoiseModel, sample, x, dt, rng: np.random.Generator, size):
+def _draws(model: NoiseModel, sample, x, dt, rng, size):
     """Draws of ``sample``, the record's sampler or a construction, drift added once."""
     x = np.asarray(x, dtype=float)
     dt = np.asarray(dt, dtype=float)
@@ -128,7 +128,7 @@ def _draws(model: NoiseModel, sample, x, dt, rng: np.random.Generator, size):
 # ---------------------------------------------------------------------------
 
 
-def sample_messages(prior: Prior, size, rng: np.random.Generator):
+def sample_messages(prior: Prior, size, rng):
     """``size`` atom positions, each drawn with its prior probability by the
     inverse CDF; ``size=None`` draws one, as a scalar."""
     cum = np.cumsum(prior.weights)
@@ -138,7 +138,7 @@ def sample_messages(prior: Prior, size, rng: np.random.Generator):
 
 
 def simulate_information_path(
-    model: NoiseModel, prior: Prior, grid: TimeGrid, rng: np.random.Generator
+    model: NoiseModel, prior: Prior, grid: TimeGrid, rng
 ) -> InformationPath:
     """Draw X from the prior, then the exact conditional path on the grid.
 
@@ -164,27 +164,32 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
     Returns ``(x, xi)`` where ``x`` has shape (n_paths,) and ``xi`` has shape
     (n_paths, len(grid)).  Streams are keyed by (seed, tag, chunk, interval)
     with a fixed chunk size, so results do not depend on evaluation order or
-    on the worker count; LEVY_INFO_THREADS bounds the thread pool.
+    on the worker count; LEVY_INFO_THREADS bounds the thread pool.  The keys
+    are computed in one batch, and each chunk resets one Generator to them.
     """
     check_compatibility(prior, model)
     n_paths = _count(n_paths, "n_paths")
-    # checked here too: a one-atom prior on a one-point grid builds no stream
-    seed, tag = _count(seed, "seed", 0), _count(tag, "stream key", 0)
-    dts = np.diff(grid.times)
+    sample = _FAMILIES[model.family].sample
+    dts = _check_times(np.diff(grid.times), "dt")
+    chunks = _chunks(n_paths)
+    # a one-atom prior names every message; no other draw reads interval 0
+    first = 1 if len(prior) == 1 else 0
+    keys = stream_keys(seed, tag, np.arange(len(chunks))[:, None], np.arange(first, len(grid))[None, :])
     x = np.empty(n_paths)
     xi = np.zeros((n_paths, len(grid)))
 
     def run_chunk(chunk):
         c, sl = chunk
         count = sl.stop - sl.start
-        # a one-atom prior names every message; no other draw reads stream 0
-        x[sl] = prior.positions[0] if len(prior) == 1 else sample_messages(prior, count, stream(seed, tag, c, 0))
+        rngs = streams(keys[c])
+        messages = x[sl]
+        messages[:] = prior.positions[0] if first else sample_messages(prior, count, next(rngs))
         acc = np.zeros(count)
-        for j, dt in enumerate(dts, start=1):
-            acc = acc + increment_draws(model, x[sl], dt, stream(seed, tag, c, j), count)
+        for j, (dt, rng) in enumerate(zip(dts, rngs), start=1):
+            acc += _draws(model, sample, messages, dt, rng, count)
             xi[sl, j] = acc
 
-    map_ordered(run_chunk, _chunks(n_paths))
+    map_ordered(run_chunk, chunks)
     return x, xi
 
 
@@ -212,13 +217,15 @@ def representation_draws(model: NoiseModel, rep: str, x: float, t: float, n: int
     x = _check_domain(model, x, "message x")
     t = _positive(t, "t")
     n = _count(n, "n")
+    chunks = _chunks(n)
+    keys = stream_keys(seed, tag, np.arange(len(chunks)), 1)
     out = np.empty(n)
 
     def run_chunk(chunk):
         c, sl = chunk
-        out[sl] = _draws(model, sample, x, t, stream(seed, tag, c, 1), sl.stop - sl.start)
+        out[sl] = _draws(model, sample, x, t, next(streams(keys[c])), sl.stop - sl.start)
 
-    map_ordered(run_chunk, _chunks(n))
+    map_ordered(run_chunk, chunks)
     return out
 
 
@@ -227,7 +234,7 @@ def simulate_bridge_path(
     prior: Prior,
     horizon: float,
     grid: TimeGrid,
-    rng: np.random.Generator,
+    rng,
     u_cap: float | None = None,
 ) -> InformationPath:
     """Simulate the finite-horizon bridge xi_{tT} = ((T-t)/T) xi(tT/(T-t)).

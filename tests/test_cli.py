@@ -92,6 +92,16 @@ def test_inverse_gaussian_atom_at_closed_endpoint():
     (["simulate", "--set", "study.x=1"], ["study"]),
     (["filter", "--set", "study.x=1"], ["study"]),
     (["innovations", "--set", "study={}"], ["study"]),
+    # a prior holds 'atoms', or 'density', 'n' and its recipe's keys, on
+    # every subcommand, in studies that do not read the prior too
+    (["simulate", "--set", "prior.atom=[[0,1]]"], ["prior.atom"]),
+    (["simulate", "--set", 'prior={"density":"uniform","lo":-1,"hi":1,"nn":4}'], ["prior.nn"]),
+    (["filter", "--set", "prior.n=8"], ["prior.n"]),
+    (["innovations", "--set", 'prior={"density":"gaussian-truncated","lo":-1,"hi":1,"theta":2}'], ["prior.theta"]),
+    (["experiment", "convergence", "--set", 'prior={"density":"gamma-shifted","theta":2,"r":3,"lo":0}'],
+     ["prior.lo"]),
+    (["experiment", "esscher", "--set", "prior.weights=[1]"], ["prior.weights"]),
+    (["experiment", "bridge", "--set", 'prior={"density":"uniform","lo":0,"hi":1,"sd":1}'], ["prior.sd"]),
 ])
 def test_config_errors_exit_one_naming_key(argv, names):
     code, out, err = run_cli(argv)
@@ -108,6 +118,7 @@ def test_config_errors_exit_one_naming_key(argv, names):
     (["simulate", "--set", "seed=abc"], "seed"),
     (["simulate", "--set", "grid.steps=abc"], "grid"),
     (["simulate", "--set", "prior.atoms=5"], "prior"),
+    (["experiment", "esscher", "--set", "prior.atoms=5"], "prior"),  # a study that does not read the prior
     (["simulate", "--set", "model.params=abc"], "model"),
     # a boolean where a number is read, and a string or an object where an
     # array is read, are usage errors rather than 1, 0 or iterated

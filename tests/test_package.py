@@ -171,6 +171,16 @@ def test_studies_draw_only_through_the_chunk_keyed_samplers():
     assert names_used(experiments_source(), {"stream", "increment_draws"}) == []
 
 
+def test_only_rng_builds_random_generators():
+    # rng.stream_keys keys every stream and rng.streams or rng.stream draws
+    # it; a SeedSequence, Philox or Generator elsewhere is a second scheme
+    package = Path(li.__file__).parent
+    used = {path.name: names_used(path.read_text(encoding="utf-8"), {"SeedSequence", "Philox", "Generator"})
+            for path in sorted(package.glob("*.py"))}
+    assert used.pop("rng.py") != []
+    assert {name: lines for name, lines in used.items() if lines} == {}
+
+
 def test_name_lint_sees_imports_calls_and_attributes():
     source = ("from .rng import stream\n"
               "from . import simulate as sim\n"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import levy_info as li
 from conftest import FAMILY_PARAMS, interior_grid
 from levy_info.noise import _logarithmic_draws
-from levy_info.rng import CHUNK, _chunks, stream
+from levy_info.rng import CHUNK, _chunks, stream, stream_keys
 
 
 def degenerate(x):
@@ -157,12 +157,13 @@ def test_ensemble_deterministic_and_thread_independent(monkeypatch):
 
 @pytest.mark.parametrize("atoms, draws_messages", [([(0.5, 1.0)], False), ([(0.0, 0.5), (0.5, 0.5)], True)])
 def test_only_a_prior_of_two_atoms_or_more_draws_messages(atoms, draws_messages, monkeypatch):
-    # every message of a one-atom prior is that atom: no (seed, tag, chunk, 0) stream
-    keys = []
-    monkeypatch.setattr(li.simulate, "stream", lambda seed, *key: keys.append(key) or stream(seed, *key))
+    # every message of a one-atom prior is that atom: no (seed, tag, chunk, 0) key
+    tables = []
+    monkeypatch.setattr(li.simulate, "stream_keys", lambda *args: tables.append(stream_keys(*args)) or tables[-1])
     model = li.make_noise_model("Gamma", (1.0, 1.0))
     x, _ = li.simulate_ensemble(model, li.prior_from_atoms(atoms), li.TimeGrid.regular(1.0, 2), CHUNK + 3, seed=5)
-    assert sorted(keys) == sorted([(0, c, j) for c in (0, 1) for j in range(1 - draws_messages, 3)])
+    built = sorted(map(tuple, np.concatenate([t.reshape(-1, 2) for t in tables]).tolist()))
+    assert built == sorted(tuple(stream_keys(5, 0, c, j).tolist()) for c in (0, 1) for j in range(1 - draws_messages, 3))
     assert draws_messages or (x == 0.5).all()
 
 
