@@ -553,6 +553,8 @@ SUPPORT_BLOCK = 4096
 
 def _check_times(t, what: str) -> np.ndarray:
     """``t`` as a float array; InvalidParameter unless every entry is finite and >= 0."""
+    if isinstance(t, float) and 0.0 <= t < math.inf:  # one step of an ensemble's loop
+        return np.asarray(t)
     t = np.asarray(_real(t, what), dtype=float)
     bad = ~(np.isfinite(t) & (t >= 0.0))
     if bad.any():

@@ -9,9 +9,9 @@ independent of evaluation order and of the worker count.
 
 A Philox stream is its key and a counter (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11), so :func:`stream_keys` computes the
-keys of a whole ensemble in one vectorized pass of the SeedSequence hash, and
-:func:`streams` serves them from one Generator, reset to (key, counter 0) for
-each stream instead of built.
+keys of many streams in one vectorized pass of the SeedSequence hash, and
+:func:`keyed_stream` resets a Generator to (key, counter 0) instead of
+building one per stream.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidParameter, _count
 
-__all__ = ["stream", "stream_keys", "streams", "worker_count", "map_ordered", "CHUNK"]
+__all__ = ["stream", "stream_keys", "keyed_stream", "worker_count", "map_ordered", "CHUNK"]
 
 # Paths are generated in fixed-size chunks; the chunk size is part of the
 # reproducibility contract (changing it changes which variates go where).
@@ -122,37 +122,38 @@ def _computed_key():
     return ComputedKey
 
 
-def streams(keys):
-    """Yield a Generator on each stream of a key table (rows of
-    :func:`stream_keys`) in turn.
+_COUNTER0 = np.zeros(4, dtype=np.uint64)
 
-    One Generator serves every row: its Philox is reset to (key, counter 0)
-    before each yield, so draw from it before taking the next.
-    """
-    keys = np.reshape(keys, (-1, 2))
-    if not len(keys):
-        return
-    bits = np.random.Philox(_computed_key()(keys[0]))
-    gen = np.random.Generator(bits)
-    start = bits.state  # counter 0 and an empty buffer
-    for key in keys:
-        start["state"]["key"] = key
-        bits.state = start
-        yield gen
+
+def keyed_stream(key, gen=None):
+    """A Generator at counter 0 of the stream with Philox key ``key`` (a row
+    of :func:`stream_keys`): ``gen`` reset to it, ending the stream ``gen``
+    was on, or a new Generator when ``gen`` is None."""
+    if gen is None:
+        return np.random.Generator(np.random.Philox(_computed_key()(key)))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _COUNTER0, "key": key},
+        "buffer": _COUNTER0,
+        "buffer_pos": 4,  # the buffer is empty
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """A Generator for the (seed, *key) stream; same inputs, same stream.
 
-    The one-row case of :func:`stream_keys` and :func:`streams`: it draws what
-    ``Generator(Philox(SeedSequence(seed, spawn_key=key)))`` draws.
+    The one-row case of :func:`stream_keys` and :func:`keyed_stream`: it draws
+    what ``Generator(Philox(SeedSequence(seed, spawn_key=key)))`` draws.
 
     Raises
     ------
     InvalidParameter
         If ``seed`` or a key is not a non-negative integer (numpy's included).
     """
-    return next(streams(stream_keys(seed, *(_count(k, "stream key", 0) for k in key))))
+    return keyed_stream(stream_keys(seed, *(_count(k, "stream key", 0) for k in key)))
 
 
 def worker_count() -> int:

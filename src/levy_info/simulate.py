@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GridExceedsHorizon, InvalidParameter, UnsupportedRepresentation, _count, _positive, _real
 from .noise import _FAMILIES, NoiseModel, _check_domain, _check_times
 from .prior import Prior, check_compatibility
-from .rng import _chunks, map_ordered, stream_keys, streams
+from .rng import _chunks, keyed_stream, map_ordered, stream_keys
 
 __all__ = [
     "TimeGrid",
@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 REPRESENTATIONS = tuple(name for rec in _FAMILIES.values() for name in rec.constructions)
+
+# An ensemble computes the stream keys of this many intervals at a time, which
+# bounds the hash's temporaries (about 112 bytes per key) on long grids.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +104,7 @@ def increment_draws(model: NoiseModel, x, dt, rng, size=None):
     ``x`` and ``dt`` broadcast against each other (and against ``size`` when
     given).  ``dt`` must be finite and >= 0, and ``size`` None, a count or a
     sequence of counts (InvalidParameter).  ``x`` is not checked: callers check
-    messages once.
+    messages once, and an ensemble calls this once per interval and chunk.
     """
     if isinstance(size, (tuple, list)):
         size = tuple(_count(n, "size", 0) for n in size)
@@ -165,31 +169,40 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
     (n_paths, len(grid)).  Streams are keyed by (seed, tag, chunk, interval)
     with a fixed chunk size, so results do not depend on evaluation order or
     on the worker count; LEVY_INFO_THREADS bounds the thread pool.  The keys
-    are computed in one batch, and each chunk resets one Generator to them.
+    of every chunk are computed in one batch per block of ``_BLOCK``
+    intervals, and each chunk resets one Generator to them in turn.
     """
     check_compatibility(prior, model)
     n_paths = _count(n_paths, "n_paths")
-    sample = _FAMILIES[model.family].sample
-    dts = _check_times(np.diff(grid.times), "dt")
+    # checked here too: a one-atom prior on a one-point grid builds no stream
+    seed, tag = _count(seed, "seed", 0), _count(tag, "stream key", 0)
+    dts = np.diff(grid.times)
     chunks = _chunks(n_paths)
-    # a one-atom prior names every message; no other draw reads interval 0
-    first = 1 if len(prior) == 1 else 0
-    keys = stream_keys(seed, tag, np.arange(len(chunks))[:, None], np.arange(first, len(grid))[None, :])
     x = np.empty(n_paths)
     xi = np.zeros((n_paths, len(grid)))
+    # a one-atom prior names every message; no other draw reads interval 0
+    first = 1 if len(prior) == 1 else 0
+    if first:
+        x[:] = prior.positions[0]
 
-    def run_chunk(chunk):
+    def run_chunk(chunk):  # the intervals of the current block, under its keys
         c, sl = chunk
         count = sl.stop - sl.start
-        rngs = streams(keys[c])
         messages = x[sl]
-        messages[:] = prior.positions[0] if first else sample_messages(prior, count, next(rngs))
-        acc = np.zeros(count)
-        for j, (dt, rng) in enumerate(zip(dts, rngs), start=1):
-            acc += _draws(model, sample, messages, dt, rng, count)
-            xi[sl, j] = acc
+        acc = xi[sl, max(block[0] - 1, 0)].copy()
+        gen = None
+        for j, key in zip(block, keys[c]):
+            gen = keyed_stream(key, gen)
+            if j == 0:
+                messages[:] = sample_messages(prior, count, gen)
+            else:
+                acc += increment_draws(model, messages, dts[j - 1], gen, count)
+                xi[sl, j] = acc
 
-    map_ordered(run_chunk, chunks)
+    for start in range(first, len(grid), _BLOCK):
+        block = range(start, min(len(grid), start + _BLOCK))
+        keys = stream_keys(seed, tag, np.arange(len(chunks))[:, None], np.array(block)[None, :])
+        map_ordered(run_chunk, chunks)
     return x, xi
 
 
@@ -223,7 +236,7 @@ def representation_draws(model: NoiseModel, rep: str, x: float, t: float, n: int
 
     def run_chunk(chunk):
         c, sl = chunk
-        out[sl] = _draws(model, sample, x, t, next(streams(keys[c])), sl.stop - sl.start)
+        out[sl] = _draws(model, sample, x, t, keyed_stream(keys[c]), sl.stop - sl.start)
 
     map_ordered(run_chunk, chunks)
     return out

@@ -172,8 +172,8 @@ def test_studies_draw_only_through_the_chunk_keyed_samplers():
 
 
 def test_only_rng_builds_random_generators():
-    # rng.stream_keys keys every stream and rng.streams or rng.stream draws
-    # it; a SeedSequence, Philox or Generator elsewhere is a second scheme
+    # rng.stream_keys keys every stream and rng.keyed_stream or rng.stream
+    # draws it; a SeedSequence, Philox or Generator elsewhere is a second scheme
     package = Path(li.__file__).parent
     used = {path.name: names_used(path.read_text(encoding="utf-8"), {"SeedSequence", "Philox", "Generator"})
             for path in sorted(package.glob("*.py"))}

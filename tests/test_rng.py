@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import levy_info as li
-from levy_info.rng import stream, stream_keys, streams
+from levy_info.rng import keyed_stream, stream, stream_keys
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130)
 SPAWN_KEYS = ((0,), (2**40,), (0, 7), (2**40, 3), (0, 5, 9), (1, 2**40, 2**32 - 1), (0, 1, 2, 3), (2**64, 0, 2**40, 4))
@@ -43,13 +43,13 @@ def test_a_key_table_is_one_key_per_row(seed):
     assert stream_keys(seed, 0, np.arange(0), 1).shape == (0, 2)
 
 
-def test_streams_restart_one_generator_at_each_key():
+def test_a_keyed_stream_resets_one_generator_to_each_key():
     table = stream_keys(9, 0, np.arange(4), 1)
-    draws = [(gen, gen.random(3)) for gen in streams(table)]
-    assert len({id(gen) for gen, _ in draws}) == 1
-    for (_, got), c in zip(draws, range(4)):
-        np.testing.assert_array_equal(got, stream(9, 0, c, 1).random(3))
-    assert list(streams(table[:0])) == []
+    gen = keyed_stream(table[0])
+    for c, key in enumerate(table):
+        assert keyed_stream(key, gen) is gen
+        np.testing.assert_array_equal(gen.random(3), stream(9, 0, c, 1).random(3))
+        gen.integers(0, 2**32, dtype=np.uint32)  # leaves half a word buffered
 
 
 @pytest.mark.parametrize("key", [np.array([-1, 2]), np.array([2**32]), np.array([0.5]), np.array([1], dtype=bool)])

@@ -167,6 +167,16 @@ def test_only_a_prior_of_two_atoms_or_more_draws_messages(atoms, draws_messages,
     assert draws_messages or (x == 0.5).all()
 
 
+@pytest.mark.parametrize("atoms", [[(0.5, 1.0)], [(0.0, 0.5), (0.5, 0.5)]])
+def test_keys_computed_in_blocks_of_intervals_draw_the_same_ensemble(atoms, monkeypatch):
+    model = li.make_noise_model("Gamma", (1.0, 1.0))
+    args = (model, li.prior_from_atoms(atoms), li.TimeGrid.regular(1.0, 7), CHUNK + 3, 4)
+    whole = li.simulate_ensemble(*args)
+    monkeypatch.setattr(li.simulate, "_BLOCK", 3)
+    for got, want in zip(li.simulate_ensemble(*args), whole):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_a_bad_seed_is_refused_where_no_stream_is_built():
     model = li.make_noise_model("Gamma", (1.0, 1.0))
     with pytest.raises(li.InvalidParameter, match="seed"):
