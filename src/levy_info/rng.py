@@ -122,7 +122,7 @@ def _computed_key():
     return ComputedKey
 
 
-_COUNTER0 = np.zeros(4, dtype=np.uint64)
+_ZEROS = (0, 0, 0, 0)  # a tuple: the state setter reads it faster than an array
 
 
 def keyed_stream(key, gen=None):
@@ -133,8 +133,8 @@ def keyed_stream(key, gen=None):
         return np.random.Generator(np.random.Philox(_computed_key()(key)))
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _COUNTER0, "key": key},
-        "buffer": _COUNTER0,
+        "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS,
         "buffer_pos": 4,  # the buffer is empty
         "has_uint32": 0,
         "uinteger": 0,
