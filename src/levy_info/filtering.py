@@ -133,8 +133,9 @@ def sequential_update(posterior: Posterior, model: NoiseModel, dxi: float, dt: f
 
 
 # Observation rows per block of posterior_expectations: a block's
-# (rows x atoms) weight matrix stays cache-sized, and each block is one unit
-# of work for map_ordered.  Blocks share nothing, so results do not depend on
+# (rows x atoms) weight matrix stays cache-sized, and each block is one index
+# that map_ordered hands to the caller or a helper thread.  Blocks share
+# nothing, so results, and which observation an error names, do not depend on
 # the worker count.
 BLOCK_ROWS = 512
 

@@ -16,9 +16,10 @@ building one per stream.
 
 from __future__ import annotations
 
+import collections
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 
@@ -178,13 +179,40 @@ def worker_count() -> int:
 
 
 def map_ordered(fn, items):
-    """Map ``fn`` over ``items`` preserving order, on up to worker_count()
-    threads.  Results do not depend on the worker count; threading only
-    overlaps the underlying (GIL-releasing) numpy work: sampler chunks and
-    filter blocks."""
+    """``[fn(it) for it in items]`` on up to worker_count() threads, the
+    caller being one of them.
+
+    The caller and its ``worker_count() - 1`` helper threads each take the
+    next index from one shared iterator, so items start in order and no
+    thread waits on another's item.  Once an item raises, no more indices are
+    handed out; after the items in flight finish, the exception of the lowest
+    failing index is raised.  Every index below it was handed out first and
+    has run, so that is the exception the serial map raises: results and
+    errors do not depend on the worker count.  Threading only overlaps the
+    underlying (GIL-releasing) numpy work: sampler chunks and filter blocks.
+    """
     items = list(items)
-    workers = min(worker_count(), max(1, len(items)))
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    out = [None] * len(items)
+    errors = {}
+    indices = iter(range(len(items)))
+
+    def work():
+        for i in indices:
+            try:
+                out[i] = fn(items[i])
+            except BaseException as exc:  # re-raised below, so none is lost on a helper
+                errors[i] = exc
+                collections.deque(indices, maxlen=0)  # hand out no more
+
+    helpers = [threading.Thread(target=work) for _ in range(min(worker_count(), len(items)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        collections.deque(indices, maxlen=0)  # stops the helpers if the caller was interrupted
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return out

@@ -168,7 +168,8 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
     Returns ``(x, xi)`` where ``x`` has shape (n_paths,) and ``xi`` has shape
     (n_paths, len(grid)).  Streams are keyed by (seed, tag, chunk, interval)
     with a fixed chunk size, so results do not depend on evaluation order or
-    on the worker count; LEVY_INFO_THREADS bounds the thread pool.  The keys
+    on the worker count; LEVY_INFO_THREADS caps the threads that run chunks,
+    the caller included (see :func:`~levy_info.rng.map_ordered`).  The keys
     of every chunk are computed in one batch per block of ``_BLOCK``
     intervals, and each chunk resets one Generator to them in turn.
     """

@@ -1,6 +1,7 @@
 """Innovations decomposition, compensated paths, martingale tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,22 @@ def test_overflowing_observation_raises_degenerate_weights():
     path = li.InformationPath(li.TimeGrid([0.0, 1.0]), np.array([0.0, 1e308]), -2.0, model)
     with pytest.raises(li.DegenerateWeights):
         li.innovations_path(path, prior)
+
+
+@pytest.mark.parametrize("first, second", [(1e308, 1.5e308), (1.5e308, 1e308)])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_first_overflowing_observation_of_an_ensemble_is_named(first, second, threads, monkeypatch):
+    # two overflowing cells in different blocks: whichever block fails first
+    # in time, the error names the first cell in row order, as a serial filter does
+    monkeypatch.setenv("LEVY_INFO_THREADS", threads)
+    model = li.make_noise_model("Brownian", ())
+    prior = li.prior_from_atoms([(-2.0, 1.0), (-3.0, 1.0)])
+    grid = li.TimeGrid.regular(1.0, 20)
+    xi = np.zeros((100, len(grid)))
+    xi[3, 5], xi[60, 7] = first, second
+    assert (3 * len(grid) + 5) // BLOCK_ROWS < (60 * len(grid) + 7) // BLOCK_ROWS
+    with pytest.raises(li.DegenerateWeights, match=re.escape(f"xi={first:g}, t={grid.times[5]:g} ")):
+        li.posterior_expectations(prior, model, xi, grid.times, np.eye(len(prior)))
 
 
 @pytest.mark.parametrize("family, params, drift, values", [

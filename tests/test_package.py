@@ -143,14 +143,14 @@ def test_study_modules_raise_to_no_power_but_two(module):
 
 def names_used(source, names):
     """Sorted ``line: name`` of every import, call or other use of one of
-    ``names``, bare or as an attribute."""
+    ``names``, bare, as an attribute or as a part of a module's dotted name."""
     used = []
     for node in ast.walk(ast.parse(source)):
-        name = (node.name.rpartition(".")[2] if isinstance(node, ast.alias)
-                else node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute) else None)
-        if name in names:
-            used.append((node.lineno, name))
+        parts = (node.name.split(".") if isinstance(node, ast.alias)
+                 else (node.module or "").split(".") if isinstance(node, ast.ImportFrom)
+                 else [node.id] if isinstance(node, ast.Name)
+                 else [node.attr] if isinstance(node, ast.Attribute) else [])
+        used += [(node.lineno, name) for name in parts if name in names]
     return [f"{line}: {name}" for line, name in sorted(used)]
 
 
@@ -171,14 +171,25 @@ def test_studies_draw_only_through_the_chunk_keyed_samplers():
     assert names_used(experiments_source(), {"stream", "increment_draws"}) == []
 
 
+def uses_outside_rng(names):
+    """``names_used`` of each package module but ``rng.py`` that uses one of
+    ``names``, after checking that ``rng.py`` does."""
+    package = Path(li.__file__).parent
+    used = {path.name: names_used(path.read_text(encoding="utf-8"), names) for path in sorted(package.glob("*.py"))}
+    assert used.pop("rng.py") != []
+    return {name: lines for name, lines in used.items() if lines}
+
+
 def test_only_rng_builds_random_generators():
     # rng.stream_keys keys every stream and rng.keyed_stream or rng.stream
     # draws it; a SeedSequence, Philox or Generator elsewhere is a second scheme
-    package = Path(li.__file__).parent
-    used = {path.name: names_used(path.read_text(encoding="utf-8"), {"SeedSequence", "Philox", "Generator"})
-            for path in sorted(package.glob("*.py"))}
-    assert used.pop("rng.py") != []
-    assert {name: lines for name, lines in used.items() if lines} == {}
+    assert uses_outside_rng({"SeedSequence", "Philox", "Generator"}) == {}
+
+
+def test_only_rng_starts_threads():
+    # rng.map_ordered hands out work in item order, which keeps results and
+    # errors independent of the worker count; a pool elsewhere is a second scheduler
+    assert uses_outside_rng({"ThreadPoolExecutor", "Thread", "concurrent"}) == {}
 
 
 def test_name_lint_sees_imports_calls_and_attributes():
@@ -186,9 +197,11 @@ def test_name_lint_sees_imports_calls_and_attributes():
               "from . import simulate as sim\n"
               "def f(seed):\n"
               "    return sim.increment_draws(M, 0.0, 1.0, stream(seed, 1), 3)\n"
-              "draw = sim.increment_draws\n")
-    assert names_used(source, {"stream", "increment_draws"}) == [
-        "1: stream", "4: increment_draws", "4: stream", "5: increment_draws"]
+              "draw = sim.increment_draws\n"
+              "import concurrent.futures\n"
+              "from concurrent.futures import wait\n")
+    assert names_used(source, {"stream", "increment_draws", "concurrent"}) == [
+        "1: stream", "4: increment_draws", "4: stream", "5: increment_draws", "6: concurrent", "7: concurrent"]
 
 
 def family_comparisons(source):

@@ -1,10 +1,15 @@
-"""Keyed Philox streams: the batched key hash is numpy's SeedSequence."""
+"""Keyed Philox streams: the batched key hash is numpy's SeedSequence; and
+the ordered map that shares chunks and blocks out among threads."""
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import levy_info as li
-from levy_info.rng import keyed_stream, stream, stream_keys
+from levy_info.rng import keyed_stream, map_ordered, stream, stream_keys, worker_count
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130)
 SPAWN_KEYS = ((0,), (2**40,), (0, 7), (2**40, 3), (0, 5, 9), (1, 2**40, 2**32 - 1), (0, 1, 2, 3), (2**64, 0, 2**40, 4))
@@ -62,3 +67,67 @@ def test_an_array_key_holds_one_word_integers(key):
 def test_stream_takes_non_negative_integers(seed, key):
     with pytest.raises(li.InvalidParameter, match="seed|stream key"):
         stream(seed, *key)
+
+
+THREADS = pytest.mark.parametrize("threads", ["1", "2", "3"])
+
+
+@THREADS
+def test_map_ordered_returns_results_in_item_order(threads, monkeypatch):
+    monkeypatch.setenv("LEVY_INFO_THREADS", threads)
+    items = list(range(40, 0, -1))
+    # later items finish first, so completion order is not item order
+    assert map_ordered(lambda n: time.sleep(n * 1e-4) or -n, items) == [-n for n in items]
+
+
+@THREADS
+def test_map_ordered_runs_on_the_caller_and_at_most_its_helpers(threads, monkeypatch):
+    monkeypatch.setenv("LEVY_INFO_THREADS", threads)
+    ran_on = map_ordered(lambda _: time.sleep(1e-3) or threading.get_ident(), range(30))
+    assert threading.get_ident() in ran_on
+    assert len(set(ran_on)) <= worker_count()
+
+
+@THREADS
+def test_map_ordered_raises_the_first_failing_items_exception(threads, monkeypatch):
+    monkeypatch.setenv("LEVY_INFO_THREADS", threads)
+    started = []
+
+    def fn(i):
+        started.append(i)
+        if i == 5:
+            time.sleep(0.02)  # item 6 fails first in time on two threads or more
+        if i in (5, 6, 9):
+            raise ValueError(i)
+        time.sleep(1e-3)
+        return i
+
+    with pytest.raises(ValueError, match="^5$"):
+        map_ordered(fn, range(1000))
+    assert set(range(6)) <= set(started)  # every index below the first failure ran
+    assert len(started) < 100  # no index is handed out after a failure
+    # an exit or interrupt inside an item is not lost on a helper thread
+    with pytest.raises(SystemExit, match="^3$"):
+        map_ordered(lambda i: sys.exit(i) if i in (3, 8) else i, range(20))
+
+
+@THREADS
+def test_map_ordered_of_no_items_is_empty(threads, monkeypatch):
+    monkeypatch.setenv("LEVY_INFO_THREADS", threads)
+    assert map_ordered(pytest.fail, []) == []
+
+
+def test_map_ordered_hands_out_each_index_once_under_contention(monkeypatch):
+    # more threads than cores and a switch at almost every bytecode: a lost or
+    # doubled hand-out of the shared index iterator shows as a missing or
+    # repeated item
+    monkeypatch.setenv("LEVY_INFO_THREADS", "8")
+    calls = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = map_ordered(lambda i: calls.append(i) or i, range(5000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == list(range(5000))
+    assert sorted(calls) == list(range(5000))
