@@ -71,6 +71,19 @@ def _build_prior(positions: np.ndarray, weights: np.ndarray) -> Prior:
     return Prior(_frozen(positions), _frozen(weights), _frozen(np.log(weights)))
 
 
+def _on_atoms(f, xs: np.ndarray) -> np.ndarray:
+    """``f`` at every entry of ``xs``, as floats: one call on the array, or
+    one call per entry when ``f`` raises on the array or returns another
+    shape."""
+    try:
+        fx = np.asarray(f(xs), dtype=float)
+        if fx.shape != xs.shape:
+            raise TypeError
+    except Exception:
+        fx = np.array([float(f(x)) for x in xs])
+    return fx
+
+
 def prior_from_atoms(points) -> Prior:
     """Build a prior from (position, weight) pairs.
 
@@ -140,12 +153,7 @@ def prior_from_density(f, interval: Interval, n: int) -> Prior:
     half = 0.5 * (interval.hi - interval.lo)
     mid = 0.5 * (interval.hi + interval.lo)
     xs = mid + half * nodes
-    try:
-        fx = np.asarray(f(xs), dtype=float)
-        if fx.shape != xs.shape:
-            raise TypeError
-    except Exception:
-        fx = np.array([float(f(x)) for x in xs])
+    fx = _on_atoms(f, xs)
     if not np.isfinite(fx).all():
         raise NonFiniteValue("density returned non-finite values on quadrature nodes")
     if np.any(fx < 0.0):
@@ -199,12 +207,15 @@ def check_compatibility(prior: Prior, model: NoiseModel) -> None:
 def prior_expectation(prior: Prior, g) -> float:
     """The weighted sum ``sum_i w_i g(x_i)`` over the atoms of ``prior``.
 
+    ``g`` is called with the array of positions, falling back to one call
+    per atom (as ``prior_from_density`` calls its density).
+
     Raises
     ------
     NonFiniteValue
         If any ``g(x_i)`` is not finite.
     """
-    vals = np.array([float(g(x)) for x in prior.positions])
+    vals = _on_atoms(g, prior.positions)
     if not np.isfinite(vals).all():
         bad = prior.positions[~np.isfinite(vals)].tolist()
         raise NonFiniteValue(f"g is not finite on atoms {bad}")

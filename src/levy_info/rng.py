@@ -30,6 +30,9 @@ __all__ = ["stream", "stream_keys", "keyed_stream", "worker_count", "map_ordered
 # Paths are generated in fixed-size chunks; the chunk size is part of the
 # reproducibility contract (changing it changes which variates go where).
 CHUNK = 4096
+# An ensemble's thread item is a run of at most this many consecutive chunks,
+# so the samplers' numpy calls are long enough for two threads to overlap.
+RUN = 4
 
 # numpy's SeedSequence: a pool of 4 uint32 words, hashed with these constants
 _MASK = 0xFFFFFFFF
@@ -40,6 +43,15 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 def _chunks(n: int) -> list:
     """(index, slice) of each chunk of ``n`` paths, in order; the last may be short."""
     return [(c, slice(start, min(n, start + CHUNK))) for c, start in enumerate(range(0, n, CHUNK))]
+
+
+def _runs(n: int) -> list:
+    """The chunks of ``n`` paths as runs of up to ``RUN`` consecutive chunks,
+    one run per thread item; shorter runs when there are too few chunks to
+    give every worker an item."""
+    chunks = _chunks(n)
+    size = max(1, min(RUN, len(chunks) // worker_count()))
+    return [chunks[i : i + size] for i in range(0, len(chunks), size)]
 
 
 def _words(n: int) -> list:
@@ -143,6 +155,58 @@ def keyed_stream(key, gen=None):
     return gen
 
 
+class _RunStreams:
+    """The streams of a run of chunks (see :func:`_runs`), drawn as one.
+
+    Holds one Generator per chunk.  Each of the five methods the samplers
+    call draws every chunk's part from that chunk's own stream, in chunk
+    order, with array parameters (one entry per path) sliced by chunk, and
+    returns the parts end to end: a sampler handed this draws what it draws
+    chunk by chunk, on arrays as long as the run.  A draw that is not one
+    variate per path of the run raises InvalidParameter instead of being
+    split.
+    """
+
+    def __init__(self, run):
+        start = run[0][1].start
+        self.chunks = [(c, slice(sl.start - start, sl.stop - start)) for c, sl in run]
+        self.total = run[-1][1].stop - start
+        self.gens = [None] * len(run)
+
+    def reset(self, keys):
+        """Reset each chunk's Generator to its row of ``keys``, indexed by
+        chunk; returns what to draw from: the Generator itself for a run of
+        one chunk, else this."""
+        self.gens = [keyed_stream(keys[c], gen) for (c, _), gen in zip(self.chunks, self.gens)]
+        return self.gens[0] if len(self.gens) == 1 else self
+
+    def _draw(self, method, params, size):
+        shapes = [np.shape(p) for p in params]
+        shape = np.broadcast_shapes(*shapes) if size is None else tuple(np.atleast_1d(size))
+        if shape != (self.total,) or any(s not in ((), shape) for s in shapes):
+            raise InvalidParameter(f"a run of chunks draws one variate per path ({self.total}), not shape {shape}")
+        parts = []
+        for gen, (_, sl) in zip(self.gens, self.chunks):
+            args = [p[sl] if np.ndim(p) else p for p in params]
+            parts.append(getattr(gen, method)(*args, size=None if size is None else sl.stop - sl.start))
+        return np.concatenate(parts)
+
+    def standard_normal(self, size=None):
+        return self._draw("standard_normal", (), size)
+
+    def random(self, size=None):
+        return self._draw("random", (), size)
+
+    def standard_gamma(self, shape, size=None):
+        return self._draw("standard_gamma", (shape,), size)
+
+    def gamma(self, shape, scale=1.0, size=None):
+        return self._draw("gamma", (shape, scale), size)
+
+    def poisson(self, lam=1.0, size=None):
+        return self._draw("poisson", (lam,), size)
+
+
 def stream(seed: int, *key: int) -> np.random.Generator:
     """A Generator for the (seed, *key) stream; same inputs, same stream.
 
@@ -189,7 +253,9 @@ def map_ordered(fn, items):
     failing index is raised.  Every index below it was handed out first and
     has run, so that is the exception the serial map raises: results and
     errors do not depend on the worker count.  Threading only overlaps the
-    underlying (GIL-releasing) numpy work: sampler chunks and filter blocks.
+    underlying (GIL-releasing) numpy work: an ensemble's runs of up to
+    ``RUN`` chunks, each chunk drawing from its own streams (see
+    :func:`_runs`), and filter blocks.
     """
     items = list(items)
     out = [None] * len(items)

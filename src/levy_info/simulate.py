@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GridExceedsHorizon, InvalidParameter, UnsupportedRepresentation, _count, _positive, _real
 from .noise import _FAMILIES, NoiseModel, _check_domain, _check_times
 from .prior import Prior, check_compatibility
-from .rng import _chunks, keyed_stream, map_ordered, stream_keys
+from .rng import _chunks, _runs, _RunStreams, keyed_stream, map_ordered, stream_keys
 
 __all__ = [
     "TimeGrid",
@@ -167,8 +167,11 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
 
     Returns ``(x, xi)`` where ``x`` has shape (n_paths,) and ``xi`` has shape
     (n_paths, len(grid)).  Streams are keyed by (seed, tag, chunk, interval)
-    with a fixed chunk size, so results do not depend on evaluation order or
-    on the worker count; LEVY_INFO_THREADS caps the threads that run chunks,
+    with a fixed chunk size.  A thread item is a run of up to four
+    consecutive chunks (fewer when there are too few to give each worker
+    one), sampled in one call per draw, but each chunk still draws its part
+    from its own stream, so results depend neither on the grouping nor on
+    the worker count; LEVY_INFO_THREADS caps the threads that run the items,
     the caller included (see :func:`~levy_info.rng.map_ordered`).  The keys
     of every chunk are computed in one batch per block of ``_BLOCK``
     intervals, and each chunk resets one Generator to them in turn.
@@ -178,7 +181,8 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
     # checked here too: a one-atom prior on a one-point grid builds no stream
     seed, tag = _count(seed, "seed", 0), _count(tag, "stream key", 0)
     dts = np.diff(grid.times)
-    chunks = _chunks(n_paths)
+    runs = _runs(n_paths)
+    chunk_ids = np.arange(sum(map(len, runs)))[:, None]
     x = np.empty(n_paths)
     xi = np.zeros((n_paths, len(grid)))
     # a one-atom prior names every message; no other draw reads interval 0
@@ -186,14 +190,14 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
     if first:
         x[:] = prior.positions[0]
 
-    def run_chunk(chunk):  # the intervals of the current block, under its keys
-        c, sl = chunk
+    def run_chunks(run):  # the intervals of the current block, under its keys
+        sl = slice(run[0][1].start, run[-1][1].stop)
         count = sl.stop - sl.start
         messages = x[sl]
         acc = xi[sl, max(block[0] - 1, 0)].copy()
-        gen = None
-        for j, key in zip(block, keys[c]):
-            gen = keyed_stream(key, gen)
+        streams = _RunStreams(run)
+        for col, j in enumerate(block):
+            gen = streams.reset(keys[:, col])
             if j == 0:
                 messages[:] = sample_messages(prior, count, gen)
             else:
@@ -202,8 +206,8 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
 
     for start in range(first, len(grid), _BLOCK):
         block = range(start, min(len(grid), start + _BLOCK))
-        keys = stream_keys(seed, tag, np.arange(len(chunks))[:, None], np.array(block)[None, :])
-        map_ordered(run_chunk, chunks)
+        keys = stream_keys(seed, tag, chunk_ids, np.array(block)[None, :])
+        map_ordered(run_chunks, runs)
     return x, xi
 
 

@@ -189,5 +189,29 @@ def test_prior_expectation_examples():
 
 def test_prior_expectation_rejects_nonfinite_values():
     p = li.prior_from_atoms([(0.0, 0.5), (1.0, 0.5)])
-    with pytest.raises(li.NonFiniteValue):
+    with pytest.raises(li.NonFiniteValue, match=r"atoms \[1.0\]"):
         li.prior_expectation(p, lambda x: float("inf") if x > 0.5 else 0.0)
+    with pytest.raises(li.NonFiniteValue, match=r"atoms \[0.0\]"):
+        li.prior_expectation(p, lambda x: np.where(x < 0.5, np.inf, x))
+
+
+def counted(g):
+    """g, recording the shape of each argument it is called with."""
+    shapes = []
+    return shapes, lambda x: shapes.append(np.shape(x)) or g(x)
+
+
+@pytest.mark.parametrize("g, calls", [
+    (np.exp, [(3,)]),  # one call on the array
+    (math.exp, [(3,)] + [()] * 3),  # raises on the array: one call per atom
+    (lambda x: 2.0, [(3,)] + [()] * 3),  # another shape: one call per atom
+])
+def test_functions_of_the_atoms_take_the_array_and_fall_back_to_each_atom(g, calls):
+    p = li.prior_from_atoms([(0.0, 0.2), (0.5, 0.3), (1.0, 0.5)])
+    shapes, f = counted(g)
+    want = sum(w * float(g(x)) for x, w in p.atoms)
+    assert li.prior_expectation(p, f) == pytest.approx(want, rel=1e-15)
+    assert shapes == calls
+    shapes, f = counted(lambda x: g(x) + 1.0)
+    li.prior_from_density(f, li.Interval(0.0, 1.0), 3)
+    assert shapes == calls

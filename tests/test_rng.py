@@ -1,5 +1,6 @@
-"""Keyed Philox streams: the batched key hash is numpy's SeedSequence; and
-the ordered map that shares chunks and blocks out among threads."""
+"""Keyed Philox streams: the batched key hash is numpy's SeedSequence; runs
+of chunks drawn as one; and the ordered map that shares runs and blocks out
+among threads."""
 
 import sys
 import threading
@@ -9,7 +10,18 @@ import numpy as np
 import pytest
 
 import levy_info as li
-from levy_info.rng import keyed_stream, map_ordered, stream, stream_keys, worker_count
+from levy_info.rng import (
+    CHUNK,
+    RUN,
+    _chunks,
+    _runs,
+    _RunStreams,
+    keyed_stream,
+    map_ordered,
+    stream,
+    stream_keys,
+    worker_count,
+)
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130)
 SPAWN_KEYS = ((0,), (2**40,), (0, 7), (2**40, 3), (0, 5, 9), (1, 2**40, 2**32 - 1), (0, 1, 2, 3), (2**64, 0, 2**40, 4))
@@ -55,6 +67,45 @@ def test_a_keyed_stream_resets_one_generator_to_each_key():
         assert keyed_stream(key, gen) is gen
         np.testing.assert_array_equal(gen.random(3), stream(9, 0, c, 1).random(3))
         gen.integers(0, 2**32, dtype=np.uint32)  # leaves half a word buffered
+
+
+def test_runs_hold_up_to_four_chunks_and_give_every_worker_an_item(monkeypatch):
+    monkeypatch.setenv("LEVY_INFO_THREADS", "2")
+    assert _runs(2 * CHUNK) == [[chunk] for chunk in _chunks(2 * CHUNK)]
+    runs = _runs(62 * CHUNK)
+    assert len(runs) == 16 and max(map(len, runs)) == RUN == 4
+    assert [chunk for run in runs for chunk in run] == _chunks(62 * CHUNK)
+
+
+def test_a_run_of_chunks_draws_each_chunks_part_from_its_own_stream():
+    run = _chunks(2 * CHUNK + 3)
+    n = run[-1][1].stop
+    lam = np.linspace(0.5, 3.0, n)
+    streams = _RunStreams(run).reset(stream_keys(1, 0, np.arange(3), 1))
+    got = [streams.poisson(lam), streams.gamma(2.0, 0.5, n), streams.random(n)]
+    want = []
+    for c, sl in run:
+        gen, count = stream(1, 0, c, 1), sl.stop - sl.start
+        want.append((gen.poisson(lam[sl]), gen.gamma(2.0, 0.5, count), gen.random(count)))
+    for g, parts in zip(got, zip(*want)):
+        np.testing.assert_array_equal(g, np.concatenate(parts))
+
+
+def test_a_run_of_chunks_refuses_a_draw_it_cannot_split():
+    run = _chunks(2 * CHUNK + 3)
+    n = run[-1][1].stop
+    streams = _RunStreams(run).reset(stream_keys(1, 0, np.arange(3), 1))
+    for draw in (lambda: streams.random(n - 1), lambda: streams.standard_normal(), lambda: streams.random((n, 1)),
+                 lambda: streams.poisson(np.ones(n - 1)), lambda: streams.standard_gamma(np.ones(5), n)):
+        with pytest.raises(li.InvalidParameter, match="one variate per path"):
+            draw()
+
+
+def test_a_run_of_one_chunk_draws_straight_from_its_generator():
+    one = _RunStreams(_chunks(5))
+    gen = one.reset(stream_keys(1, 0, np.arange(1), 1))
+    assert gen is one.gens[0]
+    np.testing.assert_array_equal(gen.random(5), stream(1, 0, 0, 1).random(5))
 
 
 @pytest.mark.parametrize("key", [np.array([-1, 2]), np.array([2**32]), np.array([0.5]), np.array([1], dtype=bool)])

@@ -185,6 +185,37 @@ def test_a_bad_seed_is_refused_where_no_stream_is_built():
         li.simulate_ensemble(model, degenerate(0.0), li.TimeGrid([0.0]), 3, seed=1, tag=-1)
 
 
+ORACLE_CASES = [(family, params, 0.0, False) for family, params in sorted(FAMILY_PARAMS.items())] + [
+    ("Gamma", (2.0, 1.0), 0.3, False),
+    ("Brownian", (), -0.7, False),
+    ("Poisson", (1.0,), 0.0, True),
+]
+
+
+@pytest.mark.parametrize("family, params, drift, one_atom", ORACLE_CASES)
+def test_runs_of_chunks_draw_what_each_chunk_draws_from_its_own_streams(family, params, drift, one_atom):
+    # the oracle draws chunk by chunk, each interval from (seed, tag, chunk,
+    # interval); 10 chunks make runs of 4, 4, 2 at 1 and 2 threads and of
+    # 3, 3, 3, 1 at 3
+    model = li.make_noise_model(family, params, drift=drift)
+    a, b = interior_grid(model, 4)[1:3]
+    prior = degenerate(a) if one_atom else li.prior_from_atoms([(a, 0.4), (b, 0.6)])
+    grid = li.TimeGrid([0.0, 0.5, 1.5, 4.0])
+    n, seed, tag = 9 * CHUNK + 17, 12, 3
+    x, xi = np.empty(n), np.zeros((n, len(grid)))
+    for c, sl in _chunks(n):
+        count = sl.stop - sl.start
+        x[sl] = a if one_atom else li.sample_messages(prior, count, stream(seed, tag, c, 0))
+        for j, dt in enumerate(np.diff(grid.times), 1):
+            xi[sl, j] = xi[sl, j - 1] + li.increment_draws(model, x[sl], dt, stream(seed, tag, c, j), count)
+    for threads in ("1", "2", "3"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("LEVY_INFO_THREADS", threads)
+            got_x, got_xi = li.simulate_ensemble(model, prior, grid, n, seed, tag)
+        np.testing.assert_array_equal(got_x, x)
+        np.testing.assert_array_equal(got_xi, xi)
+
+
 def test_chunks_cover_the_paths_in_order():
     n = 2 * CHUNK + 5
     assert _chunks(n) == [(0, slice(0, CHUNK)), (1, slice(CHUNK, 2 * CHUNK)), (2, slice(2 * CHUNK, n))]
