@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import functools
 import json
 import math
 import os
@@ -459,7 +460,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="levy-info",
         description="Simulation, filtering and verification of Levy information processes.",

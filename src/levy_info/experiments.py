@@ -25,10 +25,11 @@ from .noise import (
     fiducial_exponent,
 )
 from .prior import Prior, check_compatibility, prior_from_atoms
-from .simulate import TimeGrid, _bridge_clock, representation_draws, simulate_ensemble
+from .simulate import TimeGrid, _bridge_clock, _fold_runs, representation_draws, simulate_ensemble
 from .stats import (
     StudyReport,
     StudyRow,
+    _mean_stderr,
     jackknife_covariance,
     jackknife_cumulants,
     jackknife_se,
@@ -50,6 +51,20 @@ def _ladder(times) -> np.ndarray:
     if times.size == 0 or not np.all(times > 0.0) or not np.all(np.diff(times) > 0.0):
         raise InvalidParameter("study times must be positive and strictly increasing")
     return times
+
+
+def _values(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: int, seed: int, tag: int) -> np.ndarray:
+    """``simulate_ensemble(...)[1][:, 1:].T``: the values at grid[1:] as
+    rows, written run by run as the ensemble is drawn, with its checks in
+    its order and no ensemble matrix."""
+    check_compatibility(prior, model)
+    values = np.empty((len(grid) - 1, _count(n_paths, "n_paths")))
+
+    def fold(sl, messages, rows):
+        values[:, sl] = rows[:, 1:].T
+
+    _fold_runs(model, prior, grid, n_paths, seed, tag, fold)
+    return values
 
 
 def _exceed_thresholds(model: NoiseModel, atoms: np.ndarray, epsilon: float):
@@ -100,29 +115,33 @@ def convergence_study(
     epsilon = _positive(epsilon, "epsilon")
     times = _ladder(times)
     grid = TimeGrid(np.concatenate(([0.0], times)))
-    messages, xi = simulate_ensemble(model, prior, grid, n_paths, seed)
+    check_compatibility(prior, model)
     atoms = prior.positions
-    idx = np.searchsorted(atoms, messages)
-    del messages
     d1, d2, _ = exponent_derivatives(model, atoms)
-    drift_x = d1[idx]
-    hi, lo = (side[idx] for side in _exceed_thresholds(model, atoms, epsilon))
-    del idx
+    thresholds = _exceed_thresholds(model, atoms, epsilon)
+    sq = np.empty((times.size, n_paths))
+
+    def fold(sl, messages, rows):  # one run: its squares into sq, its exceedance counts
+        idx = np.searchsorted(atoms, messages)
+        drift_x = d1[idx]
+        hi, lo = (side[idx] for side in thresholds)
+        counts = []
+        for j, t in enumerate(times, start=1):
+            rate = np.divide(rows[:, j], t)
+            square = np.subtract(rate, drift_x, out=sq[j - 1, sl])
+            np.square(square, out=square)
+            counts.append(np.count_nonzero((rate >= hi) | (rate <= lo)))
+        return counts
+
+    exceed = np.sum(_fold_runs(model, prior, grid, n_paths, seed, 0, fold), axis=0)
     reference_d2 = float(prior.weights @ d2)
     rows = []
-    rate, sq = np.empty(n_paths), np.empty(n_paths)
-    exceed, below = np.empty(n_paths, dtype=bool), np.empty(n_paths, dtype=bool)
-    for j, t in enumerate(times, start=1):
-        np.divide(xi[:, j], t, out=rate)
-        np.subtract(rate, drift_x, out=sq)
-        np.square(sq, out=sq)
-        est, se = mean_stderr(sq)
+    for t, row, count in zip(times, sq, exceed):
+        est, se = _mean_stderr(row, row)
         ref = reference_d2 / t
         rows.append(StudyRow(f"mse[t={t:g}]", est, ref, se, zscore(est, ref, se)))
-        np.greater_equal(rate, hi, out=exceed)
-        exceed |= np.less_equal(rate, lo, out=below)
-        p = float(exceed.mean())
-        se_p = math.sqrt(p * (1.0 - p) / exceed.size)
+        p = float(count / n_paths)
+        se_p = math.sqrt(p * (1.0 - p) / n_paths)
         rows.append(
             StudyRow(f"exceed[t={t:g},eps={epsilon:g}]", p, math.nan, se_p, math.nan)
         )
@@ -179,24 +198,29 @@ def factorization_study(
     Each pair is then one complex multiply.
 
     Memory stays at a few n-length arrays whatever the grid sizes: the
-    weights are formed in the message buffer, xi_t is copied out of the
-    ensemble so the ensemble can go, and three buffers, each allocated once,
-    are reused: the complex path factor (per alpha), the complex pair
-    samples (per pair) and the real residual (per part).  Every expression
-    keeps its ufuncs and their order on purpose, the complex multiply
-    included: the same product in real arithmetic, or sums regrouped by
-    atom, would round differently and change the output bits.
+    messages and xi_t are written out run by run as the ensemble is drawn,
+    with no ensemble matrix, the weights are formed in the message buffer,
+    and three buffers, each allocated once, are reused: the complex path
+    factor (per alpha), the complex pair samples (per pair) and the real
+    residual (per part).  Every expression keeps its ufuncs and their order
+    on purpose, the complex multiply included: the same product in real
+    arithmetic, or sums regrouped by atom, would round differently and
+    change the output bits.
     """
     threshold = _positive(threshold, "study threshold")
     alphas = _imaginary_grid(alpha, "alpha")
     betas = _imaginary_grid(beta, "beta")
     t = _positive(t, "t")
     check_compatibility(prior, model)
-    messages, xi = simulate_ensemble(model, prior, TimeGrid(np.array([0.0, t])), n_paths, seed)
+    messages, xi_t = np.empty((2, _count(n_paths, "n_paths")))
+
+    def fold(sl, run_messages, rows):
+        messages[sl] = run_messages
+        xi_t[sl] = rows[:, 1]
+
+    _fold_runs(model, prior, TimeGrid(np.array([0.0, t])), n_paths, seed, 0, fold)
     atoms = prior.positions
     idx = np.searchsorted(atoms, messages)
-    xi_t = xi[:, 1].copy()
-    del xi
     # weights = exp(-X xi_t + psi0(X) t), in the message buffer; the term
     # psi0(X) t goes in the buffer the residuals reuse below
     weights = np.negative(messages, out=messages)
@@ -205,9 +229,8 @@ def factorization_study(
     resid *= t
     weights += resid
     np.exp(weights, out=weights)
-    w_mean = weights.mean()
-    w_est, w_se = mean_stderr(weights)
-    rows = [StudyRow("weight_mean", w_est, 1.0, w_se, zscore(w_est, 1.0, w_se))]
+    w_mean, w_se = mean_stderr(weights)
+    rows = [StudyRow("weight_mean", w_mean, 1.0, w_se, zscore(w_mean, 1.0, w_se))]
     n = weights.size
     b_tables = [(b, np.exp(b * atoms)) for b in betas]
     a_factor = np.empty(n, dtype=complex)
@@ -269,8 +292,8 @@ def esscher_consistency_study(
     lam = float(lam)  # real and in A: esscher_transform checked it
     t = _positive(t, "t")
     grid, origin = TimeGrid(np.array([0.0, t])), prior_from_atoms([(0.0, 1.0)])
-    direct = simulate_ensemble(tilted, origin, grid, n_paths, seed, tag=1)[1][:, 1].copy()
-    fiducial = simulate_ensemble(model, origin, grid, n_paths, seed, tag=1)[1][:, 1].copy()
+    (direct,) = _values(tilted, origin, grid, n_paths, seed, 1)
+    (fiducial,) = _values(model, origin, grid, n_paths, seed, 1)
     n = direct.size
     weights = np.exp(lam * fiducial - fiducial_exponent(model, lam) * t)
 

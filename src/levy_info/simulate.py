@@ -172,9 +172,28 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
     one), sampled in one call per draw, but each chunk still draws its part
     from its own stream, so results depend neither on the grouping nor on
     the worker count; LEVY_INFO_THREADS caps the threads that run the items,
-    the caller included (see :func:`~levy_info.rng.map_ordered`).  The keys
-    of every chunk are computed in one batch per block of ``_BLOCK``
-    intervals, and each chunk resets one Generator to them in turn.
+    the caller included (see :func:`~levy_info.rng.map_ordered`).  Each run
+    is sampled in place into its rows of ``x`` and ``xi``; the studies
+    sample the same runs into run-sized storage and fold each one on its
+    worker instead, so a study that reduces the paths holds no
+    (n_paths, len(grid)) matrix and draws the same variates.
+    """
+    return _fold_runs(model, prior, grid, n_paths, seed, tag)
+
+
+def _fold_runs(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: int, seed: int, tag: int, fold=None):
+    """The ensemble of :func:`simulate_ensemble`, with its checks, one run of
+    chunks per thread item.
+
+    With ``fold``, each item samples its run into run-sized storage, then
+    calls ``fold(sl, messages, rows)`` on the same thread, where ``sl`` is
+    the run's slice of the paths, ``messages`` its (count,) messages and
+    ``rows`` its (count, len(grid)) values; the fold results come back in
+    run order, and a fold that raises raises as an item would (see
+    :func:`~levy_info.rng.map_ordered`).  Without one, each run is sampled
+    into its rows of the n-path outputs, returned as ``(x, xi)``.  The keys
+    of every chunk and interval are computed before any item runs, one hash
+    pass per ``_BLOCK`` intervals.
     """
     check_compatibility(prior, model)
     n_paths = _count(n_paths, "n_paths")
@@ -183,32 +202,34 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
     dts = np.diff(grid.times)
     runs = _runs(n_paths)
     chunk_ids = np.arange(sum(map(len, runs)))[:, None]
-    x = np.empty(n_paths)
-    xi = np.zeros((n_paths, len(grid)))
     # a one-atom prior names every message; no other draw reads interval 0
     first = 1 if len(prior) == 1 else 0
-    if first:
-        x[:] = prior.positions[0]
+    keys = np.empty((chunk_ids.size, len(grid), 2), dtype=np.uint64)
+    for start in range(first, len(grid), _BLOCK):
+        stop = min(len(grid), start + _BLOCK)
+        keys[:, start:stop] = stream_keys(seed, tag, chunk_ids, np.arange(start, stop)[None, :])
+    if fold is None:
+        x, xi = np.empty(n_paths), np.zeros((n_paths, len(grid)))
 
-    def run_chunks(run):  # the intervals of the current block, under its keys
+    def sample_run(run):
         sl = slice(run[0][1].start, run[-1][1].stop)
         count = sl.stop - sl.start
-        messages = x[sl]
-        acc = xi[sl, max(block[0] - 1, 0)].copy()
+        messages, rows = (x[sl], xi[sl]) if fold is None else (np.empty(count), np.zeros((count, len(grid))))
+        if first:
+            messages[:] = prior.positions[0]
+        acc = np.zeros(count)
         streams = _RunStreams(run)
-        for col, j in enumerate(block):
-            gen = streams.reset(keys[:, col])
+        for j in range(first, len(grid)):
+            gen = streams.reset(keys[:, j])
             if j == 0:
                 messages[:] = sample_messages(prior, count, gen)
             else:
                 acc += increment_draws(model, messages, dts[j - 1], gen, count)
-                xi[sl, j] = acc
+                rows[:, j] = acc
+        return None if fold is None else fold(sl, messages, rows)
 
-    for start in range(first, len(grid), _BLOCK):
-        block = range(start, min(len(grid), start + _BLOCK))
-        keys = stream_keys(seed, tag, chunk_ids, np.array(block)[None, :])
-        map_ordered(run_chunks, runs)
-    return x, xi
+    folded = map_ordered(sample_run, runs)
+    return (x, xi) if fold is None else folded
 
 
 def _construction(model: NoiseModel, rep: str):

@@ -108,8 +108,22 @@ def _samples(x, least: int) -> np.ndarray:
 
 def mean_stderr(x) -> tuple:
     """Sample mean and its standard error (ddof=1)."""
-    x = _samples(x, 2)
-    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
+    return _mean_stderr(_samples(x, 2))
+
+
+def _mean_stderr(x: np.ndarray, out: np.ndarray | None = None) -> tuple:
+    """:func:`mean_stderr` of a 1-D float array, its squared deviations
+    formed in ``out`` when given, which may be ``x`` itself.
+
+    The mean is summed once; the steps are those of numpy's ``mean`` and
+    ``std(ddof=1)`` (sum, divide; subtract, square, sum, divide, sqrt), so
+    the bits are those of ``x.mean()`` and ``x.std(ddof=1) / sqrt(n)``.
+    """
+    n = x.size
+    mean = np.add.reduce(x) / n
+    dev = np.subtract(x, mean, out=out)
+    np.square(dev, out=dev)
+    return float(mean), float(np.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n))
 
 
 def _centred_k_statistics(shift: float, xc: np.ndarray) -> tuple:

@@ -299,6 +299,25 @@ def test_set_does_not_leak_between_invocations():
     assert config["model"] == {"family": "Brownian", "params": []}
 
 
+def test_one_parser_serves_a_run_of_invocations():
+    argvs = [
+        ["simulate", "--paths", "2", "--set", "grid.steps=3"],
+        ["simulate", "--set", "grid.steps"],
+        ["filter", "--set", "grid.steps=5", "--weights"],
+        ["experiment", "nosuch"],
+        ["experiment", "esscher", "--paths", "2000", "--seed", "1"],
+        ["--version"],
+    ]
+    first = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        first.append(run_cli(argv))
+    assert [code for code, _, _ in first] == [0, 1, 0, 1, 0, 0]
+    cli._parser.cache_clear()
+    assert [run_cli(argv) for argv in argvs] == first
+    assert cli._parser() is cli._parser()
+
+
 # ---------------------------------------------------------------------------
 # configuration surface
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levy_info as li
-from conftest import FAMILY_PARAMS, window
+from conftest import FAMILY_PARAMS, interior_grid, window
 from levy_info import experiments
 from levy_info.experiments import _exceed_thresholds
 from levy_info.noise import inverse_marginal_clamped
 from levy_info.prior import MARGIN
+from levy_info.rng import CHUNK
 
 
 def rows_by_name(report):
@@ -70,6 +71,39 @@ def test_convergence_study_deterministic_and_validated():
     for epsilon in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(li.InvalidParameter, match="epsilon"):
             li.convergence_study(model, prior, [1.0], 1500, seed=63, epsilon=epsilon)
+
+
+def materialized_convergence_rows(model, prior, times, n_paths, seed, epsilon=0.5):
+    """The convergence rows from the whole (n_paths, len(grid)) ensemble, one
+    new array per step: the reference the run-by-run fold must reproduce."""
+    messages, xi = li.simulate_ensemble(model, prior, li.TimeGrid(np.concatenate(([0.0], times))), n_paths, seed)
+    idx = np.searchsorted(prior.positions, messages)
+    d1, d2, _ = li.exponent_derivatives(model, prior.positions)
+    hi, lo = (side[idx] for side in _exceed_thresholds(model, prior.positions, epsilon))
+    reference_d2 = float(prior.weights @ d2)
+    rows = []
+    for j, t in enumerate(times, start=1):
+        rate = xi[:, j] / t
+        sq = (rate - d1[idx]) ** 2
+        est, se, ref = float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n_paths)), reference_d2 / t
+        rows.append(li.StudyRow(f"mse[t={t:g}]", est, ref, se, li.zscore(est, ref, se)))
+        p = float(((rate >= hi) | (rate <= lo)).mean())
+        se_p = math.sqrt(p * (1.0 - p) / n_paths)
+        rows.append(li.StudyRow(f"exceed[t={t:g},eps={epsilon:g}]", p, math.nan, se_p, math.nan))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("one_atom", [False, True])
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+def test_convergence_rows_are_those_of_the_whole_ensemble(family, one_atom, monkeypatch):
+    model = li.make_noise_model(family, FAMILY_PARAMS[family])
+    a, b = interior_grid(model, 4)[1:3]
+    prior = li.prior_from_atoms([(a, 1.0)] if one_atom else [(a, 0.4), (b, 0.6)])
+    times = np.array([0.5, 1.0, 4.0, 16.0])
+    want = repr(materialized_convergence_rows(model, prior, times, 9 * CHUNK + 17, 31))
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("LEVY_INFO_THREADS", threads)
+        assert repr(li.convergence_study(model, prior, times, 9 * CHUNK + 17, 31).rows) == want
 
 
 def inversion_exceeds(model, atom, epsilon, rates):
@@ -325,14 +359,19 @@ def test_esscher_rejects_boundary_tilt():
 
 def test_esscher_and_bridge_draw_through_the_ensemble_at_tags_1_and_2(monkeypatch):
     # both Esscher sides are the ensemble at the message 0 under one key, so
-    # they share their random numbers; the bridge is one ensemble on its clock
+    # they share their random numbers; the bridge is one ensemble on its
+    # clock; the Esscher sides are folded run by run, the bridge's is whole
     calls = []
 
-    def recording(model, prior, grid, n_paths, seed, tag=0):
-        calls.append((model, prior.positions.tolist(), grid.times.tolist(), n_paths, seed, tag))
-        return li.simulate_ensemble(model, prior, grid, n_paths, seed, tag)
+    def recording(sample):
+        def record(model, prior, grid, n_paths, seed, tag=0, *fold):
+            calls.append((model, prior.positions.tolist(), grid.times.tolist(), n_paths, seed, tag))
+            return sample(model, prior, grid, n_paths, seed, tag, *fold)
 
-    monkeypatch.setattr(experiments, "simulate_ensemble", recording)
+        return record
+
+    monkeypatch.setattr(experiments, "simulate_ensemble", recording(li.simulate_ensemble))
+    monkeypatch.setattr(experiments, "_fold_runs", recording(experiments._fold_runs))
     gamma = li.make_noise_model("Gamma", (1.0, 1.0))
     li.esscher_consistency_study(gamma, 0.25, 1.5, 1000, seed=5)
     li.bridge_study(gamma, 0.3, 2.0, 0.5, 1.0, 1000, seed=6)
@@ -457,7 +496,7 @@ def test_study_threshold_is_checked_before_sampling(name, threshold, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before the threshold was checked")
 
-    for sampler in ("simulate_ensemble", "representation_draws"):
+    for sampler in ("simulate_ensemble", "_fold_runs", "representation_draws"):
         monkeypatch.setattr(experiments, sampler, refuse)
     with pytest.raises(li.InvalidParameter, match="threshold"):
         _study_at(name, threshold)

@@ -192,6 +192,13 @@ def test_only_rng_starts_threads():
     assert uses_outside_rng({"ThreadPoolExecutor", "Thread", "concurrent"}) == {}
 
 
+def test_only_simulate_draws_keyed_streams():
+    # simulate._fold_runs is the one loop that samples an ensemble's runs of
+    # chunks, and representation_draws the one other keyed draw; a study
+    # drawing streams itself would be a second sampling loop
+    assert set(uses_outside_rng({"_RunStreams", "_runs", "stream_keys", "keyed_stream"})) == {"simulate.py"}
+
+
 def test_name_lint_sees_imports_calls_and_attributes():
     source = ("from .rng import stream\n"
               "from . import simulate as sim\n"

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import levy_info as li
 from conftest import FAMILY_PARAMS, interior_grid
 from levy_info.noise import _logarithmic_draws
-from levy_info.rng import CHUNK, _chunks, stream, stream_keys
+from levy_info.rng import CHUNK, _chunks, _runs, stream, stream_keys
+from levy_info.simulate import _fold_runs
 
 
 def degenerate(x):
@@ -192,28 +193,71 @@ ORACLE_CASES = [(family, params, 0.0, False) for family, params in sorted(FAMILY
 ]
 
 
-@pytest.mark.parametrize("family, params, drift, one_atom", ORACLE_CASES)
-def test_runs_of_chunks_draw_what_each_chunk_draws_from_its_own_streams(family, params, drift, one_atom):
-    # the oracle draws chunk by chunk, each interval from (seed, tag, chunk,
-    # interval); 10 chunks make runs of 4, 4, 2 at 1 and 2 threads and of
-    # 3, 3, 3, 1 at 3
-    model = li.make_noise_model(family, params, drift=drift)
-    a, b = interior_grid(model, 4)[1:3]
-    prior = degenerate(a) if one_atom else li.prior_from_atoms([(a, 0.4), (b, 0.6)])
-    grid = li.TimeGrid([0.0, 0.5, 1.5, 4.0])
-    n, seed, tag = 9 * CHUNK + 17, 12, 3
+def per_chunk_oracle(model, prior, grid, n, seed, tag):
+    """The ensemble drawn chunk by chunk, each interval from its own
+    (seed, tag, chunk, interval) stream, one new Generator per stream."""
     x, xi = np.empty(n), np.zeros((n, len(grid)))
     for c, sl in _chunks(n):
         count = sl.stop - sl.start
-        x[sl] = a if one_atom else li.sample_messages(prior, count, stream(seed, tag, c, 0))
+        x[sl] = prior.positions[0] if len(prior) == 1 else li.sample_messages(prior, count, stream(seed, tag, c, 0))
         for j, dt in enumerate(np.diff(grid.times), 1):
             xi[sl, j] = xi[sl, j - 1] + li.increment_draws(model, x[sl], dt, stream(seed, tag, c, j), count)
+    return x, xi
+
+
+def folded(model, prior, grid, n, seed, tag):
+    """The ensemble put together from what ``_fold_runs`` hands its fold,
+    after checking that the runs come in order and cover the paths."""
+    runs = _fold_runs(model, prior, grid, n, seed, tag, lambda sl, x, rows: (sl, x.copy(), rows.copy()))
+    assert [sl.start for sl, _, _ in runs] == [0] + [sl.stop for sl, _, _ in runs[:-1]] and runs[-1][0].stop == n
+    return np.concatenate([x for _, x, _ in runs]), np.concatenate([rows for _, _, rows in runs])
+
+
+def assert_both_routes_draw_the_oracle(family, params, drift, one_atom, n, grid):
+    # the ensemble is sampled in place, the fold gets each run in run-sized
+    # storage; at every worker count both must draw what the oracle draws
+    model = li.make_noise_model(family, params, drift=drift)
+    a, b = interior_grid(model, 4)[1:3]
+    prior = degenerate(a) if one_atom else li.prior_from_atoms([(a, 0.4), (b, 0.6)])
+    seed, tag = 12, 3
+    x, xi = per_chunk_oracle(model, prior, grid, n, seed, tag)
     for threads in ("1", "2", "3"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("LEVY_INFO_THREADS", threads)
-            got_x, got_xi = li.simulate_ensemble(model, prior, grid, n, seed, tag)
-        np.testing.assert_array_equal(got_x, x)
-        np.testing.assert_array_equal(got_xi, xi)
+            for got_x, got_xi in (li.simulate_ensemble(model, prior, grid, n, seed, tag),
+                                  folded(model, prior, grid, n, seed, tag)):
+                np.testing.assert_array_equal(got_x, x)
+                np.testing.assert_array_equal(got_xi, xi)
+
+
+@pytest.mark.parametrize("family, params, drift, one_atom", ORACLE_CASES)
+def test_runs_of_chunks_draw_what_each_chunk_draws_from_its_own_streams(family, params, drift, one_atom):
+    # 10 chunks make runs of 4, 4, 2 at 1 and 2 threads and of 3, 3, 3, 1 at 3
+    grid = li.TimeGrid([0.0, 0.5, 1.5, 4.0])
+    assert_both_routes_draw_the_oracle(family, params, drift, one_atom, 9 * CHUNK + 17, grid)
+
+
+@pytest.mark.parametrize("family, params, drift, one_atom", ORACLE_CASES)
+def test_runs_carry_their_sums_across_blocks_of_keys(family, params, drift, one_atom):
+    # 5000 intervals take the keys of two blocks of _BLOCK intervals, and
+    # each path's sum runs on across the block edge
+    assert_both_routes_draw_the_oracle(family, params, drift, one_atom, 3, li.TimeGrid.regular(50.0, 5000))
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_a_failing_fold_raises_the_error_of_the_lowest_failing_run(threads, monkeypatch):
+    # every run but the first fails; whichever thread fails first, the
+    # error is the second run's, as in a serial loop over the runs
+    monkeypatch.setenv("LEVY_INFO_THREADS", threads)
+    model = li.make_noise_model("Gamma", (1.0, 1.0))
+    n = 9 * CHUNK + 17
+
+    def fold(sl, x, rows):
+        if sl.start:
+            raise ValueError(f"run at {sl.start}")
+
+    with pytest.raises(ValueError, match=f"^run at {_runs(n)[1][0][1].start}$"):
+        _fold_runs(model, degenerate(0.5), li.TimeGrid([0.0, 1.0]), n, 1, 0, fold)
 
 
 def test_chunks_cover_the_paths_in_order():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levy_info as li
+from levy_info.stats import _mean_stderr
 
 
 def brute_force_jackknife_se(x, statistic):
@@ -34,6 +35,20 @@ def test_mean_stderr_known_values():
     mean, se = li.mean_stderr([1.0, 2.0, 3.0, 4.0])
     assert mean == pytest.approx(2.5)
     assert se == pytest.approx(math.sqrt((5.0 / 3.0) / 4.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 8, 9, 128, 129, 4096, 100_003]), offset=st.sampled_from([0.0, -3.5, 1e6, 1e12]),
+       scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1), column=st.integers(0, 3))
+def test_mean_stderr_sums_once_to_numpys_bits(n, offset, scale, seed, column):
+    # the in-place form runs on a row of a 2-D scratch array, as the
+    # convergence study's rows are, at any alignment of the row's start
+    x = offset + scale * np.random.default_rng(seed).standard_normal(n)
+    want = (float(x.mean()), float(x.std(ddof=1) / math.sqrt(n)))
+    assert li.mean_stderr(x) == want
+    scratch = np.empty(n + 3)[column:column + n]
+    scratch[:] = x
+    assert _mean_stderr(scratch, scratch) == want
 
 
 def test_k_statistics_symmetric_sample():
