@@ -35,7 +35,7 @@ parameters in canonical order, or a plain value:
     fixed          standard-form values of trailing parameters the user does
                    not give (VarianceGamma mu = 0, sigma = 1)
     psi            psi0(a) for real or complex numpy a (principal branches)
-    dpsi, d2psi, d3psi   its first three derivatives, real a
+    derivatives    (psi0'(a), psi0''(a), psi0'''(a)) for real numpy a
     domain         the admissible set A
     inverse        the closed-form inverse of psi0' on its range, which runs
                    from psi0' at the lower end of A to +inf
@@ -177,9 +177,7 @@ class _Family:
     """One noise family; the fields are described in the module docstring."""
 
     psi: Callable
-    dpsi: Callable
-    d2psi: Callable
-    d3psi: Callable
+    derivatives: Callable
     domain: Callable
     inverse: Callable
     tilt: Callable
@@ -226,17 +224,18 @@ def _vg_ends(m, mu, sigma):
     return (-mu - root) / sigma**2, (-mu + root) / sigma**2
 
 
-def _vg(fn):
-    """A VarianceGamma derivative written in d and n = mu + sigma^2 a.
+def _vg_derivatives(a, m, mu, sigma):
+    """The VarianceGamma derivatives, written in d and n = mu + sigma^2 a.
 
     d is taken as sigma^2 / 2m times the distances from a to the two ends of
     A: positive at every float inside A, where ``_vg_d`` cancels to 0 next
     to an end.
     """
-    def derivative(a, m, mu, sigma):
-        lo, hi = _vg_ends(m, mu, sigma)
-        return fn(0.5 * sigma * sigma / m * (a - lo) * (hi - a), mu + sigma * sigma * a, m, sigma)
-    return derivative
+    lo, hi = _vg_ends(m, mu, sigma)
+    d = 0.5 * sigma * sigma / m * (a - lo) * (hi - a)
+    n = mu + sigma * sigma * a
+    return (n / d, (sigma * sigma * d + n * n / m) / (d * d),
+            n * (3.0 * sigma * sigma * d * m + 2.0 * n * n) / (m * m * d**3))
 
 
 def _vg_domain(m, mu, sigma):
@@ -299,9 +298,10 @@ def _vg_triplet(m, mu, sigma):
     return comp, 0.0, (m, k1, k2), ()
 
 
-def _nb(fn):
-    """A NegativeBinomial derivative written in u = q e^a."""
-    return lambda a, m, q: fn(m, q * np.exp(a))
+def _nb_derivatives(a, m, q):
+    """The NegativeBinomial derivatives, written in u = q e^a."""
+    u = q * np.exp(a)
+    return m * u / (1.0 - u), m * u / (1.0 - u) ** 2, m * u * (1.0 + u) / (1.0 - u) ** 3
 
 
 def _nb_sample(x, dt, rng, size, m, q):
@@ -357,12 +357,13 @@ def _nb_atoms(m: float, q: float) -> tuple:
     return tuple(atoms)
 
 
-def _nig(fn):
-    """A NormalInverseGaussian derivative written in s = b + w and
-    a^2 - s^2, the latter as the product of the distances from w to the ends
-    of A: positive at every float inside A, where b + w may round onto -a or
-    a next to an end."""
-    return lambda w, a, b, m: fn(b + w, ((a - b) - w) * (w + (a + b)), a, m)
+def _nig_derivatives(w, a, b, m):
+    """The NormalInverseGaussian derivatives, written in s = b + w and
+    q = a^2 - s^2, the latter as the product of the distances from w to the
+    ends of A: positive at every float inside A, where b + w may round onto
+    -a or a next to an end."""
+    s, q = b + w, ((a - b) - w) * (w + (a + b))
+    return m * s / np.sqrt(q), m * a * a * q ** (-1.5), 3.0 * m * a * a * s * q ** (-2.5)
 
 
 def _nig_sample(x, dt, rng, size, a, b, m):
@@ -416,9 +417,7 @@ def _nig_density(z, a, b, m):
 _FAMILIES = {
     BROWNIAN: _Family(
         psi=lambda a: 0.5 * a * a,
-        dpsi=lambda a: a,
-        d2psi=np.ones_like,
-        d3psi=np.zeros_like,
+        derivatives=lambda a: (a, np.ones_like(a), np.zeros_like(a)),
         domain=lambda: Interval(-math.inf, math.inf),
         inverse=lambda y: y,
         tilt=lambda lam, drift: ((), drift + lam),
@@ -430,9 +429,8 @@ _FAMILIES = {
         names=("m",),
         rules=((lambda m: m > 0, "rate m must be > 0"),),
         psi=lambda a, m: m * np.expm1(a),
-        dpsi=lambda a, m: m * np.exp(a),
-        d2psi=lambda a, m: m * np.exp(a),
-        d3psi=lambda a, m: m * np.exp(a),
+        # all three are m e^a, one row each, so that no two share memory
+        derivatives=lambda a, m: tuple(np.repeat([m * np.exp(a)], 3, axis=0)),
         domain=lambda m: Interval(-math.inf, math.inf),
         inverse=lambda y, m: np.log(y / m),
         tilt=lambda lam, drift, m: ((m * math.exp(lam),), drift),
@@ -446,9 +444,8 @@ _FAMILIES = {
         names=("m", "kappa"),
         rules=((lambda m, k: m > 0, "rate m must be > 0"), (lambda m, k: k > 0, "scale kappa must be > 0")),
         psi=lambda a, m, k: -m * np.log1p(-k * a),
-        dpsi=lambda a, m, k: m * k / (1.0 - k * a),
-        d2psi=lambda a, m, k: m * k * k / (1.0 - k * a) ** 2,
-        d3psi=lambda a, m, k: 2.0 * m * k**3 / (1.0 - k * a) ** 3,
+        derivatives=lambda a, m, k: (m * k / (1.0 - k * a), m * k * k / (1.0 - k * a) ** 2,
+                                     2.0 * m * k**3 / (1.0 - k * a) ** 3),
         domain=lambda m, k: Interval(-math.inf, 1.0 / k),
         inverse=lambda y, m, k: 1.0 / k - m / y,
         tilt=lambda lam, drift, m, k: ((m, k / (1.0 - k * lam)), drift),
@@ -464,9 +461,7 @@ _FAMILIES = {
         names=("m", "mu", "sigma"),
         rules=((lambda m, mu, sigma: m > 0, "rate m must be > 0"),),
         psi=lambda a, m, mu, sigma: -m * np.log1p(-(mu * a + 0.5 * sigma * sigma * a * a) / m),
-        dpsi=_vg(lambda d, n, m, sigma: n / d),
-        d2psi=_vg(lambda d, n, m, sigma: (sigma * sigma * d + n * n / m) / (d * d)),
-        d3psi=_vg(lambda d, n, m, sigma: n * (3.0 * sigma * sigma * d * m + 2.0 * n * n) / (m * m * d**3)),
+        derivatives=_vg_derivatives,
         domain=_vg_domain,
         inverse=_vg_inverse,
         tilt=_vg_tilt,
@@ -484,9 +479,7 @@ _FAMILIES = {
         rules=((lambda m, q: m > 0, "rate m must be > 0"),
                (lambda m, q: 0.0 < q < 1.0, "q must lie in (0, 1)")),
         psi=lambda a, m, q: m * (np.log1p(-q) - np.log1p(-q * np.exp(a))),
-        dpsi=_nb(lambda m, u: m * u / (1.0 - u)),
-        d2psi=_nb(lambda m, u: m * u / (1.0 - u) ** 2),
-        d3psi=_nb(lambda m, u: m * u * (1.0 + u) / (1.0 - u) ** 3),
+        derivatives=_nb_derivatives,
         domain=lambda m, q: Interval(-math.inf, -math.log(q)),
         inverse=lambda y, m, q: np.log(y) - np.log(q * (m + y)),
         tilt=lambda lam, drift, m, q: ((m, q * math.exp(lam)), drift),
@@ -501,9 +494,8 @@ _FAMILIES = {
         names=("a", "b"),
         rules=((lambda a, b: a > 0, "a must be > 0"), (lambda a, b: b > 0, "b must be > 0")),
         psi=lambda w, a, b: a * (b - np.sqrt(b * b - 2.0 * w)),
-        dpsi=lambda w, a, b: a / np.sqrt(b * b - 2.0 * w),
-        d2psi=lambda w, a, b: a * (b * b - 2.0 * w) ** (-1.5),
-        d3psi=lambda w, a, b: 3.0 * a * (b * b - 2.0 * w) ** (-2.5),
+        derivatives=lambda w, a, b: (a / np.sqrt(b * b - 2.0 * w), a * (b * b - 2.0 * w) ** (-1.5),
+                                     3.0 * a * (b * b - 2.0 * w) ** (-2.5)),
         domain=lambda a, b: Interval(0.0, 0.5 * b**2, lo_open=False),
         inverse=lambda y, a, b: 0.5 * (b * b - (a / y) ** 2),
         tilt=lambda lam, drift, a, b: ((a, math.sqrt(b * b - 2.0 * lam)), drift),
@@ -521,9 +513,7 @@ _FAMILIES = {
         rules=((lambda a, b, m: a > 0, "a must be > 0"), (lambda a, b, m: abs(b) < a, "requires |b| < a"),
                (lambda a, b, m: m > 0, "m must be > 0")),
         psi=lambda w, a, b, m: m * (math.sqrt(a * a - b * b) - np.sqrt(a * a - (b + w) * (b + w))),
-        dpsi=_nig(lambda s, q, a, m: m * s / np.sqrt(q)),
-        d2psi=_nig(lambda s, q, a, m: m * a * a * q ** (-1.5)),
-        d3psi=_nig(lambda s, q, a, m: 3.0 * m * a * a * s * q ** (-2.5)),
+        derivatives=_nig_derivatives,
         domain=lambda a, b, m: Interval(-a - b, a - b),
         inverse=lambda y, a, b, m: a * y / np.hypot(m, y) - b,
         tilt=lambda lam, drift, a, b, m: ((a, b + lam, m), drift),
@@ -722,8 +712,8 @@ def exponent_derivatives(model: NoiseModel, alpha) -> tuple:
     OutOfDomain
     """
     a = np.asarray(_check_domain(model, alpha), dtype=float)
-    rec, p = _FAMILIES[model.family], model.params
-    return _shaped(rec.dpsi(a, *p) + model.drift), _shaped(rec.d2psi(a, *p)), _shaped(rec.d3psi(a, *p))
+    d1, d2, d3 = _FAMILIES[model.family].derivatives(a, *model.params)
+    return _shaped(d1 + model.drift), _shaped(d2), _shaped(d3)
 
 
 def marginal_range(model: NoiseModel) -> Interval:
@@ -734,8 +724,8 @@ def marginal_range(model: NoiseModel) -> Interval:
     NormalInverseGaussian psi0' is -inf.
     """
     rec = _FAMILIES[model.family]
-    with np.errstate(divide="ignore"):
-        lo = float(rec.dpsi(np.asarray(rec.domain(*model.params).lo), *model.params))
+    with np.errstate(all="ignore"):  # psi0'' and psi0''' are inf or nan at an end of A
+        lo = float(rec.derivatives(np.asarray(rec.domain(*model.params).lo), *model.params)[0])
     return Interval(lo + model.drift if math.isfinite(lo) else lo, math.inf)
 
 

@@ -3,6 +3,7 @@ source rules the study modules keep."""
 
 import ast
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -16,6 +17,7 @@ import pytest
 
 import levy_info as li
 from levy_info.cli import main
+from levy_info.noise import _Family
 from levy_info.rng import worker_count
 from conftest import FAMILY_PARAMS
 
@@ -406,17 +408,22 @@ def field_readers(source, fields):
 
 def test_each_exponent_quantity_is_one_function():
     # psi0 and the inverse of psi0' are each read from the family record by
-    # one function, behind its check; an unchecked twin of a checked
-    # function, or a stored copy of a quantity derived from the record, is a
-    # second definition
+    # one function, behind its check, and the three derivatives by
+    # exponent_derivatives and by marginal_range, which takes psi0' at an end
+    # of A; an unchecked twin of a checked function, or a stored copy of a
+    # quantity derived from the record, is a second definition
     sources = package_sources()
     twins = [f"{file}:{node.lineno}: {node.name}" for file, source in sources.items()
              for node in ast.walk(ast.parse(source))
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.endswith("_unchecked")]
     assert twins == []
-    readers = field_readers(sources["noise.py"], ("psi", "inverse"))
+    readers = field_readers(sources["noise.py"], ("psi", "inverse", "derivatives"))
+    assert readers.pop("derivatives") == {"exponent_derivatives", "marginal_range"}
     assert all(len(names) == 1 for names in readers.values()), readers
     assert [file for file, source in sources.items() if "range_lo" in source] == []
+    # one record field returns all three derivatives
+    fields = {f.name for f in dataclasses.fields(_Family)}
+    assert "derivatives" in fields and not fields & {"dpsi", "d2psi", "d3psi"}
 
 
 def test_field_reader_lint_sees_every_reader():
