@@ -58,6 +58,13 @@ Only ``tilt`` sees the drift: the public functions look the record up and
 add ``drift * alpha`` (``drift``, ``drift * dt``) and the shape handling.
 The law given X = x is the x-tilted model, so a sampler or construction
 written in the record's parameters serves every tilted model.
+
+A power of a value that may be a numpy scalar is written as products and
+``np.sqrt`` (``r * r``, ``q * np.sqrt(q)``), never ``**``: numpy takes ``**``
+of a numpy scalar from the C library's ``pow`` and of an array (0-d too) from
+its own SIMD loops, which round differently, whereas products and square
+roots give a scalar the bits of the matching array element.  Powers of
+Python floats (``k**3``) may stay.
 """
 
 from __future__ import annotations
@@ -235,7 +242,7 @@ def _vg_derivatives(a, m, mu, sigma):
     d = 0.5 * sigma * sigma / m * (a - lo) * (hi - a)
     n = mu + sigma * sigma * a
     return (n / d, (sigma * sigma * d + n * n / m) / (d * d),
-            n * (3.0 * sigma * sigma * d * m + 2.0 * n * n) / (m * m * d**3))
+            n * (3.0 * sigma * sigma * d * m + 2.0 * n * n) / (m * m * (d * d * d)))
 
 
 def _vg_domain(m, mu, sigma):
@@ -301,7 +308,8 @@ def _vg_triplet(m, mu, sigma):
 def _nb_derivatives(a, m, q):
     """The NegativeBinomial derivatives, written in u = q e^a."""
     u = q * np.exp(a)
-    return m * u / (1.0 - u), m * u / (1.0 - u) ** 2, m * u * (1.0 + u) / (1.0 - u) ** 3
+    v = 1.0 - u
+    return m * u / v, m * u / (v * v), m * u * (1.0 + u) / (v * v * v)
 
 
 def _nb_sample(x, dt, rng, size, m, q):
@@ -363,7 +371,8 @@ def _nig_derivatives(w, a, b, m):
     ends of A: positive at every float inside A, where b + w may round onto
     -a or a next to an end."""
     s, q = b + w, ((a - b) - w) * (w + (a + b))
-    return m * s / np.sqrt(q), m * a * a * q ** (-1.5), 3.0 * m * a * a * s * q ** (-2.5)
+    r = np.sqrt(q)
+    return m * s / r, m * a * a / (q * r), 3.0 * m * a * a * s / (q * q * r)
 
 
 def _nig_sample(x, dt, rng, size, a, b, m):
@@ -444,8 +453,7 @@ _FAMILIES = {
         names=("m", "kappa"),
         rules=((lambda m, k: m > 0, "rate m must be > 0"), (lambda m, k: k > 0, "scale kappa must be > 0")),
         psi=lambda a, m, k: -m * np.log1p(-k * a),
-        derivatives=lambda a, m, k: (m * k / (1.0 - k * a), m * k * k / (1.0 - k * a) ** 2,
-                                     2.0 * m * k**3 / (1.0 - k * a) ** 3),
+        derivatives=lambda a, m, k: (m * k / (r := 1.0 - k * a), m * k * k / (r * r), 2.0 * m * k**3 / (r * r * r)),
         domain=lambda m, k: Interval(-math.inf, 1.0 / k),
         inverse=lambda y, m, k: 1.0 / k - m / y,
         tilt=lambda lam, drift, m, k: ((m, k / (1.0 - k * lam)), drift),
@@ -494,10 +502,9 @@ _FAMILIES = {
         names=("a", "b"),
         rules=((lambda a, b: a > 0, "a must be > 0"), (lambda a, b: b > 0, "b must be > 0")),
         psi=lambda w, a, b: a * (b - np.sqrt(b * b - 2.0 * w)),
-        derivatives=lambda w, a, b: (a / np.sqrt(b * b - 2.0 * w), a * (b * b - 2.0 * w) ** (-1.5),
-                                     3.0 * a * (b * b - 2.0 * w) ** (-2.5)),
+        derivatives=lambda w, a, b: (a / (r := np.sqrt(s := b * b - 2.0 * w)), a / (s * r), 3.0 * a / (s * s * r)),
         domain=lambda a, b: Interval(0.0, 0.5 * b**2, lo_open=False),
-        inverse=lambda y, a, b: 0.5 * (b * b - (a / y) ** 2),
+        inverse=lambda y, a, b: 0.5 * (b * b - (a / y) * (a / y)),
         tilt=lambda lam, drift, a, b: ((a, math.sqrt(b * b - 2.0 * lam)), drift),
         # the Michael-Schucany-Haas inverse gaussian draw with the tilted mean
         sample=lambda x, dt, rng, size, a, b: _ig_draws(a * dt / np.sqrt(b * b - 2.0 * x), a * dt * (a * dt),
@@ -823,7 +830,7 @@ def esscher_transform(model: NoiseModel, lam: float) -> NoiseModel:
     return NoiseModel(model.family, params, drift)
 
 
-def sheffer_polynomials(model: NoiseModel, xi: float, t: float) -> tuple:
+def sheffer_polynomials(model: NoiseModel, xi, t) -> tuple:
     """Evaluate the first three Sheffer martingale polynomials at (xi, t).
 
     With p1 = psi0'(0), p2 = psi0''(0), p3 = psi0'''(0) and u = xi - p1 t:
@@ -833,17 +840,17 @@ def sheffer_polynomials(model: NoiseModel, xi: float, t: float) -> tuple:
         Q3 = (u^3 - 3 p2 t u - p3 t) / 6
 
     Each of Q1(xi_t, t), Q2(xi_t, t), Q3(xi_t, t) is a martingale under the
-    fiducial measure.
+    fiducial measure.  ``xi`` is a scalar or an array and ``t`` broadcasts
+    to it; each Q is a float, or an array of the shape of ``xi``.
 
     Raises
     ------
     NonFiniteValue, InvalidParameter, OffSupport
         As :func:`check_observation`.
     """
-    xi, t = map(float, check_observation(model, xi, t))
+    xi, t = check_observation(model, xi, t)
     p1, p2, p3 = exponent_derivatives(model, 0.0)
     u = xi - p1 * t
-    q1 = u
     q2 = 0.5 * (u * u - p2 * t)
-    q3 = (u**3 - 3.0 * p2 * t * u - p3 * t) / 6.0
-    return q1, q2, q3
+    q3 = (u * u * u - 3.0 * p2 * t * u - p3 * t) / 6.0
+    return _shaped(u), _shaped(q2), _shaped(q3)

@@ -112,27 +112,70 @@ def test_non_finite_imaginary_part_is_rejected(imag):
         li.conditional_exponent(gamma, 0.25, np.array([alpha, 0.5j]))
 
 
+def bits(values):
+    """The float64 bit patterns of a float or an array, so that -0.0, 0.0 and NaNs compare as bits."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
 def test_exponent_and_derivatives_take_arrays(model):
-    # an array call is the scalar calls stacked, to rounding (numpy's scalar
-    # and array powers and complex products may round differently), and it
-    # checks every entry against A
+    # an array call is the scalar calls stacked, bit for bit for a real
+    # argument and to rounding for a complex one (numpy rounds complex
+    # products of scalars and of arrays differently, see noise._argument),
+    # and it checks every entry against A
     grid = interior_grid(model, 9).reshape(3, 3)
     scalar = lambda fn: np.array([[fn(float(a)) for a in row] for row in grid])
-    close = lambda got, want: np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=1e-300)
     got = li.fiducial_exponent(model, grid)
     assert got.dtype == float and got.shape == grid.shape
-    close(got, scalar(lambda a: li.fiducial_exponent(model, a)))
+    np.testing.assert_array_equal(bits(got), bits(scalar(lambda a: li.fiducial_exponent(model, a))))
     for k, derivative in enumerate(li.exponent_derivatives(model, grid)):
         assert derivative.shape == grid.shape
-        close(derivative, scalar(lambda a: li.exponent_derivatives(model, a)[k]))
+        np.testing.assert_array_equal(bits(derivative), bits(scalar(lambda a: li.exponent_derivatives(model, a)[k])))
     got = li.fiducial_exponent(model, grid + 0.5j)
     assert got.dtype == complex and got.shape == grid.shape
-    close(got, scalar(lambda a: li.fiducial_exponent(model, a + 0.5j)))
+    np.testing.assert_allclose(got, scalar(lambda a: li.fiducial_exponent(model, a + 0.5j)),
+                               rtol=4 * np.finfo(float).eps, atol=1e-300)
     outside = grid.copy()
     outside[1, 2] = np.nan
     for fn in (li.fiducial_exponent, li.exponent_derivatives):
         with pytest.raises(li.OutOfDomain):
             fn(model, outside)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILY_PARAMS)),
+    tilt=st.sampled_from([None, 0.1, 0.5, 0.93]),
+    drift=st.sampled_from([0.0, 0.7, -1.9]),
+    where=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=6),
+)
+def test_a_scalar_is_evaluated_as_the_element_of_an_array(family, tilt, drift, where):
+    # psi0 (real), its three derivatives and I0 of a scalar take the same
+    # bits as the matching element of the call on an array: numpy raises a
+    # scalar and an array to a power through different code, so the records
+    # write every power of a numpy operand as products and square roots
+    model = li.make_noise_model(family, FAMILY_PARAMS[family], drift)
+    if tilt is not None:
+        lo, hi = window(li.admissible_set(model))
+        model = li.esscher_transform(model, lo + tilt * (hi - lo))
+    lo, hi = window(li.admissible_set(model))
+    alpha = lo + np.array(where) * (hi - lo)
+    columns = [li.fiducial_exponent(model, alpha), *li.exponent_derivatives(model, alpha)]
+    rows = [[li.fiducial_exponent(model, a), *li.exponent_derivatives(model, a)] for a in map(float, alpha)]
+    np.testing.assert_array_equal(bits(np.transpose(columns)), bits(rows))
+    inverse, clamped = inverse_marginal_clamped(model, columns[1])
+    scalar = [inverse_marginal_clamped(model, y) for y in map(float, columns[1])]
+    np.testing.assert_array_equal(bits(inverse), bits([i0 for i0, _ in scalar]))
+    assert clamped.tolist() == [flag for _, flag in scalar]
+
+
+def test_poisson_derivatives_are_three_arrays():
+    # the three Poisson derivatives are equal, but a caller may write into one
+    # of them without changing the others
+    derivatives = li.exponent_derivatives(li.make_noise_model("Poisson", (2.0,)), np.linspace(-1.0, 1.0, 5))
+    np.testing.assert_array_equal(derivatives[1], derivatives[2])
+    for i, first in enumerate(derivatives):
+        for second in derivatives[i + 1:]:
+            assert not np.shares_memory(first, second)
 
 
 @pytest.mark.parametrize("alpha", [0.25 + 2j, np.complex128(0.25 + 2j), np.array([0.25 + 2j, 0.5])], ids=repr)
@@ -503,8 +546,18 @@ def test_sheffer_polynomials_have_zero_mean(model):
         pytest.skip("covered by the literal checks above")
     rng = np.random.default_rng(11)
     xi = li.increment_draws(model, 0.0, 1.0, rng, size=40000)
-    vals = np.array([li.sheffer_polynomials(model, float(v), 1.0)
-                     for v in xi])
-    for k in range(3):
-        mean, se = li.mean_stderr(vals[:, k])
+    for q in li.sheffer_polynomials(model, xi, 1.0):
+        mean, se = li.mean_stderr(q)
         assert abs(mean) <= 4.5 * se + 1e-12
+
+
+@pytest.mark.parametrize("drift", [0.0, 0.7])
+def test_sheffer_polynomials_of_an_array_are_the_scalar_calls(model, drift):
+    # t broadcasts to xi, and each element takes the bits of the scalar call
+    model = li.make_noise_model(model.family, FAMILY_PARAMS[model.family], drift)
+    t = np.array([0.5, 1.0, 1.5])
+    xi = li.increment_draws(model, 0.0, t, np.random.default_rng(5), size=(4, 3))
+    got = li.sheffer_polynomials(model, xi, t)
+    want = [[li.sheffer_polynomials(model, float(x), float(s)) for x, s in zip(row, t)] for row in xi]
+    assert all(q.shape == xi.shape for q in got)
+    np.testing.assert_array_equal(bits(np.moveaxis(got, 0, -1)), bits(want))
