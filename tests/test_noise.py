@@ -152,7 +152,7 @@ def test_a_scalar_is_evaluated_as_the_element_of_an_array(family, tilt, drift, w
     # psi0 (real), its three derivatives and I0 of a scalar take the same
     # bits as the matching element of the call on an array: numpy raises a
     # scalar and an array to a power through different code, so the records
-    # write every power of a numpy operand as products and square roots
+    # write such powers as products and square roots
     model = li.make_noise_model(family, FAMILY_PARAMS[family], drift)
     if tilt is not None:
         lo, hi = window(li.admissible_set(model))
