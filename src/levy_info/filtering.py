@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeights, InvalidParameter, _instances, _positive, _real
-from .noise import GAMMA, NoiseModel, check_observation, fiducial_exponent, inverse_marginal_clamped, make_noise_model
+from .noise import (GAMMA, NoiseModel, check_observation, check_scalar_observation, fiducial_exponent,
+                    inverse_marginal_clamped, make_noise_model)
 from .prior import Prior, _frozen, check_compatibility, prior_expectation
 from .rng import map_ordered
 
@@ -86,12 +87,14 @@ def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Po
     one-row case of the kernel of :func:`posterior_expectations`, normalized
     in log space.  At t = 0 the posterior equals the prior exactly.
     ``prior`` may itself be a Posterior: the filter then restarts from it,
-    and (xi, t) is the observation made since.
+    and (xi, t) is the observation made since.  Its weights equal the row of
+    ``posterior_expectations(prior, model, [xi], [t], np.eye(len(prior)))``
+    to rounding, not bitwise: the two sum the weights with different kernels.
 
     Raises
     ------
     NonFiniteValue, InvalidParameter
-        If xi is not finite, or t is negative or not finite.
+        If xi is not finite, t is negative or not finite, or either is not a scalar.
     IncompatibleSupport
         If a prior atom fails :func:`~levy_info.prior.check_compatibility`.
     OffSupport
@@ -101,7 +104,7 @@ def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Po
         If every reweighted atom underflows to zero probability.
     """
     check_compatibility(prior, model)
-    xi, t = map(float, check_observation(model, xi, t))
+    xi, t = check_scalar_observation(model, xi, t)
     if xi == 0.0 and t == 0.0:
         return Posterior(prior.positions, prior.weights, prior.log_weights, xi, t)
     log_w = _log_weights(_coefficients(prior, model), xi, t)[0]
@@ -169,8 +172,8 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
     Raises
     ------
     NonFiniteValue, InvalidParameter
-        If an observation is not finite, a time is negative or not finite,
-        or ``g`` does not have one row per prior atom.
+        If an observation is not finite, a time is negative, not finite or
+        not broadcast to ``xi``, or ``g`` does not have one row per prior atom.
     IncompatibleSupport
         If a prior atom is outside the admissible set.
     OffSupport
@@ -236,11 +239,11 @@ def gamma_linear_filter(theta: float, r: float, m: float, xi: float, t: float) -
     InvalidParameter
         Unless theta, m and r - 1 are positive and finite.
     NonFiniteValue, InvalidParameter, OffSupport
-        As ``noise.check_observation`` under Gamma(m, 1), whose psi0' is Y.
+        As ``noise.check_scalar_observation`` under Gamma(m, 1), whose psi0' is Y.
     """
     theta, m = _positive(theta, "theta"), _positive(m, "m")
     tau = _positive(float(_real(r, "r")) - 1.0, "r - 1") / m
-    xi, t = map(float, check_observation(make_noise_model(GAMMA, (m, 1.0)), xi, t))
+    xi, t = check_scalar_observation(make_noise_model(GAMMA, (m, 1.0)), xi, t)
     return (xi + theta) / (t + tau)
 
 
@@ -269,6 +272,6 @@ def estimate_message(posterior: Posterior, model: NoiseModel, xi: float, t: floa
         xi/t is undefined).
     """
     check_compatibility(posterior, model)
-    xi, t = map(float, check_observation(model, xi, t))
+    xi, t = check_scalar_observation(model, xi, t)
     i0, clamped = inverse_marginal_clamped(model, xi / _positive(t, "t"))
     return MessageEstimate(float(i0), posterior.mean, bool(clamped))

@@ -561,16 +561,20 @@ def _check_times(t, what: str) -> np.ndarray:
 
 def check_observation(model: NoiseModel, xi, t) -> tuple:
     """The one observation check: (xi, t) as float arrays, t broadcast to
-    xi, once xi is finite (NonFiniteValue), t is finite and >= 0
-    (InvalidParameter), and every xi - drift t is a value the family can
-    produce at time t (OffSupport): >= 0 ("nonnegative"), a nonnegative
-    integer ("lattice"), anything ("real"), within ``SUPPORT_RTOL`` where the
-    drift is not zero.
+    xi, once xi is finite (NonFiniteValue), t is finite and >= 0 and
+    broadcasts to xi (InvalidParameter), and every xi - drift t is a value
+    the family can produce at time t (OffSupport): >= 0 ("nonnegative"), a
+    nonnegative integer ("lattice"), anything ("real"), within
+    ``SUPPORT_RTOL`` where the drift is not zero.
     """
     xi = np.asarray(_real(xi, "observation xi"), dtype=float)
     if not np.isfinite(xi).all():
         raise NonFiniteValue(f"observation xi must be finite, got {xi[~np.isfinite(xi)][0]}")
-    t = np.broadcast_to(_check_times(t, "observation time"), xi.shape)
+    t = _check_times(t, "observation time")
+    try:
+        t = np.broadcast_to(t, xi.shape)
+    except ValueError:
+        raise InvalidParameter(f"observation times of shape {t.shape} do not broadcast to xi's {xi.shape}") from None
     support = _FAMILIES[model.family].support
     if support == "real":
         return xi, t
@@ -591,6 +595,14 @@ def check_observation(model: NoiseModel, xi, t) -> tuple:
                 f"xi - drift t must be {'a nonnegative integer' if support == 'lattice' else '>= 0'}"
             )
     return xi, t
+
+
+def check_scalar_observation(model: NoiseModel, xi, t) -> tuple:
+    """:func:`check_observation` of one observation: (xi, t) as floats, once
+    both are scalars (InvalidParameter, checked first)."""
+    if np.ndim(xi) or np.ndim(t):
+        raise InvalidParameter(f"one observation takes a scalar xi and t, got shapes {np.shape(xi)} and {np.shape(t)}")
+    return tuple(map(float, check_observation(model, xi, t)))
 
 
 def make_noise_model(family: str, params=(), drift: float = 0.0) -> NoiseModel:
@@ -846,7 +858,8 @@ def sheffer_polynomials(model: NoiseModel, xi, t) -> tuple:
     Raises
     ------
     NonFiniteValue, InvalidParameter, OffSupport
-        As :func:`check_observation`.
+        As :func:`check_observation`, which also refuses a ``t`` that does
+        not broadcast to ``xi``.
     """
     xi, t = check_observation(model, xi, t)
     p1, p2, p3 = exponent_derivatives(model, 0.0)

@@ -3,13 +3,13 @@
 Streams are counter-based (Philox), and the (seed, key...) stream starts at
 counter 0 under numpy's ``SeedSequence(seed, spawn_key=key)`` key, so any
 (seed, key...) tuple names the same stream no matter when or on which worker
-it is drawn.  Ensemble generators key their streams by (seed, tag, chunk
-index, interval index) with a fixed chunk size, which makes results
-independent of evaluation order and of the worker count.
+it is drawn.  :func:`ensemble_streams` lays out every ensemble's streams,
+keyed by (seed, tag, chunk index, interval index) with a fixed chunk size,
+so results are independent of evaluation order and of the worker count.
 
 A Philox stream is its key and a counter (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11), so :func:`stream_keys` computes the
-keys of many streams in one vectorized pass of the SeedSequence hash, and
+numbers: as easy as 1, 2, 3", SC'11), so :func:`stream_keys` computes an
+ensemble's keys in one vectorized pass of the SeedSequence hash, and
 :func:`keyed_stream` resets a Generator to (key, counter 0) instead of
 building one per stream.
 """
@@ -17,7 +17,6 @@ building one per stream.
 from __future__ import annotations
 
 import collections
-import functools
 import os
 import threading
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidParameter, _count
 
-__all__ = ["stream", "stream_keys", "keyed_stream", "worker_count", "map_ordered", "CHUNK"]
+__all__ = ["stream", "stream_keys", "keyed_stream", "ensemble_streams", "worker_count", "map_ordered", "CHUNK"]
 
 # Paths are generated in fixed-size chunks; the chunk size is part of the
 # reproducibility contract (changing it changes which variates go where).
@@ -33,6 +32,9 @@ CHUNK = 4096
 # An ensemble's thread item is a run of at most this many consecutive chunks,
 # so the samplers' numpy calls are long enough for two threads to overlap.
 RUN = 4
+# An ensemble computes the stream keys of this many intervals at a time, which
+# bounds the hash's temporaries (about 112 bytes per key) on long grids.
+_BLOCK = 4096
 
 # numpy's SeedSequence: a pool of 4 uint32 words, hashed with these constants
 _MASK = 0xFFFFFFFF
@@ -43,15 +45,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 def _chunks(n: int) -> list:
     """(index, slice) of each chunk of ``n`` paths, in order; the last may be short."""
     return [(c, slice(start, min(n, start + CHUNK))) for c, start in enumerate(range(0, n, CHUNK))]
-
-
-def _runs(n: int) -> list:
-    """The chunks of ``n`` paths as runs of up to ``RUN`` consecutive chunks,
-    one run per thread item; shorter runs when there are too few chunks to
-    give every worker an item."""
-    chunks = _chunks(n)
-    size = max(1, min(RUN, len(chunks) // worker_count()))
-    return [chunks[i : i + size] for i in range(0, len(chunks), size)]
 
 
 def _words(n: int) -> list:
@@ -120,21 +113,6 @@ def stream_keys(seed: int, *key) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*halves), axis=-1)
 
 
-@functools.cache
-def _computed_key():
-    """The seed sequence that hands ``Philox`` a computed key; made on first
-    use, since importing numpy.random would add to ``import levy_info``."""
-
-    class ComputedKey(np.random.bit_generator.ISeedSequence):
-        def __init__(self, key):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.key
-
-    return ComputedKey
-
-
 _ZEROS = (0, 0, 0, 0)  # a tuple: the state setter reads it faster than an array
 
 
@@ -143,7 +121,7 @@ def keyed_stream(key, gen=None):
     of :func:`stream_keys`): ``gen`` reset to it, ending the stream ``gen``
     was on, or a new Generator when ``gen`` is None."""
     if gen is None:
-        return np.random.Generator(np.random.Philox(_computed_key()(key)))
+        return np.random.Generator(np.random.Philox(key=key))
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZEROS, "key": key},
@@ -156,29 +134,32 @@ def keyed_stream(key, gen=None):
 
 
 class _RunStreams:
-    """The streams of a run of chunks (see :func:`_runs`), drawn as one.
+    """The streams of a run of chunks (see :func:`ensemble_streams`), drawn as one.
 
-    Holds one Generator per chunk.  Each of the five methods the samplers
-    call draws every chunk's part from that chunk's own stream, in chunk
-    order, with array parameters (one entry per path) sliced by chunk, and
-    returns the parts end to end: a sampler handed this draws what it draws
-    chunk by chunk, on arrays as long as the run.  A draw that is not one
-    variate per path of the run raises InvalidParameter instead of being
-    split.
+    ``paths`` is the run's slice of the ensemble's paths.  Iterating yields
+    (j, source) per interval j, each chunk's Generator reset to its stream:
+    ``source`` is that Generator for a run of one chunk, else this.  Each of
+    the five methods the samplers call draws every chunk's part from that
+    chunk's own stream, in chunk order, with array parameters (one entry per
+    path) sliced by chunk, and returns the parts end to end: a sampler handed
+    this draws what it draws chunk by chunk, on arrays as long as the run.
+    A draw that is not one variate per path of the run raises
+    InvalidParameter instead of being split.
     """
 
-    def __init__(self, run):
+    def __init__(self, run, keys, intervals):
         start = run[0][1].start
-        self.chunks = [(c, slice(sl.start - start, sl.stop - start)) for c, sl in run]
-        self.total = run[-1][1].stop - start
+        self.paths = slice(start, run[-1][1].stop)
+        self.total = self.paths.stop - start
+        self.chunks = [slice(sl.start - start, sl.stop - start) for _, sl in run]
+        self.keys = keys  # (chunks of the run, intervals, 2)
+        self.intervals = intervals
         self.gens = [None] * len(run)
 
-    def reset(self, keys):
-        """Reset each chunk's Generator to its row of ``keys``, indexed by
-        chunk; returns what to draw from: the Generator itself for a run of
-        one chunk, else this."""
-        self.gens = [keyed_stream(keys[c], gen) for (c, _), gen in zip(self.chunks, self.gens)]
-        return self.gens[0] if len(self.gens) == 1 else self
+    def __iter__(self):
+        for i, j in enumerate(self.intervals):
+            self.gens = [keyed_stream(key, gen) for key, gen in zip(self.keys[:, i], self.gens)]
+            yield j, self.gens[0] if len(self.gens) == 1 else self
 
     def _draw(self, method, params, size):
         shapes = [np.shape(p) for p in params]
@@ -186,7 +167,7 @@ class _RunStreams:
         if shape != (self.total,) or any(s not in ((), shape) for s in shapes):
             raise InvalidParameter(f"a run of chunks draws one variate per path ({self.total}), not shape {shape}")
         parts = []
-        for gen, (_, sl) in zip(self.gens, self.chunks):
+        for gen, sl in zip(self.gens, self.chunks):
             args = [p[sl] if np.ndim(p) else p for p in params]
             parts.append(getattr(gen, method)(*args, size=None if size is None else sl.stop - sl.start))
         return np.concatenate(parts)
@@ -207,18 +188,36 @@ class _RunStreams:
         return self._draw("poisson", (lam,), size)
 
 
-def stream(seed: int, *key: int) -> np.random.Generator:
-    """A Generator for the (seed, *key) stream; same inputs, same stream.
+def ensemble_streams(seed: int, tag: int, n_paths: int, intervals, run: int = RUN) -> list:
+    """One :class:`_RunStreams` per run of up to ``run`` consecutive chunks
+    of an ensemble of ``n_paths`` paths, in path order, on the interval
+    indices ``intervals``: chunk c draws interval j from the stream
+    (seed, tag, c, j), whatever the runs or the worker count.  Runs are
+    shorter when there are too few chunks to give every worker one.  Every
+    key is computed before any run draws, one hash pass per ``_BLOCK``
+    intervals; ``seed`` and ``tag`` are checked (InvalidParameter) first.
+    """
+    seed, tag = _count(seed, "seed", 0), _count(tag, "stream key", 0)
+    chunks = _chunks(n_paths)
+    size = max(1, min(run, len(chunks) // worker_count()))
+    keys = np.empty((len(chunks), len(intervals), 2), dtype=np.uint64)
+    for start in range(0, len(intervals), _BLOCK):
+        block = np.asarray(intervals[start : start + _BLOCK])
+        keys[:, start : start + _BLOCK] = stream_keys(seed, tag, np.arange(len(chunks))[:, None], block[None, :])
+    return [_RunStreams(chunks[i : i + size], keys[i : i + size], intervals) for i in range(0, len(chunks), size)]
 
-    The one-row case of :func:`stream_keys` and :func:`keyed_stream`: it draws
-    what ``Generator(Philox(SeedSequence(seed, spawn_key=key)))`` draws.
+
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """A Generator for the (seed, *key) stream; same inputs, same stream:
+    ``Generator(Philox(SeedSequence(seed, spawn_key=key)))``.
 
     Raises
     ------
     InvalidParameter
         If ``seed`` or a key is not a non-negative integer (numpy's included).
     """
-    return keyed_stream(stream_keys(seed, *(_count(k, "stream key", 0) for k in key)))
+    seed, key = _count(seed, "seed", 0), tuple(_count(k, "stream key", 0) for k in key)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def worker_count() -> int:
@@ -255,7 +254,7 @@ def map_ordered(fn, items):
     errors do not depend on the worker count.  Threading only overlaps the
     underlying (GIL-releasing) numpy work: an ensemble's runs of up to
     ``RUN`` chunks, each chunk drawing from its own streams (see
-    :func:`_runs`), and filter blocks.
+    :func:`ensemble_streams`), and filter blocks.
     """
     items = list(items)
     out = [None] * len(items)

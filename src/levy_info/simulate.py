@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GridExceedsHorizon, InvalidParameter, UnsupportedRepresentation, _count, _positive, _real
 from .noise import _FAMILIES, NoiseModel, _check_domain, _check_times
 from .prior import Prior, check_compatibility
-from .rng import _chunks, _runs, _RunStreams, keyed_stream, map_ordered, stream_keys
+from .rng import ensemble_streams, map_ordered
 
 __all__ = [
     "TimeGrid",
@@ -37,11 +37,6 @@ __all__ = [
 ]
 
 REPRESENTATIONS = tuple(name for rec in _FAMILIES.values() for name in rec.constructions)
-
-# An ensemble computes the stream keys of this many intervals at a time, which
-# bounds the hash's temporaries (about 112 bytes per key) on long grids.
-_BLOCK = 4096
-
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
@@ -166,24 +161,22 @@ def simulate_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: 
     """Simulate ``n_paths`` conditionally independent paths on ``grid``.
 
     Returns ``(x, xi)`` where ``x`` has shape (n_paths,) and ``xi`` has shape
-    (n_paths, len(grid)).  Streams are keyed by (seed, tag, chunk, interval)
-    with a fixed chunk size.  A thread item is a run of up to four
-    consecutive chunks (fewer when there are too few to give each worker
-    one), sampled in one call per draw, but each chunk still draws its part
-    from its own stream, so results depend neither on the grouping nor on
-    the worker count; LEVY_INFO_THREADS caps the threads that run the items,
-    the caller included (see :func:`~levy_info.rng.map_ordered`).  Each run
-    is sampled in place into its rows of ``x`` and ``xi``; the studies
-    sample the same runs into run-sized storage and fold each one on its
-    worker instead, so a study that reduces the paths holds no
-    (n_paths, len(grid)) matrix and draws the same variates.
+    (n_paths, len(grid)).  The streams and their runs of up to four chunks,
+    one thread item each, are those of :func:`~levy_info.rng.ensemble_streams`,
+    so results depend only on (seed, tag, chunk, interval), neither on the
+    grouping nor on the worker count, which LEVY_INFO_THREADS caps (see
+    :func:`~levy_info.rng.map_ordered`).  Each run is sampled in place into
+    its rows of ``x`` and ``xi``; the studies sample the same runs into
+    run-sized storage and fold each one on its worker instead, so a study
+    that reduces the paths holds no (n_paths, len(grid)) matrix and draws
+    the same variates.
     """
     return _fold_runs(model, prior, grid, n_paths, seed, tag)
 
 
 def _fold_runs(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: int, seed: int, tag: int, fold=None):
     """The ensemble of :func:`simulate_ensemble`, with its checks, one run of
-    chunks per thread item.
+    chunks of :func:`~levy_info.rng.ensemble_streams` per thread item.
 
     With ``fold``, each item samples its run into run-sized storage, then
     calls ``fold(sl, messages, rows)`` on the same thread, where ``sl`` is
@@ -191,36 +184,25 @@ def _fold_runs(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: int, se
     ``rows`` its (count, len(grid)) values; the fold results come back in
     run order, and a fold that raises raises as an item would (see
     :func:`~levy_info.rng.map_ordered`).  Without one, each run is sampled
-    into its rows of the n-path outputs, returned as ``(x, xi)``.  The keys
-    of every chunk and interval are computed before any item runs, one hash
-    pass per ``_BLOCK`` intervals.
+    into its rows of the n-path outputs, returned as ``(x, xi)``.  Interval
+    0 draws the messages, interval j > 0 the increments up to grid point j.
     """
     check_compatibility(prior, model)
     n_paths = _count(n_paths, "n_paths")
-    # checked here too: a one-atom prior on a one-point grid builds no stream
-    seed, tag = _count(seed, "seed", 0), _count(tag, "stream key", 0)
     dts = np.diff(grid.times)
-    runs = _runs(n_paths)
-    chunk_ids = np.arange(sum(map(len, runs)))[:, None]
     # a one-atom prior names every message; no other draw reads interval 0
     first = 1 if len(prior) == 1 else 0
-    keys = np.empty((chunk_ids.size, len(grid), 2), dtype=np.uint64)
-    for start in range(first, len(grid), _BLOCK):
-        stop = min(len(grid), start + _BLOCK)
-        keys[:, start:stop] = stream_keys(seed, tag, chunk_ids, np.arange(start, stop)[None, :])
+    runs = ensemble_streams(seed, tag, n_paths, range(first, len(grid)))
     if fold is None:
         x, xi = np.empty(n_paths), np.zeros((n_paths, len(grid)))
 
-    def sample_run(run):
-        sl = slice(run[0][1].start, run[-1][1].stop)
-        count = sl.stop - sl.start
+    def sample_run(streams):
+        sl, count = streams.paths, streams.total
         messages, rows = (x[sl], xi[sl]) if fold is None else (np.empty(count), np.zeros((count, len(grid))))
         if first:
             messages[:] = prior.positions[0]
         acc = np.zeros(count)
-        streams = _RunStreams(run)
-        for j in range(first, len(grid)):
-            gen = streams.reset(keys[:, j])
+        for j, gen in streams:
             if j == 0:
                 messages[:] = sample_messages(prior, count, gen)
             else:
@@ -250,21 +232,20 @@ def representation_draws(model: NoiseModel, rep: str, x: float, t: float, n: int
     ``UnsupportedRepresentation``.
 
     Chunk-keyed like :func:`simulate_ensemble` (interval index is always 1:
-    the construction is conditionally Levy, so xi_t is a single increment).
+    the construction is conditionally Levy, so xi_t is a single increment),
+    one chunk per thread item: ``NB_compound`` draws a data-dependent count.
     """
     sample = _construction(model, rep)
     x = _check_domain(model, x, "message x")
     t = _positive(t, "t")
     n = _count(n, "n")
-    chunks = _chunks(n)
-    keys = stream_keys(seed, tag, np.arange(len(chunks)), 1)
     out = np.empty(n)
 
-    def run_chunk(chunk):
-        c, sl = chunk
-        out[sl] = _draws(model, sample, x, t, keyed_stream(keys[c]), sl.stop - sl.start)
+    def run_chunk(streams):
+        ((_, gen),) = streams
+        out[streams.paths] = _draws(model, sample, x, t, gen, streams.total)
 
-    map_ordered(run_chunk, chunks)
+    map_ordered(run_chunk, ensemble_streams(seed, tag, n, [1], run=1))
     return out
 
 

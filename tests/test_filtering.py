@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levy_info as li
-from conftest import FAMILY_PARAMS, window
+from conftest import FAMILY_PARAMS, interior_grid, window
 from levy_info.filtering import posterior_expectations
 from levy_info.noise import SUPPORT_BLOCK
 from levy_info.prior import MARGIN
@@ -134,6 +134,37 @@ def test_every_entry_point_raises_non_finite_value_for_a_non_finite_xi(entry, xi
 def test_every_entry_point_rejects_a_bad_time(entry, t):
     with pytest.raises(li.InvalidParameter, match="time must be finite and >= 0"):
         _filter_entry_points()[entry](1.0, t)
+
+
+@pytest.mark.parametrize("entry", ["posterior_update", "sequential_update", "estimate_message", "gamma_linear_filter"])
+@pytest.mark.parametrize("xi, t", [([1.0, 2.0], 1.0), (1.0, [1.0, 2.0]), (np.ones((1, 1)), 1.0)])
+def test_the_single_observation_entry_points_refuse_an_array(entry, xi, t):
+    # a single observation only: an array used to pass the check and then
+    # fail in float() with a bare TypeError, or in broadcasting with a ValueError
+    calls = dict(_filter_entry_points(), gamma_linear_filter=lambda xi, t: li.gamma_linear_filter(2.0, 3.0, 1.0, xi, t))
+    with pytest.raises(li.InvalidParameter, match=r"scalar xi and t, got shapes \(.*\) and \(.*\)"):
+        calls[entry](xi, t)
+
+
+def test_times_that_do_not_broadcast_to_the_observations_are_invalid():
+    model = li.make_noise_model("Brownian", ())
+    prior = li.prior_from_atoms([(0.0, 1.0), (1.0, 1.0)])
+    with pytest.raises(li.InvalidParameter, match=r"times of shape \(2,\) do not broadcast to xi's \(\)"):
+        posterior_expectations(prior, model, 2.0, [1.0, 2.0], np.eye(2))
+
+
+@pytest.mark.parametrize("family", ["Brownian", "Gamma", "NormalInverseGaussian"])
+@pytest.mark.parametrize("atoms", [2, 64, 256])
+def test_the_one_row_update_is_the_batched_filter_to_rounding(family, atoms):
+    # the same weights from two kernels: a one-row product and w.sum() against
+    # a block product and w @ ones, so equal to rounding, not bitwise
+    model = li.make_noise_model(family, FAMILY_PARAMS[family])
+    rng = np.random.default_rng(atoms)
+    prior = li.prior_from_atoms(list(zip(interior_grid(model, atoms), rng.uniform(0.5, 2.0, atoms))))
+    for xi, t in ((0.0, 0.0), (0.7, 0.5), (3.0, 2.0), (1.0, 10.0)):
+        got = li.posterior_update(prior, model, xi, t).weights
+        want = posterior_expectations(prior, model, [xi], [t], np.eye(atoms))[0]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

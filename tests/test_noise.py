@@ -540,6 +540,11 @@ def test_sheffer_polynomials_reject_an_observation_off_the_support(family, param
         li.sheffer_polynomials(li.make_noise_model(family, params), xi, 1.0)
 
 
+def test_sheffer_polynomials_refuse_times_that_do_not_broadcast():
+    with pytest.raises(li.InvalidParameter, match=r"times of shape \(2,\) do not broadcast to xi's \(3,\)"):
+        li.sheffer_polynomials(li.make_noise_model("Gamma", (1.0, 1.0)), np.ones(3), np.ones(2))
+
+
 def test_sheffer_polynomials_have_zero_mean(model):
     # E[Q^k(xi_t, t)] = 0 under the fiducial law; checked by Monte Carlo.
     if model.family == "Brownian":

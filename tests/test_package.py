@@ -195,10 +195,17 @@ def test_only_rng_starts_threads():
 
 
 def test_only_simulate_draws_keyed_streams():
-    # simulate._fold_runs is the one loop that samples an ensemble's runs of
-    # chunks, and representation_draws the one other keyed draw; a study
-    # drawing streams itself would be a second sampling loop
-    assert set(uses_outside_rng({"_RunStreams", "_runs", "stream_keys", "keyed_stream"})) == {"simulate.py"}
+    # rng.ensemble_streams lays out every ensemble's (seed, tag, chunk,
+    # interval) streams; simulate._fold_runs is the one loop that samples
+    # them, and representation_draws the one other keyed draw.  A key table,
+    # a run or a block size anywhere else would be a second layout, and a
+    # study drawing streams itself a second sampling loop
+    assert uses_outside_rng({"_RunStreams", "_runs", "stream_keys", "keyed_stream", "_BLOCK"}) == {}
+    sources = {path.name: path.read_text(encoding="utf-8") for path in Path(li.__file__).parent.glob("*.py")}
+    assert [name for name, src in sorted(sources.items()) if names_used(src, {"ensemble_streams"})] == ["simulate.py"]
+    from_rng = [alias.name for node in ast.walk(ast.parse(sources["simulate.py"]))
+                if isinstance(node, ast.ImportFrom) and node.module == "rng" for alias in node.names]
+    assert sorted(from_rng) == ["ensemble_streams", "map_ordered"]
 
 
 def test_name_lint_sees_imports_calls_and_attributes():

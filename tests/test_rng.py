@@ -1,6 +1,6 @@
-"""Keyed Philox streams: the batched key hash is numpy's SeedSequence; runs
-of chunks drawn as one; and the ordered map that shares runs and blocks out
-among threads."""
+"""Keyed Philox streams: the batched key hash is numpy's SeedSequence; an
+ensemble's streams laid out as runs of chunks drawn as one; and the ordered
+map that shares runs and blocks out among threads."""
 
 import sys
 import threading
@@ -14,8 +14,8 @@ from levy_info.rng import (
     CHUNK,
     RUN,
     _chunks,
-    _runs,
     _RunStreams,
+    ensemble_streams,
     keyed_stream,
     map_ordered,
     stream,
@@ -71,17 +71,25 @@ def test_a_keyed_stream_resets_one_generator_to_each_key():
 
 def test_runs_hold_up_to_four_chunks_and_give_every_worker_an_item(monkeypatch):
     monkeypatch.setenv("LEVY_INFO_THREADS", "2")
-    assert _runs(2 * CHUNK) == [[chunk] for chunk in _chunks(2 * CHUNK)]
-    runs = _runs(62 * CHUNK)
-    assert len(runs) == 16 and max(map(len, runs)) == RUN == 4
-    assert [chunk for run in runs for chunk in run] == _chunks(62 * CHUNK)
+    assert [r.paths for r in ensemble_streams(0, 0, 2 * CHUNK, [1])] == [sl for _, sl in _chunks(2 * CHUNK)]
+    runs = ensemble_streams(0, 0, 62 * CHUNK, [1])
+    assert len(runs) == 16 and max(len(r.gens) for r in runs) == RUN == 4
+    assert [r.paths.start for r in runs] == [0] + [r.paths.stop for r in runs[:-1]]
+    assert runs[-1].paths.stop == 62 * CHUNK
+
+
+def run_streams(run, seed=1, tag=0, intervals=(1,)):
+    """The streams of ``run``, a run of chunks, on ``intervals`` of the (seed, tag) ensemble."""
+    keys = stream_keys(seed, tag, np.array([c for c, _ in run])[:, None], np.array(intervals)[None, :])
+    return _RunStreams(run, keys, intervals)
 
 
 def test_a_run_of_chunks_draws_each_chunks_part_from_its_own_stream():
     run = _chunks(2 * CHUNK + 3)
     n = run[-1][1].stop
     lam = np.linspace(0.5, 3.0, n)
-    streams = _RunStreams(run).reset(stream_keys(1, 0, np.arange(3), 1))
+    ((j, streams),) = run_streams(run)
+    assert j == 1
     got = [streams.poisson(lam), streams.gamma(2.0, 0.5, n), streams.random(n)]
     want = []
     for c, sl in run:
@@ -94,7 +102,7 @@ def test_a_run_of_chunks_draws_each_chunks_part_from_its_own_stream():
 def test_a_run_of_chunks_refuses_a_draw_it_cannot_split():
     run = _chunks(2 * CHUNK + 3)
     n = run[-1][1].stop
-    streams = _RunStreams(run).reset(stream_keys(1, 0, np.arange(3), 1))
+    ((_, streams),) = run_streams(run)
     for draw in (lambda: streams.random(n - 1), lambda: streams.standard_normal(), lambda: streams.random((n, 1)),
                  lambda: streams.poisson(np.ones(n - 1)), lambda: streams.standard_gamma(np.ones(5), n)):
         with pytest.raises(li.InvalidParameter, match="one variate per path"):
@@ -102,10 +110,29 @@ def test_a_run_of_chunks_refuses_a_draw_it_cannot_split():
 
 
 def test_a_run_of_one_chunk_draws_straight_from_its_generator():
-    one = _RunStreams(_chunks(5))
-    gen = one.reset(stream_keys(1, 0, np.arange(1), 1))
-    assert gen is one.gens[0]
-    np.testing.assert_array_equal(gen.random(5), stream(1, 0, 0, 1).random(5))
+    one = run_streams(_chunks(5), intervals=(0, 1))
+    for j, gen in one:
+        assert gen is one.gens[0]
+        np.testing.assert_array_equal(gen.random(5), stream(1, 0, 0, j).random(5))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("run", [RUN, 1])
+def test_ensemble_streams_yield_each_runs_intervals_in_order(run, threads, monkeypatch):
+    # every chunk of every run draws interval j from the (seed, tag, chunk, j)
+    # stream, whatever the run length and the worker count
+    monkeypatch.setenv("LEVY_INFO_THREADS", threads)
+    n, intervals = 9 * CHUNK + 17, range(2, 6)
+    runs = ensemble_streams(2**40, 7, n, intervals, run)
+    assert max(len(r.gens) for r in runs) <= run
+    assert [r.paths.start for r in runs] == [0] + [r.paths.stop for r in runs[:-1]] and runs[-1].paths.stop == n
+    for streams in runs:
+        assert [j for j, _ in streams] == list(intervals)
+        for j, source in streams:
+            got = source.random(streams.total)
+            want = [stream(2**40, 7, c, j).random(sl.stop - sl.start) for c, sl in _chunks(n)
+                    if streams.paths.start <= sl.start < streams.paths.stop]
+            np.testing.assert_array_equal(got, np.concatenate(want))
 
 
 @pytest.mark.parametrize("key", [np.array([-1, 2]), np.array([2**32]), np.array([0.5]), np.array([1], dtype=bool)])

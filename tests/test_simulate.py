@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import levy_info as li
 from conftest import FAMILY_PARAMS, interior_grid
+from levy_info import rng
 from levy_info.noise import _logarithmic_draws
-from levy_info.rng import CHUNK, _chunks, _runs, stream, stream_keys
+from levy_info.rng import CHUNK, _chunks, ensemble_streams, stream, stream_keys
 from levy_info.simulate import _fold_runs
 
 
@@ -160,7 +161,7 @@ def test_ensemble_deterministic_and_thread_independent(monkeypatch):
 def test_only_a_prior_of_two_atoms_or_more_draws_messages(atoms, draws_messages, monkeypatch):
     # every message of a one-atom prior is that atom: no (seed, tag, chunk, 0) key
     tables = []
-    monkeypatch.setattr(li.simulate, "stream_keys", lambda *args: tables.append(stream_keys(*args)) or tables[-1])
+    monkeypatch.setattr(rng, "stream_keys", lambda *args: tables.append(stream_keys(*args)) or tables[-1])
     model = li.make_noise_model("Gamma", (1.0, 1.0))
     x, _ = li.simulate_ensemble(model, li.prior_from_atoms(atoms), li.TimeGrid.regular(1.0, 2), CHUNK + 3, seed=5)
     built = sorted(map(tuple, np.concatenate([t.reshape(-1, 2) for t in tables]).tolist()))
@@ -173,7 +174,7 @@ def test_keys_computed_in_blocks_of_intervals_draw_the_same_ensemble(atoms, monk
     model = li.make_noise_model("Gamma", (1.0, 1.0))
     args = (model, li.prior_from_atoms(atoms), li.TimeGrid.regular(1.0, 7), CHUNK + 3, 4)
     whole = li.simulate_ensemble(*args)
-    monkeypatch.setattr(li.simulate, "_BLOCK", 3)
+    monkeypatch.setattr(rng, "_BLOCK", 3)
     for got, want in zip(li.simulate_ensemble(*args), whole):
         np.testing.assert_array_equal(got, want)
 
@@ -239,7 +240,7 @@ def test_runs_of_chunks_draw_what_each_chunk_draws_from_its_own_streams(family, 
 
 @pytest.mark.parametrize("family, params, drift, one_atom", ORACLE_CASES)
 def test_runs_carry_their_sums_across_blocks_of_keys(family, params, drift, one_atom):
-    # 5000 intervals take the keys of two blocks of _BLOCK intervals, and
+    # 5000 intervals take the keys of two blocks of rng._BLOCK intervals, and
     # each path's sum runs on across the block edge
     assert_both_routes_draw_the_oracle(family, params, drift, one_atom, 3, li.TimeGrid.regular(50.0, 5000))
 
@@ -256,7 +257,7 @@ def test_a_failing_fold_raises_the_error_of_the_lowest_failing_run(threads, monk
         if sl.start:
             raise ValueError(f"run at {sl.start}")
 
-    with pytest.raises(ValueError, match=f"^run at {_runs(n)[1][0][1].start}$"):
+    with pytest.raises(ValueError, match=f"^run at {ensemble_streams(1, 0, n, [1])[1].paths.start}$"):
         _fold_runs(model, degenerate(0.5), li.TimeGrid([0.0, 1.0]), n, 1, 0, fold)
 
 
