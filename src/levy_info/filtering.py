@@ -2,13 +2,23 @@
 
 The posterior over message atoms after observing xi at time t reweights the
 prior by exp(x xi - psi0(x) t); the exponent grows linearly in t, so all
-weight arithmetic happens in log space with max-subtraction and a single
-renormalization per update.  The restart property makes the sequential form
-(reweight by increments) exactly consistent with the one-shot form, so
-batched callers (the innovations decomposition, ``levy-info filter``) use
-the closed form: :func:`posterior_expectations` filters every observation
-(xi_j, t_j) on its own, with no recursion along the path.  One kernel,
-``_log_weights``, serves both forms, behind one ``noise.check_observation``.
+weight arithmetic happens in log space and a single renormalization per
+update.  The restart property makes the sequential form (reweight by
+increments) exactly consistent with the one-shot form, so batched callers
+(the innovations decomposition, ``levy-info filter``) use the closed form:
+:func:`posterior_expectations` filters every observation (xi_j, t_j) on its
+own, with no recursion along the path.  One kernel, ``_log_weights``, serves
+both forms, behind one ``noise.check_observation``.
+
+The kernel shifts each row of log-weights by s inside its one matrix
+product, ``[xi, t, 1, s] @ [x; -psi0(x); log pi; -1]``.  For a single
+update s is the row's maximum.  For a block of rows it is the maximum over a
+fixed sample of atoms (every ``max(1, K // 16)``-th of K and the last, so
+every atom when K < 32), which needs no full-width max or subtract pass.  A
+sampled s is at most the row's maximum, so the largest weight is at least 1
+and the weight sum cannot underflow; it overflows only where the maximum lies
+more than ~709 above the sample (a very concentrated posterior) or the
+observation is degenerate.  Such rows are redone with the exact maximum.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeights, InvalidParameter, _instances, _positive, _real
+from .errors import DegenerateWeights, InvalidParameter, NonFiniteValue, _instances, _positive, _real
 from .noise import (GAMMA, NoiseModel, check_observation, check_scalar_observation, fiducial_exponent,
                     inverse_marginal_clamped, make_noise_model)
 from .prior import Prior, _frozen, check_compatibility, prior_expectation
@@ -52,32 +62,43 @@ class Posterior(Prior):
 
 
 def _coefficients(prior: Prior, model: NoiseModel) -> np.ndarray:
-    """The kernel's coefficients [x; -psi0(x); log pi] over the prior atoms."""
+    """The kernel's coefficients [x; -psi0(x); log pi; -1] over the prior atoms."""
     x = prior.positions
-    return np.stack([x, -fiducial_exponent(model, x), prior.log_weights])
+    return np.stack([x, -fiducial_exponent(model, x), prior.log_weights, np.full(x.size, -1.0)])
 
 
-def _log_weights(coef: np.ndarray, xi, t) -> np.ndarray:
-    """The filter kernel: [xi, t, 1] @ coef, coef = [x; -psi0(x); log pi],
-    gives the posterior log-weights at each observation (1-D xi and t, or
-    one pair); each row less its maximum, DegenerateWeights if that is not
-    finite (every atom underflows, or one overflows)."""
-    obs = np.empty((np.size(xi), 3))
-    obs[:, 0] = xi
-    obs[:, 1] = t
-    obs[:, 2] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
-        log_w = obs @ coef
-    top = log_w.max(axis=1, keepdims=True)
-    finite = np.isfinite(top[:, 0])
-    if not finite.all():
-        bad = obs[np.argmin(finite)]
-        raise DegenerateWeights(
-            f"posterior log-weights at xi={bad[0]:g}, t={bad[1]:g} are not finite; "
-            "the observation is numerically impossible under every prior atom"
-        )
-    log_w -= top
-    return log_w
+def _shift_coefficients(coef: np.ndarray) -> np.ndarray:
+    """Rows x, -psi0(x), log pi of ``coef`` as columns, at the atoms whose
+    largest log-weight shifts a row of a block: every ``max(1, K // 16)``-th
+    of the K atoms and the last, so every atom where K < 32."""
+    atoms = coef.shape[1]
+    return np.ascontiguousarray(coef[:3, np.r_[0:atoms - 1:max(1, atoms // 16), atoms - 1]].T)
+
+
+def _log_weights(coef: np.ndarray, xi, t, shift_coef=None) -> np.ndarray:
+    """The filter kernel: [xi, t, 1, s] @ coef, coef = [x; -psi0(x); log pi; -1],
+    gives the posterior log-weights at each observation (1-D xi and t, or one
+    pair), each row less s, its largest log-weight over the atoms of
+    ``shift_coef`` (from :func:`_shift_coefficients`).  With no
+    ``shift_coef``, s is the row's maximum, and DegenerateWeights if that is
+    not finite (every atom underflows, or one overflows).  A sampled s is at
+    most the maximum, so the largest weight is at least 1; a row whose s is
+    not finite, or lies more than ~709 below the maximum, has weights whose
+    sum is not finite, and is to be redone with the maximum."""
+    obs = np.empty((4, np.size(xi)))
+    obs[0] = xi
+    obs[1] = t
+    obs[2] = 1.0
+    exact = shift_coef is None
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below or are redone
+        shift = np.max((coef[:3].T if exact else shift_coef) @ obs[:3], axis=0, out=obs[3])
+        if exact and not np.isfinite(shift).all():
+            bad = obs[:, np.argmin(np.isfinite(shift))]
+            raise DegenerateWeights(
+                f"posterior log-weights at xi={bad[0]:g}, t={bad[1]:g} are not finite; "
+                "the observation is numerically impossible under every prior atom"
+            )
+        return obs.T @ coef
 
 
 def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Posterior:
@@ -149,10 +170,13 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
     The one-shot form: the posterior at (xi, t) has log-weights
     log pi(x) + x xi - psi0(x) t, so each observation is filtered on its own.
     Rows are taken in blocks of ``BLOCK_ROWS``; per block, the filter kernel
-    (one matrix product [xi, t, 1] @ [x; -psi0(x); log pi], less the row
-    maximum) gives the log-weights, and a second product of their
-    exponentials with [1 | g] gives the normalizer and the unnormalized
-    expectations.  Blocks run on up to ``worker_count()`` threads.
+    (one matrix product [xi, t, 1, s] @ [x; -psi0(x); log pi; -1], s each
+    row's largest log-weight over a fixed sample of atoms) gives the shifted
+    log-weights, and a second product of their exponentials with [1 | g]
+    gives the normalizer and the unnormalized expectations.  A row whose sums
+    are not finite (its maximum lies far above the sample, or the observation
+    is degenerate) is redone with s the row's maximum.  Blocks run on up to
+    ``worker_count()`` threads.
 
     Parameters
     ----------
@@ -173,7 +197,10 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
     ------
     NonFiniteValue, InvalidParameter
         If an observation is not finite, a time is negative, not finite or
-        not broadcast to ``xi``, or ``g`` does not have one row per prior atom.
+        not broadcast to ``xi``, or ``g`` does not have one row per prior
+        atom or is not finite at some atom (the message names the atoms).
+    TypeError
+        If ``g`` is complex.
     IncompatibleSupport
         If a prior atom is outside the admissible set.
     OffSupport
@@ -184,20 +211,30 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
     """
     check_compatibility(prior, model)
     xi, t = check_observation(model, xi, t)
-    g = np.asarray(g, dtype=float)
+    g = np.asarray(_real(g, "g"), dtype=float)
     if g.ndim != 2 or g.shape[0] != len(prior):
         raise InvalidParameter(f"g must have shape (atoms, k) = ({len(prior)}, k), got {g.shape}")
+    finite = np.isfinite(g).all(axis=1)
+    if not finite.all():
+        raise NonFiniteValue(f"g is not finite on atoms {prior.positions[~finite].tolist()}")
     xi_rows = xi.reshape(-1)
     coef = _coefficients(prior, model)
     ones_g = np.column_stack([np.ones(len(prior)), g])
+    sampled = _shift_coefficients(coef)
     out = np.empty((xi_rows.size, g.shape[1]))
 
+    def sums(rows, shift_coef=None) -> np.ndarray:
+        w = _log_weights(coef, xi_rows[rows], t.flat[rows], shift_coef)
+        return np.exp(w, out=w) @ ones_g
+
     def block(start: int) -> None:
-        stop = min(start + BLOCK_ROWS, xi_rows.size)
-        log_w = _log_weights(coef, xi_rows[start:stop], t.flat[start:stop])
-        w = np.exp(log_w, out=log_w)
-        sums = w @ ones_g
-        np.divide(sums[:, 1:], sums[:, :1], out=out[start:stop])
+        rows = slice(start, min(start + BLOCK_ROWS, xi_rows.size))
+        with np.errstate(over="ignore", invalid="ignore"):  # rows that are not finite are redone
+            block_sums = sums(rows, sampled)
+        if not np.isfinite(block_sums).all():
+            redo = np.flatnonzero(~np.isfinite(block_sums).all(axis=1))
+            block_sums[redo] = sums(redo + start)
+        np.divide(block_sums[:, 1:], block_sums[:, :1], out=out[rows])
 
     map_ordered(block, range(0, xi_rows.size, BLOCK_ROWS))
     return out.reshape(xi.shape + (g.shape[1],))

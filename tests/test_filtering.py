@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import levy_info as li
 from conftest import FAMILY_PARAMS, interior_grid, window
+from levy_info import filtering
 from levy_info.filtering import posterior_expectations
 from levy_info.noise import SUPPORT_BLOCK
 from levy_info.prior import MARGIN
@@ -165,6 +168,81 @@ def test_the_one_row_update_is_the_batched_filter_to_rounding(family, atoms):
         got = li.posterior_update(prior, model, xi, t).weights
         want = posterior_expectations(prior, model, [xi], [t], np.eye(atoms))[0]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_posterior_expectations_names_the_atoms_where_g_is_not_finite(bad):
+    # as prior_expectation and best_estimate: g used to give inf or nan rows
+    model = li.make_noise_model("Brownian", ())
+    prior = li.prior_from_atoms([(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)])
+    g = [[bad, 1.0], [1.0, 1.0], [1.0, bad]]
+    with pytest.raises(li.NonFiniteValue, match=re.escape("g is not finite on atoms [0.0, 2.0]")):
+        posterior_expectations(prior, model, [0.0, 1.0], [1.0, 1.0], g)
+
+
+def test_posterior_expectations_refuses_a_complex_g():
+    # its imaginary part used to be dropped with only a ComplexWarning
+    model = li.make_noise_model("Brownian", ())
+    prior = li.prior_from_atoms([(0.0, 1.0), (1.0, 1.0)])
+    with pytest.raises(TypeError, match="g must be real"):
+        posterior_expectations(prior, model, [0.0, 1.0], [1.0, 1.0], [[1.0 + 2.0j], [1.0]])
+
+
+def exact_expectations(prior, model, xi, t, g):
+    """The one-shot posterior expectations of the columns of g, each row of
+    log-weights less its exact maximum: the reference for the kernel."""
+    psi = li.fiducial_exponent(model, prior.positions)
+    log_w = np.log(prior.weights) + np.multiply.outer(xi, prior.positions) - np.multiply.outer(t, psi)
+    w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+    return (w / w.sum(axis=-1, keepdims=True)) @ g
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rows_far_above_the_sampled_shift_are_redone_exactly(threads, monkeypatch):
+    # each message is the atom midway between two sampled atoms, so at large t
+    # the row's maximum lies far above the sampled shift and its weights overflow
+    monkeypatch.setenv("LEVY_INFO_THREADS", threads)
+    model = li.make_noise_model("Brownian", ())
+    prior = li.prior_from_density(lambda x: np.exp(-0.5 * x * x), li.Interval(-3.0, 3.0), 256)
+    x = prior.positions
+    times = np.array([1e5, 1e6])
+    xi = np.multiply.outer(x[8:248:32], times)
+    g = np.column_stack([x, x * x])
+    redone, kernel = [], filtering._log_weights
+
+    def counting(coef, xi, t, shift_coef=None):
+        # the kernel with no sample, s the exact maximum, is the call that redoes rows
+        if shift_coef is None:
+            redone.append(np.size(xi))
+        return kernel(coef, xi, t, shift_coef)
+
+    monkeypatch.setattr(filtering, "_log_weights", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = posterior_expectations(prior, model, xi, times, g)
+    assert 0 < sum(redone) <= xi.size
+    np.testing.assert_allclose(got, exact_expectations(prior, model, xi, times, g), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("family", ["Brownian", "Gamma", "NormalInverseGaussian"])
+@pytest.mark.parametrize("atoms", [2, 31, 32, 64, 256])
+def test_the_sampled_shift_matches_the_exact_maximum(family, atoms):
+    # below 32 atoms every atom is sampled, so the block is the exact kernel's bit for bit
+    model = li.make_noise_model(family, FAMILY_PARAMS[family])
+    rng = np.random.default_rng(atoms)
+    prior = li.prior_from_atoms(list(zip(interior_grid(model, atoms), rng.uniform(0.5, 2.0, atoms))))
+    grid = li.TimeGrid.regular(5.0, 10)
+    _, xi = li.simulate_ensemble(model, prior, grid, 30, seed=atoms)
+    t = np.broadcast_to(grid.times, xi.shape)
+    x = prior.positions
+    g = np.column_stack([np.exp(x), 1.0 + x - x[0]])
+    got = posterior_expectations(prior, model, xi, t, g)
+    np.testing.assert_allclose(got, exact_expectations(prior, model, xi, t, g), rtol=1e-13, atol=0.0)
+    if atoms <= 31:
+        assert xi.size <= filtering.BLOCK_ROWS  # one block, so the same products
+        w = np.exp(filtering._log_weights(filtering._coefficients(prior, model), xi.ravel(), t.ravel()))
+        sums = w @ np.column_stack([np.ones(atoms), g])
+        np.testing.assert_array_equal(got.reshape(-1, 2), sums[:, 1:] / sums[:, :1])
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,19 @@ run of chunks it is sampling and folding (see ``simulate._fold_runs``):
 * bridge: xi_s and xi_t, once the ensemble they are scaled from is freed,
   and the jackknife's vectors
 * representation: the draws and the jackknife's four buffers
+
+The batched filter holds, per thread, one block: its ``BLOCK_ROWS x atoms``
+log-weights, its observation rows (xi, t, 1 and the shift) and its sum rows
+(the normalizer and one sum per column of g), above the output it writes.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import levy_info as li
+from levy_info.filtering import BLOCK_ROWS
 
 N = 100_000
 ALLOWANCE = 64 * 1024  # bytes, independent of n
@@ -68,7 +74,20 @@ def test_study_peak_stays_within_its_ceiling(name, threads, monkeypatch):
     assert peak <= ceiling * 8 * N + ALLOWANCE, f"{name}: {peak / (8 * N):.2f} arrays of 8n bytes"
 
 
-def test_traced_peak_sees_numpy_buffers():
-    import numpy as np
+@pytest.mark.parametrize("threads", [1, 2])
+def test_posterior_expectations_peak_stays_within_a_block_per_thread(threads, monkeypatch):
+    monkeypatch.setenv("LEVY_INFO_THREADS", str(threads))
+    model = li.make_noise_model("Brownian", ())
+    prior = li.prior_from_density(lambda x: np.ones_like(x), li.Interval(-3.0, 3.0), 64)
+    rows = 10_001
+    xi = np.random.default_rng(0).normal(size=rows)
+    t = np.linspace(0.0, 10.0, rows)
+    g = li.exponent_derivatives(model, prior.positions)[0][:, None]
+    li.posterior_expectations(prior, model, xi[:10], t[:10], g)  # first-call caches are not the working set
+    peak = traced_peak(lambda: li.posterior_expectations(prior, model, xi, t, g))
+    block = BLOCK_ROWS * (len(prior) + 4 + 1 + g.shape[1]) * 8
+    assert peak - 8 * rows * g.shape[1] <= threads * block + ALLOWANCE, f"{peak / block:.2f} blocks"
 
+
+def test_traced_peak_sees_numpy_buffers():
     assert traced_peak(lambda: np.ones(N)) >= 8 * N
