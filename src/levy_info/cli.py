@@ -14,11 +14,15 @@ fully resolved configuration and seed; identical invocations are
 byte-identical.  Exit codes: 0 success, 1 usage error, 2 validation or
 numerical error, 3 study failure (some |z| above threshold).
 
-Output is written column by column: each column is formatted once, floats
-in shortest round-trip form (``repr``), integers by ``str`` and text cells
-quoted as ``csv.QUOTE_MINIMAL`` would, and the rows of a block are joined and
-written in one call.  ``simulate`` formats the shared time column once and
-writes one block per path, so formatting memory is O(steps).
+Output is written in blocks of at most ``_BLOCK_ROWS`` rows (``simulate``:
+whole paths, at least one).  Every cell is a byte string in a NUL-padded
+``S`` array: floats in shortest round-trip form, as ``repr`` writes them
+(``_shortest``), with a block's float columns formatted in one call,
+integers by ``str`` and text cells UTF-8 encoded and quoted as
+``csv.QUOTE_MINIMAL`` would.  A block is written by placing its cells and
+the separators in one ``uint8`` matrix, a row per CSV row, and dropping
+every NUL in one pass, so formatting memory is O(block).  ``simulate``
+formats the shared time column once.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _shortest
 from .errors import LevyInfoError, UsageError
 from .experiments import (
     bridge_study,
@@ -52,6 +56,9 @@ from .simulate import TimeGrid, simulate_ensemble, simulate_information_path
 from .stats import StudyReport
 
 __all__ = ["main"]
+
+# CSV rows formatted and written at a time, which bounds the output's memory
+_BLOCK_ROWS = 8192
 
 _BASE_CONFIG = {
     "model": {"family": "Brownian", "params": []},
@@ -315,24 +322,53 @@ def _text(cell: str) -> str:
     return cell
 
 
-def _floats(values) -> list:
-    """Each value in shortest round-trip form (``repr`` of a Python float)."""
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+def _texts(cells) -> np.ndarray:
+    """Text cells as ``_text`` writes them, UTF-8 encoded; a NUL, which the
+    writer would drop, is a ``ValueError``."""
+    if any("\0" in cell for cell in cells):
+        raise ValueError(f"a CSV text cell holds a NUL: {cells!r}")
+    return np.array([_text(cell).encode() for cell in cells], dtype=bytes)
+
+
+def _rows(block) -> str:
+    """A block's CSV rows.  The block is a tuple of ``S`` arrays with one row
+    per CSV row, each a column or, 2-D, several; every cell but the last of a
+    row is followed by a comma, the last by a line break."""
+    groups = [cells.reshape(-1, 1) if cells.ndim == 1 else cells for cells in block]
+    n = len(groups[0])
+    line = np.empty((n, sum((cells.dtype.itemsize + 1) * cells.shape[1] for cells in groups)), dtype=np.uint8)
+    at = 0
+    for cells in groups:
+        k, width = cells.shape[1], cells.dtype.itemsize
+        # splitting the last axis of the slice is a view, so this writes line
+        part = line[:, at:at + k * (width + 1)].reshape(n, k, width + 1)
+        part[:, :, :width] = np.ascontiguousarray(cells).view(np.uint8).reshape(n, k, width)
+        part[:, :, width] = ord(",")
+        at += k * (width + 1)
+    line[:, -1] = ord("\n")
+    return line.tobytes().translate(None, b"\0").decode()
+
+
+def _float_blocks(columns):
+    """Blocks of at most ``_BLOCK_ROWS`` rows of equal-length float columns,
+    each block formatted in one call."""
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield (_shortest.floats(np.column_stack([column[lo:lo + _BLOCK_ROWS] for column in columns])),)
 
 
 def _emit(out_path, subcommand: str, config: dict, header, blocks) -> None:
-    """Write the comment lines, the header row and then each block, a tuple of
-    equal-length columns of formatted cells, as one ``write`` of its rows."""
+    """Write the comment lines with the header row, then each block (see
+    ``_rows``), each in one ``write``."""
     def write(fh):
         fh.write(
             f"# levy-info {__version__}\n"
             f"# subcommand: {subcommand}\n"
             f"# config: {json.dumps(config, sort_keys=True, separators=(',', ':'))}\n"
             f"# seed: {config['seed']}\n"
-            + ",".join(map(_text, header)) + "\n"
+            + _rows((_texts(header)[None, :],))
         )
-        for columns in blocks:
-            fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
+        for block in blocks:
+            fh.write(_rows(block))
 
     if out_path is None:
         write(sys.stdout)
@@ -373,16 +409,24 @@ def _one_path(args):
     return config, prior, simulate_information_path(model, prior, grid, stream(_seed(config), 0))
 
 
+def _simulate_blocks(messages, xi, times):
+    """The ``simulate`` blocks: ceil(_BLOCK_ROWS / steps) whole paths each,
+    at least one, with each path's xi_t and message formatted in one call."""
+    t_cells = _shortest.floats(times)
+    steps = len(times)
+    per_block = -(-_BLOCK_ROWS // steps)
+    for lo in range(0, len(messages), per_block):
+        hi = min(lo + per_block, len(messages))
+        cells = _shortest.floats(np.column_stack([xi[lo:hi], messages[lo:hi]]))
+        yield (np.repeat(np.arange(lo, hi).astype(bytes), steps), np.tile(t_cells, hi - lo),
+               cells[:, :steps].reshape(-1), np.repeat(cells[:, steps], steps))
+
+
 def _cmd_simulate(args) -> int:
     config, model, prior, grid = _prelude(args)
     messages, xi = simulate_ensemble(model, prior, grid, _paths(config), _seed(config))
-    t_cells = _floats(grid.times)
-    n = len(t_cells)
-    blocks = (
-        ([str(pid)] * n, t_cells, _floats(xi[pid]), [repr(message)] * n)
-        for pid, message in enumerate(messages.tolist())
-    )
-    _emit(args.out, "simulate", config, ("path_id", "t", "xi", "x_hidden"), blocks)
+    _emit(args.out, "simulate", config, ("path_id", "t", "xi", "x_hidden"),
+          _simulate_blocks(messages, xi, grid.times))
     return 0
 
 
@@ -395,8 +439,7 @@ def _filter_columns(path, prior, with_weights):
     i0 = np.full(times.size, math.nan)
     later = times > 0.0
     i0[later] = inverse_marginal_clamped(path.model, values[later] / times[later])[0]
-    columns = [times, values, mean, var, i0] + (list(weights.T) if with_weights else [])
-    return tuple(map(_floats, columns))
+    return [times, values, mean, var, i0] + (list(weights.T) if with_weights else [])
 
 
 def _cmd_filter(args) -> int:
@@ -404,16 +447,15 @@ def _cmd_filter(args) -> int:
     columns = ["t", "xi", "post_mean", "post_var", "i0_estimate"]
     if args.weights:
         columns.extend(f"w_{i}" for i in range(len(prior)))
-    block = _filter_columns(path, prior, args.weights)
-    _emit(args.out, "filter", config, columns, [block])
+    _emit(args.out, "filter", config, columns, _float_blocks(_filter_columns(path, prior, args.weights)))
     return 0
 
 
 def _cmd_innovations(args) -> int:
     config, prior, path = _one_path(args)
     dec = innovations_path(path, prior)
-    block = tuple(map(_floats, (dec.grid.times, dec.xi, dec.yhat, dec.integral, dec.M)))
-    _emit(args.out, "innovations", config, ("t", "xi", "yhat", "int_yhat", "M"), [block])
+    _emit(args.out, "innovations", config, ("t", "xi", "yhat", "int_yhat", "M"),
+          _float_blocks([dec.grid.times, dec.xi, dec.yhat, dec.integral, dec.M]))
     return 0
 
 
@@ -439,7 +481,7 @@ def _cmd_experiment(args) -> int:
     numbers = np.array(
         [(r.estimate, r.reference, r.stderr, r.z) for r in report.rows], dtype=float
     ).reshape(-1, 4)
-    block = ([_text(r.quantity) for r in report.rows], *map(_floats, numbers.T))
+    block = (_texts([r.quantity for r in report.rows]), _shortest.floats(numbers))
     _emit(args.out, f"experiment {args.name}", config,
           ("quantity", "estimate", "reference", "stderr", "z"), [block])
     print(report.summary(), file=sys.stderr)

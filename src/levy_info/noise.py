@@ -756,10 +756,14 @@ def inverse_marginal(model: NoiseModel, y: float) -> float:
 
     Raises
     ------
+    InvalidParameter
+        If ``y`` is not a scalar.
     OutOfRange
         If ``y`` is not attained by psi0' on the interior of the admissible
         set: it is not finite or not above the lower end of the range.
     """
+    if np.ndim(y):
+        raise InvalidParameter(f"inverse_marginal takes a scalar y, got shape {np.shape(y)}")
     alpha, clamped = inverse_marginal_clamped(model, y)
     if clamped:
         rng = marginal_range(model)

@@ -71,17 +71,17 @@ def _build_prior(positions: np.ndarray, weights: np.ndarray) -> Prior:
     return Prior(_frozen(positions), _frozen(weights), _frozen(np.log(weights)))
 
 
-def _on_atoms(f, xs: np.ndarray) -> np.ndarray:
+def _on_atoms(f, xs: np.ndarray, name: str) -> np.ndarray:
     """``f`` at every entry of ``xs``, as floats: one call on the array, or
     one call per entry when ``f`` raises on the array or returns another
-    shape."""
+    shape.  A complex value is a TypeError (``errors._real``)."""
     try:
-        fx = np.asarray(f(xs), dtype=float)
+        fx = np.asarray(f(xs))
         if fx.shape != xs.shape:
             raise TypeError
     except Exception:
-        fx = np.array([float(f(x)) for x in xs])
-    return fx
+        return np.array([float(_real(f(x), name)) for x in xs])
+    return np.asarray(_real(fx, name), dtype=float)
 
 
 def prior_from_atoms(points) -> Prior:
@@ -143,17 +143,23 @@ def prior_from_density(f, interval: Interval, n: int) -> Prior:
 
     Raises
     ------
+    InvalidParameter
+        If the interval is unbounded or its ends are not in increasing order.
     ZeroMass
         If the quadrature mass of ``f`` is zero.
+    TypeError
+        If ``f`` returns complex values.
     """
     if not (np.isfinite(interval.lo) and np.isfinite(interval.hi)):
         raise InvalidParameter("prior_from_density requires a bounded interval")
+    if not interval.lo < interval.hi:
+        raise InvalidParameter(f"prior_from_density needs lo < hi, got lo={interval.lo} and hi={interval.hi}")
     n = _count(n, "quadrature node count n", 2)
     nodes, gl_weights = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (interval.hi - interval.lo)
     mid = 0.5 * (interval.hi + interval.lo)
     xs = mid + half * nodes
-    fx = _on_atoms(f, xs)
+    fx = _on_atoms(f, xs, "density f")
     if not np.isfinite(fx).all():
         raise NonFiniteValue("density returned non-finite values on quadrature nodes")
     if np.any(fx < 0.0):
@@ -214,8 +220,10 @@ def prior_expectation(prior: Prior, g) -> float:
     ------
     NonFiniteValue
         If any ``g(x_i)`` is not finite.
+    TypeError
+        If ``g`` returns complex values.
     """
-    vals = _on_atoms(g, prior.positions)
+    vals = _on_atoms(g, prior.positions, "g")
     if not np.isfinite(vals).all():
         bad = prior.positions[~np.isfinite(vals)].tolist()
         raise NonFiniteValue(f"g is not finite on atoms {bad}")

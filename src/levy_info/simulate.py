@@ -234,8 +234,11 @@ def representation_draws(model: NoiseModel, rep: str, x: float, t: float, n: int
     Chunk-keyed like :func:`simulate_ensemble` (interval index is always 1:
     the construction is conditionally Levy, so xi_t is a single increment),
     one chunk per thread item: ``NB_compound`` draws a data-dependent count.
+    The message ``x`` and the time ``t`` are scalars (InvalidParameter).
     """
     sample = _construction(model, rep)
+    if np.ndim(x) or np.ndim(t):
+        raise InvalidParameter(f"representation_draws takes a scalar x and t, got shapes {np.shape(x)} and {np.shape(t)}")
     x = _check_domain(model, x, "message x")
     t = _positive(t, "t")
     n = _count(n, "n")

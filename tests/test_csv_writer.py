@@ -1,4 +1,5 @@
-"""The column-wise CSV writer against ``csv.writer`` with per-cell formatting."""
+"""The CSV writer against ``csv.writer`` with per-cell formatting, and the
+array float formatter against ``repr``."""
 
 import contextlib
 import csv
@@ -7,10 +8,11 @@ import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levy_info import cli
+from levy_info import _shortest, cli
 
 FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2e-308]))
 INTS = st.integers(min_value=-2**63, max_value=2**63 - 1)
@@ -32,11 +34,12 @@ def cell_by_cell(value):
 
 
 def format_column(kind, values):
+    """A column as the writer takes it, an ``S`` array of cells."""
     if kind == "float":
-        return cli._floats(np.array(values, dtype=float))
+        return _shortest.floats(np.array(values, dtype=float))
     if kind == "int":
-        return list(map(str, values))
-    return list(map(cli._text, values))
+        return np.array(values, dtype=np.int64).astype(bytes)
+    return cli._texts(values)
 
 
 def emitted_rows(header, blocks):
@@ -100,3 +103,47 @@ def test_emit_reads_back_exactly(table):
                 assert math.isnan(float(cell))
             else:
                 assert struct.pack("<d", float(cell)) == struct.pack("<d", value)
+
+
+def assert_reprs(values):
+    """``_shortest.floats`` of ``values`` is ``repr`` of each, byte for byte."""
+    values = np.asarray(values, dtype=float)
+    cells = _shortest.floats(values)
+    assert cells.shape == values.shape
+    got, want = cells.reshape(-1).tolist(), [repr(v).encode() for v in values.reshape(-1).tolist()]
+    if got != want:
+        bad = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+        raise AssertionError(f"{values.reshape(-1)[bad]!r}: {got[bad]!r} != {want[bad]!r}")
+
+
+def test_floats_match_repr_on_a_sweep_of_edges_and_random_bits():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    tiny = np.finfo(float).smallest_normal
+    subnormal_ends = [5e-324, 1e-323, np.nextafter(tiny, 0.0), tiny, np.nextafter(tiny, 1.0)]
+    edges = np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        [0.0, math.nan, math.inf, 1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 1.7976931348623157e308],
+        subnormal_ends, np.arange(2**53 - 5000, 2**53 + 5000, dtype=np.int64).astype(float),
+    ])
+    assert_reprs(np.concatenate([edges, -edges]))
+    bits = np.random.default_rng(20240).integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    cells = _shortest.floats(values)
+    assert b"\n".join(cells.tolist()) == "\n".join(map(repr, values.tolist())).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), max_size=40), st.sampled_from([(-1,), (1, -1), (-1, 1)]))
+def test_floats_match_repr(values, shape):
+    assert_reprs(np.array(values, dtype=float).reshape(shape))
+
+
+@pytest.mark.parametrize("cells", [["a\0b"], ["ok", "\0"], ["trailing\0"]])
+def test_a_text_cell_holding_a_nul_raises(cells):
+    # the writer drops every NUL, so such a cell would lose it silently
+    with pytest.raises(ValueError, match="NUL"):
+        cli._texts(cells)
+    with pytest.raises(ValueError, match="NUL"):
+        emitted_rows(cells + ["x"], [])

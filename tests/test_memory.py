@@ -24,6 +24,11 @@ run of chunks it is sampling and folding (see ``simulate._fold_runs``):
 The batched filter holds, per thread, one block: its ``BLOCK_ROWS x atoms``
 log-weights, its observation rows (xi, t, 1 and the shift) and its sum rows
 (the normalizer and one sum per column of g), above the output it writes.
+
+The CSV writer formats and writes ``simulate`` output a block of whole paths
+at a time (``cli._BLOCK_ROWS`` rows or one path), so its peak is a few blocks
+of rows whatever the path count: the formatter's gather index (8 bytes per
+character of a block's floats), the cells, the row matrix and its text.
 """
 
 import tracemalloc
@@ -32,6 +37,7 @@ import numpy as np
 import pytest
 
 import levy_info as li
+from levy_info import cli
 from levy_info.filtering import BLOCK_ROWS
 
 N = 100_000
@@ -87,6 +93,23 @@ def test_posterior_expectations_peak_stays_within_a_block_per_thread(threads, mo
     peak = traced_peak(lambda: li.posterior_expectations(prior, model, xi, t, g))
     block = BLOCK_ROWS * (len(prior) + 4 + 1 + g.shape[1]) * 8
     assert peak - 8 * rows * g.shape[1] <= threads * block + ALLOWANCE, f"{peak / block:.2f} blocks"
+
+
+@pytest.mark.parametrize("paths", [1000, 4000])
+def test_simulate_csv_peak_stays_within_a_few_blocks_of_rows(paths, tmp_path):
+    times = np.linspace(0.0, 1.0, 101)
+    rng = np.random.default_rng(0)
+    xi, messages = rng.normal(size=(paths, times.size)).cumsum(axis=1), rng.normal(size=paths)
+    header = ("path_id", "t", "xi", "x_hidden")
+
+    def write():
+        cli._emit(str(tmp_path / "simulate.csv"), "simulate", {"seed": 0}, header,
+                  cli._simulate_blocks(messages, xi, times))
+
+    write()  # first-call tables are not the working set
+    peak = traced_peak(write)
+    block = cli._BLOCK_ROWS * (4 * 24 + 4)  # four cells of at most 24 bytes and their separators
+    assert peak <= 6 * block + ALLOWANCE, f"{peak / block:.2f} blocks"
 
 
 def test_traced_peak_sees_numpy_buffers():

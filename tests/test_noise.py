@@ -239,6 +239,14 @@ def test_inverse_marginal_literals():
     assert li.inverse_marginal(gamma, 4.0) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("y", [[1.0, 2.0], [], np.array([[2.0]])], ids=str)
+def test_inverse_marginal_of_an_array_is_invalid_parameter(y):
+    # an array used to reach numpy's truth value of an array, a bare ValueError
+    gamma = li.make_noise_model("Gamma", (1.0, 1.0))
+    with pytest.raises(li.InvalidParameter, match=rf"scalar y, got shape \({len(np.asarray(y))},"):
+        li.inverse_marginal(gamma, y)
+
+
 def test_inverse_marginal_round_trip(model):
     for a in interior_grid(model, 60):
         a = float(a)

@@ -70,6 +70,19 @@ def test_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_leaves_the_cli_and_its_formatter_unloaded():
+    # the formatter's tables are built at first use, and nothing on the
+    # import path of the package loads the command line
+    src = str(Path(li.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, levy_info; "
+             "print(sorted(m for m in ('levy_info.cli', 'levy_info._shortest') if m in sys.modules)); "
+             "import levy_info.cli, levy_info._shortest as s; print(s._tables.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["[]", "0"]
+
+
 def scipy_imports(source):
     """Lines of every ``import scipy...`` or ``from scipy... import``, in
     function bodies too."""

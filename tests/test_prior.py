@@ -85,6 +85,21 @@ def test_zero_density_raises():
         li.prior_from_density(lambda x: 0.0, li.Interval(0.0, 1.0, True, True), 8)
 
 
+@pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (0.5, 0.5)])
+def test_density_interval_ends_out_of_order_are_invalid_parameter(lo, hi):
+    # a reversed interval used to raise ZeroMass, "density integrates to zero"
+    with pytest.raises(li.InvalidParameter, match=f"lo < hi, got lo={lo} and hi={hi}"):
+        li.prior_from_density(np.ones_like, li.Interval(lo, hi), 8)
+
+
+@pytest.mark.parametrize("f", [lambda x: x + 1j, lambda x: np.complex128(0.5 + 1j), lambda x: complex(x, 1.0)],
+                         ids=["array", "numpy-scalar", "python-scalar"])
+def test_complex_density_is_a_type_error(f):
+    # its imaginary part used to be dropped with only a ComplexWarning
+    with pytest.raises(TypeError, match="density f must be real"):
+        li.prior_from_density(f, li.Interval(0.0, 1.0), 8)
+
+
 # n-point Gauss-Legendre rules on [-1, 1], the rule prior_from_density maps
 RULE_SIZES = [2, 3, 8, 64, 256]
 

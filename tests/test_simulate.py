@@ -417,6 +417,14 @@ def test_representation_draws_need_a_positive_finite_time(t):
         li.representation_draws(vg, "VG_subordinated", 0.0, t, 10, seed=1)
 
 
+@pytest.mark.parametrize("x, t, shapes", [([0.1, 0.2], 1.0, r"\(2,\) and \(\)"), (0.1, [1.0], r"\(\) and \(1,\)")])
+def test_representation_draws_take_a_scalar_message_and_time(x, t, shapes):
+    # an array message used to fail in numpy broadcasting, a bare ValueError
+    vg = li.make_noise_model("VarianceGamma", (2.0,))
+    with pytest.raises(li.InvalidParameter, match=f"scalar x and t, got shapes {shapes}"):
+        li.representation_draws(vg, "VG_gamma_difference", x, t, 4, 0)
+
+
 def test_scaled_subordinator_draws_one_normal_per_draw():
     # each draw gets its own gaussian: with one shared normal every draw at
     # x = 0 would take its sign
