@@ -19,10 +19,13 @@ whole paths, at least one).  Every cell is a byte string in a NUL-padded
 ``S`` array: floats in shortest round-trip form, as ``repr`` writes them
 (``_shortest``), with a block's float columns formatted in one call,
 integers by ``str`` and text cells UTF-8 encoded and quoted as
-``csv.QUOTE_MINIMAL`` would.  A block is written by placing its cells and
-the separators in one ``uint8`` matrix, a row per CSV row, and dropping
-every NUL in one pass, so formatting memory is O(block).  ``simulate``
-formats the shared time column once.
+``csv.QUOTE_MINIMAL`` would.  A block is a tuple of cell groups, columns on
+the last axis, whose leading axes broadcast to the block's rows; it is
+written by placing its cells and the separators in one ``uint8`` matrix, a
+row per CSV row, and dropping every NUL in one pass, so formatting memory
+is O(block).  A cell that many rows share is formatted and stored once and
+broadcast into them: ``simulate`` formats the time column once, each
+distinct message once, and each block's path ids at their own width.
 """
 
 from __future__ import annotations
@@ -331,21 +334,24 @@ def _texts(cells) -> np.ndarray:
 
 
 def _rows(block) -> str:
-    """A block's CSV rows.  The block is a tuple of ``S`` arrays with one row
-    per CSV row, each a column or, 2-D, several; every cell but the last of a
-    row is followed by a comma, the last by a line break."""
-    groups = [cells.reshape(-1, 1) if cells.ndim == 1 else cells for cells in block]
-    n = len(groups[0])
-    line = np.empty((n, sum((cells.dtype.itemsize + 1) * cells.shape[1] for cells in groups)), dtype=np.uint8)
+    """A block's CSV rows.  The block is a tuple of ``S`` cell groups whose
+    last axis is columns and whose leading axes broadcast to the block's row
+    shape; the rows are written in that shape's C order.  A cell shared by
+    many rows, such as a path id, is stored once and copied into each row by
+    broadcasting.  Every cell but the last of a row is followed by a comma,
+    the last by a line break."""
+    shape = np.broadcast_shapes(*(cells.shape[:-1] for cells in block))
+    # every byte no cell covers is a separator
+    line = np.full((*shape, sum((cells.dtype.itemsize + 1) * cells.shape[-1] for cells in block)), ord(","),
+                   dtype=np.uint8)
     at = 0
-    for cells in groups:
-        k, width = cells.shape[1], cells.dtype.itemsize
+    for cells in block:
+        k, width = cells.shape[-1], cells.dtype.itemsize
         # splitting the last axis of the slice is a view, so this writes line
-        part = line[:, at:at + k * (width + 1)].reshape(n, k, width + 1)
-        part[:, :, :width] = np.ascontiguousarray(cells).view(np.uint8).reshape(n, k, width)
-        part[:, :, width] = ord(",")
+        part = line[..., at:at + k * (width + 1)].reshape(*shape, k, width + 1)
+        part[..., :width] = np.ascontiguousarray(cells).view(np.uint8).reshape(*cells.shape, width)
         at += k * (width + 1)
-    line[:, -1] = ord("\n")
+    line[..., -1] = ord("\n")
     return line.tobytes().translate(None, b"\0").decode()
 
 
@@ -411,15 +417,20 @@ def _one_path(args):
 
 def _simulate_blocks(messages, xi, times):
     """The ``simulate`` blocks: ceil(_BLOCK_ROWS / steps) whole paths each,
-    at least one, with each path's xi_t and message formatted in one call."""
-    t_cells = _shortest.floats(times)
-    steps = len(times)
-    per_block = -(-_BLOCK_ROWS // steps)
+    at least one.  A block of P paths on S times is four cell groups: the
+    path ids (P, 1, 1), sized to the block's widest id; the time cells
+    (1, S, 1), formatted once; xi (P, S, 1); and the messages (P, 1, 1),
+    taken from one formatting of the distinct messages, the prior's atoms."""
+    t_cells = _shortest.floats(times)[None, :, None]
+    # distinct by bit pattern, so 0.0 and -0.0 keep their own cells
+    atoms, atom_of = np.unique(messages.view(np.uint64), return_inverse=True)
+    atom_cells = _shortest.floats(atoms.view(np.float64))
+    per_block = -(-_BLOCK_ROWS // len(times))
     for lo in range(0, len(messages), per_block):
         hi = min(lo + per_block, len(messages))
-        cells = _shortest.floats(np.column_stack([xi[lo:hi], messages[lo:hi]]))
-        yield (np.repeat(np.arange(lo, hi).astype(bytes), steps), np.tile(t_cells, hi - lo),
-               cells[:, :steps].reshape(-1), np.repeat(cells[:, steps], steps))
+        ids = np.arange(lo, hi).astype(f"S{len(str(hi - 1))}")
+        yield (ids[:, None, None], t_cells, _shortest.floats(xi[lo:hi])[..., None],
+               atom_cells[atom_of[lo:hi]][:, None, None])
 
 
 def _cmd_simulate(args) -> int:
@@ -481,7 +492,7 @@ def _cmd_experiment(args) -> int:
     numbers = np.array(
         [(r.estimate, r.reference, r.stderr, r.z) for r in report.rows], dtype=float
     ).reshape(-1, 4)
-    block = (_texts([r.quantity for r in report.rows]), _shortest.floats(numbers))
+    block = (_texts([r.quantity for r in report.rows])[:, None], _shortest.floats(numbers))
     _emit(args.out, f"experiment {args.name}", config,
           ("quantity", "estimate", "reference", "stderr", "z"), [block])
     print(report.summary(), file=sys.stderr)

@@ -101,21 +101,37 @@ class UsageError(LevyInfoError):
     """Bad command line arguments (CLI only)."""
 
 
-def _count(n, name: str, least: int = 1) -> int:
-    """A count of at least ``least``, given as an integer (numpy's included), never truncated."""
+# the largest count numpy can size an array by
+_MOST = int(np.iinfo(np.intp).max)
+
+
+def _count(n, name: str, least: int = 1, most=_MOST) -> int:
+    """A count of at least ``least`` and at most ``most``, given as an integer
+    (numpy's included), never truncated; a boolean is no count.  The default
+    ``most`` refuses a count numpy cannot size an array by before anything is
+    allocated; seeds and stream keys, which size nothing, pass ``math.inf``."""
+    if isinstance(n, bool):
+        raise InvalidParameter(f"{name} must be an integer, got {n!r}")
     try:
         n = operator.index(n)
     except TypeError:
         raise InvalidParameter(f"{name} must be an integer, got {n!r}") from None
     if n < least:
         raise InvalidParameter(f"{name} must be >= {least}, got {n}")
+    if n > most:
+        raise InvalidParameter(f"{name} must be <= {most}, got {n}")
     return n
 
 
 def _real(value, name: str):
-    """``value``, unless it is complex: a TypeError, as Python's float() makes it, not a lost imaginary part."""
-    if np.iscomplexobj(value):
+    """``value``, unless it is complex or boolean: a TypeError, as Python's
+    float() makes it for a complex value, not a lost imaginary part or a flag
+    read as 0 or 1."""
+    kind = np.asarray(value).dtype.kind
+    if kind == "c":
         raise TypeError(f"{name} must be real, got {value!r}")
+    if kind == "b":
+        raise TypeError(f"{name} must be a number, not a boolean, got {value!r}")
     return value
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParameter, TooFewSamples, _instances, _positive
 from .filtering import posterior_expectations
-from .noise import NoiseModel, _check_domain, check_observation, exponent_derivatives
+from .noise import NoiseModel, check_observation, exponent_derivatives
 from .prior import Prior, check_compatibility
 from .simulate import InformationPath, TimeGrid, simulate_ensemble
 from .stats import StudyReport, StudyRow, mean_stderr, zscore
@@ -25,7 +25,6 @@ __all__ = [
     "InnovationsPath",
     "innovations_path",
     "innovations_ensemble",
-    "compensated_path",
     "martingale_test",
 ]
 
@@ -108,26 +107,6 @@ def innovations_ensemble(model: NoiseModel, prior: Prior, grid: TimeGrid, n_path
     messages, xi = simulate_ensemble(model, prior, grid, n_paths, seed, tag)
     yhat, _, m = _decompose(model, prior, grid, xi)
     return messages, xi, yhat, m
-
-
-def compensated_path(path: InformationPath, model: NoiseModel) -> np.ndarray:
-    """The conditional martingale m_t = xi_t - psi0'(x) t using the hidden draw.
-
-    A verification aid: it reads the message stored on the path, which the
-    filter itself never sees.
-
-    Raises
-    ------
-    InvalidParameter
-        If ``path`` is not an InformationPath or ``model`` not a NoiseModel,
-        or its values do not fit its grid.
-    OutOfDomain
-        If the stored message is not admissible for ``model``.
-    """
-    _instances((path, InformationPath), (model, NoiseModel))
-    _check_values(path)
-    x = _check_domain(model, path.message, "message x")
-    return path.values - exponent_derivatives(model, x)[0] * path.grid.times
 
 
 def martingale_test(samples, threshold: float = 3.5) -> StudyReport:

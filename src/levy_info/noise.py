@@ -680,8 +680,9 @@ def _argument(model: NoiseModel, alpha, what: str = "alpha"):
     golden digests pin."""
     a = np.asarray(alpha)
     is_complex = np.iscomplexobj(a)
-    a = a.astype(complex if is_complex else float, copy=False)
+    # checked before the cast, so that a boolean is refused (errors._real)
     _check_domain(model, a.real, f"Re {what}" if is_complex else what)
+    a = a.astype(complex if is_complex else float, copy=False)
     finite = np.isfinite(a.imag)
     if not finite.all():
         raise NonFiniteValue(f"Im {what} must be finite, got {a.imag[~finite][0]:g}")
@@ -819,6 +820,7 @@ def conditional_exponent(model: NoiseModel, x: float, alpha):
         As :func:`fiducial_exponent`.
     """
     x = _check_domain(model, x, "x")
+    _real(np.asarray(alpha).real, "alpha")  # alpha may be complex, but not boolean
     a = _argument(model, np.add(alpha, x), "alpha + x")
     return _shaped(_exponent(model, a) - _exponent(model, np.asarray(x, dtype=a.dtype)))
 
@@ -864,10 +866,19 @@ def sheffer_polynomials(model: NoiseModel, xi, t) -> tuple:
     NonFiniteValue, InvalidParameter, OffSupport
         As :func:`check_observation`, which also refuses a ``t`` that does
         not broadcast to ``xi``.
+    NonFiniteValue
+        If a Q overflows, naming the first such (xi, t).
     """
     xi, t = check_observation(model, xi, t)
     p1, p2, p3 = exponent_derivatives(model, 0.0)
-    u = xi - p1 * t
-    q2 = 0.5 * (u * u - p2 * t)
-    q3 = (u * u * u - 3.0 * p2 * t * u - p3 * t) / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = xi - p1 * t
+        q2 = 0.5 * (u * u - p2 * t)
+        q3 = (u * u * u - 3.0 * p2 * t * u - p3 * t) / 6.0
+    over = ~(np.isfinite(u) & np.isfinite(q2) & np.isfinite(q3))
+    if over.any():
+        i = np.argmax(over)
+        raise NonFiniteValue(
+            f"the Sheffer polynomials overflow at (xi, t) = ({float(xi.flat[i])!r}, {float(t.flat[i])!r})"
+        )
     return _shaped(u), _shaped(q2), _shaped(q3)

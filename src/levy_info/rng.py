@@ -17,6 +17,7 @@ building one per stream.
 from __future__ import annotations
 
 import collections
+import math
 import os
 import threading
 
@@ -47,6 +48,11 @@ def _chunks(n: int) -> list:
     return [(c, slice(start, min(n, start + CHUNK))) for c, start in enumerate(range(0, n, CHUNK))]
 
 
+def _key(k, name: str) -> int:
+    """A seed or stream key: an integer >= 0 of any size."""
+    return _count(k, name, 0, math.inf)
+
+
 def _words(n: int) -> list:
     """The uint32 words of a non-negative integer, least significant first; [0] for 0."""
     words = [n & _MASK]
@@ -58,7 +64,7 @@ def _words(n: int) -> list:
 def _key_words(k) -> list:
     """A key as entropy words: an integer's words, or an integer array as one word per entry."""
     if np.ndim(k) == 0:
-        return _words(_count(k, "stream key", 0))
+        return _words(_key(k, "stream key"))
     k = np.asarray(k)
     if k.dtype.kind not in "iu" or (k.size and (k.min() < 0 or k.max() > _MASK)):
         raise InvalidParameter("a stream key array must hold integers in [0, 2**32)")
@@ -80,7 +86,7 @@ def stream_keys(seed: int, *key) -> np.ndarray:
         If ``seed`` or a key is not a non-negative integer (numpy's included),
         or an array key is not integers in [0, 2**32).
     """
-    entropy = _words(_count(seed, "seed", 0))
+    entropy = _words(_key(seed, "seed"))
     if key:
         # numpy pads the seed's words to the pool size when a spawn key follows
         entropy += [0] * (4 - len(entropy))
@@ -197,7 +203,7 @@ def ensemble_streams(seed: int, tag: int, n_paths: int, intervals, run: int = RU
     key is computed before any run draws, one hash pass per ``_BLOCK``
     intervals; ``seed`` and ``tag`` are checked (InvalidParameter) first.
     """
-    seed, tag = _count(seed, "seed", 0), _count(tag, "stream key", 0)
+    seed, tag = _key(seed, "seed"), _key(tag, "stream key")
     chunks = _chunks(n_paths)
     size = max(1, min(run, len(chunks) // worker_count()))
     keys = np.empty((len(chunks), len(intervals), 2), dtype=np.uint64)
@@ -216,7 +222,7 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     InvalidParameter
         If ``seed`` or a key is not a non-negative integer (numpy's included).
     """
-    seed, key = _count(seed, "seed", 0), tuple(_count(k, "stream key", 0) for k in key)
+    seed, key = _key(seed, "seed"), tuple(_key(k, "stream key") for k in key)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 

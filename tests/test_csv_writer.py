@@ -68,7 +68,7 @@ def to_blocks(kinds, rows, cuts):
     blocks = []
     for lo, hi in zip(bounds, bounds[1:]):
         columns = list(zip(*rows[lo:hi])) or [()] * len(kinds)
-        blocks.append(tuple(format_column(k, list(c)) for k, c in zip(kinds, columns)))
+        blocks.append(tuple(format_column(k, list(c))[:, None] for k, c in zip(kinds, columns)))
     return blocks
 
 
@@ -103,6 +103,32 @@ def test_emit_reads_back_exactly(table):
                 assert math.isnan(float(cell))
             else:
                 assert struct.pack("<d", float(cell)) == struct.pack("<d", value)
+
+
+@st.composite
+def broadcast_blocks(draw):
+    """A row shape of one to three axes, and cell groups whose leading axes
+    are each 1 or the row shape's, with the row shape's on every axis in at
+    least one group, so that the groups broadcast to it."""
+    shape = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    n_groups = draw(st.integers(1, 4))
+    full = [draw(st.integers(0, n_groups - 1)) for _ in shape]
+    block = []
+    for g in range(n_groups):
+        lead = tuple(n if full[i] == g else draw(st.sampled_from([1, n])) for i, n in enumerate(shape))
+        k = draw(st.integers(1, 3))
+        size = math.prod(lead) * k
+        cells = draw(st.lists(st.text(TEXT_CHARS, max_size=4).map(str.encode), min_size=size, max_size=size))
+        block.append(np.array(cells, dtype=bytes).reshape(*lead, k))
+    return shape, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(broadcast_blocks())
+def test_rows_of_broadcast_groups_equal_rows_of_materialized_groups(table):
+    shape, block = table
+    materialized = [np.broadcast_to(cells, (*shape, cells.shape[-1])).copy() for cells in block]
+    assert cli._rows(tuple(block)) == cli._rows(tuple(materialized))
 
 
 def assert_reprs(values):

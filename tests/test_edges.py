@@ -6,6 +6,9 @@ argument at a time: a float by NaN, +-inf, -1e3 and 0, a count or seed by
 2.5, -1 and NaN.  At a float edge a call returns finite output or raises a
 ``LevyInfoError``; a count edge is no count, and the call raises one.
 Wrong types are out of scope: a TypeError propagates by design (errors.py).
+Two wrong types are swept as the command line reads them: a complex value
+or a boolean where a real number is due is a TypeError, and a boolean count
+or seed is an ``InvalidParameter``, as 2.5 is.
 
 Some outputs are infinite or NaN by contract and pass: an unbounded end of
 an ``Interval``, the I0 of a clamped rate (-inf, flagged by
@@ -33,8 +36,8 @@ def rng():
     return np.random.default_rng(0)
 
 
-def path(xi=1.0, message=0.5):
-    return li.InformationPath(li.TimeGrid([0.0, 1.0]), np.array([0.0, xi]), message, GAMMA)
+def path(xi=1.0):
+    return li.InformationPath(li.TimeGrid([0.0, 1.0]), np.array([0.0, xi]), 0.5, GAMMA)
 
 
 def call(fn, counts=None, **floats):
@@ -90,7 +93,6 @@ CALLS = {
     "innovations_ensemble": call(
         lambda n_paths, seed, tag: li.innovations_ensemble(GAMMA, PRIOR, GRID, n_paths, seed, tag),
         counts={"n_paths": 3, "seed": 1, "tag": 0}),
-    "compensated_path": call(lambda message: li.compensated_path(path(message=message), GAMMA), message=0.5),
     "martingale_test": call(lambda threshold: li.martingale_test(SAMPLES, threshold), threshold=3.5),
     # statistics
     "StudyReport": call(lambda threshold: li.StudyReport("demo", (), threshold), threshold=3.5),
@@ -219,3 +221,49 @@ def test_finite_sees_a_nan_anywhere():
 def test_a_complex_value_where_a_real_one_is_due_is_a_type_error(name, arg):
     with pytest.raises(TypeError, match="must be real"):
         run(name, arg, np.complex128(CALLS[name][1][arg] + 1j))
+
+
+# (call, argument) -> why a boolean there is not seen: the table puts the
+# argument into an array beside floats, and numpy makes the boolean a float
+IN_A_FLOAT_ARRAY = {
+    ("TimeGrid", "t"): "TimeGrid([0.0, t])",
+    ("innovations_path", "xi"): "the path's values np.array([0.0, xi])",
+}
+
+
+@pytest.mark.parametrize("edge", [True, np.True_], ids=["True", "np.True_"])
+@pytest.mark.parametrize("name, arg", [case for case in edge_cases(1) if tuple(case.values) not in IN_A_FLOAT_ARRAY])
+def test_a_boolean_where_a_real_one_is_due_is_a_type_error(name, arg, edge):
+    # booleans are not numbers, as on the command line: True is no 1.0
+    with pytest.raises(TypeError, match="not a boolean"):
+        run(name, arg, edge)
+
+
+@pytest.mark.parametrize("name, arg", edge_cases(2))
+def test_a_boolean_count_is_no_count(name, arg):
+    with pytest.raises(li.InvalidParameter, match="must be an integer, got True"):
+        run(name, arg, True)
+
+
+def test_a_boolean_array_where_reals_are_due_is_a_type_error():
+    with pytest.raises(TypeError, match="not a boolean"):
+        li.TimeGrid(np.array([False, True]))
+    with pytest.raises(TypeError, match="not a boolean"):
+        li.sheffer_polynomials(GAMMA, [True, True], 1.0)
+    with pytest.raises(TypeError, match="not a boolean"):
+        li.posterior_expectations(PRIOR, GAMMA, [1.0], [1.0], np.eye(2, dtype=bool))
+
+
+def test_a_count_numpy_cannot_size_an_array_by_is_invalid_before_any_allocation():
+    # checked first, so that an unchecked ensemble of 2**70 paths never runs
+    with pytest.raises(li.InvalidParameter, match="must be <="):
+        li.errors._count(2**70, "n_paths")
+    huge = 2**70
+    for fn in (lambda: li.TimeGrid.regular(1.0, huge),
+               lambda: li.representation_draws(VG, "VG_subordinated", 0.5, 1.0, huge, 1),
+               lambda: li.prior_from_density(np.ones_like, li.Interval(-1.0, 1.0), huge),
+               lambda: li.simulate_ensemble(GAMMA, PRIOR, GRID, huge, 1)):
+        with pytest.raises(li.InvalidParameter, match=f"must be <= {np.iinfo(np.intp).max}, got {huge}"):
+            fn()
+    # a seed or stream key sizes nothing and may be any non-negative integer
+    assert li.simulate_ensemble(GAMMA, PRIOR, GRID, 3, huge, huge)[1].shape == (3, len(GRID))

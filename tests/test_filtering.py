@@ -587,11 +587,9 @@ def test_swapped_prior_and_model_is_invalid_parameter():
         li.simulate_ensemble(prior, model, li.TimeGrid.regular(1.0, 2), 3, seed=1)
 
 
-def test_swapped_path_and_prior_or_model_is_invalid_parameter():
+def test_swapped_path_and_prior_is_invalid_parameter():
     model = li.make_noise_model("Gamma", (1.0, 1.0))
     prior = li.prior_from_atoms([(0.0, 1.0), (0.2, 1.0)])
     path = li.simulate_information_path(model, prior, li.TimeGrid.regular(1.0, 4), np.random.default_rng(0))
     with pytest.raises(li.InvalidParameter, match="InformationPath and a Prior"):
         li.innovations_path(prior, path)
-    with pytest.raises(li.InvalidParameter, match="InformationPath and a NoiseModel"):
-        li.compensated_path(model, path)

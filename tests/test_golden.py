@@ -55,6 +55,14 @@ CASES = {
          "--seed", "16"],
         "18400ea5bfbe5e058c82b9af69acd2fb26b880dd8a9b2a751654ffc0db0e3d35",
     ),
+    # path ids that change width inside the first block (9 -> 10, 99 -> 100,
+    # 999 -> 1000) and from block to block (to 10000 in the last), and long
+    # message cells from a 16-atom Gauss-Legendre prior
+    "simulate-wide-ids-density": (
+        ["simulate", "--paths", "10001", "--set", "grid.steps=2", "--seed", "19",
+         "--set", 'prior={"density":"gaussian-truncated","mean":0.0,"sd":1.0,"lo":-3,"hi":3,"n":16}'],
+        "91542775ca920d8521e2b33f0febf9dfc06b617920dd2237a3bd8b5ec0c83e7d",
+    ),
     # the three density digests were re-recorded when prior_from_density took
     # its Gauss-Legendre rule from numpy's leggauss instead of scipy's
     # roots_legendre: nodes and weights moved in the last bits, and with them

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import struct
 
 import numpy as np
@@ -546,6 +547,17 @@ def test_sheffer_polynomials_reject_non_finite_input(xi, t):
 def test_sheffer_polynomials_reject_an_observation_off_the_support(family, params, xi):
     with pytest.raises(li.OffSupport):
         li.sheffer_polynomials(li.make_noise_model(family, params), xi, 1.0)
+
+
+@pytest.mark.parametrize("family, params, xi, t", [
+    ("Gamma", (1.0, 1.0), 1e308, 1.0), ("Brownian", (), 1e200, 1.0), ("Brownian", (), [1.0, 2.0, 1e200], [1.0, 2.0, 3.0]),
+])
+@pytest.mark.filterwarnings("error")
+def test_sheffer_polynomials_name_the_observation_where_they_overflow(family, params, xi, t):
+    # Q2 and Q3 used to come back inf or nan with only a RuntimeWarning
+    where = re.escape(f"(xi, t) = ({float(np.max(xi))!r}, {float(np.max(t))!r})")
+    with pytest.raises(li.NonFiniteValue, match=where):
+        li.sheffer_polynomials(li.make_noise_model(family, params), xi, t)
 
 
 def test_sheffer_polynomials_refuse_times_that_do_not_broadcast():

@@ -186,6 +186,14 @@ def test_studies_draw_only_through_the_chunk_keyed_samplers():
     assert names_used(experiments_source(), {"stream", "increment_draws"}) == []
 
 
+def test_cli_broadcasts_shared_cells_rather_than_copying_them():
+    # a path id, time or message shared by many CSV rows is one cell that
+    # cli._rows broadcasts into each row; a repeated or tiled copy is the
+    # per-row storage the row matrix avoids
+    source = Path(li.__file__).with_name("cli.py").read_text(encoding="utf-8")
+    assert names_used(source, {"repeat", "tile"}) == []
+
+
 def uses_outside_rng(names):
     """``names_used`` of each package module but ``rng.py`` that uses one of
     ``names``, after checking that ``rng.py`` does."""
