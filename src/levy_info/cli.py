@@ -14,8 +14,10 @@ fully resolved configuration and seed; identical invocations are
 byte-identical.  Exit codes: 0 success, 1 usage error, 2 validation or
 numerical error, 3 study failure (some |z| above threshold).
 
-Output is written in blocks of at most ``_BLOCK_ROWS`` rows (``simulate``:
-whole paths, at least one).  Every cell is a byte string in a NUL-padded
+Output is written in blocks of about ``_BLOCK_ROWS`` four-column rows:
+``simulate`` writes whole paths, at least one, and a table of other widths
+the same number of cells, at least one row (``filter --weights`` has a
+column per atom).  Every cell is a byte string in a NUL-padded
 ``S`` array: floats in shortest round-trip form, as ``repr`` writes them
 (``_shortest``), with a block's float columns formatted in one call,
 integers by ``str`` and text cells UTF-8 encoded and quoted as
@@ -60,7 +62,8 @@ from .stats import StudyReport
 
 __all__ = ["main"]
 
-# CSV rows formatted and written at a time, which bounds the output's memory
+# CSV rows of four cells formatted and written at a time, which bounds the
+# output's memory
 _BLOCK_ROWS = 8192
 
 _BASE_CONFIG = {
@@ -356,10 +359,11 @@ def _rows(block) -> str:
 
 
 def _float_blocks(columns):
-    """Blocks of at most ``_BLOCK_ROWS`` rows of equal-length float columns,
-    each block formatted in one call."""
-    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-        yield (_shortest.floats(np.column_stack([column[lo:lo + _BLOCK_ROWS] for column in columns])),)
+    """Blocks of equal-length float columns, each formatted in one call: at
+    most ``4 * _BLOCK_ROWS`` cells, at least one row."""
+    rows = max(1, 4 * _BLOCK_ROWS // len(columns))
+    for lo in range(0, len(columns[0]), rows):
+        yield (_shortest.floats(np.column_stack([column[lo:lo + rows] for column in columns])),)
 
 
 def _emit(out_path, subcommand: str, config: dict, header, blocks) -> None:

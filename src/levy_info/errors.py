@@ -70,7 +70,8 @@ class IncompatibleSupport(LevyInfoError):
 
 class NonFiniteValue(LevyInfoError):
     """A value that must be finite is not: an observation, the imaginary part
-    of an exponent argument, or a user-supplied function's value on an atom."""
+    of an exponent argument, a user-supplied function's value on an atom, or
+    a sampled path or draw that overflows at a huge time."""
 
 
 class OffSupport(LevyInfoError):

@@ -25,7 +25,7 @@ from .noise import (
     fiducial_exponent,
 )
 from .prior import Prior, check_compatibility, prior_from_atoms
-from .simulate import TimeGrid, _bridge_clock, _fold_runs, representation_draws, simulate_ensemble
+from .simulate import TimeGrid, _bridge_clock, _fold_runs, representation_draws
 from .stats import (
     StudyReport,
     StudyRow,
@@ -53,18 +53,20 @@ def _ladder(times) -> np.ndarray:
     return times
 
 
-def _values(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: int, seed: int, tag: int) -> np.ndarray:
-    """``simulate_ensemble(...)[1][:, 1:].T``: the values at grid[1:] as
-    rows, written run by run as the ensemble is drawn, with its checks in
-    its order and no ensemble matrix."""
+def _values(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: int, seed: int, tag: int) -> tuple:
+    """``(x, xi[:, 1:].T)`` of ``simulate_ensemble(...)``: the messages and
+    the values at grid[1:] as rows, written run by run as the ensemble is
+    drawn, with its checks in its order and no ensemble matrix."""
     check_compatibility(prior, model)
-    values = np.empty((len(grid) - 1, _count(n_paths, "n_paths")))
+    n_paths = _count(n_paths, "n_paths")
+    messages, values = np.empty(n_paths), np.empty((len(grid) - 1, n_paths))
 
-    def fold(sl, messages, rows):
+    def fold(sl, run_messages, rows):
+        messages[sl] = run_messages
         values[:, sl] = rows[:, 1:].T
 
     _fold_runs(model, prior, grid, n_paths, seed, tag, fold)
-    return values
+    return messages, values
 
 
 def _exceed_thresholds(model: NoiseModel, atoms: np.ndarray, epsilon: float):
@@ -211,14 +213,7 @@ def factorization_study(
     alphas = _imaginary_grid(alpha, "alpha")
     betas = _imaginary_grid(beta, "beta")
     t = _positive(t, "t")
-    check_compatibility(prior, model)
-    messages, xi_t = np.empty((2, _count(n_paths, "n_paths")))
-
-    def fold(sl, run_messages, rows):
-        messages[sl] = run_messages
-        xi_t[sl] = rows[:, 1]
-
-    _fold_runs(model, prior, TimeGrid(np.array([0.0, t])), n_paths, seed, 0, fold)
+    messages, (xi_t,) = _values(model, prior, TimeGrid(np.array([0.0, t])), n_paths, seed, 0)
     atoms = prior.positions
     idx = np.searchsorted(atoms, messages)
     # weights = exp(-X xi_t + psi0(X) t), in the message buffer; the term
@@ -292,8 +287,8 @@ def esscher_consistency_study(
     lam = float(lam)  # real and in A: esscher_transform checked it
     t = _positive(t, "t")
     grid, origin = TimeGrid(np.array([0.0, t])), prior_from_atoms([(0.0, 1.0)])
-    (direct,) = _values(tilted, origin, grid, n_paths, seed, 1)
-    (fiducial,) = _values(model, origin, grid, n_paths, seed, 1)
+    (direct,) = _values(tilted, origin, grid, n_paths, seed, 1)[1]
+    (fiducial,) = _values(model, origin, grid, n_paths, seed, 1)[1]
     n = direct.size
     weights = np.exp(lam * fiducial - fiducial_exponent(model, lam) * t)
 
@@ -388,8 +383,8 @@ def bridge_study(
     x = _check_domain(model, x, "message x")
     d1, d2, _ = exponent_derivatives(model, x)
     u, scale = _bridge_clock(horizon, np.array([0.0, s, t]))
-    raw = simulate_ensemble(model, prior_from_atoms([(x, 1.0)]), TimeGrid(u), n_paths, seed, tag=2)[1]
-    xi_s, xi_t = scale[1] * raw[:, 1], scale[2] * raw[:, 2]
+    raw = _values(model, prior_from_atoms([(x, 1.0)]), TimeGrid(u), n_paths, seed, tag=2)[1]
+    xi_s, xi_t = scale[1] * raw[0], scale[2] * raw[1]
     del raw
     rows = []
     for label, sample, at in (("s", xi_s, s), ("t", xi_t, t)):

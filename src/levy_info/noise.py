@@ -277,16 +277,19 @@ def _vg_tilt(lam, drift, m, mu, sigma):
     return (m, (mu + sigma * sigma * lam) / d, sigma / math.sqrt(d)), drift
 
 
+# Every gamma variate is standard_gamma(shape) times its scale: numpy's
+# gamma(shape, scale) is that same product, so one draw method serves every
+# sampler and the per-chunk facade (rng._RunStreams) mirrors only it.
 def _vg_sample(x, dt, rng, size, m, mu, sigma):
     # the gamma subordinator, then the tilted gaussian on it
     d = _vg_d(x, m, mu, sigma)
-    g = rng.gamma(m * dt, 1.0 / m, size)
+    g = rng.standard_gamma(m * dt, size) * (1.0 / m)
     return (mu + sigma * sigma * x) / d * g + sigma / np.sqrt(d) * np.sqrt(g) * rng.standard_normal(size)
 
 
 def _vg_scaled_subordinator(x, dt, rng, size, m, mu, sigma):
     # the gamma subordinator scaled by 1/d, then the untilted gaussian on it
-    g = rng.gamma(m * dt, 1.0 / m, size) * (1.0 / _vg_d(x, m, mu, sigma))
+    g = rng.standard_gamma(m * dt, size) * (1.0 / m) * (1.0 / _vg_d(x, m, mu, sigma))
     return (mu + sigma * sigma * x) * g + sigma * np.sqrt(g) * rng.standard_normal(size)
 
 
@@ -294,7 +297,7 @@ def _vg_gamma_difference(x, dt, rng, size, m, mu, sigma):
     # psi0 splits at the ends of A into a positive and a negative gamma
     # exponent; tilting by x moves each scale to 1/(distance from x to its end)
     lo, hi = _vg_ends(m, mu, sigma)
-    return rng.gamma(m * dt, 1.0, size) / (hi - x) - rng.gamma(m * dt, 1.0, size) / (x - lo)
+    return rng.standard_gamma(m * dt, size) / (hi - x) - rng.standard_gamma(m * dt, size) / (x - lo)
 
 
 def _vg_triplet(m, mu, sigma):
@@ -315,7 +318,7 @@ def _nb_derivatives(a, m, q):
 def _nb_sample(x, dt, rng, size, m, q):
     # Poisson counts mixed over a scaled gamma increment
     qx = q * np.exp(x)
-    return np.asarray(rng.poisson(rng.gamma(m * dt, 1.0, size) * (qx / (1.0 - qx))), dtype=float)
+    return np.asarray(rng.poisson(rng.standard_gamma(m * dt, size) * (qx / (1.0 - qx))), dtype=float)
 
 
 def _logarithmic_draws(q: float, rng, size: int) -> np.ndarray:
@@ -457,8 +460,6 @@ _FAMILIES = {
         domain=lambda m, k: Interval(-math.inf, 1.0 / k),
         inverse=lambda y, m, k: 1.0 / k - m / y,
         tilt=lambda lam, drift, m, k: ((m, k / (1.0 - k * lam)), drift),
-        # numpy draws gamma(shape, scale) as scale * standard_gamma(shape), so
-        # this is the same variate through the faster scalar-shape fill loop
         sample=lambda x, dt, rng, size, m, k: rng.standard_gamma(m * dt, size) * (k / (1.0 - k * x)),
         triplet=lambda m, k: (m * k * (1.0 - math.exp(-1.0 / k)), 0.0, (m, k), ()),
         measure="gamma",

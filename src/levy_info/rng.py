@@ -145,7 +145,7 @@ class _RunStreams:
     ``paths`` is the run's slice of the ensemble's paths.  Iterating yields
     (j, source) per interval j, each chunk's Generator reset to its stream:
     ``source`` is that Generator for a run of one chunk, else this.  Each of
-    the five methods the samplers call draws every chunk's part from that
+    the four methods the samplers call draws every chunk's part from that
     chunk's own stream, in chunk order, with array parameters (one entry per
     path) sliced by chunk, and returns the parts end to end: a sampler handed
     this draws what it draws chunk by chunk, on arrays as long as the run.
@@ -186,9 +186,6 @@ class _RunStreams:
 
     def standard_gamma(self, shape, size=None):
         return self._draw("standard_gamma", (shape,), size)
-
-    def gamma(self, shape, scale=1.0, size=None):
-        return self._draw("gamma", (shape, scale), size)
 
     def poisson(self, lam=1.0, size=None):
         return self._draw("poisson", (lam,), size)

@@ -19,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridExceedsHorizon, InvalidParameter, UnsupportedRepresentation, _count, _positive, _real
+from .errors import (
+    GridExceedsHorizon,
+    InvalidParameter,
+    NonFiniteValue,
+    UnsupportedRepresentation,
+    _count,
+    _positive,
+    _real,
+)
 from .noise import _FAMILIES, NoiseModel, _check_domain, _check_times
 from .prior import Prior, check_compatibility
 from .rng import ensemble_streams, map_ordered
@@ -93,13 +101,31 @@ def _path(grid: TimeGrid, values: np.ndarray, message: float, model: NoiseModel)
 # ---------------------------------------------------------------------------
 
 
+def _checked(model: NoiseModel, draw):
+    """``draw()``, unless the draws overflow, times too long for the model's
+    increments: numpy refuses a rate beyond its sampler's range (ValueError),
+    or a value ``draw`` returns is not finite (NonFiniteValue either way).
+    Callers return a path's sum of increments, which is non-finite once any
+    of them is, so each path is checked once, never once per draw."""
+    cause = None
+    try:
+        out = draw()
+        if np.isfinite(out).all():
+            return out
+    except ValueError as exc:
+        cause = exc
+    detail = "" if cause is None else f" ({cause})"
+    message = f"the draws of {model!r} overflow: the time is too long for its increments{detail}"
+    raise NonFiniteValue(message) from cause
+
+
 def increment_draws(model: NoiseModel, x, dt, rng, size=None):
     """Exact draws of xi(t+dt) - xi(t) given X = x; vectorized over x and dt.
 
     ``x`` and ``dt`` broadcast against each other (and against ``size`` when
     given).  ``dt`` must be finite and >= 0, and ``size`` None, a count or a
     sequence of counts (InvalidParameter).  ``x`` is not checked: callers check
-    messages once, and an ensemble calls this once per interval and chunk.
+    messages once, and an ensemble calls this once per interval and run.
     """
     if isinstance(size, (tuple, list)):
         size = tuple(_count(n, "size", 0) for n in size)
@@ -153,7 +179,7 @@ def simulate_information_path(
     x = sample_messages(prior, None, rng)
     values = np.zeros(len(grid))
     if len(grid) > 1:
-        values[1:] = np.cumsum(increment_draws(model, x, np.diff(grid.times), rng))
+        values[1:] = _checked(model, lambda: np.cumsum(increment_draws(model, x, np.diff(grid.times), rng)))
     return _path(grid, values, x, model)
 
 
@@ -201,13 +227,18 @@ def _fold_runs(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: int, se
         messages, rows = (x[sl], xi[sl]) if fold is None else (np.empty(count), np.zeros((count, len(grid))))
         if first:
             messages[:] = prior.positions[0]
-        acc = np.zeros(count)
-        for j, gen in streams:
-            if j == 0:
-                messages[:] = sample_messages(prior, count, gen)
-            else:
-                acc += increment_draws(model, messages, dts[j - 1], gen, count)
-                rows[:, j] = acc
+
+        def walk():  # the run interval by interval; the paths' final values
+            acc = np.zeros(count)
+            for j, gen in streams:
+                if j == 0:
+                    messages[:] = sample_messages(prior, count, gen)
+                else:
+                    acc += increment_draws(model, messages, dts[j - 1], gen, count)
+                    rows[:, j] = acc
+            return acc
+
+        _checked(model, walk)
         return None if fold is None else fold(sl, messages, rows)
 
     folded = map_ordered(sample_run, runs)
@@ -246,7 +277,7 @@ def representation_draws(model: NoiseModel, rep: str, x: float, t: float, n: int
 
     def run_chunk(streams):
         ((_, gen),) = streams
-        out[streams.paths] = _draws(model, sample, x, t, gen, streams.total)
+        out[streams.paths] = _checked(model, lambda: _draws(model, sample, x, t, gen, streams.total))
 
     map_ordered(run_chunk, ensemble_streams(seed, tag, n, [1], run=1))
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewSamples, _positive
+from .errors import NonFiniteValue, TooFewSamples, _positive
 
 __all__ = [
     "StudyRow",
@@ -118,12 +118,21 @@ def _mean_stderr(x: np.ndarray, out: np.ndarray | None = None) -> tuple:
     The mean is summed once; the steps are those of numpy's ``mean`` and
     ``std(ddof=1)`` (sum, divide; subtract, square, sum, divide, sqrt), so
     the bits are those of ``x.mean()`` and ``x.std(ddof=1) / sqrt(n)``.
+    Finite samples whose sum or squared deviations overflow, such as draws
+    near the largest float, are NonFiniteValue rather than an inf estimate;
+    a sum is finite only when every sample is, so that is checked only
+    after an overflow.
     """
     n = x.size
-    mean = np.add.reduce(x) / n
+    mean = float(np.add.reduce(x) / n)
+    if not math.isfinite(mean) and np.isfinite(x).all():
+        raise NonFiniteValue(f"the sum of {n} finite samples overflows")
     dev = np.subtract(x, mean, out=out)
     np.square(dev, out=dev)
-    return float(mean), float(np.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n))
+    se = float(np.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n))
+    if math.isfinite(mean) and not math.isfinite(se):
+        raise NonFiniteValue(f"the squared deviations of {n} finite samples overflow")
+    return mean, se
 
 
 def _centred_k_statistics(shift: float, xc: np.ndarray) -> tuple:

@@ -61,6 +61,17 @@ def test_overflowing_path_in_filter_exits_two(monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize("family, params, t_max", [("Poisson", "[1.0]", "1e19"), ("Gamma", "[1.0,1.0]", "1e308")])
+def test_a_time_too_long_for_the_increments_exits_two(family, params, t_max):
+    # numpy refuses a Poisson rate above ~9.2e18, and Gamma increments at
+    # t = 1e308 overflow; either was a traceback or a CSV of inf before
+    code, out, err = run_cli(["simulate", "--set", f"model.family={family}", "--set", f"model.params={params}",
+                              "--set", "prior.atoms=[[0.5,1.0]]", "--set", f"grid.t_max={t_max}",
+                              "--set", "grid.steps=1", "--paths", "3"])
+    assert code == 2 and "NonFiniteValue" in err and "overflow" in err
+    assert out == ""
+
+
 def test_inverse_gaussian_atom_at_closed_endpoint():
     # A = [0, 2): x = 0 is the fiducial law itself, 2 - 1e-12 hugs the open end
     ig = li.make_noise_model("InverseGaussian", (1.0, 2.0))

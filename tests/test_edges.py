@@ -143,7 +143,7 @@ COMPLEX = {
     ("conditional_exponent", "alpha"): "the conditional exponent is psi0's complex form, shifted by x",
 }
 
-FLOAT_EDGES = (math.nan, math.inf, -math.inf, -1e3, 0.0)
+FLOAT_EDGES = (math.nan, math.inf, -math.inf, -1e3, 0.0, 1e308, -1e308)
 COUNT_EDGES = (2.5, -1, math.nan)
 
 

@@ -291,7 +291,7 @@ def test_factorization_rejects_non_finite_imaginary_values_before_sampling(imag,
     def fail(*args, **kwargs):
         raise AssertionError("sampled before checking the grids")
 
-    monkeypatch.setattr(experiments, "simulate_ensemble", fail)
+    monkeypatch.setattr(experiments, "_fold_runs", fail)
     grids = {"alpha": 0.5j, "beta": 0.5j, which: complex(0.0, imag)}
     model = li.make_noise_model("Brownian", ())
     prior = li.prior_from_atoms([(0.0, 1.0)])
@@ -360,7 +360,7 @@ def test_esscher_rejects_boundary_tilt():
 def test_esscher_and_bridge_draw_through_the_ensemble_at_tags_1_and_2(monkeypatch):
     # both Esscher sides are the ensemble at the message 0 under one key, so
     # they share their random numbers; the bridge is one ensemble on its
-    # clock; the Esscher sides are folded run by run, the bridge's is whole
+    # clock; each is folded run by run
     calls = []
 
     def recording(sample):
@@ -370,7 +370,6 @@ def test_esscher_and_bridge_draw_through_the_ensemble_at_tags_1_and_2(monkeypatc
 
         return record
 
-    monkeypatch.setattr(experiments, "simulate_ensemble", recording(li.simulate_ensemble))
     monkeypatch.setattr(experiments, "_fold_runs", recording(experiments._fold_runs))
     gamma = li.make_noise_model("Gamma", (1.0, 1.0))
     li.esscher_consistency_study(gamma, 0.25, 1.5, 1000, seed=5)
@@ -496,7 +495,7 @@ def test_study_threshold_is_checked_before_sampling(name, threshold, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before the threshold was checked")
 
-    for sampler in ("simulate_ensemble", "_fold_runs", "representation_draws"):
+    for sampler in ("_fold_runs", "representation_draws"):
         monkeypatch.setattr(experiments, sampler, refuse)
     with pytest.raises(li.InvalidParameter, match="threshold"):
         _study_at(name, threshold)

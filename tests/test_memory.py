@@ -17,8 +17,8 @@ run of chunks it is sampling and folding (see ``simulate._fold_runs``):
 * factorization: the messages and xi_t, each written run by run, the
   weights, the atom indices, the residual and two complex buffers (2 each)
 * esscher: the draws, their products and the jackknife's vectors
-* bridge: xi_s and xi_t, once the ensemble they are scaled from is freed,
-  and the jackknife's vectors
+* bridge: xi_s and xi_t, once the values they are scaled from, written
+  run by run, are freed, and the jackknife's vectors
 * representation: the draws and the jackknife's four buffers
 
 The batched filter holds, per thread, one block: its ``BLOCK_ROWS x atoms``
@@ -26,9 +26,11 @@ log-weights, its observation rows (xi, t, 1 and the shift) and its sum rows
 (the normalizer and one sum per column of g), above the output it writes.
 
 The CSV writer formats and writes ``simulate`` output a block of whole paths
-at a time (``cli._BLOCK_ROWS`` rows or one path), so its peak is a few blocks
-of rows whatever the path count: the formatter's gather index (8 bytes per
-character of a block's floats), the cells, the row matrix and its text.
+at a time (``cli._BLOCK_ROWS`` rows or one path), and any other float table
+a block of as many cells, so its peak is a few blocks of four-cell rows
+whatever the path count or the table's width: the formatter's gather index
+(8 bytes per character of a block's floats), the cells, the row matrix and
+its text.
 """
 
 import tracemalloc
@@ -110,6 +112,23 @@ def test_simulate_csv_peak_stays_within_a_few_blocks_of_rows(paths, tmp_path):
     peak = traced_peak(write)
     block = cli._BLOCK_ROWS * (4 * 24 + 4)  # four cells of at most 24 bytes and their separators
     assert peak <= 6 * block + ALLOWANCE, f"{peak / block:.2f} blocks"
+
+
+def test_a_wide_float_table_peak_stays_within_a_block_of_cells(tmp_path):
+    # filter --weights writes a column per atom, here 5 + 256: a block of
+    # _BLOCK_ROWS rows of it would hold 65 times the cells of a simulate block
+    columns = list(np.random.default_rng(0).normal(size=(261, 10_001)))
+    header = [f"c{i}" for i in range(len(columns))]
+
+    def write():
+        cli._emit(str(tmp_path / "filter.csv"), "filter", {"seed": 0}, header, cli._float_blocks(columns))
+
+    write()  # first-call tables are not the working set
+    peak = traced_peak(write)
+    # every cell of a block is formatted: per cell, the gather index of at
+    # most 24 characters, the cell and its place in the row matrix and its text
+    cell = 8 * 24 + 3 * 25
+    assert peak <= 4 * cli._BLOCK_ROWS * cell + ALLOWANCE, f"{peak / cell:.0f} cells"
 
 
 def test_traced_peak_sees_numpy_buffers():

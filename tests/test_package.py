@@ -18,7 +18,7 @@ import pytest
 import levy_info as li
 from levy_info.cli import main
 from levy_info.noise import _Family
-from levy_info.rng import worker_count
+from levy_info.rng import _RunStreams, worker_count
 from conftest import FAMILY_PARAMS
 
 
@@ -180,10 +180,11 @@ def test_experiments_invert_no_path():
 
 
 def test_studies_draw_only_through_the_chunk_keyed_samplers():
-    # every study samples through simulate_ensemble or representation_draws,
+    # every study samples through simulate._fold_runs or representation_draws,
     # keyed by (seed, tag, chunk, interval); a stream or increment_draws of
-    # its own in experiments.py is a second keying of the studies' draws
-    assert names_used(experiments_source(), {"stream", "increment_draws"}) == []
+    # its own in experiments.py is a second keying of the studies' draws, and
+    # the whole (paths x grid) matrix of simulate_ensemble a second reader
+    assert names_used(experiments_source(), {"stream", "increment_draws", "simulate_ensemble"}) == []
 
 
 def test_cli_broadcasts_shared_cells_rather_than_copying_them():
@@ -221,12 +222,38 @@ def test_only_simulate_draws_keyed_streams():
     # them, and representation_draws the one other keyed draw.  A key table,
     # a run or a block size anywhere else would be a second layout, and a
     # study drawing streams itself a second sampling loop
-    assert uses_outside_rng({"_RunStreams", "_runs", "stream_keys", "keyed_stream", "_BLOCK"}) == {}
+    assert uses_outside_rng({"_RunStreams", "stream_keys", "keyed_stream", "_BLOCK"}) == {}
     sources = {path.name: path.read_text(encoding="utf-8") for path in Path(li.__file__).parent.glob("*.py")}
     assert [name for name, src in sorted(sources.items()) if names_used(src, {"ensemble_streams"})] == ["simulate.py"]
     from_rng = [alias.name for node in ast.walk(ast.parse(sources["simulate.py"]))
                 if isinstance(node, ast.ImportFrom) and node.module == "rng" for alias in node.names]
     assert sorted(from_rng) == ["ensemble_streams", "map_ordered"]
+
+
+def generator_calls(source):
+    """Sorted ``line: method`` of every call of a method of a name ``rng``."""
+    calls = [(node.lineno, node.func.attr) for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "rng"]
+    return [f"{line}: {method}" for line, method in sorted(calls)]
+
+
+def test_samplers_call_only_what_a_run_of_chunks_forwards():
+    # an ensemble hands its samplers (their ``rng`` argument) a _RunStreams
+    # when a run has two chunks or more; a method the facade lacks would fail
+    # only there, and a method no sampler calls is dead weight in it
+    package = Path(li.__file__).parent
+    called = {line.split(": ")[1] for name in ("noise.py", "simulate.py")
+              for line in generator_calls((package / name).read_text(encoding="utf-8"))}
+    forwarded = {name for name, value in vars(_RunStreams).items() if callable(value) and not name.startswith("_")}
+    assert called == forwarded == {"poisson", "random", "standard_gamma", "standard_normal"}
+
+
+def test_generator_call_lint_sees_only_calls_on_rng():
+    source = ("def f(x, rng, gen):\n"
+              "    return rng.gamma(x, 1.0) + gen.random() + rng.lo\n"
+              "g = lambda rng: rng.poisson(rng.random(3))\n")
+    assert generator_calls(source) == ["2: gamma", "3: poisson", "3: random"]
 
 
 def test_name_lint_sees_imports_calls_and_attributes():

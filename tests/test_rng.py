@@ -90,11 +90,11 @@ def test_a_run_of_chunks_draws_each_chunks_part_from_its_own_stream():
     lam = np.linspace(0.5, 3.0, n)
     ((j, streams),) = run_streams(run)
     assert j == 1
-    got = [streams.poisson(lam), streams.gamma(2.0, 0.5, n), streams.random(n)]
+    got = [streams.poisson(lam), streams.standard_gamma(2.0, n), streams.random(n)]
     want = []
     for c, sl in run:
         gen, count = stream(1, 0, c, 1), sl.stop - sl.start
-        want.append((gen.poisson(lam[sl]), gen.gamma(2.0, 0.5, count), gen.random(count)))
+        want.append((gen.poisson(lam[sl]), gen.standard_gamma(2.0, count), gen.random(count)))
     for g, parts in zip(got, zip(*want)):
         np.testing.assert_array_equal(g, np.concatenate(parts))
 

@@ -187,6 +187,31 @@ def test_a_bad_seed_is_refused_where_no_stream_is_built():
         li.simulate_ensemble(model, degenerate(0.0), li.TimeGrid([0.0]), 3, seed=1, tag=-1)
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("family, params, t", [
+    ("Gamma", (1.0, 1.0), 1e308),        # increments of 2e308 at x = 0.5
+    ("Poisson", (1.0,), 1e19),           # a rate numpy's poisson refuses
+    ("NegativeBinomial", (1.0, 0.5), 1e25),
+])
+def test_a_time_too_long_for_the_increments_is_non_finite_value(family, params, t, threads, monkeypatch):
+    # these returned inf paths or raised numpy's bare ValueError; a path is
+    # checked once on its sum of increments, so the 1e-3 steps before the
+    # overflowing one change nothing
+    monkeypatch.setenv("LEVY_INFO_THREADS", threads)
+    model, grid = li.make_noise_model(family, params), li.TimeGrid([0.0, 1e-3, 2e-3, t])
+    with pytest.raises(li.NonFiniteValue, match="overflow"):
+        li.simulate_ensemble(model, degenerate(0.5), grid, 2 * CHUNK + 3, seed=1)
+    with pytest.raises(li.NonFiniteValue, match="overflow"):
+        li.simulate_information_path(model, degenerate(0.5), grid, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("rep", ["NB_compound", "NB_subordinated"])
+def test_representation_draws_at_a_time_too_long_are_non_finite_value(rep):
+    model = li.make_noise_model("NegativeBinomial", (1.0, 0.5))
+    with pytest.raises(li.NonFiniteValue, match="overflow"):
+        li.representation_draws(model, rep, 0.0, 1e25, 5, 1)
+
+
 ORACLE_CASES = [(family, params, 0.0, False) for family, params in sorted(FAMILY_PARAMS.items())] + [
     ("Gamma", (2.0, 1.0), 0.3, False),
     ("Brownian", (), -0.7, False),
@@ -352,6 +377,18 @@ def test_gamma_draws_match_numpy_gamma():
         got = li.increment_draws(model, xs, dts, np.random.default_rng(17), size)
         want = np.random.default_rng(17).gamma(m * np.asarray(dts), kappa / (1.0 - kappa * np.asarray(xs)), size)
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 / 3.0, 0.5, 7.25])
+@pytest.mark.parametrize("shape", [0.7, 2.0, np.linspace(0.01, 5.0, 9)], ids=["0.7", "2", "per-path"])
+def test_numpy_gamma_is_standard_gamma_times_its_scale(shape, scale):
+    # every sampler draws a gamma variate as standard_gamma(shape) * scale,
+    # the facade of a run of chunks forwards only standard_gamma, and the
+    # recorded digests were drawn with gamma(shape, scale): all three agree
+    # only while numpy computes gamma this way, bit for bit
+    for size in (9, None):
+        want = np.random.default_rng(5).gamma(shape, scale, size)
+        np.testing.assert_array_equal(np.random.default_rng(5).standard_gamma(shape, size) * scale, want)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,20 @@ def test_mean_stderr_sums_once_to_numpys_bits(n, offset, scale, seed, column):
     assert _mean_stderr(scratch, scratch) == want
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_mean_stderr_of_finite_samples_that_overflow_is_non_finite_value():
+    # draws near the largest float, as a study makes at t = 1e308, once
+    # gave an inf mean or an inf standard error
+    for x in ([1e308] * 4, [1e308, -1e308] * 2):
+        with pytest.raises(li.NonFiniteValue, match="overflow"):
+            li.mean_stderr(x)
+        with pytest.raises(li.NonFiniteValue, match="overflow"):
+            _mean_stderr(np.array(x), np.empty(4))
+    # a sample that is not finite itself still gives its non-finite mean
+    assert all(math.isnan(v) for v in li.mean_stderr([math.nan, 1.0]))
+    assert li.mean_stderr([math.inf, 1.0])[0] == math.inf
+
+
 def test_k_statistics_symmetric_sample():
     key1, key2, key3 = li.k_statistics([1.0, 2.0, 3.0, 4.0])
     assert key1 == pytest.approx(2.5)
