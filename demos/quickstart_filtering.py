@@ -24,9 +24,9 @@ posterior = li.posterior_update(prior, model, 0.0, 0.0)
 for j, t in enumerate(grid.times):
     if j > 0:
         dxi = path.values[j] - path.values[j - 1]
-        posterior = li.sequential_update(posterior, model, dxi, grid.times[j] - grid.times[j - 1])
+        posterior = li.posterior_update(posterior, model, dxi, grid.times[j] - grid.times[j - 1])
     if j % 8 == 0:
-        yhat = li.best_estimate(posterior, rate)
+        yhat = li.prior_expectation(posterior, rate)
         print(f"{t:6.2f} {path.values[j]:9.4f} {posterior.weights[0]:8.4f} "
               f"{posterior.weights[1]:9.4f} {posterior.mean:10.4f} {yhat:9.4f}")
 

@@ -16,6 +16,10 @@ NIG drift compensation and the NIG density's Bessel K1, which are trapezoid
 rules (``noise._nig_triplet``, ``noise._k1e``).  The tests re-assemble
 psi(alpha) from a triplet by quadrature (``tests/levy_khintchine.py``) to
 cross-check them.
+
+No sampler, filter or study calls this module, and it stays public all the
+same: it is the paper's per-family Levy-Khintchine data, and the quadrature
+above checks every closed-form psi0 against it independently.
 """
 
 from __future__ import annotations

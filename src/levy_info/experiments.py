@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameter, _count, _positive, _real
+from .errors import InvalidParameter, NonFiniteValue, _count, _positive, _real
 from .noise import (
     _FAMILIES,
     NoiseModel,
@@ -281,6 +281,8 @@ def esscher_consistency_study(
         Unless ``lam`` is 0 or interior to A (from ``esscher_transform``).
     IncompatibleSupport
         If ``lam`` is within ``prior.MARGIN`` of an open end of A.
+    NonFiniteValue
+        If some weight overflows (Brownian noise at lam = 1e308, say).
     """
     threshold = _positive(threshold, "study threshold")
     tilted = esscher_transform(model, lam)
@@ -290,7 +292,12 @@ def esscher_consistency_study(
     (direct,) = _values(tilted, origin, grid, n_paths, seed, 1)[1]
     (fiducial,) = _values(model, origin, grid, n_paths, seed, 1)[1]
     n = direct.size
-    weights = np.exp(lam * fiducial - fiducial_exponent(model, lam) * t)
+    # far out in A (lam = -1e308) lam xi overflows to -inf, and the weight is
+    # 0, its rounded value; a weight that overflows to inf or nan is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.exp(lam * fiducial - fiducial_exponent(model, lam) * t)
+    if not np.isfinite(weights).all():
+        raise NonFiniteValue(f"the Esscher weights exp(lam xi - psi0(lam) t) overflow at lam={lam:g}, t={t:g}")
 
     rows = []
     mean_d, se_d = mean_stderr(direct)

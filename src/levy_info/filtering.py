@@ -3,8 +3,9 @@
 The posterior over message atoms after observing xi at time t reweights the
 prior by exp(x xi - psi0(x) t); the exponent grows linearly in t, so all
 weight arithmetic happens in log space and a single renormalization per
-update.  The restart property makes the sequential form (reweight by
-increments) exactly consistent with the one-shot form, so batched callers
+update.  The restart property makes the sequential form (update a
+posterior by the increments since) consistent with the one-shot form, so
+one update, :func:`posterior_update`, serves both, and batched callers
 (the innovations decomposition, ``levy-info filter``) use the closed form:
 :func:`posterior_expectations` filters every observation (xi_j, t_j) on its
 own, with no recursion along the path.  One kernel, ``_log_weights``, serves
@@ -28,19 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeights, InvalidParameter, NonFiniteValue, _instances, _positive, _real
+from .errors import DegenerateWeights, InvalidParameter, NonFiniteValue, _positive, _real
 from .noise import (GAMMA, NoiseModel, check_observation, check_scalar_observation, fiducial_exponent,
                     inverse_marginal_clamped, make_noise_model)
-from .prior import Prior, _frozen, check_compatibility, prior_expectation
+from .prior import Prior, _frozen, check_compatibility
 from .rng import map_ordered
 
 __all__ = [
     "Posterior",
     "posterior_update",
-    "sequential_update",
     "posterior_expectations",
     "conditional_cdf",
-    "best_estimate",
     "gamma_linear_filter",
     "MessageEstimate",
     "estimate_message",
@@ -54,7 +53,8 @@ class Posterior(Prior):
     A posterior is a prior again: its atoms are the prior's (the update is
     absolutely continuous with respect to the prior) with new weights, and
     filtering restarts from it.  ``log_weights`` are the normalized
-    log-probabilities.
+    log-probabilities, and (xi, t) is the whole observation conditioned on,
+    summed over restarts.
     """
 
     xi: float
@@ -106,16 +106,22 @@ def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Po
 
     Weights w_i' are proportional to w_i exp(x_i xi - psi0(x_i) t): the
     one-row case of the kernel of :func:`posterior_expectations`, normalized
-    in log space.  At t = 0 the posterior equals the prior exactly.
-    ``prior`` may itself be a Posterior: the filter then restarts from it,
-    and (xi, t) is the observation made since.  Its weights equal the row of
-    ``posterior_expectations(prior, model, [xi], [t], np.eye(len(prior)))``
-    to rounding, not bitwise: the two sum the weights with different kernels.
+    in log space.  At t = 0 the posterior equals the prior exactly.  Its
+    weights equal the row of ``posterior_expectations(prior, model, [xi],
+    [t], np.eye(len(prior)))`` to rounding, not bitwise: the two sum the
+    weights with different kernels.
+
+    ``prior`` may itself be a Posterior, at (xi0, t0): the filter then
+    restarts from it, (xi, t) is the observation made since, and the result
+    is labelled with the total (xi0 + xi, t0 + t).  Updating over
+    consecutive increments so reproduces the one-shot update at their sum,
+    to rounding.
 
     Raises
     ------
     NonFiniteValue, InvalidParameter
-        If xi is not finite, t is negative or not finite, or either is not a scalar.
+        If xi is not finite, t is negative or not finite, or either is not a
+        scalar; NonFiniteValue too if a restart's total overflows.
     IncompatibleSupport
         If a prior atom fails :func:`~levy_info.prior.check_compatibility`.
     OffSupport
@@ -126,34 +132,15 @@ def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Po
     """
     check_compatibility(prior, model)
     xi, t = check_scalar_observation(model, xi, t)
+    label = (prior.xi + xi, prior.t + t) if isinstance(prior, Posterior) else (xi, t)
+    if not (math.isfinite(label[0]) and math.isfinite(label[1])):
+        raise NonFiniteValue(f"the total observation {label} of the restarted filter overflows")
     if xi == 0.0 and t == 0.0:
-        return Posterior(prior.positions, prior.weights, prior.log_weights, xi, t)
+        return Posterior(prior.positions, prior.weights, prior.log_weights, *label)
     log_w = _log_weights(_coefficients(prior, model), xi, t)[0]
     w = np.exp(log_w)
     total = w.sum()
-    return Posterior(prior.positions, _frozen(w / total), _frozen(log_w - math.log(total)), xi, t)
-
-
-def sequential_update(posterior: Posterior, model: NoiseModel, dxi: float, dt: float) -> Posterior:
-    """Restart the filter on a fresh increment: reweight by exp(x dxi - psi0(x) dt).
-
-    ``posterior_update(posterior, model, dxi, dt)``, labelled by the summed
-    observation (xi + dxi, t + dt); the posterior itself when dxi = dt = 0.
-    Composing sequential updates over consecutive increments reproduces the
-    one-shot :func:`posterior_update` at the summed observation.
-
-    Raises
-    ------
-    InvalidParameter
-        If ``posterior`` is not a Posterior or ``model`` not a NoiseModel.
-    NonFiniteValue, InvalidParameter, IncompatibleSupport, OffSupport, DegenerateWeights
-        As :func:`posterior_update` at (dxi, dt).
-    """
-    _instances((posterior, Posterior), (model, NoiseModel))
-    step = posterior_update(posterior, model, dxi, dt)
-    if step.xi == 0.0 and step.t == 0.0:
-        return posterior
-    return Posterior(step.positions, step.weights, step.log_weights, posterior.xi + step.xi, posterior.t + step.t)
+    return Posterior(prior.positions, _frozen(w / total), _frozen(log_w - math.log(total)), *label)
 
 
 # Observation rows per block of posterior_expectations: a block's
@@ -248,20 +235,6 @@ def conditional_cdf(posterior: Posterior, y: float) -> float:
         raise InvalidParameter("conditional_cdf needs a threshold y that is not NaN")
     idx = int(np.searchsorted(posterior.positions, y, side="right"))
     return float(posterior.weights[:idx].sum())
-
-
-def best_estimate(posterior: Posterior, g) -> float:
-    """Posterior expectation of g(X); with g = psi0' this is the filter value.
-
-    The same weighted sum as :func:`prior_expectation`, over the posterior's
-    weights.
-
-    Raises
-    ------
-    NonFiniteValue
-        If g is non-finite at some atom.
-    """
-    return prior_expectation(posterior, g)
 
 
 def gamma_linear_filter(theta: float, r: float, m: float, xi: float, t: float) -> float:

@@ -102,24 +102,11 @@ NIG = "NormalInverseGaussian"
 
 FAMILIES = (BROWNIAN, POISSON, GAMMA, VG, NB, IG, NIG)
 
-_ALIASES = {
-    "brownian": BROWNIAN,
-    "wiener": BROWNIAN,
-    "poisson": POISSON,
-    "gamma": GAMMA,
-    "variancegamma": VG,
-    "variance_gamma": VG,
-    "vg": VG,
-    "negativebinomial": NB,
-    "negative_binomial": NB,
-    "nb": NB,
-    "inversegaussian": IG,
-    "inverse_gaussian": IG,
-    "ig": IG,
-    "normalinversegaussian": NIG,
-    "normal_inverse_gaussian": NIG,
-    "nig": NIG,
-}
+# each name lower-cased and in snake case (variancegamma, variance_gamma),
+# and the short names
+_ALIASES = {key.lower(): name for name in FAMILIES
+            for key in (name, "".join(f"_{c}" if c.isupper() and i else c for i, c in enumerate(name)))}
+_ALIASES |= {"wiener": BROWNIAN, "vg": VG, "nb": NB, "ig": IG, "nig": NIG}
 
 
 def canonical_family(name: str) -> str:
@@ -218,6 +205,16 @@ def _ig_draws(mean, shape_, rng, size):
         u = rng.random(size)
         out = np.where(u <= mu / (mu + x), x, mu * mu / x)
     return out
+
+
+def _gamma_derivatives(a, m, k):
+    """The Gamma derivatives, written in r = 1 - kappa a > 0.  Far below the
+    end of A (r > 1.3e154, e.g. a = -1e308) r * r overflows where psi0'' and
+    psi0''' underflow: the quotient is then 0, within m kappa^2 / 1.8e308 of
+    psi0'', and numpy's overflow warning is off for it."""
+    r = 1.0 - k * a
+    with np.errstate(over="ignore"):
+        return m * k / r, m * k * k / (r * r), 2.0 * m * k**3 / (r * r * r)
 
 
 def _vg_d(a, m, mu, sigma):
@@ -456,7 +453,7 @@ _FAMILIES = {
         names=("m", "kappa"),
         rules=((lambda m, k: m > 0, "rate m must be > 0"), (lambda m, k: k > 0, "scale kappa must be > 0")),
         psi=lambda a, m, k: -m * np.log1p(-k * a),
-        derivatives=lambda a, m, k: (m * k / (r := 1.0 - k * a), m * k * k / (r * r), 2.0 * m * k**3 / (r * r * r)),
+        derivatives=_gamma_derivatives,
         domain=lambda m, k: Interval(-math.inf, 1.0 / k),
         inverse=lambda y, m, k: 1.0 / k - m / y,
         tilt=lambda lam, drift, m, k: ((m, k / (1.0 - k * lam)), drift),

@@ -106,10 +106,13 @@ def _checked(model: NoiseModel, draw):
     increments: numpy refuses a rate beyond its sampler's range (ValueError),
     or a value ``draw`` returns is not finite (NonFiniteValue either way).
     Callers return a path's sum of increments, which is non-finite once any
-    of them is, so each path is checked once, never once per draw."""
+    of them is, so each path is checked once, never once per draw.  The
+    draws run with numpy's overflow and invalid warnings off, so that this
+    error is the only signal of an overflow."""
     cause = None
     try:
-        out = draw()
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = draw()
         if np.isfinite(out).all():
             return out
     except ValueError as exc:
@@ -126,6 +129,13 @@ def increment_draws(model: NoiseModel, x, dt, rng, size=None):
     given).  ``dt`` must be finite and >= 0, and ``size`` None, a count or a
     sequence of counts (InvalidParameter).  ``x`` is not checked: callers check
     messages once, and an ensemble calls this once per interval and run.
+
+    Nor are the draws checked for overflow, by design: a Poisson rate beyond
+    numpy's range (dt = 1e19 at rate 1) raises numpy's own ValueError, and
+    Gamma increments at dt = 1e308 come back inf, with numpy's overflow
+    warning.  The samplers built on this check once instead, each raising
+    NonFiniteValue: an ensemble once per run of chunks, representation draws
+    once per chunk and a single path once per path.
     """
     if isinstance(size, (tuple, list)):
         size = tuple(_count(n, "size", 0) for n in size)

@@ -121,15 +121,17 @@ def _mean_stderr(x: np.ndarray, out: np.ndarray | None = None) -> tuple:
     Finite samples whose sum or squared deviations overflow, such as draws
     near the largest float, are NonFiniteValue rather than an inf estimate;
     a sum is finite only when every sample is, so that is checked only
-    after an overflow.
+    after an overflow.  numpy's overflow and invalid warnings are off here:
+    the error, or the non-finite samples' own inf or nan, is the signal.
     """
     n = x.size
-    mean = float(np.add.reduce(x) / n)
-    if not math.isfinite(mean) and np.isfinite(x).all():
-        raise NonFiniteValue(f"the sum of {n} finite samples overflows")
-    dev = np.subtract(x, mean, out=out)
-    np.square(dev, out=dev)
-    se = float(np.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.add.reduce(x) / n)
+        if not math.isfinite(mean) and np.isfinite(x).all():
+            raise NonFiniteValue(f"the sum of {n} finite samples overflows")
+        dev = np.subtract(x, mean, out=out)
+        np.square(dev, out=dev)
+        se = float(np.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n))
     if math.isfinite(mean) and not math.isfinite(se):
         raise NonFiniteValue(f"the squared deviations of {n} finite samples overflow")
     return mean, se

@@ -122,7 +122,7 @@ def test_c03_gamma_linear_filter_vs_quadrature(report):
         x = 1.0 - float(rng.gamma(r, 1.0 / theta))
         xi = float(np.asarray(li.increment_draws(model, x, t, rng)))
         linear = li.gamma_linear_filter(theta, r, m, xi, t)
-        generic = li.best_estimate(li.posterior_update(prior, model, xi, t), rate)
+        generic = li.prior_expectation(li.posterior_update(prior, model, xi, t), rate)
         worst = max(worst, abs(generic / linear - 1.0))
     report(3, "Gamma linear filter agrees with quadrature filter",
            worst <= 1e-4, time.perf_counter() - start, 5.0)
@@ -186,7 +186,7 @@ def test_c07_sequential_consistency(report):
             direct = li.posterior_update(prior, model, float(path[-1]), 1.0)
             chained = li.posterior_update(prior, model, 0.0, 0.0)
             for j in range(1, grid.times.size):
-                chained = li.sequential_update(
+                chained = li.posterior_update(
                     chained, model, float(path[j] - path[j - 1]), 0.1)
             worst = max(worst, float(
                 np.abs(direct.weights - chained.weights).max()))

@@ -208,6 +208,17 @@ def test_nig_density_matches_scipy_where_the_exponential_alone_overflows():
     assert density(0.0) == 0.0
 
 
+def test_an_atomic_measure_has_no_density():
+    poisson = li.characteristic_triplet(li.make_noise_model("Poisson", (1.0,))).levy_measure
+    with pytest.raises(li.InvalidParameter, match="'atoms' has no density"):
+        poisson.density(1.0)
+
+
+def test_a_negative_gaussian_coefficient_is_invalid():
+    with pytest.raises(li.InvalidParameter, match="gaussian coefficient must be >= 0"):
+        li.CharacteristicTriplet(0.0, -1.0, li.LevyMeasure("none"))
+
+
 def test_tilted_characteristics_requires_interior_message():
     gamma = li.make_noise_model("Gamma", (1.0, 1.0))
     with pytest.raises(li.OutOfDomain):

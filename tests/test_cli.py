@@ -61,6 +61,7 @@ def test_overflowing_path_in_filter_exits_two(monkeypatch):
     assert out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("family, params, t_max", [("Poisson", "[1.0]", "1e19"), ("Gamma", "[1.0,1.0]", "1e308")])
 def test_a_time_too_long_for_the_increments_exits_two(family, params, t_max):
     # numpy refuses a Poisson rate above ~9.2e18, and Gamma increments at
@@ -113,6 +114,8 @@ def test_inverse_gaussian_atom_at_closed_endpoint():
      ["prior.lo"]),
     (["experiment", "esscher", "--set", "prior.weights=[1]"], ["prior.weights"]),
     (["experiment", "bridge", "--set", 'prior={"density":"uniform","lo":0,"hi":1,"sd":1}'], ["prior.sd"]),
+    # a key path through a value that is not a section
+    (["simulate", "--set", "seed.x=1"], ["--set seed.x", "'seed' is not a configuration section"]),
 ])
 def test_config_errors_exit_one_naming_key(argv, names):
     code, out, err = run_cli(argv)
@@ -147,6 +150,14 @@ def test_config_errors_exit_one_naming_key(argv, names):
     (["simulate", "--set", 'model.params="12"'], "model"),
     # --threshold with a study section that is not an object
     (["experiment", "esscher", "--set", "study=5", "--threshold", "2"], "study"),
+    # a section that is not an object, or an object with none of its keys
+    (["simulate", "--set", "model={}"], "model"),
+    (["simulate", "--set", "prior=5"], "prior"),
+    (["simulate", "--set", "prior={}"], "prior"),
+    (["simulate", "--set", 'prior={"density":"uniform","lo":0}'], "prior"),
+    (["simulate", "--set", "grid=5"], "grid"),
+    (["simulate", "--set", "grid={}"], "grid"),
+    (["simulate", "--set", "paths=0"], "paths"),
 ])
 def test_config_value_of_wrong_type_exits_one_naming_key(argv, key):
     code, out, err = run_cli(argv)
@@ -332,6 +343,14 @@ def test_one_parser_serves_a_run_of_invocations():
 # ---------------------------------------------------------------------------
 # configuration surface
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, message", [("{not json", "is not valid JSON"), ("[1, 2]", "must hold a JSON object")])
+def test_a_config_file_that_is_not_a_json_object_exits_one(tmp_path, text, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(["simulate", "--config", str(cfg)])
+    assert code == 1 and out == "" and message in err
+
 
 def test_config_file_merge_and_flag_override(tmp_path):
     cfg = tmp_path / "run.json"

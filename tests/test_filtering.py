@@ -1,4 +1,4 @@
-"""Posterior updates, sequential restarts, best estimates, gamma filter."""
+"""Posterior updates and restarts, posterior expectations, gamma filter."""
 
 import dataclasses
 import math
@@ -114,7 +114,7 @@ def _filter_entry_points():
 
     return {
         "posterior_update": lambda xi, t: li.posterior_update(prior, model, xi, t),
-        "sequential_update": lambda xi, t: li.sequential_update(post, model, xi, t),
+        "posterior_update_restart": lambda xi, t: li.posterior_update(post, model, xi, t),
         "posterior_expectations": lambda xi, t: posterior_expectations(
             prior, model, [0.0, xi], [0.0, t], np.eye(2)),
         "innovations_path": along_a_path,
@@ -139,7 +139,8 @@ def test_every_entry_point_rejects_a_bad_time(entry, t):
         _filter_entry_points()[entry](1.0, t)
 
 
-@pytest.mark.parametrize("entry", ["posterior_update", "sequential_update", "estimate_message", "gamma_linear_filter"])
+@pytest.mark.parametrize("entry", ["posterior_update", "posterior_update_restart", "estimate_message",
+                                   "gamma_linear_filter"])
 @pytest.mark.parametrize("xi, t", [([1.0, 2.0], 1.0), (1.0, [1.0, 2.0]), (np.ones((1, 1)), 1.0)])
 def test_the_single_observation_entry_points_refuse_an_array(entry, xi, t):
     # a single observation only: an array used to pass the check and then
@@ -172,7 +173,7 @@ def test_the_one_row_update_is_the_batched_filter_to_rounding(family, atoms):
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_posterior_expectations_names_the_atoms_where_g_is_not_finite(bad):
-    # as prior_expectation and best_estimate: g used to give inf or nan rows
+    # as prior_expectation: g used to give inf or nan rows
     model = li.make_noise_model("Brownian", ())
     prior = li.prior_from_atoms([(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)])
     g = [[bad, 1.0], [1.0, 1.0], [1.0, bad]]
@@ -246,28 +247,30 @@ def test_the_sampled_shift_matches_the_exact_maximum(family, atoms):
 
 
 # ---------------------------------------------------------------------------
-# sequential_update
+# posterior_update from a posterior: the restart
 # ---------------------------------------------------------------------------
 
-def test_sequential_identity_step():
+def test_a_restart_at_zero_keeps_the_posterior_and_its_label():
     model = li.make_noise_model("Gamma", (1.0, 1.0))
     prior = li.prior_from_atoms([(0.0, 1.0), (0.5, 1.0)])
     post = li.posterior_update(prior, model, 1.0, 1.0)
-    again = li.sequential_update(post, model, 0.0, 0.0)
-    assert again is post
+    again = li.posterior_update(post, model, 0.0, 0.0)
+    np.testing.assert_array_equal(again.weights, post.weights)
+    np.testing.assert_array_equal(again.log_weights, post.log_weights)
+    assert (again.xi, again.t) == (1.0, 1.0)
 
 
-def test_sequential_gamma_restart_factor():
+def test_restart_gamma_factor():
     # reweighting by exp(x dxi - psi0(x) dt): ratio e^{0.5} * (1-0.5)^{1}
     model = li.make_noise_model("Gamma", (1.0, 1.0))
     prior = li.prior_from_atoms([(0.0, 1.0), (0.5, 1.0)])
     post = li.posterior_update(prior, model, 0.0, 0.0)
-    stepped = li.sequential_update(post, model, 1.0, 1.0)
+    stepped = li.posterior_update(post, model, 1.0, 1.0)
     ratio = stepped.weights[1] / stepped.weights[0]
     assert ratio == pytest.approx(math.exp(0.5) / 2.0, rel=1e-13)
 
 
-def test_sequential_composition_equals_one_shot(model):
+def test_two_updates_equal_one_shot(model):
     prior = li.prior_from_atoms([(0.05, 1.0), (0.2, 1.0), (0.45, 1.0)])
     rng = np.random.default_rng(30)
     for _ in range(25):
@@ -275,23 +278,48 @@ def test_sequential_composition_equals_one_shot(model):
         x1 = float(li.increment_draws(model, 0.2, d1, rng))
         x2 = float(li.increment_draws(model, 0.2, d2, rng))
         one = li.posterior_update(prior, model, x1 + x2, d1 + d2)
-        two = li.sequential_update(
-            li.posterior_update(prior, model, x1, d1), model, x2, d2)
+        two = li.posterior_update(li.posterior_update(prior, model, x1, d1), model, x2, d2)
         np.testing.assert_allclose(two.weights, one.weights, atol=1e-12)
         assert two.xi == pytest.approx(one.xi)
         assert two.t == pytest.approx(one.t)
 
 
-def test_sequential_recheck_guards_support():
+def test_a_chain_of_updates_labels_the_total_and_reweights_by_each_increment():
+    # each step's weights come from the posterior's weights alone, whatever
+    # its label: those of a bare Prior with the same atoms, bit for bit
+    model = li.make_noise_model("Poisson", (2.0,))
+    prior = li.prior_from_atoms([(-0.5, 1.0), (0.0, 2.0), (0.7, 1.0)])
+    chained, xi, t = prior, 0.0, 0.0
+    for dxi, dt in ((1.0, 0.5), (0.0, 0.25), (3.0, 1.5), (2.0, 0.125)):
+        bare = li.Prior(chained.positions, chained.weights, chained.log_weights)
+        step = li.posterior_update(bare, model, dxi, dt)
+        chained = li.posterior_update(chained, model, dxi, dt)
+        xi, t = xi + dxi, t + dt
+        assert (chained.xi, chained.t) == (xi, t) and (step.xi, step.t) == (dxi, dt)
+        np.testing.assert_array_equal(chained.weights, step.weights)
+        np.testing.assert_array_equal(chained.log_weights, step.log_weights)
+    np.testing.assert_allclose(chained.weights, li.posterior_update(prior, model, xi, t).weights, atol=1e-14)
+
+
+def test_a_restart_whose_total_overflows_is_non_finite_value():
+    model = li.make_noise_model("Brownian", ())
+    post = li.posterior_update(li.prior_from_atoms([(0.0, 1.0)]), model, 1e308, 1e308)
+    with pytest.raises(li.NonFiniteValue, match="total observation"):
+        li.posterior_update(post, model, 1e308, 1.0)
+    with pytest.raises(li.NonFiniteValue, match="total observation"):
+        li.posterior_update(post, model, 1.0, 1e308)
+
+
+def test_restart_recheck_guards_support():
     model = li.make_noise_model("Gamma", (1.0, 1.0))
     prior = li.prior_from_atoms([(0.0, 1.0), (0.5, 1.0)])
     post = li.posterior_update(prior, model, 1.0, 1.0)
     shrunk = li.make_noise_model("Gamma", (1.0, 4.0))  # A = (-inf, 0.25)
     with pytest.raises(li.IncompatibleSupport):
-        li.sequential_update(post, shrunk, 0.5, 0.5)
+        li.posterior_update(post, shrunk, 0.5, 0.5)
 
 
-def test_sequential_margin_is_the_prior_check():
+def test_restart_margin_is_the_prior_check():
     # one admissibility rule: an atom within MARGIN of an open end of A is
     # refused by the restart as by the one-shot update
     model = li.make_noise_model("Gamma", (1.0, 1.0))  # A = (-inf, 1)
@@ -301,7 +329,7 @@ def test_sequential_margin_is_the_prior_check():
     with pytest.raises(li.IncompatibleSupport):
         li.posterior_update(edge, near, 1.0, 1.0)
     with pytest.raises(li.IncompatibleSupport):
-        li.sequential_update(dataclasses.replace(post, positions=edge.positions), near, 1.0, 1.0)
+        li.posterior_update(dataclasses.replace(post, positions=edge.positions), near, 1.0, 1.0)
 
 
 def reweighting_scale(model, prior, dxis, dts):
@@ -322,7 +350,7 @@ def reweighting_scale(model, prior, dxis, dts):
     cut=st.integers(0, 6),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_sequential_updates_compose_to_the_one_shot_update(family, spots, masses, dts, cut, seed):
+def test_updates_over_increments_compose_to_the_one_shot_update(family, spots, masses, dts, cut, seed):
     model = li.make_noise_model(family, FAMILY_PARAMS[family])
     lo, hi = window(li.admissible_set(model))
     prior = li.prior_from_atoms(zip([lo + u * (hi - lo) for u in spots], masses))
@@ -335,7 +363,7 @@ def test_sequential_updates_compose_to_the_one_shot_update(family, spots, masses
 
     chained = li.posterior_update(prior, model, 0.0, 0.0)
     for dxi, dt in zip(dxis, dts):
-        chained = li.sequential_update(chained, model, float(dxi), dt)
+        chained = li.posterior_update(chained, model, float(dxi), dt)
     # a restart: the posterior after the first `cut` increments is the prior
     # of the rest
     cut = min(cut, len(dts))
@@ -350,7 +378,7 @@ def test_sequential_updates_compose_to_the_one_shot_update(family, spots, masses
         np.testing.assert_allclose(other.weights, one.weights, rtol=0.0, atol=tol)
         np.testing.assert_array_equal(other.positions, one.positions)
     assert chained.xi == pytest.approx(xi, rel=1e-12, abs=1e-12) and chained.t == pytest.approx(t)
-    assert isinstance(restarted, li.Prior) and restarted.xi == float(dxis[cut:].sum())
+    assert restarted.xi == head.xi + float(dxis[cut:].sum()) and restarted.t == head.t + float(np.sum(dts[cut:]))
 
 
 def test_restart_from_an_underflowed_weight():
@@ -362,17 +390,16 @@ def test_restart_from_an_underflowed_weight():
     post = li.posterior_update(prior, model, -800.0, 1.0)
     assert post.weights[1] == 0.0 and math.isfinite(post.log_weights[1])
     one = li.posterior_update(prior, model, 800.0, 2.0)
-    for after in (li.sequential_update(post, model, 1600.0, 1.0),
-                  li.posterior_update(post, model, 1600.0, 1.0)):
-        np.testing.assert_array_equal(after.weights, [0.0, 1.0])
-        np.testing.assert_allclose(after.log_weights, one.log_weights, rtol=1e-12)
+    after = li.posterior_update(post, model, 1600.0, 1.0)
+    np.testing.assert_array_equal(after.weights, [0.0, 1.0])
+    np.testing.assert_allclose(after.log_weights, one.log_weights, rtol=1e-12)
     # the batched filter reads the same log-weights
     np.testing.assert_array_equal(
         posterior_expectations(post, model, [1600.0], 1.0, np.eye(2)), [[0.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
-# conditional_cdf / best_estimate
+# conditional_cdf / prior_expectation over a posterior
 # ---------------------------------------------------------------------------
 
 def test_conditional_cdf_steps():
@@ -402,30 +429,22 @@ def test_conditional_cdf_degenerate_prior():
     assert li.conditional_cdf(post, 0.3) == 1.0
 
 
-def test_best_estimate_examples():
+def test_prior_expectation_over_a_posterior():
     brown = li.make_noise_model("Brownian", ())
     sym = li.posterior_update(
         li.prior_from_atoms([(-1.0, 1.0), (1.0, 1.0)]), brown, 0.0, 2.0)
-    assert li.best_estimate(sym, lambda x: x) == pytest.approx(0.0, abs=1e-15)
+    assert li.prior_expectation(sym, lambda x: x) == pytest.approx(0.0, abs=1e-15)
 
     driftless = li.posterior_update(
         li.prior_from_atoms([(0.7, 1.0)]), brown, 1.3, 2.0)
     d1 = lambda x: li.exponent_derivatives(brown, x)[0]
-    assert li.best_estimate(driftless, d1) == pytest.approx(0.7)
+    assert li.prior_expectation(driftless, d1) == pytest.approx(0.7)
 
     poisson = li.make_noise_model("Poisson", (1.0,))
     post = li.posterior_update(
         li.prior_from_atoms([(0.0, 1.0), (math.log(2.0), 1.0)]), poisson, 2.0, 1.0)
     want = 4.0 / (math.e + 4.0) * math.log(2.0)
-    assert li.best_estimate(post, lambda x: x) == pytest.approx(want, abs=1e-14)
-
-
-def test_best_estimate_rejects_nonfinite():
-    model = li.make_noise_model("Brownian", ())
-    post = li.posterior_update(
-        li.prior_from_atoms([(0.0, 1.0), (1.0, 1.0)]), model, 0.0, 1.0)
-    with pytest.raises(li.NonFiniteValue):
-        li.best_estimate(post, lambda x: math.inf if x > 0 else 0.0)
+    assert li.prior_expectation(post, lambda x: x) == pytest.approx(want, abs=1e-14)
 
 
 def test_estimate_mean_is_time_constant_martingale():
@@ -532,7 +551,7 @@ def test_observation_off_support_raises(family, params, xi):
         li.posterior_update(prior, model, xi, 1.0)
     post = li.posterior_update(prior, model, 2.0, 1.0)
     with pytest.raises(li.OffSupport):
-        li.sequential_update(post, model, xi, 1.0)
+        li.posterior_update(post, model, xi, 1.0)
     # one bad observation in the second block of the check
     obs = np.full(SUPPORT_BLOCK + 5, 3.0)
     obs[SUPPORT_BLOCK + 2] = xi
@@ -580,9 +599,6 @@ def test_swapped_prior_and_model_is_invalid_parameter():
         li.posterior_update(model, prior, 1.0, 1.0)
     with pytest.raises(li.InvalidParameter, match="Prior and a NoiseModel"):
         posterior_expectations(model, prior, [1.0], 1.0, np.eye(2))
-    post = li.posterior_update(prior, model, 1.0, 1.0)
-    with pytest.raises(li.InvalidParameter, match="Posterior and a NoiseModel"):
-        li.sequential_update(model, post, 1.0, 1.0)
     with pytest.raises(li.InvalidParameter, match="Prior and a NoiseModel"):
         li.simulate_ensemble(prior, model, li.TimeGrid.regular(1.0, 2), 3, seed=1)
 

@@ -63,6 +63,8 @@ def test_innovations_path_needs_two_grid_points():
                                         li.TimeGrid([0.0]), rng)
     with pytest.raises(li.InvalidParameter):
         li.innovations_path(path, degenerate(0.0))
+    with pytest.raises(li.InvalidParameter, match="at least two points"):
+        li.innovations_ensemble(model, degenerate(0.0), li.TimeGrid([0.0]), 3, seed=1)
 
 
 def test_innovations_mean_zero_brownian():
@@ -82,13 +84,13 @@ def test_innovations_ensemble_matches_per_path_filter():
     d1 = lambda v: li.exponent_derivatives(model, v)[0]
     for i in range(xi.shape[0]):
         post = li.posterior_update(prior, model, 0.0, 0.0)
-        assert yhat[i, 0] == pytest.approx(li.best_estimate(post, d1), abs=1e-12)
+        assert yhat[i, 0] == pytest.approx(li.prior_expectation(post, d1), abs=1e-12)
         for j in range(1, len(grid)):
-            post = li.sequential_update(post, model,
-                                        float(xi[i, j] - xi[i, j - 1]),
-                                        float(grid.times[j] - grid.times[j - 1]))
+            post = li.posterior_update(post, model,
+                                       float(xi[i, j] - xi[i, j - 1]),
+                                       float(grid.times[j] - grid.times[j - 1]))
             assert yhat[i, j] == pytest.approx(
-                li.best_estimate(post, d1), abs=1e-12)
+                li.prior_expectation(post, d1), abs=1e-12)
 
 
 def sequential_yhat(model, prior, times, xi):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import levy_info as li
 from conftest import FAMILY_PARAMS, all_models, interior_grid, window
+from levy_info import noise
 from levy_info.noise import inverse_marginal_clamped
 
 
@@ -45,6 +46,35 @@ def test_make_noise_model_rejects_unknown_family_and_wrong_arity():
         li.make_noise_model("NegativeBinomial", (1.0, 1.0))  # q must be < 1
     with pytest.raises(li.InvalidParameter):
         li.make_noise_model("Brownian", (), drift=float("nan"))
+
+
+# each family's accepted spellings: the name in any case, in snake case with
+# underscores or hyphens, and the short names
+SPELLINGS = {
+    "Brownian": ["Brownian", "brownian", "BROWNIAN", "wiener", "Wiener"],
+    "Poisson": ["Poisson", "poisson"],
+    "Gamma": ["Gamma", "gamma", "GAMMA"],
+    "VarianceGamma": ["VarianceGamma", "variancegamma", "variance_gamma", "variance-gamma", "Variance-Gamma",
+                      "vg", "VG"],
+    "NegativeBinomial": ["NegativeBinomial", "negativebinomial", "negative_binomial", "negative-binomial",
+                         "nb", "NB"],
+    "InverseGaussian": ["InverseGaussian", "inversegaussian", "inverse_gaussian", "inverse-gaussian", "ig"],
+    "NormalInverseGaussian": ["NormalInverseGaussian", "normalinversegaussian", "normal_inverse_gaussian",
+                              "normal-inverse-gaussian", "Normal-Inverse-Gaussian", "nig", "NIG"],
+}
+
+
+@pytest.mark.parametrize("family, spelling", [(f, s) for f, names in SPELLINGS.items() for s in names])
+def test_every_accepted_spelling_names_its_family(family, spelling):
+    assert li.make_noise_model(spelling, FAMILY_PARAMS[family]).family == family
+
+
+def test_the_alias_table_holds_each_spelling_once():
+    # 16 keys: seven lower-cased names, four more in snake case, five short names
+    keys = {s.replace("-", "_").lower() for names in SPELLINGS.values() for s in names}
+    assert set(noise._ALIASES) == keys and len(keys) == 16
+    with pytest.raises(li.InvalidParameter, match="unknown noise family 'variance gamma'"):
+        li.make_noise_model("variance gamma", (2.0,))
 
 
 def test_variance_gamma_standard_form_pads_defaults():

@@ -85,6 +85,13 @@ def test_zero_density_raises():
         li.prior_from_density(lambda x: 0.0, li.Interval(0.0, 1.0, True, True), 8)
 
 
+@pytest.mark.parametrize("f, error", [(lambda x: np.where(x > 0.5, np.inf, 1.0), li.NonFiniteValue),
+                                      (lambda x: x - 0.5, li.NonPositiveWeight)], ids=["infinite", "negative"])
+def test_a_density_infinite_or_negative_on_a_node_is_refused(f, error):
+    with pytest.raises(error):
+        li.prior_from_density(f, li.Interval(0.0, 1.0), 8)
+
+
 @pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (0.5, 0.5)])
 def test_density_interval_ends_out_of_order_are_invalid_parameter(lo, hi):
     # a reversed interval used to raise ZeroMass, "density integrates to zero"

@@ -36,6 +36,8 @@ def test_grid_regular():
 
 
 def test_grid_validation():
+    with pytest.raises(li.InvalidParameter, match="at least the point t=0"):
+        li.TimeGrid([])
     with pytest.raises(li.InvalidParameter):
         li.TimeGrid([0.5, 1.0])  # must start at 0
     with pytest.raises(li.InvalidParameter):
@@ -187,6 +189,7 @@ def test_a_bad_seed_is_refused_where_no_stream_is_built():
         li.simulate_ensemble(model, degenerate(0.0), li.TimeGrid([0.0]), 3, seed=1, tag=-1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("family, params, t", [
     ("Gamma", (1.0, 1.0), 1e308),        # increments of 2e308 at x = 0.5
@@ -203,6 +206,12 @@ def test_a_time_too_long_for_the_increments_is_non_finite_value(family, params, 
         li.simulate_ensemble(model, degenerate(0.5), grid, 2 * CHUNK + 3, seed=1)
     with pytest.raises(li.NonFiniteValue, match="overflow"):
         li.simulate_information_path(model, degenerate(0.5), grid, np.random.default_rng(1))
+
+
+def test_compound_draws_with_no_jump_at_all_are_zero():
+    # at t = 1e-12 every Poisson count of jumps is 0, so no logarithmic jump is drawn
+    model = li.make_noise_model("NegativeBinomial", (1.0, 0.5))
+    np.testing.assert_array_equal(li.representation_draws(model, "NB_compound", 0.0, 1e-12, 5, 1), np.zeros(5))
 
 
 @pytest.mark.parametrize("rep", ["NB_compound", "NB_subordinated"])

@@ -51,7 +51,7 @@ def test_mean_stderr_sums_once_to_numpys_bits(n, offset, scale, seed, column):
     assert _mean_stderr(scratch, scratch) == want
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mean_stderr_of_finite_samples_that_overflow_is_non_finite_value():
     # draws near the largest float, as a study makes at t = 1e308, once
     # gave an inf mean or an inf standard error
@@ -94,6 +94,8 @@ def test_too_few_samples():
         li.mean_stderr([1.0])
     with pytest.raises(li.TooFewSamples):
         li.jackknife_cumulants([1.0, 2.0, 3.0])
+    with pytest.raises(li.TooFewSamples, match="paired samples differ in length: 5 vs 6"):
+        li.jackknife_covariance(np.ones(5), np.ones(6))
 
 
 # ---------------------------------------------------------------------------
