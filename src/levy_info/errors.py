@@ -124,6 +124,15 @@ def _count(n, name: str, least: int = 1, most=_MOST) -> int:
     return n
 
 
+def _floats(n: int, width: int, name: str) -> int:
+    """The count ``n``, once numpy can size ``n`` rows of ``width`` float64
+    values: InvalidParameter otherwise, before anything is allocated."""
+    most = _MOST // 8 // width
+    if n > most:
+        raise InvalidParameter(f"{name} must be <= {most} for rows of {width} float64 values, got {n}")
+    return n
+
+
 def _real(value, name: str):
     """``value``, unless it is complex or boolean: a TypeError, as Python's
     float() makes it for a complex value, not a lost imaginary part or a flag

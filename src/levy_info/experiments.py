@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameter, NonFiniteValue, _count, _positive, _real
+from .errors import InvalidParameter, NonFiniteValue, _count, _floats, _positive, _real
 from .noise import (
     _FAMILIES,
     NoiseModel,
@@ -29,10 +29,10 @@ from .simulate import TimeGrid, _bridge_clock, _fold_runs, representation_draws
 from .stats import (
     StudyReport,
     StudyRow,
+    _jackknife_se,
     _mean_stderr,
     jackknife_covariance,
     jackknife_cumulants,
-    jackknife_se,
     mean_stderr,
     zscore,
 )
@@ -58,7 +58,7 @@ def _values(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: int, seed:
     the values at grid[1:] as rows, written run by run as the ensemble is
     drawn, with its checks in its order and no ensemble matrix."""
     check_compatibility(prior, model)
-    n_paths = _count(n_paths, "n_paths")
+    n_paths = _floats(_count(n_paths, "n_paths"), len(grid), "n_paths")
     messages, values = np.empty(n_paths), np.empty((len(grid) - 1, n_paths))
 
     def fold(sl, run_messages, rows):
@@ -121,7 +121,7 @@ def convergence_study(
     atoms = prior.positions
     d1, d2, _ = exponent_derivatives(model, atoms)
     thresholds = _exceed_thresholds(model, atoms, epsilon)
-    sq = np.empty((times.size, n_paths))
+    sq = np.empty((times.size, _floats(n_paths, len(grid), "n_paths")))
 
     def fold(sl, messages, rows):  # one run: its squares into sq, its exceedance counts
         idx = np.searchsorted(atoms, messages)
@@ -311,7 +311,7 @@ def esscher_consistency_study(
     var_w = float(u.mean() - weighted.mean() ** 2) * n / (n - 1)
     m = n - 1
     loo = ((u.sum() - u) / m - ((weighted.sum() - weighted) / m) ** 2) * m / (m - 1)
-    se_vw = jackknife_se(loo)
+    se_vw = _jackknife_se(loo)
     se_v = math.hypot(se_vd, se_vw)
     rows.append(StudyRow("variance", var_d, var_w, se_v, zscore(var_d, var_w, se_v)))
     return StudyReport("esscher", tuple(rows), threshold)

@@ -43,7 +43,6 @@ parameters in canonical order, or a plain value:
     sample         (x, dt, rng, size): exact increments given the message x
     constructions  name -> a sampler like ``sample``: the alternative
                    constructions (VarianceGamma, NegativeBinomial)
-    drift_is_tilt  the drift enters the sampler as x + drift (Brownian)
     triplet        Levy-Khintchine data: (drift compensation, gaussian
                    coefficient, Levy measure parameters, atoms)
     measure, density   the Levy measure tag and, for a continuous
@@ -57,14 +56,15 @@ parameters in canonical order, or a plain value:
 Only ``tilt`` sees the drift: the public functions look the record up and
 add ``drift * alpha`` (``drift``, ``drift * dt``) and the shape handling.
 The law given X = x is the x-tilted model, so a sampler or construction
-written in the record's parameters serves every tilted model.
+written in the record's parameters serves every tilted model, and every
+sampler's draws get ``drift * dt`` added after the draw.
 
 A power of a value that may be a numpy scalar is written as products and
-``np.sqrt`` (``r * r``, ``q * np.sqrt(q)``), never ``**``: numpy takes ``**``
+``np.sqrt`` (``u * u``, ``q * np.sqrt(q)``), never ``**``: numpy takes ``**``
 of a numpy scalar from the C library's ``pow`` and of an array (0-d too) from
 its own SIMD loops, which round differently, whereas products and square
 roots give a scalar the bits of the matching array element.  Powers of
-Python floats (``k**3``) may stay.
+Python floats (``sigma**2``) may stay.
 """
 
 from __future__ import annotations
@@ -181,7 +181,6 @@ class _Family:
     rules: tuple = ()
     support: str = "real"
     fixed: tuple = ()
-    drift_is_tilt: bool = False
     constructions: dict = field(default_factory=dict)
     measure: str = "none"
     density: Callable | None = None
@@ -208,13 +207,9 @@ def _ig_draws(mean, shape_, rng, size):
 
 
 def _gamma_derivatives(a, m, k):
-    """The Gamma derivatives, written in r = 1 - kappa a > 0.  Far below the
-    end of A (r > 1.3e154, e.g. a = -1e308) r * r overflows where psi0'' and
-    psi0''' underflow: the quotient is then 0, within m kappa^2 / 1.8e308 of
-    psi0'', and numpy's overflow warning is off for it."""
-    r = 1.0 - k * a
-    with np.errstate(over="ignore"):
-        return m * k / r, m * k * k / (r * r), 2.0 * m * k**3 / (r * r * r)
+    """The Gamma derivatives, written in u = kappa / (1 - kappa a) > 0."""
+    u = k / (1.0 - k * a)
+    return m * u, m * u * u, 2.0 * m * u * u * u
 
 
 def _vg_d(a, m, mu, sigma):
@@ -432,7 +427,6 @@ _FAMILIES = {
         tilt=lambda lam, drift: ((), drift + lam),
         sample=lambda x, dt, rng, size: x * dt + np.sqrt(dt) * rng.standard_normal(size),
         triplet=lambda: (0.0, 1.0, (), ()),
-        drift_is_tilt=True,
     ),
     POISSON: _Family(
         names=("m",),
@@ -498,7 +492,8 @@ _FAMILIES = {
     ),
     IG: _Family(
         names=("a", "b"),
-        rules=((lambda a, b: a > 0, "a must be > 0"), (lambda a, b: b > 0, "b must be > 0")),
+        rules=((lambda a, b: a > 0, "a must be > 0"), (lambda a, b: b > 0, "b must be > 0"),
+               (lambda a, b: b * b < math.inf, "requires a finite b^2, for the end b^2/2 of A")),
         psi=lambda w, a, b: a * (b - np.sqrt(b * b - 2.0 * w)),
         derivatives=lambda w, a, b: (a / (r := np.sqrt(s := b * b - 2.0 * w)), a / (s * r), 3.0 * a / (s * s * r)),
         domain=lambda a, b: Interval(0.0, 0.5 * b**2, lo_open=False),
@@ -516,7 +511,8 @@ _FAMILIES = {
     NIG: _Family(
         names=("a", "b", "m"),
         rules=((lambda a, b, m: a > 0, "a must be > 0"), (lambda a, b, m: abs(b) < a, "requires |b| < a"),
-               (lambda a, b, m: m > 0, "m must be > 0")),
+               (lambda a, b, m: m > 0, "m must be > 0"),
+               (lambda a, b, m: a * a < math.inf, "requires a finite a^2, for psi0's sqrt(a^2 - b^2)")),
         psi=lambda w, a, b, m: m * (math.sqrt(a * a - b * b) - np.sqrt(a * a - (b + w) * (b + w))),
         derivatives=_nig_derivatives,
         domain=lambda a, b, m: Interval(-a - b, a - b),

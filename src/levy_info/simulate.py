@@ -25,6 +25,7 @@ from .errors import (
     NonFiniteValue,
     UnsupportedRepresentation,
     _count,
+    _floats,
     _positive,
     _real,
 )
@@ -150,8 +151,6 @@ def _draws(model: NoiseModel, sample, x, dt, rng, size):
     dt = np.asarray(dt, dtype=float)
     if size is None:
         size = np.broadcast(x, dt).shape or None
-    if _FAMILIES[model.family].drift_is_tilt:
-        return sample(model.drift + x, dt, rng, size, *model.params)
     out = sample(x, dt, rng, size, *model.params)
     if model.drift != 0.0:
         out = out + model.drift * dt
@@ -224,13 +223,13 @@ def _fold_runs(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: int, se
     0 draws the messages, interval j > 0 the increments up to grid point j.
     """
     check_compatibility(prior, model)
-    n_paths = _count(n_paths, "n_paths")
+    n_paths = _floats(_count(n_paths, "n_paths"), len(grid), "n_paths")
     dts = np.diff(grid.times)
     # a one-atom prior names every message; no other draw reads interval 0
     first = 1 if len(prior) == 1 else 0
-    runs = ensemble_streams(seed, tag, n_paths, range(first, len(grid)))
     if fold is None:
         x, xi = np.empty(n_paths), np.zeros((n_paths, len(grid)))
+    runs = ensemble_streams(seed, tag, n_paths, range(first, len(grid)))
 
     def sample_run(streams):
         sl, count = streams.paths, streams.total
@@ -282,7 +281,7 @@ def representation_draws(model: NoiseModel, rep: str, x: float, t: float, n: int
         raise InvalidParameter(f"representation_draws takes a scalar x and t, got shapes {np.shape(x)} and {np.shape(t)}")
     x = _check_domain(model, x, "message x")
     t = _positive(t, "t")
-    n = _count(n, "n")
+    n = _floats(_count(n, "n"), 1, "n")
     out = np.empty(n)
 
     def run_chunk(streams):

@@ -28,11 +28,9 @@ __all__ = [
     "StudyReport",
     "zscore",
     "mean_stderr",
-    "k_statistics",
     "CumulantEstimate",
     "jackknife_cumulants",
     "jackknife_covariance",
-    "jackknife_se",
 ]
 
 
@@ -151,13 +149,6 @@ def _centred_k_statistics(shift: float, xc: np.ndarray) -> tuple:
     return float(k1), float(k2), float(k3)
 
 
-def k_statistics(x) -> tuple:
-    """Unbiased estimators (k1, k2, k3) of the first three cumulants."""
-    x = _samples(x, 3)
-    shift = x.mean()
-    return _centred_k_statistics(shift, x - shift)
-
-
 @dataclass(frozen=True)
 class CumulantEstimate:
     """k-statistics with jackknife standard errors."""
@@ -179,13 +170,9 @@ class CumulantEstimate:
         return (self.se1, self.se2, self.se3)
 
 
-def jackknife_se(loo) -> float:
-    """Jackknife standard error from a vector of leave-one-out estimates."""
-    return _jackknife_se(np.array(loo, dtype=float).ravel())
-
-
 def _jackknife_se(loo: np.ndarray) -> float:
-    """:func:`jackknife_se`, overwriting ``loo`` with its squared deviations."""
+    """The jackknife standard error from the leave-one-out estimates ``loo``,
+    a 1-D float array that is overwritten with its squared deviations."""
     n = loo.size
     loo -= loo.mean()
     np.square(loo, out=loo)
@@ -256,4 +243,4 @@ def jackknife_covariance(a, b) -> tuple:
     m = n - 1
     loo = (sab - abc - (sa - ac) * (sb - bc) / m) / (m - 1)
     cov = (sab - sa * sb / n) / (n - 1)
-    return float(cov), jackknife_se(loo)
+    return float(cov), _jackknife_se(loo)

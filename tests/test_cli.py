@@ -73,6 +73,16 @@ def test_a_time_too_long_for_the_increments_exits_two(family, params, t_max):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["experiment", "convergence"], ["experiment", "factorization"],
+                                     ["experiment", "representation"]], ids=" ".join)
+def test_a_path_count_too_large_for_the_outputs_exits_two(command):
+    # 2**62 paths fit an intp but not a float64 array; numpy's bare
+    # "array is too big" was a traceback
+    code, out, err = run_cli([*command, "--paths", str(2**62)])
+    assert code == 2 and "InvalidParameter" in err and f"got {2**62}" in err
+    assert out == ""
+
+
 def test_inverse_gaussian_atom_at_closed_endpoint():
     # A = [0, 2): x = 0 is the fiducial law itself, 2 - 1e-12 hugs the open end
     ig = li.make_noise_model("InverseGaussian", (1.0, 2.0))

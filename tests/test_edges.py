@@ -101,8 +101,6 @@ CALLS = {
     "StudyReport": call(lambda threshold: li.StudyReport("demo", (), threshold), threshold=3.5),
     "zscore": call(li.zscore, estimate=1.0, reference=0.5, stderr=0.25),
     "mean_stderr": call(lambda: li.mean_stderr(SAMPLES)),
-    "k_statistics": call(lambda: li.k_statistics(SAMPLES)),
-    "jackknife_se": call(lambda: li.jackknife_se(SAMPLES)),
     "jackknife_cumulants": call(lambda: li.jackknife_cumulants(SAMPLES)),
     "jackknife_covariance": call(lambda: li.jackknife_covariance(SAMPLES, SAMPLES)),
     # studies
@@ -257,6 +255,16 @@ def test_a_boolean_array_where_reals_are_due_is_a_type_error():
         li.posterior_expectations(PRIOR, GAMMA, [1.0], [1.0], np.eye(2, dtype=bool))
 
 
+def test_huge_admissible_parameters_give_finite_values_or_a_typed_error():
+    # Gamma's derivatives at kappa = 1e200 once failed in a Python float power
+    assert li.exponent_derivatives(li.make_noise_model("Gamma", (1.0, 1e200)), -1.0) == (1.0, 1.0, 2.0)
+    assert li.exponent_derivatives(GAMMA, -1e308) == (1e-308, 0.0, 0.0)
+    # the end b^2/2 of A and psi0's sqrt(a^2 - b^2) need a finite square
+    for family, params in (("InverseGaussian", (1.0, 1e160)), ("NormalInverseGaussian", (1e155, 0.0, 1.0))):
+        with pytest.raises(li.InvalidParameter, match="requires a finite"):
+            li.make_noise_model(family, params)
+
+
 def test_a_count_numpy_cannot_size_an_array_by_is_invalid_before_any_allocation():
     # checked first, so that an unchecked ensemble of 2**70 paths never runs
     with pytest.raises(li.InvalidParameter, match="must be <="):
@@ -270,3 +278,15 @@ def test_a_count_numpy_cannot_size_an_array_by_is_invalid_before_any_allocation(
             fn()
     # a seed or stream key sizes nothing and may be any non-negative integer
     assert li.simulate_ensemble(GAMMA, PRIOR, GRID, 3, huge, huge)[1].shape == (3, len(GRID))
+
+
+def test_a_path_count_too_large_for_the_float64_outputs_is_invalid_before_any_stream():
+    # 2**62 is an intp, but 2**62 float64 values are not an array numpy can
+    # size; the ensemble would list 2**50 chunks and their keys first
+    n = 2**62
+    for fn in (lambda: li.simulate_ensemble(GAMMA, PRIOR, GRID, n, 1),
+               lambda: li.convergence_study(GAMMA, PRIOR, [1.0, 4.0], n, 1),
+               lambda: li.factorization_study(GAMMA, PRIOR, 0.5j, 0.5j, 1.0, n, 1),
+               lambda: li.representation_draws(VG, "VG_subordinated", 0.5, 1.0, n, 1)):
+        with pytest.raises(li.InvalidParameter, match=f"float64 values, got {n}"):
+            fn()

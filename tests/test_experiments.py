@@ -357,6 +357,13 @@ def test_esscher_rejects_boundary_tilt():
         li.esscher_consistency_study(model, 1.0, 1.0, 1000, seed=72)
 
 
+@pytest.mark.parametrize("lam", [1e308, -1e308])
+def test_esscher_weights_that_overflow_are_non_finite_value(lam):
+    # psi0(lam) = lam^2/2 is inf and lam xi is +-inf, so the weights are nan
+    with pytest.raises(li.NonFiniteValue, match="Esscher weights"):
+        li.esscher_consistency_study(li.make_noise_model("Brownian", ()), lam, 1.0, 200, seed=1)
+
+
 def test_esscher_and_bridge_draw_through_the_ensemble_at_tags_1_and_2(monkeypatch):
     # both Esscher sides are the ensemble at the message 0 under one key, so
     # they share their random numbers; the bridge is one ensemble on its

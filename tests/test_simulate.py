@@ -375,6 +375,18 @@ def test_increment_draws_take_an_empty_size():
     assert li.increment_draws(model, 0.0, 1.0, np.random.default_rng(0), (2, 0)).shape == (2, 0)
 
 
+def test_a_drift_is_added_after_the_draw_for_every_family(model):
+    # the law given X = x is the x-tilted model, and a drift delta shifts it
+    # by delta dt outside the sampler: from the same Generator state the
+    # drifted draws are the drift-free ones plus delta dt, bit for bit
+    drifted = li.make_noise_model(model.family, FAMILY_PARAMS[model.family], drift=0.3)
+    x = interior_grid(model, 4)[1:3, None]
+    dt = np.array([0.01, 0.1, 1.0 / 3.0, 1.0, 2.5])
+    got = li.increment_draws(drifted, x, dt, np.random.default_rng(21), (2, 5))
+    want = li.increment_draws(model, x, dt, np.random.default_rng(21), (2, 5)) + 0.3 * dt
+    np.testing.assert_array_equal(got, want)
+
+
 def test_gamma_draws_match_numpy_gamma():
     # the sampler goes through standard_gamma; the variates must be the ones
     # numpy's gamma(shape, scale) gives on the same stream

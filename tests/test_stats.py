@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levy_info as li
-from levy_info.stats import _mean_stderr
+from levy_info.stats import _jackknife_se, _mean_stderr
 
 
 def brute_force_jackknife_se(x, statistic):
@@ -66,23 +66,16 @@ def test_mean_stderr_of_finite_samples_that_overflow_is_non_finite_value():
 
 
 def test_k_statistics_symmetric_sample():
-    key1, key2, key3 = li.k_statistics([1.0, 2.0, 3.0, 4.0])
+    key1, key2, key3 = li.jackknife_cumulants([1.0, 2.0, 3.0, 4.0]).cumulants
     assert key1 == pytest.approx(2.5)
     assert key2 == pytest.approx(5.0 / 3.0)
     assert key3 == pytest.approx(0.0, abs=1e-14)
 
 
-def test_k_statistics_skewed_sample():
-    key1, key2, key3 = li.k_statistics([0.0, 0.0, 1.0])
-    assert key1 == pytest.approx(1.0 / 3.0)
-    assert key2 == pytest.approx(1.0 / 3.0)
-    assert key3 == pytest.approx(1.0 / 3.0)
-
-
 def test_k_statistics_are_unbiased_for_gamma_cumulants():
     # cumulants of Gamma(shape=2, scale=1): k1=2, k2=2, k3=4
     rng = np.random.default_rng(23)
-    reps = np.array([li.k_statistics(rng.gamma(2.0, 1.0, size=8))
+    reps = np.array([li.jackknife_cumulants(rng.gamma(2.0, 1.0, size=8)).cumulants
                      for _ in range(40_000)])
     for idx, ref in enumerate([2.0, 2.0, 4.0]):
         mean, se = li.mean_stderr(reps[:, idx])
@@ -106,10 +99,9 @@ def test_jackknife_cumulants_match_brute_force():
     rng = np.random.default_rng(24)
     x = rng.gamma(1.5, 2.0, size=40)
     est = li.jackknife_cumulants(x)
-    ka, kb, kc = li.k_statistics(x)
-    assert est.k1 == pytest.approx(ka)
-    assert est.k2 == pytest.approx(kb)
-    assert est.k3 == pytest.approx(kc)
+    assert est.k1 == pytest.approx(x.mean())
+    assert est.k2 == pytest.approx(k2(x))
+    assert est.k3 == pytest.approx(k3(x))
     assert est.se1 == pytest.approx(li.mean_stderr(x)[1], rel=1e-10)
     assert est.se2 == pytest.approx(brute_force_jackknife_se(x, k2), rel=1e-8)
     assert est.se3 == pytest.approx(brute_force_jackknife_se(x, k3), rel=1e-8)
@@ -173,7 +165,8 @@ def pow_jackknife_cumulants(x):
     mu = (s1 - xc) / m
     c2 = s2 - xc**2 - (s1 - xc) * mu
     c3 = (s3 - xc**3) - 3.0 * mu * (s2 - xc**2) + 2.0 * m * mu**3
-    ses = [li.jackknife_se(loo) for loo in (shift + mu, c2 / (m - 1), m * c3 / ((m - 1) * (m - 2)))]
+    loos = (shift + mu, c2 / (m - 1), m * c3 / ((m - 1) * (m - 2)))
+    ses = [math.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum()) for loo in loos]
     return (k1, k2, k3), tuple(ses)
 
 
@@ -191,11 +184,9 @@ def test_cumulant_kernels_match_pow_reference(n, seed, shape, offset, scale):
     }[shape]()
     x = offset + scale * z
     (r1, r2, r3), (rs1, rs2, rs3) = pow_jackknife_cumulants(x)
-    k1, k2, k3 = li.k_statistics(x)
     est = li.jackknife_cumulants(x)
-    assert (k1, k2) == (r1, r2)
     assert (est.k1, est.k2, est.se1, est.se2) == (r1, r2, rs1, rs2)
-    for got, ref in ((k3, r3), (est.k3, r3), (est.se3, rs3)):
+    for got, ref in ((est.k3, r3), (est.se3, rs3)):
         assert abs(got - ref) <= 1e-12 * max(abs(ref), r2**1.5), (got, ref)
 
 
@@ -203,9 +194,12 @@ def plain_jackknife_cumulants(x):
     """The kernel as plain expressions, one new array per step: the reference
     its reused buffers must reproduce bit for bit."""
     n = x.size
-    k1, k2, k3 = li.k_statistics(x)
     shift = x.mean()
     xc = x - shift
+    d = xc - xc.mean()
+    k1 = float(shift + xc.mean())
+    k2 = float((d * d).sum()) / (n - 1)
+    k3 = n * float((d * d * d).sum()) / ((n - 1) * (n - 2))
     xc2 = xc * xc
     xc3 = xc2 * xc
     s1, s2, s3 = xc.sum(), float(xc2.sum()), float(xc3.sum())
@@ -228,7 +222,7 @@ def test_jackknife_cumulants_match_the_plain_expressions(n, shape):
     x = 1e3 + 5.0 * z
     assert li.jackknife_cumulants(x) == plain_jackknife_cumulants(x)
     loo = rng.standard_normal(n)
-    assert li.jackknife_se(loo) == math.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum())
+    assert _jackknife_se(loo.copy()) == math.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum())
 
 
 # ---------------------------------------------------------------------------
