@@ -14,7 +14,6 @@ __all__ = [
     "LevyInfoError",
     "InvalidParameter",
     "OutOfDomain",
-    "OutOfRange",
     "EmptyPrior",
     "NonPositiveWeight",
     "ZeroMass",
@@ -39,10 +38,6 @@ class InvalidParameter(LevyInfoError):
 
 class OutOfDomain(LevyInfoError):
     """An exponent argument lies outside the admissible set of the model."""
-
-
-class OutOfRange(LevyInfoError):
-    """A target value is not attained by the marginal exponent."""
 
 
 class EmptyPrior(LevyInfoError):

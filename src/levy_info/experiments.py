@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameter, NonFiniteValue, _count, _floats, _positive, _real
+from .errors import GridExceedsHorizon, InvalidParameter, NonFiniteValue, _count, _floats, _positive, _real
 from .noise import (
     _FAMILIES,
     NoiseModel,
@@ -25,7 +25,7 @@ from .noise import (
     fiducial_exponent,
 )
 from .prior import Prior, check_compatibility, prior_from_atoms
-from .simulate import TimeGrid, _bridge_clock, _fold_runs, representation_draws
+from .simulate import TimeGrid, _fold_runs, representation_draws
 from .stats import (
     StudyReport,
     StudyRow,
@@ -379,9 +379,11 @@ def bridge_study(
     At fixed message x the bridge has conditional mean psi0'(x) u at time u
     and covariance s (T - t)/T psi0''(x); the study compares sample mean,
     variance and cross-covariance with jackknife standard errors.  The
-    paths are one ``simulate_ensemble`` at the message x on the bridge
-    clock (0, u_s, u_t), keyed by the seed and tag 2, rescaled; an x within
-    ``prior.MARGIN`` of an open end of A is IncompatibleSupport there.
+    bridge is xi_{tT} = ((T - t)/T) xi(u) on the clock u = tT/(T - t): the
+    paths are one ``simulate_ensemble`` at the message x on the clock at
+    (0, s, t), keyed by the seed and tag 2, rescaled.  A t whose u exceeds
+    1e6 T is GridExceedsHorizon; an x within ``prior.MARGIN`` of an open end
+    of A is IncompatibleSupport.
     """
     threshold = _positive(threshold, "study threshold")
     horizon, s, t = _positive(horizon, "horizon"), _positive(s, "s"), _positive(t, "t")
@@ -389,7 +391,12 @@ def bridge_study(
         raise InvalidParameter(f"need 0 < s < t < horizon, got s={s}, t={t}, horizon={horizon}")
     x = _check_domain(model, x, "message x")
     d1, d2, _ = exponent_derivatives(model, x)
-    u, scale = _bridge_clock(horizon, np.array([0.0, s, t]))
+    times = np.array([0.0, s, t])
+    u = times * horizon / (horizon - times)
+    if u[-1] > 1e6 * horizon:
+        raise GridExceedsHorizon(f"transformed time {u[-1]:.6g} exceeds the cap {1e6 * horizon:.6g}; "
+                                 f"keep t away from the horizon")
+    scale = (horizon - times) / horizon
     raw = _values(model, prior_from_atoms([(x, 1.0)]), TimeGrid(u), n_paths, seed, tag=2)[1]
     xi_s, xi_t = scale[1] * raw[0], scale[2] * raw[1]
     del raw

@@ -39,7 +39,6 @@ __all__ = [
     "Posterior",
     "posterior_update",
     "posterior_expectations",
-    "conditional_cdf",
     "gamma_linear_filter",
     "MessageEstimate",
     "estimate_message",
@@ -225,16 +224,6 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
 
     map_ordered(block, range(0, xi_rows.size, BLOCK_ROWS))
     return out.reshape(xi.shape + (g.shape[1],))
-
-
-def conditional_cdf(posterior: Posterior, y: float) -> float:
-    """P(X <= y) under the posterior: the right-continuous step function
-    (0 at y = -inf, 1 at y = inf, InvalidParameter at y = NaN)."""
-    y = float(_real(y, "y"))
-    if math.isnan(y):
-        raise InvalidParameter("conditional_cdf needs a threshold y that is not NaN")
-    idx = int(np.searchsorted(posterior.positions, y, side="right"))
-    return float(posterior.weights[:idx].sum())
 
 
 def gamma_linear_filter(theta: float, r: float, m: float, xi: float, t: float) -> float:

@@ -6,9 +6,8 @@ A noise family is described by its fiducial exponent ``psi0`` with
 
 finite for ``Re alpha`` in the admissible set ``A``.  This module provides
 the exponent and its first three derivatives in closed form, the inverse of
-the marginal exponent ``psi0'``, the admissible set, conditional exponents,
-Esscher transforms (exponential tilting), and the first three Sheffer
-polynomials, for the families:
+the marginal exponent ``psi0'``, the admissible set and Esscher transforms
+(exponential tilting), for the families:
 
     Brownian              psi0(a) = a^2/2                       A = R
     Poisson(m)            psi0(a) = m (e^a - 1)                 A = R
@@ -19,6 +18,11 @@ polynomials, for the families:
     NormalInverseGaussian(a,b,m)
                           psi0(w) = m (sqrt(a^2-b^2) - sqrt(a^2-(b+w)^2))
                                                                 A = (-a-b, a-b)
+
+The exponent given X = x, psi0(alpha + x) - psi0(x), is the exponent of
+``esscher_transform(model, x)``.  The InverseGaussian and
+NormalInverseGaussian exponents are evaluated with their difference of
+square roots rationalised, so that they do not cancel at small w.
 
 Esscher tilting keeps each family closed under the transform once two
 generalisations are allowed: a Brownian model may carry a drift, and a
@@ -75,7 +79,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameter, NonFiniteValue, OffSupport, OutOfDomain, OutOfRange, _real
+from .errors import InvalidParameter, NonFiniteValue, OffSupport, OutOfDomain, _real
 
 __all__ = [
     "FAMILIES",
@@ -84,11 +88,8 @@ __all__ = [
     "make_noise_model",
     "fiducial_exponent",
     "exponent_derivatives",
-    "inverse_marginal",
     "admissible_set",
-    "conditional_exponent",
     "esscher_transform",
-    "sheffer_polynomials",
     "marginal_range",
 ]
 
@@ -494,7 +495,7 @@ _FAMILIES = {
         names=("a", "b"),
         rules=((lambda a, b: a > 0, "a must be > 0"), (lambda a, b: b > 0, "b must be > 0"),
                (lambda a, b: b * b < math.inf, "requires a finite b^2, for the end b^2/2 of A")),
-        psi=lambda w, a, b: a * (b - np.sqrt(b * b - 2.0 * w)),
+        psi=lambda w, a, b: 2.0 * a * w / (b + np.sqrt(b * b - 2.0 * w)),
         derivatives=lambda w, a, b: (a / (r := np.sqrt(s := b * b - 2.0 * w)), a / (s * r), 3.0 * a / (s * s * r)),
         domain=lambda a, b: Interval(0.0, 0.5 * b**2, lo_open=False),
         inverse=lambda y, a, b: 0.5 * (b * b - (a / y) * (a / y)),
@@ -513,7 +514,8 @@ _FAMILIES = {
         rules=((lambda a, b, m: a > 0, "a must be > 0"), (lambda a, b, m: abs(b) < a, "requires |b| < a"),
                (lambda a, b, m: m > 0, "m must be > 0"),
                (lambda a, b, m: a * a < math.inf, "requires a finite a^2, for psi0's sqrt(a^2 - b^2)")),
-        psi=lambda w, a, b, m: m * (math.sqrt(a * a - b * b) - np.sqrt(a * a - (b + w) * (b + w))),
+        psi=lambda w, a, b, m: m * w * (2.0 * b + w) / (math.sqrt(a * a - b * b)
+                                                         + np.sqrt(((a - b) - w) * (w + (a + b)))),
         derivatives=_nig_derivatives,
         domain=lambda a, b, m: Interval(-a - b, a - b),
         inverse=lambda y, a, b, m: a * y / np.hypot(m, y) - b,
@@ -666,7 +668,7 @@ def _check_domain(model: NoiseModel, re_alpha, what: str = "alpha"):
     return _shaped(re_alpha)
 
 
-def _argument(model: NoiseModel, alpha, what: str = "alpha"):
+def _argument(model: NoiseModel, alpha):
     """``alpha`` as a float or complex array, once every Re alpha is in A
     (OutOfDomain) and every Im alpha is finite (NonFiniteValue).  A scalar
     comes back as a numpy scalar: numpy rounds complex products of scalars
@@ -675,11 +677,11 @@ def _argument(model: NoiseModel, alpha, what: str = "alpha"):
     a = np.asarray(alpha)
     is_complex = np.iscomplexobj(a)
     # checked before the cast, so that a boolean is refused (errors._real)
-    _check_domain(model, a.real, f"Re {what}" if is_complex else what)
+    _check_domain(model, a.real, "Re alpha" if is_complex else "alpha")
     a = a.astype(complex if is_complex else float, copy=False)
     finite = np.isfinite(a.imag)
     if not finite.all():
-        raise NonFiniteValue(f"Im {what} must be finite, got {a.imag[~finite][0]:g}")
+        raise NonFiniteValue(f"Im alpha must be finite, got {a.imag[~finite][0]:g}")
     return a[()]
 
 
@@ -743,31 +745,6 @@ def marginal_range(model: NoiseModel) -> Interval:
     return Interval(lo + model.drift if math.isfinite(lo) else lo, math.inf)
 
 
-def inverse_marginal(model: NoiseModel, y: float) -> float:
-    """Invert the marginal exponent: return I0(y) with psi0'(I0(y)) = y.
-
-    The scalar case of :func:`inverse_marginal_clamped`, which raises where
-    that would clamp.
-
-    Raises
-    ------
-    InvalidParameter
-        If ``y`` is not a scalar.
-    OutOfRange
-        If ``y`` is not attained by psi0' on the interior of the admissible
-        set: it is not finite or not above the lower end of the range.
-    """
-    if np.ndim(y):
-        raise InvalidParameter(f"inverse_marginal takes a scalar y, got shape {np.shape(y)}")
-    alpha, clamped = inverse_marginal_clamped(model, y)
-    if clamped:
-        rng = marginal_range(model)
-        raise OutOfRange(
-            f"y={float(y):g} is not attained by psi0' of {model!r}; range is ({rng.lo:g}, {rng.hi:g})"
-        )
-    return alpha
-
-
 def inverse_marginal_clamped(model: NoiseModel, y):
     """Vectorized inverse of psi0' with clamping to the closure of its range.
 
@@ -799,26 +776,6 @@ def inverse_marginal_clamped(model: NoiseModel, y):
     return alpha, clamped
 
 
-def conditional_exponent(model: NoiseModel, x: float, alpha):
-    """The exponent of the model conditioned on message value ``x``:
-
-        psi0(alpha + x) - psi0(x)
-
-    ``x`` and every ``Re alpha + x`` must lie in the admissible set, and
-    every ``Im alpha`` must be finite; ``alpha`` is a real or complex scalar
-    or array, and psi0(x) is evaluated in its type.
-
-    Raises
-    ------
-    OutOfDomain, NonFiniteValue
-        As :func:`fiducial_exponent`.
-    """
-    x = _check_domain(model, x, "x")
-    _real(np.asarray(alpha).real, "alpha")  # alpha may be complex, but not boolean
-    a = _argument(model, np.add(alpha, x), "alpha + x")
-    return _shaped(_exponent(model, a) - _exponent(model, np.asarray(x, dtype=a.dtype)))
-
-
 def esscher_transform(model: NoiseModel, lam: float) -> NoiseModel:
     """Exponentially tilt the model: the result has exponent
 
@@ -840,39 +797,3 @@ def esscher_transform(model: NoiseModel, lam: float) -> NoiseModel:
         return model
     params, drift = _FAMILIES[model.family].tilt(lam, model.drift, *model.params)
     return NoiseModel(model.family, params, drift)
-
-
-def sheffer_polynomials(model: NoiseModel, xi, t) -> tuple:
-    """Evaluate the first three Sheffer martingale polynomials at (xi, t).
-
-    With p1 = psi0'(0), p2 = psi0''(0), p3 = psi0'''(0) and u = xi - p1 t:
-
-        Q1 = u
-        Q2 = (u^2 - p2 t) / 2
-        Q3 = (u^3 - 3 p2 t u - p3 t) / 6
-
-    Each of Q1(xi_t, t), Q2(xi_t, t), Q3(xi_t, t) is a martingale under the
-    fiducial measure.  ``xi`` is a scalar or an array and ``t`` broadcasts
-    to it; each Q is a float, or an array of the shape of ``xi``.
-
-    Raises
-    ------
-    NonFiniteValue, InvalidParameter, OffSupport
-        As :func:`check_observation`, which also refuses a ``t`` that does
-        not broadcast to ``xi``.
-    NonFiniteValue
-        If a Q overflows, naming the first such (xi, t).
-    """
-    xi, t = check_observation(model, xi, t)
-    p1, p2, p3 = exponent_derivatives(model, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = xi - p1 * t
-        q2 = 0.5 * (u * u - p2 * t)
-        q3 = (u * u * u - 3.0 * p2 * t * u - p3 * t) / 6.0
-    over = ~(np.isfinite(u) & np.isfinite(q2) & np.isfinite(q3))
-    if over.any():
-        i = np.argmax(over)
-        raise NonFiniteValue(
-            f"the Sheffer polynomials overflow at (xi, t) = ({float(xi.flat[i])!r}, {float(t.flat[i])!r})"
-        )
-    return _shaped(u), _shaped(q2), _shaped(q3)

@@ -10,7 +10,7 @@ The alternative VG and NB constructions (scaled subordinator, gamma
 difference, compound Poisson with logarithmic jumps), named in
 ``REPRESENTATIONS``, are the records' ``constructions``: written in the
 tilted parameters, they hold for drifted and tilted models too.  They serve
-cross-validation, as does the finite-horizon time-changed bridge.
+cross-validation.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    GridExceedsHorizon,
     InvalidParameter,
     NonFiniteValue,
     UnsupportedRepresentation,
@@ -38,7 +37,6 @@ __all__ = [
     "InformationPath",
     "sample_messages",
     "simulate_information_path",
-    "simulate_bridge_path",
     "REPRESENTATIONS",
     "increment_draws",
     "simulate_ensemble",
@@ -290,47 +288,3 @@ def representation_draws(model: NoiseModel, rep: str, x: float, t: float, n: int
 
     map_ordered(run_chunk, ensemble_streams(seed, tag, n, [1], run=1))
     return out
-
-
-def simulate_bridge_path(
-    model: NoiseModel,
-    prior: Prior,
-    horizon: float,
-    grid: TimeGrid,
-    rng,
-    u_cap: float | None = None,
-) -> InformationPath:
-    """Simulate the finite-horizon bridge xi_{tT} = ((T-t)/T) xi(tT/(T-t)).
-
-    The bridge is the information path of
-    :func:`simulate_information_path` on the transformed clock
-    u = tT/(T-t), rescaled; it reveals X as t -> T.  Grid times must stay
-    below the horizon and the transformed times below ``u_cap`` (default
-    1e6 * T), which guards the singularity at t = T.
-
-    Raises
-    ------
-    GridExceedsHorizon
-    """
-    u, scale = _bridge_clock(horizon, grid.times, u_cap)
-    path = simulate_information_path(model, prior, TimeGrid(u), rng)
-    return _path(grid, scale * path.values, path.message, model)
-
-
-def _bridge_clock(horizon: float, times: np.ndarray, u_cap: float | None = None) -> tuple:
-    """(u, scale) at increasing ``times``: the clock u = tT/(T - t) and the
-    rescale (T - t)/T, once T and ``u_cap`` are positive and finite, t < T
-    and u <= ``u_cap``."""
-    horizon = _positive(horizon, "horizon")
-    u_cap = 1e6 * horizon if u_cap is None else _positive(u_cap, "u_cap")
-    if times[-1] >= horizon:
-        raise GridExceedsHorizon(
-            f"bridge grid reaches t={times[-1]:g} but the horizon is T={horizon:g}"
-        )
-    u = times * horizon / (horizon - times)
-    if u[-1] > u_cap:
-        raise GridExceedsHorizon(
-            f"transformed time {u[-1]:.6g} exceeds the cap {u_cap:.6g}; "
-            f"refine u_cap or keep the grid away from the horizon"
-        )
-    return u, (horizon - times) / horizon

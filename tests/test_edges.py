@@ -13,7 +13,6 @@ or seed is an ``InvalidParameter``, as 2.5 is.
 Some outputs are infinite or NaN by contract and pass: an unbounded end of
 an ``Interval``, the I0 of a clamped rate (-inf, flagged by
 ``MessageEstimate.clamped``) and the NaN reference and z of a study row.
-``conditional_cdf`` takes y = +-inf by contract and returns 0 and 1.
 """
 
 import dataclasses
@@ -56,10 +55,7 @@ CALLS = {
     "fiducial_exponent": call(lambda alpha: li.fiducial_exponent(GAMMA, alpha), alpha=0.5),
     "exponent_derivatives": call(lambda alpha: li.exponent_derivatives(GAMMA, alpha), alpha=0.5),
     "marginal_range": call(lambda: li.marginal_range(GAMMA)),
-    "inverse_marginal": call(lambda y: li.inverse_marginal(GAMMA, y), y=2.0),
-    "conditional_exponent": call(lambda x, alpha: li.conditional_exponent(GAMMA, x, alpha), x=0.25, alpha=0.25),
     "esscher_transform": call(lambda lam: li.esscher_transform(GAMMA, lam), lam=0.5),
-    "sheffer_polynomials": call(lambda xi, t: li.sheffer_polynomials(GAMMA, xi, t), xi=2.0, t=1.0),
     "characteristic_triplet": call(lambda: li.characteristic_triplet(GAMMA)),
     "tilted_characteristics": call(lambda x: li.tilted_characteristics(GAMMA, x), x=0.5),
     # priors
@@ -80,15 +76,12 @@ CALLS = {
     "representation_draws": call(
         lambda x, t, n, seed, tag: li.representation_draws(VG, "VG_subordinated", x, t, n, seed, tag),
         counts={"n": 5, "seed": 1, "tag": 0}, x=0.5, t=1.0),
-    "simulate_bridge_path": call(lambda horizon, u_cap: li.simulate_bridge_path(GAMMA, PRIOR, horizon, GRID, rng(), u_cap),
-                                 horizon=2.0, u_cap=100.0),
     # filtering and innovations
     "posterior_update": call(lambda xi, t: li.posterior_update(PRIOR, GAMMA, xi, t), xi=1.0, t=1.0),
     # a restart: POST, at (1, 1), updated by the increment observed since
     "posterior_update.restart": call(lambda xi, t: li.posterior_update(POST, GAMMA, xi, t), xi=0.5, t=0.5),
     "posterior_expectations": call(lambda xi, t: li.posterior_expectations(PRIOR, GAMMA, [xi], [t], np.eye(2)),
                                    xi=1.0, t=1.0),
-    "conditional_cdf": call(lambda y: li.conditional_cdf(POST, y), y=0.0),
     "gamma_linear_filter": call(li.gamma_linear_filter, theta=1.0, r=2.0, m=1.0, xi=1.0, t=1.0),
     # xi = 0 is a clamped rate, so the valid call's I0 is -inf
     "estimate_message": call(lambda xi, t: li.estimate_message(POST, GAMMA, xi, t), xi=0.0, t=1.0),
@@ -141,7 +134,6 @@ EXEMPT = {
 # without its imaginary part
 COMPLEX = {
     ("fiducial_exponent", "alpha"): "psi0 at complex alpha is the log characteristic function",
-    ("conditional_exponent", "alpha"): "the conditional exponent is psi0's complex form, shifted by x",
 }
 
 FLOAT_EDGES = (math.nan, math.inf, -math.inf, -1e3, 0.0, 1e308, -1e308)
@@ -250,7 +242,7 @@ def test_a_boolean_array_where_reals_are_due_is_a_type_error():
     with pytest.raises(TypeError, match="not a boolean"):
         li.TimeGrid(np.array([False, True]))
     with pytest.raises(TypeError, match="not a boolean"):
-        li.sheffer_polynomials(GAMMA, [True, True], 1.0)
+        li.posterior_expectations(PRIOR, GAMMA, [True, True], 1.0, np.eye(2))
     with pytest.raises(TypeError, match="not a boolean"):
         li.posterior_expectations(PRIOR, GAMMA, [1.0], [1.0], np.eye(2, dtype=bool))
 

@@ -472,7 +472,7 @@ def test_bridge_validates_arguments():
 
 
 def test_bridge_study_keeps_the_bridge_clock_checks():
-    # the study and simulate_bridge_path share one clock and its checks
+    # t next to the horizon runs the clock u = tT/(T - t) past its cap of 1e6 T
     gamma = li.make_noise_model("Gamma", (1.0, 1.0))
     with pytest.raises(li.GridExceedsHorizon, match="cap"):
         li.bridge_study(gamma, 0.3, 2.0, 0.5, 2.0 - 1e-7, 1000, seed=78)

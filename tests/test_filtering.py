@@ -139,6 +139,13 @@ def test_every_entry_point_rejects_a_bad_time(entry, t):
         _filter_entry_points()[entry](1.0, t)
 
 
+def test_the_batched_filter_refuses_times_that_do_not_broadcast():
+    gamma = li.make_noise_model("Gamma", (1.0, 1.0))
+    prior = li.prior_from_atoms([(0.0, 1.0), (0.5, 1.0)])
+    with pytest.raises(li.InvalidParameter, match=r"times of shape \(2,\) do not broadcast to xi's \(3,\)"):
+        li.posterior_expectations(prior, gamma, np.ones(3), np.ones(2), np.eye(2))
+
+
 @pytest.mark.parametrize("entry", ["posterior_update", "posterior_update_restart", "estimate_message",
                                    "gamma_linear_filter"])
 @pytest.mark.parametrize("xi, t", [([1.0, 2.0], 1.0), (1.0, [1.0, 2.0]), (np.ones((1, 1)), 1.0)])
@@ -399,35 +406,8 @@ def test_restart_from_an_underflowed_weight():
 
 
 # ---------------------------------------------------------------------------
-# conditional_cdf / prior_expectation over a posterior
+# prior_expectation over a posterior
 # ---------------------------------------------------------------------------
-
-def test_conditional_cdf_steps():
-    model = li.make_noise_model("Brownian", ())
-    prior = li.prior_from_atoms([(-1.0, 1.0), (1.0, 1.0)])
-    post = li.posterior_update(prior, model, 0.0, 1.0)
-    assert li.conditional_cdf(post, -2.0) == 0.0
-    assert li.conditional_cdf(post, -1.0) == pytest.approx(0.5)  # right-cont.
-    assert li.conditional_cdf(post, 0.0) == pytest.approx(0.5)
-    assert li.conditional_cdf(post, 1.0) == pytest.approx(1.0)
-    assert li.conditional_cdf(post, 5.0) == 1.0
-
-
-def test_conditional_cdf_at_infinite_and_nan_thresholds():
-    model = li.make_noise_model("Brownian", ())
-    post = li.posterior_update(li.prior_from_atoms([(-1.0, 1.0), (1.0, 1.0)]), model, 0.0, 1.0)
-    assert li.conditional_cdf(post, -math.inf) == 0.0
-    assert li.conditional_cdf(post, math.inf) == 1.0
-    with pytest.raises(li.InvalidParameter, match="NaN"):
-        li.conditional_cdf(post, math.nan)
-
-
-def test_conditional_cdf_degenerate_prior():
-    model = li.make_noise_model("Poisson", (1.0,))
-    post = li.posterior_update(li.prior_from_atoms([(0.3, 1.0)]), model, 4.0, 2.0)
-    assert li.conditional_cdf(post, 0.29) == 0.0
-    assert li.conditional_cdf(post, 0.3) == 1.0
-
 
 def test_prior_expectation_over_a_posterior():
     brown = li.make_noise_model("Brownian", ())

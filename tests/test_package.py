@@ -486,3 +486,39 @@ def test_field_reader_lint_sees_every_reader():
               "def g(rec):\n    return rec.psi\n"
               "h = lambda rec: rec.inverse\n")
     assert field_readers(source, ("psi", "inverse")) == {"psi": {"f", "g"}, "inverse": {None}}
+
+
+# public names that no module of the package and no demo loads, and why each stays
+UNCALLED = {
+    "tilted_characteristics": "the Levy-Khintchine data of the law given X = x, kept public beside "
+                              "characteristic_triplet for the tests and for a study of the tilted measure",
+    "gamma_linear_filter": "the closed-form Gamma filter checked against the quadrature filter (C03); "
+                           "it goes when a linear filter for every family replaces it",
+}
+
+
+def names_loaded(source):
+    """Every name that a ``Name`` loads or an ``Attribute`` names; a definition,
+    an import or a string in ``__all__`` is not a load."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)}
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that nothing in the package or the demos loads is a
+    # wrapper or a leftover; an error class that nothing raises is one too
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    sources = [*package_sources().values(), *(path.read_text(encoding="utf-8") for path in sorted(demos.glob("*.py")))]
+    loaded = set().union(*map(names_loaded, sources))
+    assert sorted(set(li.__all__) - loaded - set(UNCALLED)) == []
+    # an allowlisted name that gains a caller leaves the list
+    assert sorted(set(UNCALLED) & loaded) == [] and set(UNCALLED) <= set(li.__all__)
+
+
+def test_public_name_lint_sees_loads_but_not_definitions_or_imports():
+    source = ("from .errors import OutOfRange, OffSupport\n"
+              "__all__ = ['OutOfRange', 'OffSupport', 'check', 'Spare']\n"
+              "class Spare(Exception):\n    pass\n"
+              "def check(x, li):\n    if x < 0:\n        raise OffSupport(x)\n    return li.stream(x)\n")
+    loaded = names_loaded(source)
+    assert loaded & {"OutOfRange", "OffSupport", "check", "Spare", "stream"} == {"OffSupport", "stream"}

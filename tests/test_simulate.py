@@ -499,81 +499,3 @@ def test_representation_draws_deterministic():
     c = li.representation_draws(vg, "VG_scaled_subordinator", 0.5, 1.0,
                                 4096 + 7, seed=17)
     assert not np.array_equal(a, c)
-
-
-# ---------------------------------------------------------------------------
-# bridge
-# ---------------------------------------------------------------------------
-
-def test_bridge_starts_at_zero():
-    rng = np.random.default_rng(18)
-    model = li.make_noise_model("Brownian", ())
-    path = li.simulate_bridge_path(model, degenerate(1.0), 1.0,
-                                   li.TimeGrid([0.0]), rng)
-    np.testing.assert_array_equal(path.values, [0.0])
-
-
-@pytest.mark.parametrize("family", ["Brownian", "Gamma", "Poisson"])
-def test_bridge_is_the_information_path_on_its_clock(family):
-    # xi_{tT} = ((T - t)/T) xi(u), u = tT/(T - t): the same draws as the
-    # information path on the u grid, rescaled
-    model = li.make_noise_model(family, FAMILY_PARAMS[family])
-    prior = li.prior_from_atoms([(-0.5, 1.0), (0.0, 2.0), (0.25, 1.0)])
-    horizon, grid = 2.0, li.TimeGrid([0.0, 0.3, 1.0, 1.9])
-    u = grid.times * horizon / (horizon - grid.times)
-    for seed in range(5):
-        bridge = li.simulate_bridge_path(model, prior, horizon, grid, np.random.default_rng(seed))
-        rng = np.random.default_rng(seed)
-        x = li.sample_messages(prior, None, rng)
-        raw = np.concatenate(([0.0], np.cumsum(li.increment_draws(model, x, np.diff(u), rng))))
-        assert bridge.message == x
-        np.testing.assert_array_equal(bridge.values, (horizon - grid.times) / horizon * raw)
-        np.testing.assert_array_equal(bridge.grid.times, grid.times)
-
-
-def test_bridge_brownian_mean():
-    model = li.make_noise_model("Brownian", ())
-    grid = li.TimeGrid([0.0, 0.5])
-    rng = np.random.default_rng(19)
-    vals = np.array([
-        li.simulate_bridge_path(model, degenerate(1.0), 1.0, grid, rng).values[-1]
-        for _ in range(20_000)])
-    mean, se = li.mean_stderr(vals)
-    assert abs(mean - 0.5) <= 3.0 * se
-
-
-def test_bridge_gamma_covariance():
-    model = li.make_noise_model("Gamma", (1.0, 1.0))
-    grid = li.TimeGrid([0.0, 0.5, 1.0])
-    rng = np.random.default_rng(20)
-    vals = np.array([
-        li.simulate_bridge_path(model, degenerate(0.0), 2.0, grid, rng).values
-        for _ in range(20_000)])
-    cov, se = li.jackknife_covariance(vals[:, 1], vals[:, 2])
-    assert abs(cov - 0.25) <= 3.0 * se  # s(T-t)/T psi'' = 0.5*1/2
-
-
-def test_bridge_grid_must_stay_inside_horizon():
-    model = li.make_noise_model("Brownian", ())
-    rng = np.random.default_rng(21)
-    with pytest.raises(li.GridExceedsHorizon):
-        li.simulate_bridge_path(model, degenerate(0.0), 1.0,
-                                li.TimeGrid([0.0, 1.0]), rng)
-    # within [0, T) but beyond the default u-cap of 1e6 T
-    with pytest.raises(li.GridExceedsHorizon):
-        li.simulate_bridge_path(model, degenerate(0.0), 1.0,
-                                li.TimeGrid([0.0, 1.0 - 1e-9]), rng)
-    # explicit cap overrides the default
-    path = li.simulate_bridge_path(model, degenerate(0.0), 1.0,
-                                   li.TimeGrid([0.0, 1.0 - 1e-9]), rng,
-                                   u_cap=1e12)
-    assert np.isfinite(path.values).all()
-
-
-@pytest.mark.parametrize("u_cap", [math.nan, math.inf, 0.0])
-def test_bridge_cap_is_positive_and_finite(u_cap):
-    # a NaN cap used to switch the cap off
-    model = li.make_noise_model("Brownian", ())
-    with pytest.raises(li.InvalidParameter, match="u_cap"):
-        li.simulate_bridge_path(model, degenerate(0.0), 1.0, li.TimeGrid([0.0, 0.5]), np.random.default_rng(0),
-                                u_cap=u_cap)
