@@ -19,6 +19,7 @@ from .noise import (
     _FAMILIES,
     NoiseModel,
     _check_domain,
+    _exponent,
     admissible_set,
     esscher_transform,
     exponent_derivatives,
@@ -292,10 +293,10 @@ def esscher_consistency_study(
     (direct,) = _values(tilted, origin, grid, n_paths, seed, 1)[1]
     (fiducial,) = _values(model, origin, grid, n_paths, seed, 1)[1]
     n = direct.size
-    # far out in A (lam = -1e308) lam xi overflows to -inf, and the weight is
-    # 0, its rounded value; a weight that overflows to inf or nan is refused
+    # far out in A (lam = -1e308) lam xi overflows to -inf, and the weight is 0,
+    # its rounded value; a weight (or an unchecked psi0(lam)) that overflows is refused
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = np.exp(lam * fiducial - fiducial_exponent(model, lam) * t)
+        weights = np.exp(lam * fiducial - _exponent(model, np.float64(lam)) * t)
     if not np.isfinite(weights).all():
         raise NonFiniteValue(f"the Esscher weights exp(lam xi - psi0(lam) t) overflow at lam={lam:g}, t={t:g}")
 

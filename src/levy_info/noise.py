@@ -690,6 +690,14 @@ def _exponent(model: NoiseModel, a):
     return _FAMILIES[model.family].psi(a, *model.params) + model.drift * a
 
 
+def _finite_at(out, a, what: str):
+    """``out``, once it is finite; NonFiniteValue at the first ``a`` where it is not."""
+    if not np.isfinite(out).all():
+        out, a = np.broadcast_arrays(out, a)
+        raise NonFiniteValue(f"{what} overflows at alpha={a[~np.isfinite(out)][0]:g}")
+    return out
+
+
 def fiducial_exponent(model: NoiseModel, alpha):
     """Evaluate the fiducial exponent psi0 at a real or complex scalar or array.
 
@@ -712,9 +720,11 @@ def fiducial_exponent(model: NoiseModel, alpha):
     OutOfDomain
         If some ``Re alpha`` is outside the admissible set.
     NonFiniteValue
-        If some ``Im alpha`` is NaN or infinite.
+        If some ``Im alpha`` is NaN or infinite, or psi0 overflows.
     """
-    return _shaped(_exponent(model, _argument(model, alpha)))
+    a = _argument(model, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _shaped(_finite_at(_exponent(model, a), a, "psi0"))
 
 
 def exponent_derivatives(model: NoiseModel, alpha) -> tuple:
@@ -726,10 +736,13 @@ def exponent_derivatives(model: NoiseModel, alpha) -> tuple:
     Raises
     ------
     OutOfDomain
+    NonFiniteValue
+        If a derivative overflows (Poisson noise far out in A).
     """
     a = np.asarray(_check_domain(model, alpha), dtype=float)
-    d1, d2, d3 = _FAMILIES[model.family].derivatives(a, *model.params)
-    return _shaped(d1 + model.drift), _shaped(d2), _shaped(d3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1, d2, d3 = _FAMILIES[model.family].derivatives(a, *model.params)
+        return tuple(_shaped(_finite_at(d, a, "a derivative of psi0")) for d in (d1 + model.drift, d2, d3))
 
 
 def marginal_range(model: NoiseModel) -> Interval:

@@ -1,7 +1,8 @@
 """Every public entry point at its numeric edges, in one table-driven sweep.
 
-Each callable of ``levy_info.__all__`` has one valid call in ``CALLS``,
-written as a function of its numeric arguments.  The sweep replaces one
+Each callable of ``levy_info.__all__`` has a valid call in ``CALLS``,
+written as a function of its numeric arguments; psi0 and its derivatives
+have one in every family.  The sweep replaces one
 argument at a time: a float by NaN, +-inf, -1e3 and 0, a count or seed by
 2.5, -1 and NaN.  At a float edge a call returns finite output or raises a
 ``LevyInfoError``; a count edge is no count, and the call raises one.
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 import levy_info as li
+from conftest import FAMILY_PARAMS
 
 # a typed error is the only signal of an edge: numpy warns nowhere before it
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -56,6 +58,9 @@ CALLS = {
     "exponent_derivatives": call(lambda alpha: li.exponent_derivatives(GAMMA, alpha), alpha=0.5),
     "marginal_range": call(lambda: li.marginal_range(GAMMA)),
     "esscher_transform": call(lambda lam: li.esscher_transform(GAMMA, lam), lam=0.5),
+    # the exponent given X = x is the exponent of the Esscher transform by x
+    "fiducial_exponent.given_the_message": call(
+        lambda x, alpha: li.fiducial_exponent(li.esscher_transform(GAMMA, x), alpha), x=0.25, alpha=0.25),
     "characteristic_triplet": call(lambda: li.characteristic_triplet(GAMMA)),
     "tilted_characteristics": call(lambda x: li.tilted_characteristics(GAMMA, x), x=0.5),
     # priors
@@ -116,6 +121,15 @@ CALLS = {
         counts={"n_paths": 200, "seed": 1}, x=0.3, horizon=2.0, s=0.5, t=1.0, threshold=3.5),
 }
 
+# psi0 and its derivatives in every other family: the admissible sets of
+# Brownian and Poisson noise are unbounded, and psi0 overflows far out in them
+for family, params in FAMILY_PARAMS.items():
+    if family != "Gamma":
+        model = li.make_noise_model(family, params)
+        CALLS[f"fiducial_exponent.{family}"] = call(lambda alpha, m=model: li.fiducial_exponent(m, alpha), alpha=0.25)
+        CALLS[f"exponent_derivatives.{family}"] = call(lambda alpha, m=model: li.exponent_derivatives(m, alpha),
+                                                       alpha=0.25)
+
 # Plain records hold what a checked entry point built (make_noise_model,
 # admissible_set, prior_from_atoms, the samplers, the filter, the studies)
 # and check nothing themselves; the error types take a message.
@@ -134,6 +148,9 @@ EXEMPT = {
 # without its imaginary part
 COMPLEX = {
     ("fiducial_exponent", "alpha"): "psi0 at complex alpha is the log characteristic function",
+    ("fiducial_exponent.given_the_message", "alpha"): "the same psi0, of the Esscher transform",
+    **{(f"fiducial_exponent.{family}", "alpha"): "the same psi0, in another family"
+       for family in FAMILY_PARAMS if family != "Gamma"},
 }
 
 FLOAT_EDGES = (math.nan, math.inf, -math.inf, -1e3, 0.0, 1e308, -1e308)

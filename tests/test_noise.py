@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import struct
 from decimal import Decimal, localcontext
 
@@ -142,6 +143,24 @@ def test_non_finite_imaginary_part_is_rejected(imag):
         li.fiducial_exponent(gamma, alpha + 0.25) - li.fiducial_exponent(gamma, 0.25)
     with pytest.raises(li.NonFiniteValue, match="Im alpha"):
         li.fiducial_exponent(gamma, np.array([alpha, 0.5j]) + 0.25) - li.fiducial_exponent(gamma, 0.25)
+
+
+@pytest.mark.parametrize("family, alpha, what", [
+    ("Brownian", 1e308, "psi0"),
+    ("Brownian", np.array([1.0, -1e155]), "psi0"),
+    ("Brownian", 1e200 + 1e200j, "psi0"),  # alpha^2 is inf - inf there
+    ("Poisson", np.array([1.0, 710.0]), "psi0"),
+    ("Poisson", 710.0, "a derivative of psi0"),
+], ids=repr)
+def test_an_exponent_that_overflows_is_non_finite_value(family, alpha, what):
+    # A is unbounded, and psi0 was once returned as inf there, with a warning
+    model = li.make_noise_model(family, FAMILY_PARAMS[family])
+    fn = li.exponent_derivatives if what != "psi0" else li.fiducial_exponent
+    at = np.ravel(alpha)[-1]
+    with pytest.raises(li.NonFiniteValue, match="^" + re.escape(f"{what} overflows at alpha={at:g}")):
+        fn(model, alpha)
+    # and a value next to the overflow is finite
+    assert np.isfinite(li.fiducial_exponent(model, 700.0))
 
 
 def bits(values):
