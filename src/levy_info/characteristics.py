@@ -1,4 +1,4 @@
-"""Characteristic triplets (p, q, nu) and message tilting.
+"""Characteristic triplets (p, q, nu).
 
 The Levy-Khintchine representation used throughout is
 
@@ -8,8 +8,8 @@ The Levy-Khintchine representation used throughout is
 with the jump compensation truncated at |z| < 1.  Conditioning an
 information process on its message X = x rescales the Levy measure by
 e^{x z} and shifts the drift; since every supported family is closed under
-exponential tilting, the tilted triplet is simply the triplet of the tilted
-model.
+exponential tilting, the triplet given X = x is that of the tilted model,
+``characteristic_triplet(esscher_transform(model, x))``.
 
 Everything here needs numpy alone: the triplets are closed forms except the
 NIG drift compensation and the NIG density's Bessel K1, which are trapezoid
@@ -29,13 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .noise import _FAMILIES, NoiseModel, esscher_transform
+from .noise import _FAMILIES, NoiseModel
 
 __all__ = [
     "LevyMeasure",
     "CharacteristicTriplet",
     "characteristic_triplet",
-    "tilted_characteristics",
 ]
 
 
@@ -83,19 +82,3 @@ def characteristic_triplet(model: NoiseModel) -> CharacteristicTriplet:
     rec = _FAMILIES[model.family]
     comp, gaussian, params, atoms = rec.triplet(*model.params)
     return CharacteristicTriplet(model.drift + comp, gaussian, LevyMeasure(rec.measure, params, atoms))
-
-
-def tilted_characteristics(model: NoiseModel, x: float) -> CharacteristicTriplet:
-    """Triplet of the conditional law given message value ``x``.
-
-    Conditioning rescales the Levy measure by e^{x z} and shifts the drift;
-    because every family is closed under tilting this equals the triplet of
-    ``esscher_transform(model, x)``.
-
-    Raises
-    ------
-    OutOfDomain
-        If ``x`` is outside the interior of the admissible set (x = 0 is
-        always accepted and returns the fiducial triplet).
-    """
-    return characteristic_triplet(esscher_transform(model, x))

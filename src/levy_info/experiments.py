@@ -258,6 +258,15 @@ def factorization_study(
     return StudyReport("factorization", tuple(rows), threshold)
 
 
+def _check_spread(d2: float, law: str) -> None:
+    """InvalidParameter where psi0'', the variance per unit time of the law
+    a study samples, is below the smallest normal float: every standard
+    error then underflows to 0, and rounding, not the identity, decides z."""
+    if d2 < np.finfo(float).tiny:
+        raise InvalidParameter(f"psi0'' of {law} is {d2:g}, below the smallest normal float; "
+                               "the study cannot resolve its draws")
+
+
 def esscher_consistency_study(
     model: NoiseModel,
     lam: float,
@@ -282,12 +291,17 @@ def esscher_consistency_study(
         Unless ``lam`` is 0 or interior to A (from ``esscher_transform``).
     IncompatibleSupport
         If ``lam`` is within ``prior.MARGIN`` of an open end of A.
+    InvalidParameter
+        If psi0'' of the tilted model at 0 is below the smallest normal
+        float (Gamma noise at lam = -1e308, say): its draws' variance, and so
+        every standard error, underflows to 0.
     NonFiniteValue
         If some weight overflows (Brownian noise at lam = 1e308, say).
     """
     threshold = _positive(threshold, "study threshold")
     tilted = esscher_transform(model, lam)
     lam = float(lam)  # real and in A: esscher_transform checked it
+    _check_spread(exponent_derivatives(tilted, 0.0)[1], f"the tilted model at lam={lam:g}")
     t = _positive(t, "t")
     grid, origin = TimeGrid(np.array([0.0, t])), prior_from_atoms([(0.0, 1.0)])
     (direct,) = _values(tilted, origin, grid, n_paths, seed, 1)[1]
@@ -384,7 +398,8 @@ def bridge_study(
     paths are one ``simulate_ensemble`` at the message x on the clock at
     (0, s, t), keyed by the seed and tag 2, rescaled.  A t whose u exceeds
     1e6 T is GridExceedsHorizon; an x within ``prior.MARGIN`` of an open end
-    of A is IncompatibleSupport.
+    of A is IncompatibleSupport; an x where psi0''(x) is below the smallest
+    normal float (Gamma noise at x = -1e308, say) is InvalidParameter.
     """
     threshold = _positive(threshold, "study threshold")
     horizon, s, t = _positive(horizon, "horizon"), _positive(s, "s"), _positive(t, "t")
@@ -392,6 +407,7 @@ def bridge_study(
         raise InvalidParameter(f"need 0 < s < t < horizon, got s={s}, t={t}, horizon={horizon}")
     x = _check_domain(model, x, "message x")
     d1, d2, _ = exponent_derivatives(model, x)
+    _check_spread(d2, f"the model at x={x:g}")
     times = np.array([0.0, s, t])
     u = times * horizon / (horizon - times)
     if u[-1] > 1e6 * horizon:

@@ -36,28 +36,12 @@ from .prior import Prior, _frozen, check_compatibility
 from .rng import map_ordered
 
 __all__ = [
-    "Posterior",
     "posterior_update",
     "posterior_expectations",
     "gamma_linear_filter",
     "MessageEstimate",
     "estimate_message",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Posterior(Prior):
-    """A message law conditioned on the observation (xi, t).
-
-    A posterior is a prior again: its atoms are the prior's (the update is
-    absolutely continuous with respect to the prior) with new weights, and
-    filtering restarts from it.  ``log_weights`` are the normalized
-    log-probabilities, and (xi, t) is the whole observation conditioned on,
-    summed over restarts.
-    """
-
-    xi: float
-    t: float
 
 
 def _coefficients(prior: Prior, model: NoiseModel) -> np.ndarray:
@@ -100,27 +84,26 @@ def _log_weights(coef: np.ndarray, xi, t, shift_coef=None) -> np.ndarray:
         return obs.T @ coef
 
 
-def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Posterior:
+def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Prior:
     """Posterior over message atoms given the observation xi at time t.
 
     Weights w_i' are proportional to w_i exp(x_i xi - psi0(x_i) t): the
     one-row case of the kernel of :func:`posterior_expectations`, normalized
-    in log space.  At t = 0 the posterior equals the prior exactly.  Its
+    in log space.  At xi = t = 0 the posterior is the prior itself.  Its
     weights equal the row of ``posterior_expectations(prior, model, [xi],
     [t], np.eye(len(prior)))`` to rounding, not bitwise: the two sum the
     weights with different kernels.
 
-    ``prior`` may itself be a Posterior, at (xi0, t0): the filter then
-    restarts from it, (xi, t) is the observation made since, and the result
-    is labelled with the total (xi0 + xi, t0 + t).  Updating over
-    consecutive increments so reproduces the one-shot update at their sum,
-    to rounding.
+    A posterior is a prior again, on the prior's atoms, and the filter
+    restarts from it: updating it by the observation made since, (xi, t)
+    the increments, reproduces the one-shot update at their sums to
+    rounding.
 
     Raises
     ------
     NonFiniteValue, InvalidParameter
         If xi is not finite, t is negative or not finite, or either is not a
-        scalar; NonFiniteValue too if a restart's total overflows.
+        scalar.
     IncompatibleSupport
         If a prior atom fails :func:`~levy_info.prior.check_compatibility`.
     OffSupport
@@ -131,15 +114,12 @@ def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Po
     """
     check_compatibility(prior, model)
     xi, t = check_scalar_observation(model, xi, t)
-    label = (prior.xi + xi, prior.t + t) if isinstance(prior, Posterior) else (xi, t)
-    if not (math.isfinite(label[0]) and math.isfinite(label[1])):
-        raise NonFiniteValue(f"the total observation {label} of the restarted filter overflows")
     if xi == 0.0 and t == 0.0:
-        return Posterior(prior.positions, prior.weights, prior.log_weights, *label)
+        return prior
     log_w = _log_weights(_coefficients(prior, model), xi, t)[0]
     w = np.exp(log_w)
     total = w.sum()
-    return Posterior(prior.positions, _frozen(w / total), _frozen(log_w - math.log(total)), *label)
+    return Prior(prior.positions, _frozen(w / total), _frozen(log_w - math.log(total)))
 
 
 # Observation rows per block of posterior_expectations: a block's
@@ -261,7 +241,7 @@ class MessageEstimate:
     clamped: bool
 
 
-def estimate_message(posterior: Posterior, model: NoiseModel, xi: float, t: float) -> MessageEstimate:
+def estimate_message(posterior: Prior, model: NoiseModel, xi: float, t: float) -> MessageEstimate:
     """Point estimates of the message: inverse-rate I0(xi/t) and posterior mean.
 
     Raises

@@ -207,9 +207,23 @@ def _ig_draws(mean, shape_, rng, size):
     return out
 
 
+def _gamma_psi(a, m, k):
+    """-m log(1 - kappa a); where kappa a overflows (a far below 0, kappa
+    large), -m (log kappa + log(1/kappa - a)), which stays finite."""
+    ka = k * a
+    psi = -m * np.log1p(-ka)
+    far = ~np.isfinite(ka)
+    return np.where(far, -m * (math.log(k) + np.log(1.0 / k - a)), psi) if far.any() else psi
+
+
 def _gamma_derivatives(a, m, k):
-    """The Gamma derivatives, written in u = kappa / (1 - kappa a) > 0."""
-    u = k / (1.0 - k * a)
+    """The Gamma derivatives, written in u = kappa / (1 - kappa a) > 0;
+    u = 1 / (1/kappa - a) where kappa a overflows."""
+    ka = k * a
+    u = k / (1.0 - ka)
+    far = ~np.isfinite(ka)
+    if far.any():
+        u = np.where(far, 1.0 / (1.0 / k - a), u)
     return m * u, m * u * u, 2.0 * m * u * u * u
 
 
@@ -447,7 +461,7 @@ _FAMILIES = {
     GAMMA: _Family(
         names=("m", "kappa"),
         rules=((lambda m, k: m > 0, "rate m must be > 0"), (lambda m, k: k > 0, "scale kappa must be > 0")),
-        psi=lambda a, m, k: -m * np.log1p(-k * a),
+        psi=_gamma_psi,
         derivatives=_gamma_derivatives,
         domain=lambda m, k: Interval(-math.inf, 1.0 / k),
         inverse=lambda y, m, k: 1.0 / k - m / y,

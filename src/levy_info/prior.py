@@ -50,18 +50,8 @@ class Prior:
     log_weights: np.ndarray
 
     @property
-    def atoms(self) -> list:
-        """The atoms as a list of (position, weight) tuples."""
-        return list(zip(self.positions.tolist(), self.weights.tolist()))
-
-    @property
     def mean(self) -> float:
         return float(self.weights @ self.positions)
-
-    @property
-    def variance(self) -> float:
-        mu = self.weights @ self.positions
-        return float(self.weights @ (self.positions - mu) ** 2)
 
     def __len__(self) -> int:
         return self.positions.size

@@ -153,7 +153,6 @@ def _centred_k_statistics(shift: float, xc: np.ndarray) -> tuple:
 class CumulantEstimate:
     """k-statistics with jackknife standard errors."""
 
-    n: int
     k1: float
     k2: float
     k3: float
@@ -223,7 +222,7 @@ def jackknife_cumulants(x) -> CumulantEstimate:
     c3 += term
     c3 *= m
     c3 /= (m - 1) * (m - 2)
-    return CumulantEstimate(n, k1, k2, k3, se1, se2, _jackknife_se(c3))
+    return CumulantEstimate(k1, k2, k3, se1, se2, _jackknife_se(c3))
 
 
 def jackknife_covariance(a, b) -> tuple:

@@ -17,9 +17,14 @@ def conditional_exponent(model, x, a):
     return li.fiducial_exponent(model, a + x) - li.fiducial_exponent(model, x)
 
 
+def tilted_triplet(model, x):
+    """The triplet of the law given X = x: that of the Esscher transform by x."""
+    return li.characteristic_triplet(li.esscher_transform(model, x))
+
+
 def test_brownian_tilt_shifts_drift_only():
     brown = li.make_noise_model("Brownian", ())
-    tr = li.tilted_characteristics(brown, 0.7)
+    tr = tilted_triplet(brown, 0.7)
     assert tr.drift == pytest.approx(0.7, abs=1e-15)
     assert tr.gaussian == 1.0
     assert tr.levy_measure.tag == "none"
@@ -28,7 +33,7 @@ def test_brownian_tilt_shifts_drift_only():
 
 def test_gamma_tilt_rescales_measure():
     gamma = li.make_noise_model("Gamma", (1.0, 1.0))
-    tr = li.tilted_characteristics(gamma, 0.5)
+    tr = tilted_triplet(gamma, 0.5)
     assert tr.levy_measure.tag == "gamma"
     # density m z^-1 e^{-0.5 z}, i.e. scale parameter 2
     assert tr.levy_measure.params == pytest.approx((1.0, 2.0))
@@ -39,7 +44,7 @@ def test_gamma_tilt_rescales_measure():
 
 def test_nb_tilt_gives_logarithmic_jump_law():
     nb = li.make_noise_model("NegativeBinomial", (1.0, 0.25))
-    tr = li.tilted_characteristics(nb, math.log(2.0))
+    tr = tilted_triplet(nb, math.log(2.0))
     atoms = dict(tr.levy_measure.atoms)
     # atom masses m (q e^x)^k / k with q e^x = 0.5
     assert atoms[1.0] == pytest.approx(0.5, abs=1e-14)
@@ -59,7 +64,7 @@ def test_poisson_triplet_single_atom():
     assert tr.drift == 0.0
     assert tr.gaussian == 0.0
     assert tr.levy_measure.atoms == ((1.0, 3.0),)
-    tilted = li.tilted_characteristics(poisson, math.log(2.0))
+    tilted = tilted_triplet(poisson, math.log(2.0))
     assert tilted.levy_measure.atoms == ((1.0, 6.0),)
 
 
@@ -102,7 +107,7 @@ def test_atom_series_continues_past_the_stored_atoms():
     # the first three atoms still reconstructs the whole exponent
     model = li.make_noise_model("NegativeBinomial", (1.0, 0.25))
     x = math.log(2.0)
-    tr = li.tilted_characteristics(model, x)
+    tr = tilted_triplet(model, x)
     head = dataclasses.replace(tr.levy_measure, atoms=tr.levy_measure.atoms[:3])
     short = dataclasses.replace(tr, levy_measure=head)
     for a in (-0.5, 0.1, 0.4):
@@ -126,7 +131,7 @@ def test_levy_khintchine_reconstruction_matches_conditional_exponent():
     ]
     for fam, params, x in cases:
         model = li.make_noise_model(fam, params)
-        tr = li.tilted_characteristics(model, x)
+        tr = tilted_triplet(model, x)
         for a in np.linspace(-0.5, 0.4, 7):
             a = float(a)
             want = conditional_exponent(model, x, a)
@@ -144,7 +149,7 @@ def test_reconstruction_from_the_record_densities(family, params, x):
     # both half-lines of a two-sided density are integrated; the NIG density
     # stays finite where e^{bz} alone overflows and K1 underflows
     model = li.make_noise_model(family, params)
-    tr = li.tilted_characteristics(model, x)
+    tr = tilted_triplet(model, x)
     for a in (-0.3, 0.2):
         assert reconstruct_exponent(tr, a) == pytest.approx(conditional_exponent(model, x, a), abs=1e-8)
 
@@ -224,7 +229,7 @@ def test_a_negative_gaussian_coefficient_is_invalid():
         li.CharacteristicTriplet(0.0, -1.0, li.LevyMeasure("none"))
 
 
-def test_tilted_characteristics_requires_interior_message():
+def test_the_tilted_triplet_requires_an_interior_message():
     gamma = li.make_noise_model("Gamma", (1.0, 1.0))
     with pytest.raises(li.OutOfDomain):
-        li.tilted_characteristics(gamma, 1.0)
+        tilted_triplet(gamma, 1.0)

@@ -62,7 +62,9 @@ CALLS = {
     "fiducial_exponent.given_the_message": call(
         lambda x, alpha: li.fiducial_exponent(li.esscher_transform(GAMMA, x), alpha), x=0.25, alpha=0.25),
     "characteristic_triplet": call(lambda: li.characteristic_triplet(GAMMA)),
-    "tilted_characteristics": call(lambda x: li.tilted_characteristics(GAMMA, x), x=0.5),
+    # the triplet given X = x is the triplet of the Esscher transform by x
+    "characteristic_triplet.given_the_message": call(
+        lambda x: li.characteristic_triplet(li.esscher_transform(GAMMA, x)), x=0.5),
     # priors
     "prior_from_atoms": call(lambda x, w: li.prior_from_atoms([(x, w), (2.0, 1.0)]), x=0.0, w=1.0),
     "prior_from_density": call(lambda lo, hi, n: li.prior_from_density(np.ones_like, li.Interval(lo, hi), n),
@@ -83,7 +85,7 @@ CALLS = {
         counts={"n": 5, "seed": 1, "tag": 0}, x=0.5, t=1.0),
     # filtering and innovations
     "posterior_update": call(lambda xi, t: li.posterior_update(PRIOR, GAMMA, xi, t), xi=1.0, t=1.0),
-    # a restart: POST, at (1, 1), updated by the increment observed since
+    # a restart: POST, the posterior at (1, 1), updated by the increment observed since
     "posterior_update.restart": call(lambda xi, t: li.posterior_update(POST, GAMMA, xi, t), xi=0.5, t=0.5),
     "posterior_expectations": call(lambda xi, t: li.posterior_expectations(PRIOR, GAMMA, [xi], [t], np.eye(2)),
                                    xi=1.0, t=1.0),
@@ -134,7 +136,7 @@ for family, params in FAMILY_PARAMS.items():
 # admissible_set, prior_from_atoms, the samplers, the filter, the studies)
 # and check nothing themselves; the error types take a message.
 RECORDS = {"NoiseModel", "Interval", "LevyMeasure", "CharacteristicTriplet", "Prior", "InformationPath",
-           "Posterior", "MessageEstimate", "InnovationsPath", "StudyRow", "CumulantEstimate"}
+           "MessageEstimate", "InnovationsPath", "StudyRow", "CumulantEstimate"}
 
 # (call, argument) -> why its float edges are not swept; None stands for every argument
 EXEMPT = {

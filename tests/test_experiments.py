@@ -364,6 +364,21 @@ def test_esscher_weights_that_overflow_are_non_finite_value(lam):
         li.esscher_consistency_study(li.make_noise_model("Brownian", ()), lam, 1.0, 200, seed=1)
 
 
+def test_esscher_and_bridge_refuse_a_law_whose_spread_underflows():
+    # Gamma(1, 1) tilted by -1e308 has kappa ~ 1e-308 and psi0''(0) = kappa^2
+    # = 0: the draws' stderr was 0 and a rounding gap of 1e-308 read z = inf
+    gamma = li.make_noise_model("Gamma", (1.0, 1.0))
+    with pytest.raises(li.InvalidParameter, match=r"psi0'' of the tilted model at lam=-1e\+308 is 0"):
+        li.esscher_consistency_study(gamma, -1e308, 1.0, 200, seed=1)
+    with pytest.raises(li.InvalidParameter, match=r"psi0'' of the model at x=-1e\+308 is 0"):
+        li.bridge_study(gamma, -1e308, 2.0, 0.5, 1.0, 200, seed=1)
+    # the smallest normal float passes the check, the next float below it does not
+    tiny = np.finfo(float).tiny
+    experiments._check_spread(tiny, "a law")
+    with pytest.raises(li.InvalidParameter, match="psi0'' of a law is"):
+        experiments._check_spread(np.nextafter(tiny, 0.0), "a law")
+
+
 def test_esscher_and_bridge_draw_through_the_ensemble_at_tags_1_and_2(monkeypatch):
     # both Esscher sides are the ensemble at the message 0 under one key, so
     # they share their random numbers; the bridge is one ensemble on its

@@ -62,7 +62,7 @@ def test_posterior_mass_and_support(model):
     post = li.posterior_update(prior, model, 1.0, 2.0)  # on every family's support
     assert abs(post.weights.sum() - 1.0) <= 1e-12
     np.testing.assert_array_equal(post.positions, prior.positions)
-    assert post.xi == 1.0 and post.t == 2.0
+    assert type(post) is li.Prior
     np.testing.assert_allclose(
         post.log_weights, np.log(post.weights), atol=1e-12)
 
@@ -74,7 +74,7 @@ def test_posterior_moments():
     # weights proportional to exp(+-0.5 - 0.5)
     w1 = 1.0 / (1.0 + math.exp(-1.0))
     assert post.mean == pytest.approx(2.0 * w1 - 1.0, abs=1e-14)
-    assert post.variance == pytest.approx(1.0 - post.mean ** 2, abs=1e-14)
+    assert li.prior_expectation(post, lambda x: (x - post.mean) ** 2) == pytest.approx(1.0 - post.mean ** 2, abs=1e-14)
 
 
 def test_degenerate_weights_is_an_error():
@@ -257,14 +257,11 @@ def test_the_sampled_shift_matches_the_exact_maximum(family, atoms):
 # posterior_update from a posterior: the restart
 # ---------------------------------------------------------------------------
 
-def test_a_restart_at_zero_keeps_the_posterior_and_its_label():
+def test_a_restart_at_zero_keeps_the_posterior():
     model = li.make_noise_model("Gamma", (1.0, 1.0))
     prior = li.prior_from_atoms([(0.0, 1.0), (0.5, 1.0)])
     post = li.posterior_update(prior, model, 1.0, 1.0)
-    again = li.posterior_update(post, model, 0.0, 0.0)
-    np.testing.assert_array_equal(again.weights, post.weights)
-    np.testing.assert_array_equal(again.log_weights, post.log_weights)
-    assert (again.xi, again.t) == (1.0, 1.0)
+    assert li.posterior_update(post, model, 0.0, 0.0) is post
 
 
 def test_restart_gamma_factor():
@@ -287,34 +284,23 @@ def test_two_updates_equal_one_shot(model):
         one = li.posterior_update(prior, model, x1 + x2, d1 + d2)
         two = li.posterior_update(li.posterior_update(prior, model, x1, d1), model, x2, d2)
         np.testing.assert_allclose(two.weights, one.weights, atol=1e-12)
-        assert two.xi == pytest.approx(one.xi)
-        assert two.t == pytest.approx(one.t)
 
 
-def test_a_chain_of_updates_labels_the_total_and_reweights_by_each_increment():
-    # each step's weights come from the posterior's weights alone, whatever
-    # its label: those of a bare Prior with the same atoms, bit for bit
+def test_a_chain_of_updates_reweights_by_each_increment():
+    # each step reweights the last posterior, a plain Prior, by its increment
+    # alone: the weights are those of the one-shot update at the sums
     model = li.make_noise_model("Poisson", (2.0,))
     prior = li.prior_from_atoms([(-0.5, 1.0), (0.0, 2.0), (0.7, 1.0)])
     chained, xi, t = prior, 0.0, 0.0
     for dxi, dt in ((1.0, 0.5), (0.0, 0.25), (3.0, 1.5), (2.0, 0.125)):
-        bare = li.Prior(chained.positions, chained.weights, chained.log_weights)
-        step = li.posterior_update(bare, model, dxi, dt)
+        last = chained
         chained = li.posterior_update(chained, model, dxi, dt)
         xi, t = xi + dxi, t + dt
-        assert (chained.xi, chained.t) == (xi, t) and (step.xi, step.t) == (dxi, dt)
-        np.testing.assert_array_equal(chained.weights, step.weights)
-        np.testing.assert_array_equal(chained.log_weights, step.log_weights)
+        assert type(chained) is li.Prior
+        ratio = np.exp(chained.log_weights - last.log_weights)
+        np.testing.assert_allclose(ratio / ratio[1], np.exp(chained.positions * dxi - li.fiducial_exponent(
+            model, chained.positions) * dt), rtol=1e-13)
     np.testing.assert_allclose(chained.weights, li.posterior_update(prior, model, xi, t).weights, atol=1e-14)
-
-
-def test_a_restart_whose_total_overflows_is_non_finite_value():
-    model = li.make_noise_model("Brownian", ())
-    post = li.posterior_update(li.prior_from_atoms([(0.0, 1.0)]), model, 1e308, 1e308)
-    with pytest.raises(li.NonFiniteValue, match="total observation"):
-        li.posterior_update(post, model, 1e308, 1.0)
-    with pytest.raises(li.NonFiniteValue, match="total observation"):
-        li.posterior_update(post, model, 1.0, 1e308)
 
 
 def test_restart_recheck_guards_support():
@@ -384,8 +370,6 @@ def test_updates_over_increments_compose_to_the_one_shot_update(family, spots, m
     for other in (chained, restarted):
         np.testing.assert_allclose(other.weights, one.weights, rtol=0.0, atol=tol)
         np.testing.assert_array_equal(other.positions, one.positions)
-    assert chained.xi == pytest.approx(xi, rel=1e-12, abs=1e-12) and chained.t == pytest.approx(t)
-    assert restarted.xi == head.xi + float(dxis[cut:].sum()) and restarted.t == head.t + float(np.sum(dts[cut:]))
 
 
 def test_restart_from_an_underflowed_weight():

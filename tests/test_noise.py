@@ -494,6 +494,29 @@ def test_square_root_exponents_match_50_digit_arithmetic(family, params, w):
     assert abs((Decimal(got) - want) / want) <= Decimal("1e-15")
 
 
+def test_gamma_exponent_and_derivatives_where_kappa_alpha_overflows():
+    # kappa alpha = -inf, so -m log1p(-kappa alpha) was -inf and u = kappa /
+    # (1 - kappa alpha) was 0; the true values are finite and positive
+    model = li.make_noise_model("Gamma", (1.0, 1e200))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        k, a = Decimal("1e200"), Decimal("-1e308")
+        psi, u = -(1 - k * a).ln(), k / (1 - k * a)
+    got = li.fiducial_exponent(model, -1e308)
+    assert abs((Decimal(got) - psi) / psi) <= Decimal("1e-15")
+    d1, d2, d3 = li.exponent_derivatives(model, -1e308)
+    assert abs((Decimal(d1) - u) / u) <= Decimal("1e-15") and (d2, d3) == (0.0, 0.0)  # u^2 underflows
+    # next to it, and wherever kappa alpha is finite, the bits are the plain expressions'
+    assert li.exponent_derivatives(model, -1.0) == (1.0, 1.0, 2.0)
+    alpha = np.array([-1.0, -1e308, -1e100, -1e-10])
+    psi = li.fiducial_exponent(model, alpha)
+    plain = np.array([True, False, True, True])
+    assert np.isfinite(psi).all()
+    np.testing.assert_array_equal(bits(psi[plain]), bits(-np.log1p(-1e200 * alpha[plain])))
+    np.testing.assert_array_equal(bits(li.exponent_derivatives(model, alpha)[0][plain]),
+                                  bits(1e200 / (1.0 - 1e200 * alpha[plain])))
+
+
 # ---------------------------------------------------------------------------
 # Esscher transform
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ for command in (["simulate", "--paths", "3"], ["filter"], ["innovations"],
         assert code == 0, (command, prior)
 for family, params in families.items():
     model = li.make_noise_model(family, params)
-    for triplet in (li.characteristic_triplet(model), li.tilted_characteristics(model, 0.1)):
+    for triplet in (li.characteristic_triplet(model), li.characteristic_triplet(li.esscher_transform(model, 0.1))):
         if _FAMILIES[model.family].density is not None:
             assert np.isfinite(triplet.levy_measure.density(np.array([-0.5, 0.5]))).all()
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
@@ -490,29 +490,64 @@ def test_field_reader_lint_sees_every_reader():
 
 # public names that no module of the package and no demo loads, and why each stays
 UNCALLED = {
-    "tilted_characteristics": "the Levy-Khintchine data of the law given X = x, kept public beside "
-                              "characteristic_triplet for the tests and for a study of the tilted measure",
+    "characteristic_triplet": "the paper's per-family Levy-Khintchine data; its one reader is the independent "
+                              "psi0 reference tests/levy_khintchine.py, which re-assembles every psi0 from it",
     "gamma_linear_filter": "the closed-form Gamma filter checked against the quadrature filter (C03); "
                            "it goes when a linear filter for every family replaces it",
 }
 
+# public members (dataclass fields and properties) that no module of the
+# package and no demo reads, and why each stays
+UNREAD = {
+    "MessageEstimate.posterior_mean": "goes with estimate_message, whose one outside reader, the "
+                                      "benchmark's path-filter check, reads only i0",
+    "MessageEstimate.clamped": "goes with estimate_message, as posterior_mean",
+    "LevyMeasure.atoms": "the atoms of an atomic Levy measure, read by the independent psi0 "
+                         "reference tests/levy_khintchine.py",
+    "CharacteristicTriplet.levy_measure": "read by tests/levy_khintchine.py, as LevyMeasure.atoms",
+}
 
-def names_loaded(source):
-    """Every name that a ``Name`` loads or an ``Attribute`` names; a definition,
-    an import or a string in ``__all__`` is not a load."""
+
+def names_loaded(source, kinds=(ast.Name, ast.Attribute)):
+    """Every name that a node of ``kinds``, ``Name`` or ``Attribute``, loads;
+    a definition, an import, an attribute store or a string in ``__all__`` is
+    not a load."""
     return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)}
+            if isinstance(node, kinds) and isinstance(node.ctx, ast.Load)}
+
+
+def caller_sources():
+    """The source of every module of the package and every demo."""
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    return [*package_sources().values(), *(path.read_text(encoding="utf-8") for path in sorted(demos.glob("*.py")))]
 
 
 def test_every_public_name_has_a_caller():
     # a public name that nothing in the package or the demos loads is a
     # wrapper or a leftover; an error class that nothing raises is one too
-    demos = Path(__file__).resolve().parents[1] / "demos"
-    sources = [*package_sources().values(), *(path.read_text(encoding="utf-8") for path in sorted(demos.glob("*.py")))]
-    loaded = set().union(*map(names_loaded, sources))
+    loaded = set().union(*map(names_loaded, caller_sources()))
     assert sorted(set(li.__all__) - loaded - set(UNCALLED)) == []
     # an allowlisted name that gains a caller leaves the list
     assert sorted(set(UNCALLED) & loaded) == [] and set(UNCALLED) <= set(li.__all__)
+
+
+def public_members():
+    """``Class.member`` for every dataclass field and property that a public
+    class declares itself (an inherited one is its base's)."""
+    classes = [obj for obj in map(li.__dict__.get, li.__all__) if isinstance(obj, type)]
+    return {f"{cls.__name__}.{name}" for cls in classes
+            for name in [*(vars(cls).get("__annotations__", {}) if dataclasses.is_dataclass(cls) else ()),
+                         *(name for name, value in vars(cls).items() if isinstance(value, property))]}
+
+
+def test_every_public_member_is_read():
+    # a field or property that nothing in the package or the demos reads as an
+    # attribute is a leftover; the lint matches by member name, not by class
+    read = set().union(*(names_loaded(source, ast.Attribute) for source in caller_sources()))
+    unread = {member for member in public_members() if member.split(".")[1] not in read}
+    assert sorted(unread - set(UNREAD)) == []
+    # an allowlisted member that gains a reader, or goes, leaves the list
+    assert sorted(set(UNREAD) - unread) == []
 
 
 def test_public_name_lint_sees_loads_but_not_definitions_or_imports():
@@ -522,3 +557,7 @@ def test_public_name_lint_sees_loads_but_not_definitions_or_imports():
               "def check(x, li):\n    if x < 0:\n        raise OffSupport(x)\n    return li.stream(x)\n")
     loaded = names_loaded(source)
     assert loaded & {"OutOfRange", "OffSupport", "check", "Spare", "stream"} == {"OffSupport", "stream"}
+    # an attribute store is not a load; the object stored on is
+    source = "def keep(self, atoms):\n    self.atoms = tuple(atoms)\n    self.count += 1\n    return self.n\n"
+    assert names_loaded(source) & {"self", "atoms", "tuple", "count", "n"} == {"self", "atoms", "tuple", "n"}
+    assert names_loaded(source, ast.Attribute) == {"n"}

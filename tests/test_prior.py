@@ -231,7 +231,7 @@ def counted(g):
 def test_functions_of_the_atoms_take_the_array_and_fall_back_to_each_atom(g, calls):
     p = li.prior_from_atoms([(0.0, 0.2), (0.5, 0.3), (1.0, 0.5)])
     shapes, f = counted(g)
-    want = sum(w * float(g(x)) for x, w in p.atoms)
+    want = sum(w * float(g(x)) for x, w in zip(p.positions, p.weights))
     assert li.prior_expectation(p, f) == pytest.approx(want, rel=1e-15)
     assert shapes == calls
     shapes, f = counted(lambda x: g(x) + 1.0)

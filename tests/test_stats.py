@@ -211,7 +211,7 @@ def plain_jackknife_cumulants(x):
     c3 = (s3 - xc3) - 3.0 * mu * r2 + 2.0 * m * (mu * mu * mu)
     loos = (shift + mu, c2 / (m - 1), m * c3 / ((m - 1) * (m - 2)))
     ses = [math.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum()) for loo in loos]
-    return li.CumulantEstimate(n, k1, k2, k3, *ses)
+    return li.CumulantEstimate(k1, k2, k3, *ses)
 
 
 @pytest.mark.parametrize("n", [4, 5, 1000, 8193, 40_001])
