@@ -1,7 +1,9 @@
 """Shortest round-trip text of float64 arrays, byte for byte as ``repr``.
 
 ``floats(values)`` returns an ``S`` array of the same shape whose cells are
-what ``repr`` gives each value, NUL-padded to a common width.
+what ``repr`` gives each value, NUL-padded to a common width.  A value whose
+bits equal those of the value before it in C order (a path of a pure-jump
+process that does not move over a step) is formatted once per run.
 
 Digits.  A normal double v = c 2^q (2^52 <= c < 2^53) gets the shortest
 decimal f 10^k that reads back as v, and of those the closest to v (the even
@@ -171,8 +173,15 @@ def floats(values) -> np.ndarray:
     """``repr`` of each value, as an ``S`` array of the same shape."""
     values = np.asarray(values, dtype=np.float64)
     bits = np.ascontiguousarray(values).reshape(-1).view(np.uint64)
-    chunks = [_cells(bits[lo:lo + _CHUNK]) for lo in range(0, max(bits.size, 1), _CHUNK)]
-    return (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)).reshape(values.shape)
+    # a value whose bits equal its predecessor's takes that cell
+    new = np.ones(bits.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    distinct = bits if new.all() else bits[new]
+    chunks = [_cells(distinct[lo:lo + _CHUNK]) for lo in range(0, max(distinct.size, 1), _CHUNK)]
+    cells = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    if distinct is not bits:
+        cells = cells.take(np.cumsum(new) - 1)
+    return cells.reshape(values.shape)
 
 
 def _cells(bits) -> np.ndarray:

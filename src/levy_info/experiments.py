@@ -260,10 +260,11 @@ def factorization_study(
 
 def _check_spread(d2: float, law: str) -> None:
     """InvalidParameter where psi0'', the variance per unit time of the law
-    a study samples, is below the smallest normal float: every standard
-    error then underflows to 0, and rounding, not the identity, decides z."""
-    if d2 < np.finfo(float).tiny:
-        raise InvalidParameter(f"psi0'' of {law} is {d2:g}, below the smallest normal float; "
+    a study samples, is below the square root of the smallest normal float:
+    the variance rows' jackknife squares deviations of that size, so their
+    standard errors underflow to 0, and rounding, not the identity, decides z."""
+    if d2 < math.sqrt(np.finfo(float).tiny):  # 2^-511
+        raise InvalidParameter(f"psi0'' of {law} is {d2:g}, below the square root of the smallest normal float; "
                                "the study cannot resolve its draws")
 
 
@@ -292,9 +293,11 @@ def esscher_consistency_study(
     IncompatibleSupport
         If ``lam`` is within ``prior.MARGIN`` of an open end of A.
     InvalidParameter
-        If psi0'' of the tilted model at 0 is below the smallest normal
-        float (Gamma noise at lam = -1e308, say): its draws' variance, and so
-        every standard error, underflows to 0.
+        If psi0'' of the tilted model at 0 is below the square root of the
+        smallest normal float (Gamma noise at lam = -1e153, say): the
+        jackknife of its draws' variance, and so its standard error,
+        underflows to 0.  Or if every weight underflows to 0 (Gamma noise at
+        lam = -1e76).
     NonFiniteValue
         If some weight overflows (Brownian noise at lam = 1e308, say).
     """
@@ -313,6 +316,8 @@ def esscher_consistency_study(
         weights = np.exp(lam * fiducial - _exponent(model, np.float64(lam)) * t)
     if not np.isfinite(weights).all():
         raise NonFiniteValue(f"the Esscher weights exp(lam xi - psi0(lam) t) overflow at lam={lam:g}, t={t:g}")
+    if not weights.any():
+        raise InvalidParameter(f"every Esscher weight exp(lam xi - psi0(lam) t) underflows to 0 at lam={lam:g}, t={t:g}")
 
     rows = []
     mean_d, se_d = mean_stderr(direct)
@@ -398,8 +403,9 @@ def bridge_study(
     paths are one ``simulate_ensemble`` at the message x on the clock at
     (0, s, t), keyed by the seed and tag 2, rescaled.  A t whose u exceeds
     1e6 T is GridExceedsHorizon; an x within ``prior.MARGIN`` of an open end
-    of A is IncompatibleSupport; an x where psi0''(x) is below the smallest
-    normal float (Gamma noise at x = -1e308, say) is InvalidParameter.
+    of A is IncompatibleSupport; an x where psi0''(x) is below the square
+    root of the smallest normal float (Gamma noise at x = -1e153, say), so
+    that the jackknife standard errors underflow, is InvalidParameter.
     """
     threshold = _positive(threshold, "study threshold")
     horizon, s, t = _positive(horizon, "horizon"), _positive(s, "s"), _positive(t, "t")

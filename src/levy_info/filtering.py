@@ -25,13 +25,14 @@ observation is degenerate.  Such rows are redone with the exact maximum.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateWeights, InvalidParameter, NonFiniteValue, _positive, _real
 from .noise import (GAMMA, NoiseModel, check_observation, check_scalar_observation, fiducial_exponent,
-                    inverse_marginal_clamped, make_noise_model)
+                    flat_reader, inverse_marginal_clamped, make_noise_model)
 from .prior import Prior, _frozen, check_compatibility
 from .rng import map_ordered
 
@@ -58,7 +59,7 @@ def _shift_coefficients(coef: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(coef[:3, np.r_[0:atoms - 1:max(1, atoms // 16), atoms - 1]].T)
 
 
-def _log_weights(coef: np.ndarray, xi, t, shift_coef=None) -> np.ndarray:
+def _log_weights(coef: np.ndarray, xi, t, shift_coef=None, buffers=None) -> np.ndarray:
     """The filter kernel: [xi, t, 1, s] @ coef, coef = [x; -psi0(x); log pi; -1],
     gives the posterior log-weights at each observation (1-D xi and t, or one
     pair), each row less s, its largest log-weight over the atoms of
@@ -67,21 +68,33 @@ def _log_weights(coef: np.ndarray, xi, t, shift_coef=None) -> np.ndarray:
     not finite (every atom underflows, or one overflows).  A sampled s is at
     most the maximum, so the largest weight is at least 1; a row whose s is
     not finite, or lies more than ~709 below the maximum, has weights whose
-    sum is not finite, and is to be redone with the maximum."""
-    obs = np.empty((4, np.size(xi)))
+    sum is not finite, and is to be redone with the maximum.
+
+    The caller ignores overflow and invalid operations (``np.errstate``):
+    rows that are not finite raise here or are redone.  ``buffers``, two
+    flat float arrays of at least 4 n and n K cells for n observations and K
+    atoms, hold the observation rows and the result (the shift product
+    first), where given."""
+    exact = shift_coef is None
+    shift_coef = coef[:3].T if exact else shift_coef
+    n = np.size(xi)
+    if buffers is None:
+        obs, products, result = np.empty((4, n)), None, None
+    else:
+        obs = buffers[0][:4 * n].reshape(4, n)
+        products = buffers[1][:len(shift_coef) * n].reshape(-1, n)
+        result = buffers[1][:n * coef.shape[1]].reshape(n, -1)
     obs[0] = xi
     obs[1] = t
     obs[2] = 1.0
-    exact = shift_coef is None
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below or are redone
-        shift = np.max((coef[:3].T if exact else shift_coef) @ obs[:3], axis=0, out=obs[3])
-        if exact and not np.isfinite(shift).all():
-            bad = obs[:, np.argmin(np.isfinite(shift))]
-            raise DegenerateWeights(
-                f"posterior log-weights at xi={bad[0]:g}, t={bad[1]:g} are not finite; "
-                "the observation is numerically impossible under every prior atom"
-            )
-        return obs.T @ coef
+    shift = np.max(np.matmul(shift_coef, obs[:3], out=products), axis=0, out=obs[3])
+    if exact and not np.isfinite(shift).all():
+        bad = obs[:, np.argmin(np.isfinite(shift))]
+        raise DegenerateWeights(
+            f"posterior log-weights at xi={bad[0]:g}, t={bad[1]:g} are not finite; "
+            "the observation is numerically impossible under every prior atom"
+        )
+    return np.matmul(obs.T, coef, out=result)
 
 
 def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Prior:
@@ -116,7 +129,8 @@ def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Pr
     xi, t = check_scalar_observation(model, xi, t)
     if xi == 0.0 and t == 0.0:
         return prior
-    log_w = _log_weights(_coefficients(prior, model), xi, t)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # the kernel raises on a row that is not finite
+        log_w = _log_weights(_coefficients(prior, model), xi, t)[0]
     w = np.exp(log_w)
     total = w.sum()
     return Prior(prior.positions, _frozen(w / total), _frozen(log_w - math.log(total)))
@@ -183,24 +197,31 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
     finite = np.isfinite(g).all(axis=1)
     if not finite.all():
         raise NonFiniteValue(f"g is not finite on atoms {prior.positions[~finite].tolist()}")
-    xi_rows = xi.reshape(-1)
+    xi_rows, read_t = xi.reshape(-1), flat_reader(t)
     coef = _coefficients(prior, model)
     ones_g = np.column_stack([np.ones(len(prior)), g])
     sampled = _shift_coefficients(coef)
     out = np.empty((xi_rows.size, g.shape[1]))
-
-    def sums(rows, shift_coef=None) -> np.ndarray:
-        w = _log_weights(coef, xi_rows[rows], t.flat[rows], shift_coef)
-        return np.exp(w, out=w) @ ones_g
+    # each thread's buffers, reused across its blocks: the observation rows,
+    # the log-weights and the sums of a block
+    workspaces = threading.local()
 
     def block(start: int) -> None:
-        rows = slice(start, min(start + BLOCK_ROWS, xi_rows.size))
+        stop = min(start + BLOCK_ROWS, xi_rows.size)
+        n, k = stop - start, ones_g.shape[1]
+        if not hasattr(workspaces, "buffers"):
+            rows = min(BLOCK_ROWS, xi_rows.size)
+            workspaces.buffers = (np.empty(4 * rows), np.empty(rows * len(prior)), np.empty(rows * k))
+        obs, log_w, sums = workspaces.buffers
+        xi_block, t_block = xi_rows[start:stop], read_t(start, stop)
         with np.errstate(over="ignore", invalid="ignore"):  # rows that are not finite are redone
-            block_sums = sums(rows, sampled)
-        if not np.isfinite(block_sums).all():
-            redo = np.flatnonzero(~np.isfinite(block_sums).all(axis=1))
-            block_sums[redo] = sums(redo + start)
-        np.divide(block_sums[:, 1:], block_sums[:, :1], out=out[rows])
+            w = _log_weights(coef, xi_block, t_block, sampled, (obs, log_w))
+            block_sums = np.matmul(np.exp(w, out=w), ones_g, out=sums[:n * k].reshape(n, k))
+            if not np.isfinite(block_sums).all():
+                redo = np.flatnonzero(~np.isfinite(block_sums).all(axis=1))
+                w = _log_weights(coef, xi_block[redo], t_block[redo])
+                block_sums[redo] = np.exp(w, out=w) @ ones_g
+        np.divide(block_sums[:, 1:], block_sums[:, :1], out=out[start:stop])
 
     map_ordered(block, range(0, xi_rows.size, BLOCK_ROWS))
     return out.reshape(xi.shape + (g.shape[1],))

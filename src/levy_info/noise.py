@@ -569,6 +569,25 @@ def _check_times(t, what: str) -> np.ndarray:
     return t
 
 
+def flat_reader(a: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """A function of (start, stop) giving ``a.reshape(-1)[start:stop]``
+    without copying all of a broadcast ``a`` (the times of
+    :func:`check_observation`): a view where the cells lie in one row of
+    a's last axis, else a copy of the cells, or of the short rows they span.
+    Only an ``a`` broadcast along a middle axis is copied whole, once."""
+    rows = a.reshape(-1, a.shape[-1]) if a.ndim > 1 and a.size else a.reshape(1, -1)
+    width = rows.shape[1]
+
+    def read(start: int, stop: int) -> np.ndarray:
+        first, col = divmod(start, width)
+        last = (stop - 1) // width
+        if last == first + 1:
+            return np.concatenate((rows[first, col:], rows[last, :stop - last * width]))
+        return rows[first:last + 1].reshape(-1)[col:col + stop - start]
+
+    return read
+
+
 def check_observation(model: NoiseModel, xi, t) -> tuple:
     """The one observation check: (xi, t) as float arrays, t broadcast to
     xi, once xi is finite (NonFiniteValue), t is finite and >= 0 and
@@ -589,8 +608,10 @@ def check_observation(model: NoiseModel, xi, t) -> tuple:
     if support == "real":
         return xi, t
     drift = model.drift
+    xi_flat, read_t = xi.reshape(-1), flat_reader(t)
     for start in range(0, xi.size, SUPPORT_BLOCK):
-        x, s = xi.flat[start:start + SUPPORT_BLOCK], t.flat[start:start + SUPPORT_BLOCK]
+        stop = min(start + SUPPORT_BLOCK, xi.size)
+        x, s = xi_flat[start:stop], read_t(start, stop)
         y, tol = x, 0.0
         if drift != 0.0:
             y = x - drift * s

@@ -166,6 +166,44 @@ def test_floats_match_repr(values, shape):
     assert_reprs(np.array(values, dtype=float).reshape(shape))
 
 
+# few values, so that runs of equal values are common: 0.0 beside -0.0, nan,
+# the infinities, a subnormal and ordinary values
+POOL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0, 0.1, -2.5, 1e300])
+
+
+@st.composite
+def pooled_arrays(draw):
+    """A 0-d, 1-D or (k, n) array, possibly empty, of values from ``POOL``."""
+    shape = draw(st.one_of(st.just(()), st.tuples(st.integers(0, 40)),
+                           st.tuples(st.integers(1, 5), st.integers(0, 8))))
+    size = math.prod(shape)
+    return np.array(draw(st.lists(POOL, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pooled_arrays())
+def test_floats_match_repr_on_runs_of_equal_values(values):
+    assert_reprs(values)
+
+
+def test_floats_formats_one_value_per_run(monkeypatch):
+    sizes, cells = [], _shortest._cells
+
+    def recording(bits):
+        sizes.append(bits.size)
+        return cells(bits)
+
+    monkeypatch.setattr(_shortest, "_cells", recording)
+    # three paths on five times, in C order the runs 0.0 x3, 1.0 x4 (across a
+    # path's end), 2.0 x3, -0.0, 0.0 x2 and nan x2
+    block = np.array([[0.0, 0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0, 2.0], [-0.0, 0.0, 0.0, math.nan, math.nan]])
+    assert_reprs(block)
+    assert sizes == [6]
+    sizes.clear()
+    assert_reprs(np.arange(15.0).reshape(3, 5))
+    assert sizes == [15]
+
+
 @pytest.mark.parametrize("cells", [["a\0b"], ["ok", "\0"], ["trailing\0"]])
 def test_a_text_cell_holding_a_nul_raises(cells):
     # the writer drops every NUL, so such a cell would lose it silently

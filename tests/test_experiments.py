@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -366,17 +367,30 @@ def test_esscher_weights_that_overflow_are_non_finite_value(lam):
 
 def test_esscher_and_bridge_refuse_a_law_whose_spread_underflows():
     # Gamma(1, 1) tilted by -1e308 has kappa ~ 1e-308 and psi0''(0) = kappa^2
-    # = 0: the draws' stderr was 0 and a rounding gap of 1e-308 read z = inf
+    # = 0: the draws' stderr was 0 and a rounding gap of 1e-308 read z = inf.
+    # At -1e153 psi0'' is 1e-306, yet the variance rows' jackknife squares
+    # deviations of 1e-153: their stderr was 0 and z = +-inf
     gamma = li.make_noise_model("Gamma", (1.0, 1.0))
-    with pytest.raises(li.InvalidParameter, match=r"psi0'' of the tilted model at lam=-1e\+308 is 0"):
-        li.esscher_consistency_study(gamma, -1e308, 1.0, 200, seed=1)
-    with pytest.raises(li.InvalidParameter, match=r"psi0'' of the model at x=-1e\+308 is 0"):
-        li.bridge_study(gamma, -1e308, 2.0, 0.5, 1.0, 200, seed=1)
-    # the smallest normal float passes the check, the next float below it does not
-    tiny = np.finfo(float).tiny
-    experiments._check_spread(tiny, "a law")
+    for x, spread in ((-1e308, "0"), (-1e153, "1e-306")):
+        with pytest.raises(li.InvalidParameter, match=re.escape(f"psi0'' of the tilted model at lam={x:g} is {spread},")):
+            li.esscher_consistency_study(gamma, x, 1.0, 200, seed=1)
+        with pytest.raises(li.InvalidParameter, match=re.escape(f"psi0'' of the model at x={x:g} is {spread},")):
+            li.bridge_study(gamma, x, 2.0, 0.5, 1.0, 200, seed=1)
+    # 2^-511, the square root of the smallest normal float, passes the check,
+    # the next float below it does not
+    floor = np.ldexp(1.0, -511)
+    experiments._check_spread(floor, "a law")
     with pytest.raises(li.InvalidParameter, match="psi0'' of a law is"):
-        experiments._check_spread(np.nextafter(tiny, 0.0), "a law")
+        experiments._check_spread(np.nextafter(floor, 0.0), "a law")
+
+
+def test_esscher_weights_that_all_underflow_are_invalid_parameter():
+    # at lam = -1e76 psi0'' of the tilted Gamma(1, 1) is 1e-152, above the
+    # spread check, yet every weight exp(lam xi - psi0(lam) t) is 0: the mean
+    # row read z = 13.7 and the variance row z = 6.8
+    gamma = li.make_noise_model("Gamma", (1.0, 1.0))
+    with pytest.raises(li.InvalidParameter, match=r"every Esscher weight .* underflows to 0 at lam=-1e\+76"):
+        li.esscher_consistency_study(gamma, -1e76, 1.0, 200, seed=1)
 
 
 def test_esscher_and_bridge_draw_through_the_ensemble_at_tags_1_and_2(monkeypatch):

@@ -218,11 +218,11 @@ def test_rows_far_above_the_sampled_shift_are_redone_exactly(threads, monkeypatc
     g = np.column_stack([x, x * x])
     redone, kernel = [], filtering._log_weights
 
-    def counting(coef, xi, t, shift_coef=None):
+    def counting(coef, xi, t, shift_coef=None, buffers=None):
         # the kernel with no sample, s the exact maximum, is the call that redoes rows
         if shift_coef is None:
             redone.append(np.size(xi))
-        return kernel(coef, xi, t, shift_coef)
+        return kernel(coef, xi, t, shift_coef, buffers)
 
     monkeypatch.setattr(filtering, "_log_weights", counting)
     with warnings.catch_warnings():
