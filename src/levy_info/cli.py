@@ -52,7 +52,7 @@ from .experiments import (
     factorization_study,
     representation_equivalence_study,
 )
-from .filtering import posterior_expectations
+from .filtering import _posterior_moments, posterior_expectations
 from .innovations import innovations_path
 from .noise import Interval, inverse_marginal_clamped, make_noise_model
 from .prior import prior_from_atoms, prior_from_density
@@ -447,14 +447,14 @@ def _cmd_simulate(args) -> int:
 
 def _filter_columns(path, prior, with_weights):
     times, values = path.grid.times, path.values
-    weights = posterior_expectations(prior, path.model, values, times, np.eye(len(prior)))
-    x = prior.positions
-    mean = weights @ x
-    var = np.einsum("ij,ij->i", weights, (x - mean[:, None]) ** 2)
+    mean, var = _posterior_moments(prior, path.model, values, times)
     i0 = np.full(times.size, math.nan)
     later = times > 0.0
     i0[later] = inverse_marginal_clamped(path.model, values[later] / times[later])[0]
-    return [times, values, mean, var, i0] + (list(weights.T) if with_weights else [])
+    columns = [times, values, mean, var, i0]
+    if with_weights:
+        columns += list(posterior_expectations(prior, path.model, values, times, np.eye(len(prior))).T)
+    return columns
 
 
 def _cmd_filter(args) -> int:

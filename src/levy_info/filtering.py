@@ -5,11 +5,14 @@ prior by exp(x xi - psi0(x) t); the exponent grows linearly in t, so all
 weight arithmetic happens in log space and a single renormalization per
 update.  The restart property makes the sequential form (update a
 posterior by the increments since) consistent with the one-shot form, so
-one update, :func:`posterior_update`, serves both, and batched callers
-(the innovations decomposition, ``levy-info filter``) use the closed form:
-:func:`posterior_expectations` filters every observation (xi_j, t_j) on its
-own, with no recursion along the path.  One kernel, ``_log_weights``, serves
-both forms, behind one ``noise.check_observation``.
+one update, :func:`posterior_update`, serves both, and batched callers use
+the closed form, which filters every observation (xi_j, t_j) on its own,
+with no recursion along the path: the innovations decomposition through
+:func:`posterior_expectations`, and ``levy-info filter`` through
+``_posterior_moments``, which reduces each block to the posterior mean and
+variance (and through ``posterior_expectations`` for ``--weights``).  One
+kernel, ``_log_weights``, serves both forms, and one block loop,
+``_each_block``, every batched caller, behind one ``noise.check_observation``.
 
 The kernel shifts each row of log-weights by s inside its one matrix
 product, ``[xi, t, 1, s] @ [x; -psi0(x); log pi; -1]``.  For a single
@@ -136,12 +139,48 @@ def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Pr
     return Prior(prior.positions, _frozen(w / total), _frozen(log_w - math.log(total)))
 
 
-# Observation rows per block of posterior_expectations: a block's
+# Observation rows per block of the batched filter: a block's
 # (rows x atoms) weight matrix stays cache-sized, and each block is one index
 # that map_ordered hands to the caller or a helper thread.  Blocks share
 # nothing, so results, and which observation an error names, do not depend on
 # the worker count.
 BLOCK_ROWS = 512
+
+
+def _each_block(prior: Prior, model: NoiseModel, xi: np.ndarray, t: np.ndarray, columns: np.ndarray,
+                write) -> None:
+    """The block loop of :func:`posterior_expectations` and
+    ``_posterior_moments``, over checked observations: per block of
+    ``BLOCK_ROWS`` rows, e the exponentiated kernel weights and S = e @
+    ``columns`` (atoms x k, ones first), a row whose S is not finite redone
+    with the exact maximum and written back into e; then ``write(rows, e,
+    S)``, rows the block's slice of the flattened observations.  e is the
+    thread's buffer, and ``write`` may overwrite it."""
+    xi_rows, read_t = xi.reshape(-1), flat_reader(t)
+    coef = _coefficients(prior, model)
+    sampled = _shift_coefficients(coef)
+    # each thread's buffers, reused across its blocks: the observation rows,
+    # the log-weights and the sums of a block
+    workspaces = threading.local()
+
+    def block(start: int) -> None:
+        stop = min(start + BLOCK_ROWS, xi_rows.size)
+        n, k = stop - start, columns.shape[1]
+        if not hasattr(workspaces, "buffers"):
+            rows = min(BLOCK_ROWS, xi_rows.size)
+            workspaces.buffers = (np.empty(4 * rows), np.empty(rows * len(prior)), np.empty(rows * k))
+        obs, log_w, sums = workspaces.buffers
+        xi_block, t_block = xi_rows[start:stop], read_t(start, stop)
+        with np.errstate(over="ignore", invalid="ignore"):  # rows that are not finite are redone
+            e = _log_weights(coef, xi_block, t_block, sampled, (obs, log_w))
+            block_sums = np.matmul(np.exp(e, out=e), columns, out=sums[:n * k].reshape(n, k))
+            if not np.isfinite(block_sums).all():
+                redo = np.flatnonzero(~np.isfinite(block_sums).all(axis=1))
+                e[redo] = np.exp(_log_weights(coef, xi_block[redo], t_block[redo]))
+                block_sums[redo] = e[redo] @ columns
+        write(slice(start, stop), e, block_sums)
+
+    map_ordered(block, range(0, xi_rows.size, BLOCK_ROWS))
 
 
 def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndarray:
@@ -197,34 +236,49 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
     finite = np.isfinite(g).all(axis=1)
     if not finite.all():
         raise NonFiniteValue(f"g is not finite on atoms {prior.positions[~finite].tolist()}")
-    xi_rows, read_t = xi.reshape(-1), flat_reader(t)
-    coef = _coefficients(prior, model)
-    ones_g = np.column_stack([np.ones(len(prior)), g])
-    sampled = _shift_coefficients(coef)
-    out = np.empty((xi_rows.size, g.shape[1]))
-    # each thread's buffers, reused across its blocks: the observation rows,
-    # the log-weights and the sums of a block
-    workspaces = threading.local()
+    out = np.empty((xi.size, g.shape[1]))
 
-    def block(start: int) -> None:
-        stop = min(start + BLOCK_ROWS, xi_rows.size)
-        n, k = stop - start, ones_g.shape[1]
-        if not hasattr(workspaces, "buffers"):
-            rows = min(BLOCK_ROWS, xi_rows.size)
-            workspaces.buffers = (np.empty(4 * rows), np.empty(rows * len(prior)), np.empty(rows * k))
-        obs, log_w, sums = workspaces.buffers
-        xi_block, t_block = xi_rows[start:stop], read_t(start, stop)
-        with np.errstate(over="ignore", invalid="ignore"):  # rows that are not finite are redone
-            w = _log_weights(coef, xi_block, t_block, sampled, (obs, log_w))
-            block_sums = np.matmul(np.exp(w, out=w), ones_g, out=sums[:n * k].reshape(n, k))
-            if not np.isfinite(block_sums).all():
-                redo = np.flatnonzero(~np.isfinite(block_sums).all(axis=1))
-                w = _log_weights(coef, xi_block[redo], t_block[redo])
-                block_sums[redo] = np.exp(w, out=w) @ ones_g
-        np.divide(block_sums[:, 1:], block_sums[:, :1], out=out[start:stop])
+    def write(rows, e, sums):
+        np.divide(sums[:, 1:], sums[:, :1], out=out[rows])
 
-    map_ordered(block, range(0, xi_rows.size, BLOCK_ROWS))
+    _each_block(prior, model, xi, t, np.column_stack([np.ones(len(prior)), g]), write)
     return out.reshape(xi.shape + (g.shape[1],))
+
+
+def _posterior_moments(prior: Prior, model: NoiseModel, xi, t) -> tuple:
+    """Posterior mean and variance of the message at every observation (xi, t).
+
+    The filter of :func:`posterior_expectations`, with its checks and
+    errors, reduced where each block is exponentiated: with e the block's
+    weights and S = e @ [1 | x], the mean is S_1 / S_0 and the variance
+    sum_i e_i (x_i - mean)^2 / S_0, formed in a block-sized buffer of
+    deviations.  Never E[X^2] - mean^2, which cancels to negative values
+    where the posterior concentrates on one atom.  Returns (mean, var), each
+    of the shape of ``xi``.
+    """
+    check_compatibility(prior, model)
+    xi, t = check_observation(model, xi, t)
+    x = prior.positions
+    # sum_i e_i (x_i - mean)^2 <= S_0 (x_K - x_1)^2, with room for the mean's rounding
+    span = float(x[-1] - x[0])
+    reach = 2.0 * span * span
+    mean, var = np.empty(xi.size), np.empty(xi.size)
+    deviations = threading.local()  # each thread's buffer, reused across its blocks
+
+    def write(rows, e, sums):
+        m = np.divide(sums[:, 1], sums[:, 0], out=mean[rows])
+        if not hasattr(deviations, "buffer"):
+            deviations.buffer = np.empty(min(BLOCK_ROWS, xi.size) * len(prior))
+        d = np.subtract(x, m[:, None], out=deviations.buffer[:e.size].reshape(e.shape))
+        np.multiply(d, d, out=d)
+        scale = sums[:, 0]
+        if not float(scale.max()) * reach < math.inf:  # the sum may overflow: weigh by e / S_0, at most 1
+            np.divide(e, sums[:, :1], out=e)
+            scale = 1.0
+        np.divide(np.einsum("ij,ij->i", e, d), scale, out=var[rows])
+
+    _each_block(prior, model, xi, t, np.column_stack([np.ones(len(prior)), x]), write)
+    return mean.reshape(xi.shape), var.reshape(xi.shape)
 
 
 def gamma_linear_filter(theta: float, r: float, m: float, xi: float, t: float) -> float:

@@ -375,6 +375,18 @@ def _nb_atoms(m: float, q: float) -> tuple:
     return tuple(atoms)
 
 
+def _ig_derivatives(w, a, b):
+    """The InverseGaussian derivatives, written in s = b^2 - 2w and r = sqrt(s)."""
+    s = b * b - 2.0 * w
+    r = np.sqrt(s)
+    sr, ssr = s * r, s * s * r
+    d2, d3 = a / sr, 3.0 * a / ssr
+    far = ~np.isfinite(ssr)
+    if far.any():  # where s r or s^2 r overflows, in the quotients a/s and a/s^2, each above the result
+        d2, d3 = np.where(np.isfinite(sr), d2, (a / s) / r), np.where(far, 3.0 * ((a / s) / s / r), d3)
+    return a / r, d2, d3
+
+
 def _nig_derivatives(w, a, b, m):
     """The NormalInverseGaussian derivatives, written in s = b + w and
     q = a^2 - s^2, the latter as the product of the distances from w to the
@@ -382,7 +394,13 @@ def _nig_derivatives(w, a, b, m):
     -a or a next to an end."""
     s, q = b + w, ((a - b) - w) * (w + (a + b))
     r = np.sqrt(q)
-    return m * s / r, m * a * a / (q * r), 3.0 * m * a * a * s / (q * q * r)
+    qr, qqr = q * r, q * q * r
+    d2, d3 = m * a * a / qr, 3.0 * m * a * a * s / qqr
+    far = ~np.isfinite(qqr)
+    if far.any():  # where q r or q^2 r overflows, in the bounded quotients a/q <= a/r and s/q
+        p = (a / q) * (a / r)
+        d2, d3 = np.where(np.isfinite(qr), d2, m * p), np.where(far, 3.0 * m * (p * (s / q)), d3)
+    return m * s / r, d2, d3
 
 
 def _nig_sample(x, dt, rng, size, a, b, m):
@@ -510,7 +528,7 @@ _FAMILIES = {
         rules=((lambda a, b: a > 0, "a must be > 0"), (lambda a, b: b > 0, "b must be > 0"),
                (lambda a, b: b * b < math.inf, "requires a finite b^2, for the end b^2/2 of A")),
         psi=lambda w, a, b: 2.0 * a * w / (b + np.sqrt(b * b - 2.0 * w)),
-        derivatives=lambda w, a, b: (a / (r := np.sqrt(s := b * b - 2.0 * w)), a / (s * r), 3.0 * a / (s * s * r)),
+        derivatives=_ig_derivatives,
         domain=lambda a, b: Interval(0.0, 0.5 * b**2, lo_open=False),
         inverse=lambda y, a, b: 0.5 * (b * b - (a / y) * (a / y)),
         tilt=lambda lam, drift, a, b: ((a, math.sqrt(b * b - 2.0 * lam)), drift),

@@ -8,6 +8,7 @@ posterior update is exact on the atomic approximation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,14 @@ def prior_from_atoms(points) -> Prior:
     return _build_prior(uniq, merged)
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple:
+    """numpy's n-point Gauss-Legendre nodes and weights, read-only: the rule
+    depends on n alone, and building it solves an n x n eigenproblem.  The
+    last 16 rules are kept, so a sweep over n holds no more."""
+    return tuple(map(_frozen, np.polynomial.legendre.leggauss(n)))
+
+
 def prior_from_density(f, interval: Interval, n: int) -> Prior:
     """Discretize a density on a bounded interval by Gauss-Legendre quadrature.
 
@@ -145,7 +154,7 @@ def prior_from_density(f, interval: Interval, n: int) -> Prior:
     if not interval.lo < interval.hi:
         raise InvalidParameter(f"prior_from_density needs lo < hi, got lo={interval.lo} and hi={interval.hi}")
     n = _count(n, "quadrature node count n", 2)
-    nodes, gl_weights = np.polynomial.legendre.leggauss(n)
+    nodes, gl_weights = _gauss_legendre(n)
     half = 0.5 * (interval.hi - interval.lo)
     mid = 0.5 * (interval.hi + interval.lo)
     xs = mid + half * nodes

@@ -249,6 +249,22 @@ def test_filter_csv_schema_with_weights():
     assert out.splitlines()[4] == "t,xi,post_mean,post_var,i0_estimate,w_0,w_1"
 
 
+def test_filter_prints_the_same_moments_with_and_without_weights():
+    # post_mean and post_var come from the one reduction either way;
+    # --weights only appends a column per atom
+    argv = ["filter", "--set", "grid.steps=1100", "--seed", "3",
+            "--set", 'prior={"density":"gaussian-truncated","mean":0.0,"sd":1.0,"lo":-3,"hi":3,"n":64}']
+    code, plain, _ = run_cli(argv)
+    assert code == 0
+    code, weighted, _ = run_cli([*argv, "--weights"])
+    assert code == 0
+    rows = [line.split(",") for line in plain.splitlines()[4:]]
+    weighted_rows = [line.split(",") for line in weighted.splitlines()[4:]]
+    assert len(rows) == len(weighted_rows) == 1102
+    assert [row[2:4] for row in rows] == [row[2:4] for row in weighted_rows]
+    assert all(len(row) == 5 + 64 for row in weighted_rows)
+
+
 def test_innovations_csv_schema():
     code, out, _ = run_cli(["innovations", "--set", "grid.steps=2", "--seed", "4"])
     assert code == 0

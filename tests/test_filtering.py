@@ -117,6 +117,7 @@ def _filter_entry_points():
         "posterior_update_restart": lambda xi, t: li.posterior_update(post, model, xi, t),
         "posterior_expectations": lambda xi, t: posterior_expectations(
             prior, model, [0.0, xi], [0.0, t], np.eye(2)),
+        "posterior_moments": lambda xi, t: filtering._posterior_moments(prior, model, [0.0, xi], [0.0, t]),
         "innovations_path": along_a_path,
         "estimate_message": lambda xi, t: li.estimate_message(post, model, xi, t),
     }
@@ -251,6 +252,104 @@ def test_the_sampled_shift_matches_the_exact_maximum(family, atoms):
         w = np.exp(filtering._log_weights(filtering._coefficients(prior, model), xi.ravel(), t.ravel()))
         sums = w @ np.column_stack([np.ones(atoms), g])
         np.testing.assert_array_equal(got.reshape(-1, 2), sums[:, 1:] / sums[:, :1])
+
+
+def update_moments(prior, model, xi, t):
+    """The posterior mean and variance at each observation, from one
+    posterior_update per row and prior_expectation over it."""
+    moments = []
+    for a, b in zip(np.ravel(xi), np.ravel(t)):
+        post = li.posterior_update(prior, model, a, b)
+        mean = li.prior_expectation(post, lambda x: x)
+        moments.append((mean, li.prior_expectation(post, lambda x: (x - mean) ** 2)))
+    return np.array(moments).T
+
+
+def log_weight_rounding(prior, model, xi, t):
+    """Per row, eps times the largest term of the log-weights x xi - psi0(x) t
+    + log pi: two kernels that sum those terms in another order disagree on
+    a weight by about this much, relative."""
+    psi = np.abs(li.fiducial_exponent(model, prior.positions))
+    terms = (np.multiply.outer(np.abs(np.ravel(xi)), np.abs(prior.positions))
+             + np.multiply.outer(np.ravel(t), psi) + np.abs(prior.log_weights))
+    return np.finfo(float).eps * terms.max(axis=1)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+def test_posterior_moments_match_the_one_row_update(family):
+    # the paths run to t = 5, and one more set of paths to t = 10^6, where each
+    # posterior concentrates on one atom: there the variance is far below the
+    # atoms' scale and E[X^2] - mean^2 would cancel to noise of either sign.
+    # Two kernels' weights differ by the log-weights' rounding, which grows
+    # with t, so each row is held to a few times that rounding, relative to
+    # the atoms' scale: scale for the mean, scale^2 for the variance
+    model = li.make_noise_model(family, FAMILY_PARAMS[family])
+    rng = np.random.default_rng(7)
+    prior = li.prior_from_atoms(list(zip(interior_grid(model, 40), rng.uniform(0.5, 2.0, 40))))
+    xi, t = [], []
+    for grid in (li.TimeGrid.regular(5.0, 10), li.TimeGrid.regular(1e6, 2)):
+        _, values = li.simulate_ensemble(model, prior, grid, 60, seed=3)
+        xi.append(values.ravel())
+        t.append(np.broadcast_to(grid.times, values.shape).ravel())
+    xi, t = np.concatenate(xi), np.concatenate(t)
+    assert xi.size > filtering.BLOCK_ROWS  # more than one block
+    mean, var = filtering._posterior_moments(prior, model, xi, t)
+    want_mean, want_var = update_moments(prior, model, xi, t)
+    scale = np.abs(prior.positions).max()
+    tol = 16 * (log_weight_rounding(prior, model, xi, t) + np.finfo(float).eps)
+    assert (var >= 0.0).all()
+    assert (np.abs(mean - want_mean) <= tol * scale).all()
+    assert (np.abs(var - want_var) <= tol * scale * scale).all()
+    assert (var[t == 1e6] < 1e-6 * scale * scale).mean() > 0.5  # mostly concentrated
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rows_redone_exactly_give_the_exact_kernels_moments(threads, monkeypatch):
+    # the construction of test_rows_far_above_the_sampled_shift_are_redone_exactly,
+    # with times from 10^3 to 10^6: rows far above the sampled shift are redone,
+    # and the exponentials written back into the block, so their moments are
+    # the one-row update's, however concentrated the posterior.  Weights off
+    # the maximum differ by the log-weights' rounding, relative, and so does
+    # the variance, which they make up
+    monkeypatch.setenv("LEVY_INFO_THREADS", threads)
+    model = li.make_noise_model("Brownian", ())
+    prior = li.prior_from_density(lambda x: np.exp(-0.5 * x * x), li.Interval(-3.0, 3.0), 256)
+    x = prior.positions
+    times = np.geomspace(1e3, 1e6, 40)
+    xi = np.multiply.outer(x[8:248:32], times)
+    t = np.broadcast_to(times, xi.shape)
+    redone, kernel = [], filtering._log_weights
+
+    def counting(coef, xi, t, shift_coef=None, buffers=None):
+        if shift_coef is None:
+            redone.append(np.size(xi))
+        return kernel(coef, xi, t, shift_coef, buffers)
+
+    monkeypatch.setattr(filtering, "_log_weights", counting)
+    mean, var = filtering._posterior_moments(prior, model, xi, times)
+    assert 0 < sum(redone) < xi.size
+    want_mean, want_var = update_moments(prior, model, xi, t)
+    tol = 16 * (log_weight_rounding(prior, model, xi, t) + np.finfo(float).eps)
+    mean, var = mean.ravel(), var.ravel()
+    assert (var > 0.0).all()
+    assert (np.abs(mean - want_mean) <= tol * 3.0).all()
+    assert (np.abs(var - want_var) <= tol * want_var).all()
+
+
+def test_the_variance_is_finite_where_its_unnormalized_sum_overflows():
+    # at t = 0 the log-weights are log pi.  Of 32 atoms, the sampled ones are
+    # the even and the last; two odd ones carry the mass, 707 above every
+    # sampled atom, so e is e^707 ~ 1e307 there and S = e @ [1 | x] is finite
+    # (no row is redone), but sum_i e_i (x_i - mean)^2 = 30.25 S_0 overflows
+    # unless the weights are normalized first
+    x = 0.5 * (np.arange(32) - 15.5)
+    w = np.full(32, math.exp(-707.0))
+    w[[5, 27]] = 1.0
+    prior = li.prior_from_atoms(list(zip(x, w)))
+    model = li.make_noise_model("Brownian", ())
+    mean, var = filtering._posterior_moments(prior, model, [0.0, 0.0], [0.0, 0.0])
+    np.testing.assert_allclose(mean, 0.25, rtol=1e-13)
+    np.testing.assert_allclose(var, 30.25, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------

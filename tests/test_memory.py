@@ -25,6 +25,11 @@ The batched filter holds, per thread, one block: its ``BLOCK_ROWS x atoms``
 log-weights, its observation rows (xi, t, 1 and the shift) and its sum rows
 (the normalizer and one sum per column of g), above the output it writes.
 
+``levy-info filter`` reduces each block of the batched filter to the
+posterior mean and variance where it is exponentiated (a block of squared
+deviations per thread), so without ``--weights`` its columns hold less than
+one (rows x atoms) weight matrix.
+
 The CSV writer formats and writes ``simulate`` output a block of whole paths
 at a time (``cli._BLOCK_ROWS`` rows or one path), and any other float table
 a block of as many cells, so its peak is a few blocks of four-cell rows
@@ -95,6 +100,20 @@ def test_posterior_expectations_peak_stays_within_a_block_per_thread(threads, mo
     peak = traced_peak(lambda: li.posterior_expectations(prior, model, xi, t, g))
     block = BLOCK_ROWS * (len(prior) + 4 + 1 + g.shape[1]) * 8
     assert peak - 8 * rows * g.shape[1] <= threads * block + ALLOWANCE, f"{peak / block:.2f} blocks"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_filter_columns_hold_less_than_one_weight_matrix(threads, monkeypatch):
+    monkeypatch.setenv("LEVY_INFO_THREADS", str(threads))
+    model = li.make_noise_model("Brownian", ())
+    prior = li.prior_from_density(lambda x: np.exp(-0.5 * x * x), li.Interval(-3.0, 3.0), 64)
+    rows = 10_001
+    grid = li.TimeGrid(np.linspace(0.0, 10.0, rows))
+    path = li.InformationPath(grid, np.random.default_rng(0).normal(size=rows).cumsum() * 0.03, 0.5, model)
+    cli._filter_columns(path, prior, False)  # first-call caches are not the working set
+    peak = traced_peak(lambda: cli._filter_columns(path, prior, False))
+    matrix = 8 * rows * len(prior)
+    assert peak < matrix, f"{peak / matrix:.2f} (rows x atoms) matrices"
 
 
 @pytest.mark.parametrize("paths", [1000, 4000])

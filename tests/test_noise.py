@@ -494,6 +494,63 @@ def test_square_root_exponents_match_50_digit_arithmetic(family, params, w):
     assert abs((Decimal(got) - want) / want) <= Decimal("1e-15")
 
 
+def decimal_derivatives(family, params, w):
+    """The three derivatives of psi0 of an InverseGaussian or
+    NormalInverseGaussian model at real w, in 50-digit decimal arithmetic:
+    a/r, a/(s r), 3a/(s^2 r) in s = b^2 - 2w, and m s/r, m a^2/(q r),
+    3 m a^2 s/(q^2 r) in s = b + w and q = a^2 - s^2, r the square root of
+    s or q."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        if family == "InverseGaussian":
+            a, b, w = map(Decimal, (*params, w))
+            s = b * b - 2 * w
+            r = s.sqrt()
+            return a / r, a / (s * r), 3 * a / (s * s * r)
+        a, b, m, w = map(Decimal, (*params, w))
+        s = b + w
+        q = a * a - s * s
+        r = q.sqrt()
+        return m * s / r, m * a * a / (q * r), 3 * m * a * a * s / (q * q * r)
+
+
+@pytest.mark.parametrize("family, params, w", [
+    # s r, s^2 r, q r or q^2 r overflows: psi0'' and psi0''' read 0 where
+    # they are finite
+    ("NormalInverseGaussian", (1e103, 0.0, 1.0), 0.0),
+    ("NormalInverseGaussian", (1e103, 1e102, 1.0), 0.0),
+    ("NormalInverseGaussian", (1e62, 0.0, 1.0), 1e61),
+    ("InverseGaussian", (1e300, 1e103), 0.0),
+    ("InverseGaussian", (1e10, 1e62), 1.0),
+    # every product is finite
+    ("NormalInverseGaussian", (2.0, 0.5, 1.0), 1.4),
+    ("InverseGaussian", (1.0, 2.0), 1.9),
+])
+def test_square_root_derivatives_match_50_digit_arithmetic(family, params, w):
+    got = li.exponent_derivatives(li.make_noise_model(family, params), w)
+    for value, want in zip(got, decimal_derivatives(family, params, w)):
+        if want == 0:
+            assert value == 0.0
+        else:
+            assert abs((Decimal(value) - want) / want) <= Decimal("1e-15")
+
+
+def test_square_root_derivatives_keep_the_plain_bits_where_the_products_are_finite():
+    # the bounded quotients are taken only where a product overflows
+    w = np.array([-1.9, 0.0, 1.0, 1.4])
+    s, q = 0.5 + w, (1.5 - w) * (w + 2.5)
+    r = np.sqrt(q)
+    got = li.exponent_derivatives(li.make_noise_model("NormalInverseGaussian", (2.0, 0.5, 3.0)), w)
+    np.testing.assert_array_equal(bits(got[1]), bits(3.0 * 2.0 * 2.0 / (q * r)))
+    np.testing.assert_array_equal(bits(got[2]), bits(3.0 * 3.0 * 2.0 * 2.0 * s / (q * q * r)))
+    w = np.array([0.0, 0.5, 1.9])
+    s = 4.0 - 2.0 * w
+    r = np.sqrt(s)
+    got = li.exponent_derivatives(li.make_noise_model("InverseGaussian", (1.5, 2.0)), w)
+    np.testing.assert_array_equal(bits(got[1]), bits(1.5 / (s * r)))
+    np.testing.assert_array_equal(bits(got[2]), bits(3.0 * 1.5 / (s * s * r)))
+
+
 def test_gamma_exponent_and_derivatives_where_kappa_alpha_overflows():
     # kappa alpha = -inf, so -m log1p(-kappa alpha) was -inf and u = kappa /
     # (1 - kappa alpha) was 0; the true values are finite and positive

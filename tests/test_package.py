@@ -406,6 +406,24 @@ def test_degenerate_weights_is_raised_at_one_site():
     assert len(sites) == 1 and sites[0].startswith("filtering.py:"), sites
 
 
+def call_sites(name, source):
+    """Lines of every call of ``name``, bare or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_the_batched_filter_has_one_block_loop():
+    # filtering._each_block is the one loop over blocks of observations;
+    # the posterior moments and expectations differ only in what each block
+    # writes, and a second map_ordered would be a second copy of the kernel's loop
+    assert len(call_sites("map_ordered", package_sources()["filtering.py"])) == 1
+
+
+def test_call_lint_sees_bare_and_attribute_calls():
+    source = "from .rng import map_ordered\nmap_ordered(f, r)\nrng.map_ordered(g, r)\nh = map_ordered\n"
+    assert call_sites("map_ordered", source) == [2, 3]
+
+
 def tag_comparisons(source):
     """Lines where a ``<obj>.tag`` is compared with a string or a collection of them."""
     def is_text(node):

@@ -7,7 +7,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 import levy_info as li
-from levy_info.prior import MARGIN
+from levy_info.prior import MARGIN, _gauss_legendre
 
 
 def gamma_density(r, theta):
@@ -117,6 +117,19 @@ def test_density_prior_on_the_reference_interval_is_the_rule(n):
     p = li.prior_from_density(np.ones_like, li.Interval(-1.0, 1.0), n)
     np.testing.assert_array_equal(p.positions, nodes)
     np.testing.assert_allclose(p.weights, weights / weights.sum(), rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_the_cached_rule_is_leggauss_and_read_only(n):
+    # the rule is built once per n and shared by every later call, so no
+    # caller may write into it
+    nodes, weights = _gauss_legendre(n)
+    assert _gauss_legendre(n)[0] is nodes
+    for got, want in zip((nodes, weights), leggauss(n)):
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
 
 
 @pytest.mark.parametrize("n", RULE_SIZES)
