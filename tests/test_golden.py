@@ -68,27 +68,35 @@ CASES = {
     # the three density digests were re-recorded when prior_from_density took
     # its Gauss-Legendre rule from numpy's leggauss instead of scipy's
     # roots_legendre: nodes and weights moved in the last bits, and with them
-    # every filtered column, by at most 1.5e-14 of the column's scale
+    # every filtered column, by at most 1.5e-14 of the column's scale.  All
+    # three again when post_mean and post_var came to be reduced from each
+    # block's weights (S_1 / S_0 and the weighted squared deviations) rather
+    # than from the normalized weight matrix; only those two columns moved,
+    # here 560 and 292 of 701 cells, by at most 3.8e-16 of the column's scale
     "filter-weights": (
         ["filter", "--weights", "--set", "grid.steps=700", "--seed", "2",
          "--set", 'prior={"density":"uniform","lo":-1,"hi":1,"n":8}'],
-        "51963464c735c9f259291ed2228fe0d993e1499731f95ab635dc65d9ef4722b1",
+        "822bcf1eb36cd45321d44d4e4b6872116703d29bfe308eb648def29b7874cff5",
     ),
     # the other two density recipes: the bench's path-filter prior, and the
     # shifted-gamma message of the gamma channel.  Both were re-recorded when
     # the filter kernel came to shift each row by its largest log-weight over
     # a sample of atoms, not over all 64: up to 501 of 701 cells per filtered
-    # column moved, by at most 1.03e-15 of the column's scale
+    # column moved, by at most 1.03e-15 of the column's scale.  And again with
+    # the block reduction of post_mean and post_var: 547 and 526 of 701 cells
+    # moved, by at most 5.5e-16 and 9.1e-16 of the column's scale
     "filter-gaussian-truncated": (
         ["filter", "--set", "grid.steps=700", "--seed", "17",
          "--set", 'prior={"density":"gaussian-truncated","mean":0.0,"sd":1.0,"lo":-3,"hi":3,"n":64}'],
-        "89628be688ef7bd6806f835c23ab722caa572968eee4b23c7d01b9e070417b94",
+        "a09bad94eb1a1f76ba4b5f1994db26ff376b4d9909a97d36a070bcba48872295",
     ),
+    # with the block reduction: post_mean 465 and post_var 497 of 701 cells,
+    # by at most 4.9e-16 and 5.9e-16 of the column's scale
     "filter-gamma-shifted": (
         ["filter", "--set", "model.family=Gamma", "--set", "model.params=[1.0,1.0]",
          "--set", "grid.steps=700", "--seed", "18",
          "--set", 'prior={"density":"gamma-shifted","theta":2.0,"r":3.0,"u_max":40.0,"n":64}'],
-        "68696d76fa30f61a5d2e8637237e647abfb7353cbd89f83a8da058ee5baf92ca",
+        "f2e48b72da3071a793664e504ee2ad0f89d579f4a047e02e4551059939786129",
     ),
     "innovations": (
         ["innovations", *GAMMA, "--set", "grid.steps=600", "--seed", "5"],
