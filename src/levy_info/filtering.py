@@ -246,16 +246,12 @@ def posterior_expectations(prior: Prior, model: NoiseModel, xi, t, g) -> np.ndar
 
 
 def _posterior_moments(prior: Prior, model: NoiseModel, xi, t) -> tuple:
-    """Posterior mean and variance of the message at every observation (xi, t).
-
-    The filter of :func:`posterior_expectations`, with its checks and
-    errors, reduced where each block is exponentiated: with e the block's
-    weights and S = e @ [1 | x], the mean is S_1 / S_0 and the variance
-    sum_i e_i (x_i - mean)^2 / S_0, formed in a block-sized buffer of
-    deviations.  Never E[X^2] - mean^2, which cancels to negative values
-    where the posterior concentrates on one atom.  Returns (mean, var), each
-    of the shape of ``xi``.
-    """
+    """Posterior mean and variance, each of the shape of ``xi``, at every
+    observation (xi, t): :func:`posterior_expectations` with its checks,
+    each block reduced where it is exponentiated.  With S = e @ [1 | x], the
+    mean is S_1 / S_0 and the variance sum_i e_i (x_i - mean)^2 / S_0, never
+    E[X^2] - mean^2, which cancels to negative values where the posterior
+    concentrates on one atom."""
     check_compatibility(prior, model)
     xi, t = check_observation(model, xi, t)
     x = prior.positions

@@ -382,7 +382,7 @@ def _ig_derivatives(w, a, b):
     sr, ssr = s * r, s * s * r
     d2, d3 = a / sr, 3.0 * a / ssr
     far = ~np.isfinite(ssr)
-    if far.any():  # where s r or s^2 r overflows, in the quotients a/s and a/s^2, each above the result
+    if far.any():  # s r or s^2 r overflows: divide a by s, s and r in turn, each quotient above the result
         d2, d3 = np.where(np.isfinite(sr), d2, (a / s) / r), np.where(far, 3.0 * ((a / s) / s / r), d3)
     return a / r, d2, d3
 
@@ -397,7 +397,7 @@ def _nig_derivatives(w, a, b, m):
     qr, qqr = q * r, q * q * r
     d2, d3 = m * a * a / qr, 3.0 * m * a * a * s / qqr
     far = ~np.isfinite(qqr)
-    if far.any():  # where q r or q^2 r overflows, in the bounded quotients a/q <= a/r and s/q
+    if far.any():  # q r or q^2 r overflows: there q > 1e123, so a/q, a/r and s/q are all moderate
         p = (a / q) * (a / r)
         d2, d3 = np.where(np.isfinite(qr), d2, m * p), np.where(far, 3.0 * m * (p * (s / q)), d3)
     return m * s / r, d2, d3
