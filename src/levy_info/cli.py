@@ -177,7 +177,7 @@ def _resolve_config(args) -> dict:
         _apply_set(config, assignment)
     if args.seed is not None:
         config["seed"] = args.seed
-    if args.paths is not None:
+    if getattr(args, "paths", None) is not None:
         config["paths"] = args.paths
     # a study section that is not an object is reported by _run_study
     if getattr(args, "threshold", None) is not None and isinstance(config["study"], dict):
@@ -416,6 +416,7 @@ def _prelude(args):
 def _one_path(args):
     """The config, the prior and the one path ``filter`` and ``innovations`` read."""
     config, model, prior, grid = _prelude(args)
+    _paths(config)  # one path is drawn, but the CSV's config line records the key
     return config, prior, simulate_information_path(model, prior, grid, stream(_seed(config), 0))
 
 
@@ -513,7 +514,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config entry, e.g. --set model.family=Gamma")
     parser.add_argument("--seed", type=int, help="random seed (overrides config)")
-    parser.add_argument("--paths", type=int, help="number of Monte Carlo paths")
     parser.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 
 
@@ -529,6 +529,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulate an ensemble of paths")
     _add_common(p_sim)
+    p_sim.add_argument("--paths", type=int, help="number of Monte Carlo paths")
 
     p_fil = sub.add_parser("filter", help="posterior trajectory along one simulated path")
     _add_common(p_fil)
@@ -540,6 +541,7 @@ def _parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a named statistical study")
     p_exp.add_argument("name", choices=tuple(_STUDIES))
     _add_common(p_exp)
+    p_exp.add_argument("--paths", type=int, help="number of Monte Carlo paths")
     p_exp.add_argument("--threshold", type=float, help="|z| pass threshold (default 3.5)")
 
     return parser

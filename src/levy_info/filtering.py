@@ -28,14 +28,13 @@ observation is degenerate.  Such rows are redone with the exact maximum.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateWeights, InvalidParameter, NonFiniteValue, _positive, _real
 from .noise import (GAMMA, NoiseModel, check_observation, check_scalar_observation, fiducial_exponent,
-                    flat_reader, inverse_marginal_clamped, make_noise_model)
+                    inverse_marginal_clamped, make_noise_model)
 from .prior import Prior, _frozen, check_compatibility
 from .rng import map_ordered
 
@@ -62,7 +61,7 @@ def _shift_coefficients(coef: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(coef[:3, np.r_[0:atoms - 1:max(1, atoms // 16), atoms - 1]].T)
 
 
-def _log_weights(coef: np.ndarray, xi, t, shift_coef=None, buffers=None) -> np.ndarray:
+def _log_weights(coef: np.ndarray, xi, t, shift_coef=None) -> np.ndarray:
     """The filter kernel: [xi, t, 1, s] @ coef, coef = [x; -psi0(x); log pi; -1],
     gives the posterior log-weights at each observation (1-D xi and t, or one
     pair), each row less s, its largest log-weight over the atoms of
@@ -74,30 +73,20 @@ def _log_weights(coef: np.ndarray, xi, t, shift_coef=None, buffers=None) -> np.n
     sum is not finite, and is to be redone with the maximum.
 
     The caller ignores overflow and invalid operations (``np.errstate``):
-    rows that are not finite raise here or are redone.  ``buffers``, two
-    flat float arrays of at least 4 n and n K cells for n observations and K
-    atoms, hold the observation rows and the result (the shift product
-    first), where given."""
+    rows that are not finite raise here or are redone."""
     exact = shift_coef is None
-    shift_coef = coef[:3].T if exact else shift_coef
-    n = np.size(xi)
-    if buffers is None:
-        obs, products, result = np.empty((4, n)), None, None
-    else:
-        obs = buffers[0][:4 * n].reshape(4, n)
-        products = buffers[1][:len(shift_coef) * n].reshape(-1, n)
-        result = buffers[1][:n * coef.shape[1]].reshape(n, -1)
+    obs = np.empty((4, np.size(xi)))
     obs[0] = xi
     obs[1] = t
     obs[2] = 1.0
-    shift = np.max(np.matmul(shift_coef, obs[:3], out=products), axis=0, out=obs[3])
+    shift = np.max((coef[:3].T if exact else shift_coef) @ obs[:3], axis=0, out=obs[3])
     if exact and not np.isfinite(shift).all():
         bad = obs[:, np.argmin(np.isfinite(shift))]
         raise DegenerateWeights(
             f"posterior log-weights at xi={bad[0]:g}, t={bad[1]:g} are not finite; "
             "the observation is numerically impossible under every prior atom"
         )
-    return np.matmul(obs.T, coef, out=result)
+    return obs.T @ coef
 
 
 def posterior_update(prior: Prior, model: NoiseModel, xi: float, t: float) -> Prior:
@@ -155,30 +144,22 @@ def _each_block(prior: Prior, model: NoiseModel, xi: np.ndarray, t: np.ndarray, 
     ``columns`` (atoms x k, ones first), a row whose S is not finite redone
     with the exact maximum and written back into e; then ``write(rows, e,
     S)``, rows the block's slice of the flattened observations.  e is the
-    thread's buffer, and ``write`` may overwrite it."""
-    xi_rows, read_t = xi.reshape(-1), flat_reader(t)
+    block's own array, and ``write`` may overwrite it."""
+    xi_rows, t_rows = xi.reshape(-1), t.reshape(-1)
     coef = _coefficients(prior, model)
     sampled = _shift_coefficients(coef)
-    # each thread's buffers, reused across its blocks: the observation rows,
-    # the log-weights and the sums of a block
-    workspaces = threading.local()
 
     def block(start: int) -> None:
-        stop = min(start + BLOCK_ROWS, xi_rows.size)
-        n, k = stop - start, columns.shape[1]
-        if not hasattr(workspaces, "buffers"):
-            rows = min(BLOCK_ROWS, xi_rows.size)
-            workspaces.buffers = (np.empty(4 * rows), np.empty(rows * len(prior)), np.empty(rows * k))
-        obs, log_w, sums = workspaces.buffers
-        xi_block, t_block = xi_rows[start:stop], read_t(start, stop)
+        rows = slice(start, start + BLOCK_ROWS)
+        xi_block, t_block = xi_rows[rows], t_rows[rows]
         with np.errstate(over="ignore", invalid="ignore"):  # rows that are not finite are redone
-            e = _log_weights(coef, xi_block, t_block, sampled, (obs, log_w))
-            block_sums = np.matmul(np.exp(e, out=e), columns, out=sums[:n * k].reshape(n, k))
-            if not np.isfinite(block_sums).all():
-                redo = np.flatnonzero(~np.isfinite(block_sums).all(axis=1))
+            e = _log_weights(coef, xi_block, t_block, sampled)
+            sums = np.exp(e, out=e) @ columns
+            if not np.isfinite(sums).all():
+                redo = np.flatnonzero(~np.isfinite(sums).all(axis=1))
                 e[redo] = np.exp(_log_weights(coef, xi_block[redo], t_block[redo]))
-                block_sums[redo] = e[redo] @ columns
-        write(slice(start, stop), e, block_sums)
+                sums[redo] = e[redo] @ columns
+        write(rows, e, sums)
 
     map_ordered(block, range(0, xi_rows.size, BLOCK_ROWS))
 
@@ -259,13 +240,10 @@ def _posterior_moments(prior: Prior, model: NoiseModel, xi, t) -> tuple:
     span = float(x[-1] - x[0])
     reach = 2.0 * span * span
     mean, var = np.empty(xi.size), np.empty(xi.size)
-    deviations = threading.local()  # each thread's buffer, reused across its blocks
 
     def write(rows, e, sums):
         m = np.divide(sums[:, 1], sums[:, 0], out=mean[rows])
-        if not hasattr(deviations, "buffer"):
-            deviations.buffer = np.empty(min(BLOCK_ROWS, xi.size) * len(prior))
-        d = np.subtract(x, m[:, None], out=deviations.buffer[:e.size].reshape(e.shape))
+        d = x - m[:, None]
         np.multiply(d, d, out=d)
         scale = sums[:, 0]
         if not float(scale.max()) * reach < math.inf:  # the sum may overflow: weigh by e / S_0, at most 1

@@ -381,8 +381,8 @@ def _ig_derivatives(w, a, b):
     r = np.sqrt(s)
     sr, ssr = s * r, s * s * r
     d2, d3 = a / sr, 3.0 * a / ssr
-    far = ~np.isfinite(ssr)
-    if far.any():  # s r or s^2 r overflows: divide a by s, s and r in turn, each quotient above the result
+    far = ~(np.isfinite(ssr) & np.isfinite(d3))
+    if far.any():  # s r, s^2 r or 3 a overflows: divide a by s, s and r in turn, each quotient above the result
         d2, d3 = np.where(np.isfinite(sr), d2, (a / s) / r), np.where(far, 3.0 * ((a / s) / s / r), d3)
     return a / r, d2, d3
 
@@ -395,12 +395,13 @@ def _nig_derivatives(w, a, b, m):
     s, q = b + w, ((a - b) - w) * (w + (a + b))
     r = np.sqrt(q)
     qr, qqr = q * r, q * q * r
-    d2, d3 = m * a * a / qr, 3.0 * m * a * a * s / qqr
-    far = ~np.isfinite(qqr)
-    if far.any():  # q r or q^2 r overflows: there q > 1e123, so a/q, a/r and s/q are all moderate
+    d1, d2, d3 = m * s / r, m * a * a / qr, 3.0 * m * a * a * s / qqr
+    far = ~(np.isfinite(qqr) & np.isfinite(d3))
+    if far.any():  # q r or q^2 r overflows (there q > 1e123, so a/q, a/r and s/q are all moderate), or m a^2 does
         p = (a / q) * (a / r)
-        d2, d3 = np.where(np.isfinite(qr), d2, m * p), np.where(far, 3.0 * m * (p * (s / q)), d3)
-    return m * s / r, d2, d3
+        d2, d3 = np.where(np.isfinite(qr) & np.isfinite(d2), d2, m * p), np.where(far, 3.0 * m * (p * (s / q)), d3)
+        d1 = np.where(np.isfinite(d1), d1, m * (s / r))  # m s overflows, and with it 3 m a^2 s, as |s| < a
+    return d1, d2, d3
 
 
 def _nig_sample(x, dt, rng, size, a, b, m):
@@ -587,25 +588,6 @@ def _check_times(t, what: str) -> np.ndarray:
     return t
 
 
-def flat_reader(a: np.ndarray) -> Callable[[int, int], np.ndarray]:
-    """A function of (start, stop) giving ``a.reshape(-1)[start:stop]``
-    without copying all of a broadcast ``a`` (the times of
-    :func:`check_observation`): a view where the cells lie in one row of
-    a's last axis, else a copy of the cells, or of the short rows they span.
-    Only an ``a`` broadcast along a middle axis is copied whole, once."""
-    rows = a.reshape(-1, a.shape[-1]) if a.ndim > 1 and a.size else a.reshape(1, -1)
-    width = rows.shape[1]
-
-    def read(start: int, stop: int) -> np.ndarray:
-        first, col = divmod(start, width)
-        last = (stop - 1) // width
-        if last == first + 1:
-            return np.concatenate((rows[first, col:], rows[last, :stop - last * width]))
-        return rows[first:last + 1].reshape(-1)[col:col + stop - start]
-
-    return read
-
-
 def check_observation(model: NoiseModel, xi, t) -> tuple:
     """The one observation check: (xi, t) as float arrays, t broadcast to
     xi, once xi is finite (NonFiniteValue), t is finite and >= 0 and
@@ -613,6 +595,11 @@ def check_observation(model: NoiseModel, xi, t) -> tuple:
     the family can produce at time t (OffSupport): >= 0 ("nonnegative"), a
     nonnegative integer ("lattice"), anything ("real"), within
     ``SUPPORT_RTOL`` where the drift is not zero.
+
+    The returned t flattens to one row without a copy, so block loops read
+    plain slices of it: t is copied once, C-contiguous, only where its
+    layout would make each flattening copy (a grid broadcast over paths, a
+    transposed array); a scalar broadcast stays a view.
     """
     xi = np.asarray(_real(xi, "observation xi"), dtype=float)
     if not np.isfinite(xi).all():
@@ -622,14 +609,14 @@ def check_observation(model: NoiseModel, xi, t) -> tuple:
         t = np.broadcast_to(t, xi.shape)
     except ValueError:
         raise InvalidParameter(f"observation times of shape {t.shape} do not broadcast to xi's {xi.shape}") from None
+    t = t.reshape(-1).reshape(xi.shape)
     support = _FAMILIES[model.family].support
     if support == "real":
         return xi, t
     drift = model.drift
-    xi_flat, read_t = xi.reshape(-1), flat_reader(t)
+    xi_flat, t_flat = xi.reshape(-1), t.reshape(-1)
     for start in range(0, xi.size, SUPPORT_BLOCK):
-        stop = min(start + SUPPORT_BLOCK, xi.size)
-        x, s = xi_flat[start:stop], read_t(start, stop)
+        x, s = xi_flat[start:start + SUPPORT_BLOCK], t_flat[start:start + SUPPORT_BLOCK]
         y, tol = x, 0.0
         if drift != 0.0:
             y = x - drift * s

@@ -168,12 +168,21 @@ def test_config_errors_exit_one_naming_key(argv, names):
     (["simulate", "--set", "grid=5"], "grid"),
     (["simulate", "--set", "grid={}"], "grid"),
     (["simulate", "--set", "paths=0"], "paths"),
+    # filter and innovations draw one path, but record the key in the config line
+    (["filter", "--set", "paths=-5"], "paths"),
+    (["innovations", "--set", "paths=abc"], "paths"),
 ])
 def test_config_value_of_wrong_type_exits_one_naming_key(argv, key):
     code, out, err = run_cli(argv)
     assert code == 1
     assert out == ""
     assert err.splitlines() == [err.strip()] and err.startswith(f"error: config key '{key}': ")
+
+
+@pytest.mark.parametrize("command", ["filter", "innovations"])
+def test_one_path_commands_take_no_path_count_flag(command):
+    code, out, err = run_cli([command, "--paths", "-5"])
+    assert code == 1 and out == "" and "unrecognized arguments: --paths -5" in err
 
 
 @pytest.mark.parametrize("assignment, code", [

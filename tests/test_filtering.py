@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import levy_info as li
 from conftest import FAMILY_PARAMS, interior_grid, window
-from levy_info import filtering
+from levy_info import filtering, noise
 from levy_info.filtering import posterior_expectations
 from levy_info.noise import SUPPORT_BLOCK
 from levy_info.prior import MARGIN
@@ -219,11 +219,11 @@ def test_rows_far_above_the_sampled_shift_are_redone_exactly(threads, monkeypatc
     g = np.column_stack([x, x * x])
     redone, kernel = [], filtering._log_weights
 
-    def counting(coef, xi, t, shift_coef=None, buffers=None):
+    def counting(coef, xi, t, shift_coef=None):
         # the kernel with no sample, s the exact maximum, is the call that redoes rows
         if shift_coef is None:
             redone.append(np.size(xi))
-        return kernel(coef, xi, t, shift_coef, buffers)
+        return kernel(coef, xi, t, shift_coef)
 
     monkeypatch.setattr(filtering, "_log_weights", counting)
     with warnings.catch_warnings():
@@ -303,6 +303,60 @@ def test_posterior_moments_match_the_one_row_update(family):
     assert (var[t == 1e6] < 1e-6 * scale * scale).mean() > 0.5  # mostly concentrated
 
 
+# the layouts of the times the block loops read: t and the shape of the xi
+# it is broadcast to
+TIME_LAYOUTS = {
+    "0-d": (np.array(2.5), (3, 5)),
+    "1-D": (0.25 * np.arange(1.0, 8.0), (7,)),
+    "grid broadcast over paths": (0.25 * np.arange(1.0, 6.0), (4, 5)),
+    "middle-axis broadcast": (0.25 * np.arange(1.0, 4.0)[:, None], (2, 3, 4)),
+    "transposed": (0.25 * np.arange(1.0, 25.0).reshape(2, 3, 4).transpose(1, 2, 0), (3, 4, 2)),
+    "rows longer than a block": (0.25 * np.arange(1.0, 31.0), (3, 30)),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("layout", sorted(TIME_LAYOUTS))
+def test_every_time_layout_filters_each_cell_at_its_own_time(layout, threads, monkeypatch):
+    # blocks of 7 cells straddle the rows of every layout with rows, in the
+    # filter's block loop and in the support check's
+    monkeypatch.setenv("LEVY_INFO_THREADS", threads)
+    monkeypatch.setattr(filtering, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(noise, "SUPPORT_BLOCK", 7)
+    model = li.make_noise_model("Gamma", (2.0, 1.0))
+    prior = li.prior_from_atoms(list(zip(interior_grid(model, 5), [1.0, 2.0, 1.0, 0.5, 1.0])))
+    t, shape = TIME_LAYOUTS[layout]
+    cells = np.broadcast_to(t, shape)
+    xi = np.random.default_rng(1).uniform(0.0, 4.0, shape)
+    weights = posterior_expectations(prior, model, xi, t, np.eye(5))
+    for index in np.ndindex(shape):
+        want = li.posterior_update(prior, model, xi[index], cells[index]).weights
+        np.testing.assert_allclose(weights[index], want, rtol=1e-13, atol=0.0)
+    mean, var = filtering._posterior_moments(prior, model, xi, t)
+    assert mean.shape == var.shape == shape
+    want_mean, want_var = update_moments(prior, model, xi, cells)
+    scale = np.abs(prior.positions).max()
+    tol = 16 * (log_weight_rounding(prior, model, xi, cells) + np.finfo(float).eps)
+    assert (np.abs(mean.ravel() - want_mean) <= tol * scale).all()
+    assert (np.abs(var.ravel() - want_var) <= tol * scale * scale).all()
+
+
+@pytest.mark.parametrize("layout", sorted(TIME_LAYOUTS))
+def test_every_time_layout_names_an_observation_off_the_support_with_its_own_time(layout, monkeypatch):
+    monkeypatch.setattr(noise, "SUPPORT_BLOCK", 7)
+    model = li.make_noise_model("Gamma", (2.0, 1.0))
+    prior = li.prior_from_atoms([(0.0, 1.0), (0.5, 1.0)])
+    t, shape = TIME_LAYOUTS[layout]
+    xi = np.ones(shape)
+    index = np.unravel_index(2 * xi.size // 3, shape)
+    xi[index] = -1.0
+    message = re.escape(f"xi=-1 at t={np.broadcast_to(t, shape)[index]:g} ")
+    with pytest.raises(li.OffSupport, match=message):
+        posterior_expectations(prior, model, xi, t, np.eye(2))
+    with pytest.raises(li.OffSupport, match=message):
+        filtering._posterior_moments(prior, model, xi, t)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_rows_redone_exactly_give_the_exact_kernels_moments(threads, monkeypatch):
     # the construction of test_rows_far_above_the_sampled_shift_are_redone_exactly,
@@ -320,10 +374,10 @@ def test_rows_redone_exactly_give_the_exact_kernels_moments(threads, monkeypatch
     t = np.broadcast_to(times, xi.shape)
     redone, kernel = [], filtering._log_weights
 
-    def counting(coef, xi, t, shift_coef=None, buffers=None):
+    def counting(coef, xi, t, shift_coef=None):
         if shift_coef is None:
             redone.append(np.size(xi))
-        return kernel(coef, xi, t, shift_coef, buffers)
+        return kernel(coef, xi, t, shift_coef)
 
     monkeypatch.setattr(filtering, "_log_weights", counting)
     mean, var = filtering._posterior_moments(prior, model, xi, times)

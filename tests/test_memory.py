@@ -21,9 +21,11 @@ run of chunks it is sampling and folding (see ``simulate._fold_runs``):
   run by run, are freed, and the jackknife's vectors
 * representation: the draws and the jackknife's four buffers
 
-The batched filter holds, per thread, one block: its ``BLOCK_ROWS x atoms``
-log-weights, its observation rows (xi, t, 1 and the shift) and its sum rows
-(the normalizer and one sum per column of g), above the output it writes.
+The batched filter allocates each block's arrays as it filters the block and
+drops them before the next, so it holds, per thread, one block: its
+``BLOCK_ROWS x atoms`` log-weights, its observation rows (xi, t, 1 and the
+shift) and its sum rows (the normalizer and one sum per column of g), above
+the output it writes.
 
 ``levy-info filter`` reduces each block of the batched filter to the
 posterior mean and variance where it is exponentiated (a block of squared
