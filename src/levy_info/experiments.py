@@ -26,6 +26,7 @@ from .noise import (
     fiducial_exponent,
 )
 from .prior import Prior, check_compatibility, prior_from_atoms
+from .rng import map_ordered
 from .simulate import TimeGrid, _fold_runs, representation_draws
 from .stats import (
     StudyReport,
@@ -55,19 +56,20 @@ def _ladder(times) -> np.ndarray:
 
 
 def _values(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: int, seed: int, tag: int) -> tuple:
-    """``(x, xi[:, 1:].T)`` of ``simulate_ensemble(...)``: the messages and
-    the values at grid[1:] as rows, written run by run as the ensemble is
-    drawn, with its checks in its order and no ensemble matrix."""
+    """``(index, xi[:, 1:].T)`` of ``x, xi = simulate_ensemble(...)``: the
+    messages' atom indices (``prior.positions[index]`` is x) and the values
+    at grid[1:] as rows, written run by run as the ensemble is drawn, with
+    its checks in its order and no ensemble matrix."""
     check_compatibility(prior, model)
     n_paths = _floats(_count(n_paths, "n_paths"), len(grid), "n_paths")
-    messages, values = np.empty(n_paths), np.empty((len(grid) - 1, n_paths))
+    index, values = np.empty(n_paths, dtype=np.intp), np.empty((len(grid) - 1, n_paths))
 
-    def fold(sl, run_messages, rows):
-        messages[sl] = run_messages
+    def fold(sl, messages, run_index, rows):
+        index[sl] = run_index
         values[:, sl] = rows[:, 1:].T
 
     _fold_runs(model, prior, grid, n_paths, seed, tag, fold)
-    return messages, values
+    return index, values
 
 
 def _exceed_thresholds(model: NoiseModel, atoms: np.ndarray, epsilon: float):
@@ -124,8 +126,7 @@ def convergence_study(
     thresholds = _exceed_thresholds(model, atoms, epsilon)
     sq = np.empty((times.size, _floats(n_paths, len(grid), "n_paths")))
 
-    def fold(sl, messages, rows):  # one run: its squares into sq, its exceedance counts
-        idx = np.searchsorted(atoms, messages)
+    def fold(sl, messages, idx, rows):  # one run: its squares into sq, its exceedance counts
         drift_x = d1[idx]
         hi, lo = (side[idx] for side in thresholds)
         counts = []
@@ -149,6 +150,12 @@ def convergence_study(
             StudyRow(f"exceed[t={t:g},eps={epsilon:g}]", p, math.nan, se_p, math.nan)
         )
     return StudyReport("convergence", tuple(rows), threshold)
+
+
+# Paths per slice of the factorization study's elementwise passes: a slice's
+# complex buffers stay cache-sized between the steps of a pass, and each slice
+# is one index that map_ordered hands to the caller or a helper thread.
+_SLICE = 1 << 15
 
 
 def _pure_imaginary(value, name: str) -> complex:
@@ -200,26 +207,27 @@ def factorization_study(
     gathered by each path's atom index, as is psi0(x_i) in the weights.
     Each pair is then one complex multiply.
 
-    Memory stays at a few n-length arrays whatever the grid sizes: the
-    messages and xi_t are written out run by run as the ensemble is drawn,
-    with no ensemble matrix, the weights are formed in the message buffer,
-    and three buffers, each allocated once, are reused: the complex path
-    factor (per alpha), the complex pair samples (per pair) and the real
-    residual (per part).  Every expression keeps its ufuncs and their order
-    on purpose, the complex multiply included: the same product in real
-    arithmetic, or sums regrouped by atom, would round differently and
-    change the output bits.
+    Memory stays at a few n-length arrays whatever the grid sizes: the atom
+    indices and xi_t are written out run by run as the ensemble is drawn,
+    with no ensemble matrix, and three buffers, each allocated once, are
+    reused: the complex path factor (per alpha), the complex pair samples
+    (per pair) and the real residual (per part).  Every expression keeps its
+    ufuncs and their order on purpose, the complex multiply included: the
+    same product in real arithmetic, or sums regrouped by atom, would round
+    differently and change the output bits.  The passes that fill the three
+    buffers are elementwise, so they run on slices of the paths on up to
+    ``worker_count()`` threads with the same bits, while every mean and sum
+    stays one call on the whole array.
     """
     threshold = _positive(threshold, "study threshold")
     alphas = _imaginary_grid(alpha, "alpha")
     betas = _imaginary_grid(beta, "beta")
     t = _positive(t, "t")
-    messages, (xi_t,) = _values(model, prior, TimeGrid(np.array([0.0, t])), n_paths, seed, 0)
+    idx, (xi_t,) = _values(model, prior, TimeGrid(np.array([0.0, t])), n_paths, seed, 0)
     atoms = prior.positions
-    idx = np.searchsorted(atoms, messages)
-    # weights = exp(-X xi_t + psi0(X) t), in the message buffer; the term
-    # psi0(X) t goes in the buffer the residuals reuse below
-    weights = np.negative(messages, out=messages)
+    # weights = exp(-X xi_t + psi0(X) t); the term psi0(X) t goes in the
+    # buffer the residuals reuse below
+    weights = np.take(np.negative(atoms), idx)
     weights *= xi_t
     resid = np.take(fiducial_exponent(model, atoms), idx)
     resid *= t
@@ -231,27 +239,40 @@ def factorization_study(
     b_tables = [(b, np.exp(b * atoms)) for b in betas]
     a_factor = np.empty(n, dtype=complex)
     samples = np.empty(n, dtype=complex)
+    slices = [slice(start, start + _SLICE) for start in range(0, n, _SLICE)]
     for a in alphas:
-        # the real operands are cast to complex by assignment, so no ufunc
-        # allocates a cast buffer; samples is free until the pair loop
-        a_factor[...] = xi_t
-        np.multiply(a, a_factor, out=a_factor)
-        np.exp(a_factor, out=a_factor)
-        samples[...] = weights
-        a_factor *= samples
+
+        def path_factor(sl):
+            # the real operands are cast to complex by assignment, so no
+            # ufunc allocates a cast buffer; samples is free until the pairs
+            factor, cast = a_factor[sl], samples[sl]
+            factor[...] = xi_t[sl]
+            np.multiply(a, factor, out=factor)
+            np.exp(factor, out=factor)
+            cast[...] = weights[sl]
+            factor *= cast
+
+        map_ordered(path_factor, slices)
         a_ref = np.exp(fiducial_exponent(model, a) * t)
         for b, table in b_tables:
-            np.take(table, idx, out=samples, mode="clip")  # "raise" would buffer out
-            np.multiply(a_factor, samples, out=samples)
+
+            def pair(sl):
+                np.take(table, idx[sl], out=samples[sl], mode="clip")  # "raise" would buffer out
+                np.multiply(a_factor[sl], samples[sl], out=samples[sl])
+
+            map_ordered(pair, slices)
             reference = a_ref * (prior.weights @ table)
             key = f"alpha={a.imag:g}i,beta={b.imag:g}i"
             for part, take in (("re", np.real), ("im", np.imag)):
                 part_samples = take(samples)
                 est = float(part_samples.mean() / w_mean)
-                # delta-method standard error of the ratio estimator
-                np.multiply(est, weights, out=resid)
-                np.subtract(part_samples, resid, out=resid)
-                resid *= resid
+
+                def residual(sl):  # of the delta-method standard error of the ratio estimator
+                    np.multiply(est, weights[sl], out=resid[sl])
+                    np.subtract(part_samples[sl], resid[sl], out=resid[sl])
+                    resid[sl] *= resid[sl]
+
+                map_ordered(residual, slices)
                 se = float(np.sqrt(resid.sum() / (n - 1) / n) / w_mean)
                 ref = float(take(reference))
                 rows.append(StudyRow(f"cf_{part}[{key}]", est, ref, se, zscore(est, ref, se)))

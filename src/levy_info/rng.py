@@ -147,9 +147,10 @@ class _RunStreams:
     ``source`` is that Generator for a run of one chunk, else this.  Each of
     the four methods the samplers call draws every chunk's part from that
     chunk's own stream, in chunk order, with array parameters (one entry per
-    path) sliced by chunk, and returns the parts end to end: a sampler handed
-    this draws what it draws chunk by chunk, on arrays as long as the run.
-    A draw that is not one variate per path of the run raises
+    path) sliced by chunk, into its slice of one run-sized array (with
+    ``out=``, or by assignment for ``poisson``, which has none): a sampler
+    handed this draws what it draws chunk by chunk, on arrays as long as the
+    run.  A draw that is not one variate per path of the run raises
     InvalidParameter instead of being split.
     """
 
@@ -172,11 +173,14 @@ class _RunStreams:
         shape = np.broadcast_shapes(*shapes) if size is None else tuple(np.atleast_1d(size))
         if shape != (self.total,) or any(s not in ((), shape) for s in shapes):
             raise InvalidParameter(f"a run of chunks draws one variate per path ({self.total}), not shape {shape}")
-        parts = []
+        out = np.empty(self.total, dtype=np.int64 if method == "poisson" else float)
         for gen, sl in zip(self.gens, self.chunks):
             args = [p[sl] if np.ndim(p) else p for p in params]
-            parts.append(getattr(gen, method)(*args, size=None if size is None else sl.stop - sl.start))
-        return np.concatenate(parts)
+            if method == "poisson":
+                out[sl] = gen.poisson(*args, size=sl.stop - sl.start)
+            else:
+                getattr(gen, method)(*args, out=out[sl])
+        return out
 
     def standard_normal(self, size=None):
         return self._draw("standard_normal", (), size)

@@ -160,13 +160,33 @@ def _draws(model: NoiseModel, sample, x, dt, rng, size):
 # ---------------------------------------------------------------------------
 
 
-def sample_messages(prior: Prior, size, rng):
-    """``size`` atom positions, each drawn with its prior probability by the
-    inverse CDF; ``size=None`` draws one, as a scalar."""
+# Priors of up to this many atoms invert their CDF by comparing each uniform
+# with the K - 1 interior thresholds, cheaper than a binary search in so
+# short a table; larger ones search.
+_COMPARED_ATOMS = 8
+
+
+def _atom_index(prior: Prior, size, rng):
+    """The atom indices of ``size`` messages (one, as a 0-d array, where
+    ``size`` is None), drawn with the prior probabilities by the inverse CDF:
+    the number of cumulative weights at or below a uniform, at most K - 1.
+    The cumulative weights do not decrease, so counting the K - 1 below the
+    last gives the bits of the clamped ``searchsorted``."""
     cum = np.cumsum(prior.weights)
     u = rng.random(size if size is None else _count(size, "size", 0))
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(prior) - 1)
-    return prior.positions[idx]
+    if cum.size > _COMPARED_ATOMS:
+        return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+    index = np.zeros(np.shape(u), dtype=np.intp)
+    for threshold in cum[:-1]:
+        index += threshold <= u
+    return index
+
+
+def sample_messages(prior: Prior, size, rng):
+    """``size`` atom positions, each drawn with its prior probability by the
+    inverse CDF of :func:`_atom_index`; ``size=None`` draws one, as a
+    scalar.  An ensemble keeps the indices as well (see :func:`_fold_runs`)."""
+    return prior.positions[_atom_index(prior, size, rng)]
 
 
 def simulate_information_path(
@@ -212,9 +232,11 @@ def _fold_runs(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: int, se
     chunks of :func:`~levy_info.rng.ensemble_streams` per thread item.
 
     With ``fold``, each item samples its run into run-sized storage, then
-    calls ``fold(sl, messages, rows)`` on the same thread, where ``sl`` is
-    the run's slice of the paths, ``messages`` its (count,) messages and
-    ``rows`` its (count, len(grid)) values; the fold results come back in
+    calls ``fold(sl, messages, index, rows)`` on the same thread, where
+    ``sl`` is the run's slice of the paths, ``messages`` its (count,)
+    messages, ``index`` their atom indices in the prior, as the inverse CDF
+    drew them (``prior.positions[index]`` is ``messages``), and ``rows`` its
+    (count, len(grid)) values; the fold results come back in
     run order, and a fold that raises raises as an item would (see
     :func:`~levy_info.rng.map_ordered`).  Without one, each run is sampled
     into its rows of the n-path outputs, returned as ``(x, xi)``.  Interval
@@ -232,21 +254,24 @@ def _fold_runs(model: NoiseModel, prior: Prior, grid: TimeGrid, n_paths: int, se
     def sample_run(streams):
         sl, count = streams.paths, streams.total
         messages, rows = (x[sl], xi[sl]) if fold is None else (np.empty(count), np.zeros((count, len(grid))))
+        index = np.zeros(count, dtype=np.intp) if first else None
         if first:
             messages[:] = prior.positions[0]
 
         def walk():  # the run interval by interval; the paths' final values
+            nonlocal index
             acc = np.zeros(count)
             for j, gen in streams:
                 if j == 0:
-                    messages[:] = sample_messages(prior, count, gen)
+                    index = _atom_index(prior, count, gen)
+                    np.take(prior.positions, index, out=messages)
                 else:
                     acc += increment_draws(model, messages, dts[j - 1], gen, count)
                     rows[:, j] = acc
             return acc
 
         _checked(model, walk)
-        return None if fold is None else fold(sl, messages, rows)
+        return None if fold is None else fold(sl, messages, index, rows)
 
     folded = map_ordered(sample_run, runs)
     return (x, xi) if fold is None else folded

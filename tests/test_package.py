@@ -187,6 +187,45 @@ def test_studies_draw_only_through_the_chunk_keyed_samplers():
     assert names_used(experiments_source(), {"stream", "increment_draws", "simulate_ensemble"}) == []
 
 
+def enclosing_functions(source, name):
+    """Sorted ``function: name`` of every import or use of ``name``, bare or
+    as an attribute, by the innermost function it sits in (``<module>``
+    outside any)."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = node.name
+        if ((isinstance(node, ast.Attribute) and node.attr == name) or (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.alias) and name in node.name.split("."))):
+            found.append(f"{inside}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_only_the_inverse_cdfs_search_a_table():
+    # a message's atom index comes from the inverse CDF that drew it
+    # (simulate._atom_index), which an ensemble hands its fold; a search for
+    # it in the drawn messages is a second pass over every path
+    uses = [f"{file}:{use}" for file, source in package_sources().items()
+            for use in enclosing_functions(source, "searchsorted")]
+    assert uses == ["noise.py:_logarithmic_draws: searchsorted", "simulate.py:_atom_index: searchsorted"]
+
+
+def test_search_lint_names_the_function_of_each_use():
+    source = ("import numpy as np\n"
+              "from numpy import searchsorted\n"
+              "def f(cum, u):\n"
+              "    def g():\n"
+              "        return np.searchsorted(cum, u)\n"
+              "    return searchsorted(cum, g())\n")
+    assert enclosing_functions(source, "searchsorted") == [
+        "<module>: searchsorted", "f: searchsorted", "g: searchsorted"]
+
+
 def test_cli_broadcasts_shared_cells_rather_than_copying_them():
     # a path id, time or message shared by many CSV rows is one cell that
     # cli._rows broadcasts into each row; a repeated or tiled copy is the

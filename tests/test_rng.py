@@ -85,18 +85,24 @@ def run_streams(run, seed=1, tag=0, intervals=(1,)):
 
 
 def test_a_run_of_chunks_draws_each_chunks_part_from_its_own_stream():
+    # each of the four methods fills its slice of one run-sized array with
+    # what the chunk's own Generator draws, scalar and per-path parameters alike
     run = _chunks(2 * CHUNK + 3)
     n = run[-1][1].stop
-    lam = np.linspace(0.5, 3.0, n)
+    lam, shape = np.linspace(0.5, 3.0, n), np.linspace(0.2, 4.0, n)
     ((j, streams),) = run_streams(run)
     assert j == 1
-    got = [streams.poisson(lam), streams.standard_gamma(2.0, n), streams.random(n)]
+    got = [streams.poisson(lam), streams.poisson(2.5, n), streams.standard_gamma(2.0, n),
+           streams.standard_gamma(shape), streams.random(n), streams.standard_normal(n)]
     want = []
     for c, sl in run:
         gen, count = stream(1, 0, c, 1), sl.stop - sl.start
-        want.append((gen.poisson(lam[sl]), gen.standard_gamma(2.0, count), gen.random(count)))
+        want.append((gen.poisson(lam[sl]), gen.poisson(2.5, count), gen.standard_gamma(2.0, count),
+                     gen.standard_gamma(shape[sl]), gen.random(count), gen.standard_normal(count)))
     for g, parts in zip(got, zip(*want)):
-        np.testing.assert_array_equal(g, np.concatenate(parts))
+        whole = np.concatenate(parts)
+        assert g.dtype == whole.dtype and g.shape == (n,)
+        np.testing.assert_array_equal(g, whole)
 
 
 def test_a_run_of_chunks_refuses_a_draw_it_cannot_split():

@@ -12,7 +12,7 @@ from conftest import FAMILY_PARAMS, interior_grid
 from levy_info import rng
 from levy_info.noise import _logarithmic_draws
 from levy_info.rng import CHUNK, _chunks, ensemble_streams, stream, stream_keys
-from levy_info.simulate import _fold_runs
+from levy_info.simulate import _atom_index, _fold_runs
 
 
 def degenerate(x):
@@ -71,6 +71,49 @@ def test_sample_messages_frequencies():
     freq = draws.mean()
     se = math.sqrt(0.25 / draws.size)
     assert abs(freq - 0.5) <= 3.0 * se
+
+
+def cumulative_weights_and_their_neighbours(atoms):
+    """Priors of ``atoms`` atoms, and uniforms that are their cumulative
+    weights, a float step either side of one, or anything in [0, 1)."""
+    weights = st.lists(st.floats(1e-6, 1.0), min_size=atoms, max_size=atoms)
+
+    def with_uniforms(w):
+        prior = li.prior_from_atoms(list(zip(np.arange(atoms, dtype=float), w)))
+        cum = np.cumsum(prior.weights)
+        edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)])
+        edges = edges[edges < 1.0]
+        uniforms = st.lists(st.one_of(st.sampled_from(edges.tolist()) if edges.size else st.nothing(),
+                                      st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=40)
+        return st.tuples(st.just(prior), uniforms)
+
+    return weights.flatmap(with_uniforms)
+
+
+class Uniforms:
+    """A stand-in Generator whose ``random`` returns the given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        return self.u.copy() if size is not None else self.u[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), atoms=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 40]))
+def test_the_inverse_cdf_counts_what_the_clamped_search_finds(data, atoms):
+    # up to 8 atoms the inverse CDF counts the interior cumulative weights at
+    # or below u; that is the clamped right-side search, at every edge
+    prior, u = data.draw(cumulative_weights_and_their_neighbours(atoms))
+    cum = np.cumsum(prior.weights)
+    want = np.minimum(np.searchsorted(cum, u, side="right"), atoms - 1)
+    got = _atom_index(prior, len(u), Uniforms(u))
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(li.sample_messages(prior, len(u), Uniforms(u)), prior.positions[want])
+    one = li.sample_messages(prior, None, Uniforms(u[:1]))
+    assert np.ndim(one) == 0 and one == prior.positions[want[0]]
 
 
 def test_sample_messages_extreme_weights_stay_in_support():
@@ -242,10 +285,15 @@ def per_chunk_oracle(model, prior, grid, n, seed, tag):
 
 def folded(model, prior, grid, n, seed, tag):
     """The ensemble put together from what ``_fold_runs`` hands its fold,
-    after checking that the runs come in order and cover the paths."""
-    runs = _fold_runs(model, prior, grid, n, seed, tag, lambda sl, x, rows: (sl, x.copy(), rows.copy()))
-    assert [sl.start for sl, _, _ in runs] == [0] + [sl.stop for sl, _, _ in runs[:-1]] and runs[-1][0].stop == n
-    return np.concatenate([x for _, x, _ in runs]), np.concatenate([rows for _, _, rows in runs])
+    after checking that the runs come in order and cover the paths, and
+    that each run's atom index names its messages."""
+    runs = _fold_runs(model, prior, grid, n, seed, tag,
+                      lambda sl, x, index, rows: (sl, x.copy(), index.copy(), rows.copy()))
+    assert [run[0].start for run in runs] == [0] + [run[0].stop for run in runs[:-1]] and runs[-1][0].stop == n
+    for _, x, index, _ in runs:
+        assert index.dtype == np.intp
+        np.testing.assert_array_equal(prior.positions[index], x)
+    return np.concatenate([run[1] for run in runs]), np.concatenate([run[3] for run in runs])
 
 
 def assert_both_routes_draw_the_oracle(family, params, drift, one_atom, n, grid):
@@ -279,6 +327,23 @@ def test_runs_carry_their_sums_across_blocks_of_keys(family, params, drift, one_
     assert_both_routes_draw_the_oracle(family, params, drift, one_atom, 3, li.TimeGrid.regular(50.0, 5000))
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("atoms", [1, 2, 256])
+def test_every_fold_gets_the_atom_index_of_its_messages(atoms, threads, monkeypatch):
+    # 256 atoms search the cumulative weights, 2 compare with them, 1 draws no
+    # message; every way, positions[index] is what the ensemble samples
+    monkeypatch.setenv("LEVY_INFO_THREADS", threads)
+    model = li.make_noise_model("Gamma", (1.0, 1.0))
+    positions = np.linspace(-2.0, 0.9, atoms)
+    prior = li.prior_from_atoms(list(zip(positions, np.linspace(1.0, 3.0, atoms))))
+    grid = li.TimeGrid([0.0, 1.0])
+    x, xi = folded(model, prior, grid, 9 * CHUNK + 17, 8, 0)
+    want_x, want_xi = li.simulate_ensemble(model, prior, grid, 9 * CHUNK + 17, 8)
+    np.testing.assert_array_equal(x, want_x)
+    np.testing.assert_array_equal(xi, want_xi)
+    assert len(np.unique(x)) == atoms
+
+
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_a_failing_fold_raises_the_error_of_the_lowest_failing_run(threads, monkeypatch):
     # every run but the first fails; whichever thread fails first, the
@@ -287,7 +352,7 @@ def test_a_failing_fold_raises_the_error_of_the_lowest_failing_run(threads, monk
     model = li.make_noise_model("Gamma", (1.0, 1.0))
     n = 9 * CHUNK + 17
 
-    def fold(sl, x, rows):
+    def fold(sl, x, index, rows):
         if sl.start:
             raise ValueError(f"run at {sl.start}")
 
