@@ -31,8 +31,9 @@ from .simulate import TimeGrid, _fold_runs, representation_draws
 from .stats import (
     StudyReport,
     StudyRow,
-    _jackknife_se,
+    _covariance_loo,
     _mean_stderr,
+    _paired_row,
     jackknife_covariance,
     jackknife_cumulants,
     mean_stderr,
@@ -302,10 +303,13 @@ def esscher_consistency_study(
     Draws xi_t directly from the tilted model and, with common random
     numbers, from the fiducial model weighted by exp(lam xi - psi0(lam) t);
     compares mean and variance, both variances with the divisor n - 1.
-    Both sides are a ``simulate_ensemble`` at the message 0, seed and tag 1:
-    the common random numbers make the lam = 0 case agree (the variance to
-    rounding) and otherwise only overstate the standard error of the
-    difference, never understate it.
+    Both sides are a ``simulate_ensemble`` at the message 0, seed and tag 1,
+    so path i of each side draws the same random numbers, and each row's
+    standard error is that of the paired difference: the mean row's from
+    the per-path differences direct_i - w_i fiducial_i, the variance row's
+    the jackknife of the difference of the two variance estimators, leaving
+    out path i of both sides at once.  At lam = 0 both sides are the same
+    draws, and the rows agree (the variance to rounding).
 
     Raises
     ------
@@ -340,21 +344,20 @@ def esscher_consistency_study(
     if not weights.any():
         raise InvalidParameter(f"every Esscher weight exp(lam xi - psi0(lam) t) underflows to 0 at lam={lam:g}, t={t:g}")
 
-    rows = []
-    mean_d, se_d = mean_stderr(direct)
-    weighted = weights * fiducial
-    mean_w, se_w = mean_stderr(weighted)
-    se = math.hypot(se_d, se_w)
-    rows.append(StudyRow("mean", mean_d, mean_w, se, zscore(mean_d, mean_w, se)))
+    mean_d = mean_stderr(direct)[0]
+    weighted = np.multiply(weights, fiducial, out=weights)
+    mean_w = mean_stderr(weighted)[0]
+    m = n - 1
+    loo = np.subtract(direct, weighted)  # d_i, then the leave-one-out means of d
+    np.subtract(loo.sum(), loo, out=loo)
+    loo /= m
+    rows = [_paired_row("mean", mean_d, mean_w, loo)]
 
-    var_d, se_vd = jackknife_covariance(direct, direct)
+    var_d, loo = _covariance_loo(direct, direct)
     u = weighted * fiducial
     var_w = float(u.mean() - weighted.mean() ** 2) * n / (n - 1)
-    m = n - 1
-    loo = ((u.sum() - u) / m - ((weighted.sum() - weighted) / m) ** 2) * m / (m - 1)
-    se_vw = _jackknife_se(loo)
-    se_v = math.hypot(se_vd, se_vw)
-    rows.append(StudyRow("variance", var_d, var_w, se_v, zscore(var_d, var_w, se_v)))
+    loo -= ((u.sum() - u) / m - ((weighted.sum() - weighted) / m) ** 2) * m / (m - 1)
+    rows.append(_paired_row("variance", var_d, var_w, loo))
     return StudyReport("esscher", tuple(rows), threshold)
 
 

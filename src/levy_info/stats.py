@@ -225,11 +225,28 @@ def jackknife_cumulants(x) -> CumulantEstimate:
     return CumulantEstimate(k1, k2, k3, se1, se2, _jackknife_se(c3))
 
 
+def _paired_row(quantity: str, estimate: float, reference: float, loo: np.ndarray) -> StudyRow:
+    """The row comparing two estimators of one quantity computed from the
+    same paths, so that their errors are correlated: the standard error is
+    the jackknife's for their difference, from ``loo``, the leave-one-out
+    values of estimate - reference with path i left out of both sides at
+    once (overwritten).  For two means that is the standard error of the
+    mean of the per-path differences."""
+    se = _jackknife_se(loo)
+    return StudyRow(quantity, estimate, reference, se, zscore(estimate, reference, se))
+
+
 def jackknife_covariance(a, b) -> tuple:
     """Unbiased sample covariance of paired samples with a jackknife SE.
 
     ``jackknife_covariance(a, a)`` is the sample variance with its SE.
     """
+    cov, loo = _covariance_loo(a, b)
+    return cov, _jackknife_se(loo)
+
+
+def _covariance_loo(a, b) -> tuple:
+    """The covariance of :func:`jackknife_covariance` and its leave-one-out values."""
     a = _samples(a, 4)
     b = _samples(b, 4)
     if a.size != b.size:
@@ -242,4 +259,4 @@ def jackknife_covariance(a, b) -> tuple:
     m = n - 1
     loo = (sab - abc - (sa - ac) * (sb - bc) / m) / (m - 1)
     cov = (sab - sa * sb / n) / (n - 1)
-    return float(cov), _jackknife_se(loo)
+    return float(cov), loo

@@ -325,7 +325,8 @@ def test_esscher_zero_tilt_at_the_closed_end_of_A_is_the_trivial_case():
 def test_esscher_zero_tilt_rows_agree_with_one_divisor():
     # at lambda = 0 the weights are 1 and both sides see the same draws, so
     # both variances take the divisor n - 1 and so do their leave-one-out
-    # values: the weighted side's jackknife error is the direct side's
+    # values: the paired errors see only the rounding between the two
+    # estimators, none at all for the mean, whose per-path differences are 0
     model = li.make_noise_model("InverseGaussian", (1.0, 2.0))
     report = li.esscher_consistency_study(model, 0.0, 1.0, 2000, seed=69)
     for row in report.rows:
@@ -333,7 +334,34 @@ def test_esscher_zero_tilt_rows_agree_with_one_divisor():
     origin, grid = li.prior_from_atoms([(0.0, 1.0)]), li.TimeGrid(np.array([0.0, 1.0]))
     direct = li.simulate_ensemble(model, origin, grid, 2000, 69, tag=1)[1][:, 1]
     _, se = li.jackknife_covariance(direct, direct)
-    assert rows_by_name(report)["variance"].stderr == pytest.approx(math.sqrt(2.0) * se, rel=1e-9)
+    rows = rows_by_name(report)
+    assert rows["mean"].stderr == 0.0 and rows["mean"].z == 0.0
+    assert 0.0 < rows["variance"].stderr <= 1e-9 * se and abs(rows["variance"].z) < 1.0
+
+
+# 40 seeds per family; each row's z over the seeds must have a standard
+# deviation within 3.5 standard errors of 1, the standard error of a sample
+# standard deviation of k normal values being about 1/sqrt(2 (k - 1)).
+CALIBRATION_SEEDS = 40
+CALIBRATION_BAND = 3.5 / math.sqrt(2 * (CALIBRATION_SEEDS - 1))  # 0.40: [0.60, 1.40]
+
+
+@pytest.mark.parametrize("family, params, n", [
+    ("Brownian", (), 2000),
+    # weights exp(lam xi) of gamma draws are skewed: at 2000 paths the
+    # variance row's z has sd 1.57-1.60 and mean 0.74-0.80 over 40 seeds,
+    # near 1 and 0 from 40,000 paths on
+    ("Gamma", (2.0, 1.0), 40_000),
+])
+def test_esscher_z_is_standard_normal_over_seeds(family, params, n):
+    # path i of both sides shares its random numbers; a standard error that
+    # ignores the pairing (the hypot of the two sides') gives sd(z) of about
+    # 0.25 for Brownian noise, and a gate that a defect must pass by 4x
+    model = li.make_noise_model(family, params)
+    z = np.array([[row.z for row in li.esscher_consistency_study(model, 0.25, 1.0, n, seed).rows]
+                  for seed in range(CALIBRATION_SEEDS)])
+    spread = z.std(axis=0, ddof=1)
+    assert np.all(np.abs(spread - 1.0) <= CALIBRATION_BAND), spread
 
 
 def test_esscher_poisson_tilted_mean():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levy_info as li
-from levy_info.stats import _jackknife_se, _mean_stderr
+from levy_info.stats import _covariance_loo, _jackknife_se, _mean_stderr, _paired_row
 
 
 def brute_force_jackknife_se(x, statistic):
@@ -107,6 +107,26 @@ def test_jackknife_cumulants_match_brute_force():
     assert est.se3 == pytest.approx(brute_force_jackknife_se(x, k3), rel=1e-8)
     assert est.cumulants == (est.k1, est.k2, est.k3)
     assert est.stderrs == (est.se1, est.se2, est.se3)
+
+
+def test_a_paired_row_takes_the_jackknife_error_of_the_difference():
+    # two estimators on the same paths: the error is that of their
+    # difference, path i left out of both, not the hypot of their own errors
+    rng = np.random.default_rng(26)
+    a = rng.normal(size=40)
+    b = a + 0.1 * rng.normal(size=40)
+    n = a.size
+    d = a - b
+    mean = _paired_row("mean", a.mean(), b.mean(), (d.sum() - d) / (n - 1))
+    assert mean.stderr == pytest.approx(d.std(ddof=1) / math.sqrt(n), rel=1e-12)
+    assert mean.stderr == pytest.approx(brute_force_jackknife_se(d, np.mean), rel=1e-12)
+    assert mean.z == pytest.approx((a.mean() - b.mean()) / mean.stderr, rel=1e-12)
+    (var_a, loo_a), (var_b, loo_b) = _covariance_loo(a, a), _covariance_loo(b, b)
+    variance = _paired_row("variance", var_a, var_b, loo_a - loo_b)
+    indices = np.arange(n)
+    want = brute_force_jackknife_se(indices, lambda keep: k2(a[keep]) - k2(b[keep]))
+    assert variance.stderr == pytest.approx(want, rel=1e-9)
+    assert variance.stderr < 0.2 * math.hypot(li.jackknife_covariance(a, a)[1], li.jackknife_covariance(b, b)[1])
 
 
 def test_jackknife_covariance_matches_brute_force():
