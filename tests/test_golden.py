@@ -129,10 +129,12 @@ CASES = {
     # re-recorded when the weighted variance took the divisor n - 1 of the
     # direct one (only the variance row's reference, stderr and z moved), and
     # again when both sides came to be drawn by simulate_ensemble at tag 1,
-    # keyed by (seed, tag, chunk, interval), in place of one stream (seed, 1)
+    # keyed by (seed, tag, chunk, interval), in place of one stream (seed, 1);
+    # and again when both rows' standard errors came to be paired path by
+    # path (only the stderr and z columns moved)
     "experiment-esscher": (
         ["experiment", "esscher", "--paths", "5000", "--seed", "8"],
-        "d0a8864beb650835bb6ec21f04dd9f2ac44af78dea81d3cbf9b8baf0d97348eb",
+        "349a41c6b8891a4ff26a6a778d01f35b6a27f76bcec353896539f74999068a1a",
     ),
     # pins the cumulant kernels' product-form cubes through its k3[...] rows
     "experiment-representation": (
