@@ -14,9 +14,10 @@ run of chunks it is sampling and folding (see ``simulate._fold_runs``):
   thread, the run in flight: its values, messages, per-path drift and
   thresholds and the samplers' temporaries, about 2 arrays at this n, where
   a run is 16,384 paths
-* factorization: the messages and xi_t, each written run by run, the
-  weights, the atom indices, the residual and two complex buffers (2 each)
-* esscher: the draws, their products and the jackknife's vectors
+* factorization: the atom indices and xi_t, each written run by run, the
+  weights, the residual and two complex buffers (2 each)
+* esscher: the draws, the weights (then the weighted draws), their
+  products and the jackknife's vectors
 * bridge: xi_s and xi_t, once the values they are scaled from, written
   run by run, are freed, and the jackknife's vectors
 * representation: the draws and the jackknife's four buffers
